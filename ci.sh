@@ -16,6 +16,12 @@ cargo test --workspace -q
 echo "== test (release, includes the slow double-build determinism tests) =="
 cargo test --workspace -q --release
 
+echo "== repository benchmark tests (breakdown + smoke) =="
+# The benchmark under benchmark/ is a separate workspace whose traced
+# set-ups mirror the HnswGraph::build and suite call sites, so an API change
+# in the crates must fail here rather than at the next benchmark run.
+cargo test --release --manifest-path benchmark/Cargo.toml
+
 echo "== geometry bench smoke (compile only) =="
 # The criterion hot-path benches (point distance batch, aabb ray-slab,
 # triangle intersect) must keep building; timing runs stay local.

@@ -16,7 +16,7 @@ use hsu_archive::payload::{put_f64, put_u32, put_u64, put_u8, Cursor};
 use hsu_archive::ArchiveError;
 use hsu_geometry::point::Metric;
 
-use crate::{GraphConfig, HnswGraph};
+use crate::{GraphConfig, HnswGraph, Layer};
 
 fn metric_to_u8(metric: Metric) -> u8 {
     match metric {
@@ -48,7 +48,8 @@ pub fn graph_to_chunk(graph: &HnswGraph) -> Vec<u8> {
     buf.extend_from_slice(&graph.node_levels);
     put_u32(&mut buf, graph.layers.len() as u32);
     for layer in &graph.layers {
-        for adj in layer {
+        for v in 0..graph.node_levels.len() as u32 {
+            let adj = layer.list(v);
             put_u32(&mut buf, adj.len() as u32);
             for &n in adj {
                 put_u32(&mut buf, n);
@@ -90,11 +91,14 @@ pub fn graph_from_chunk(bytes: &[u8], chunk: &str) -> Result<HnswGraph, ArchiveE
     }
     let mut layers = Vec::with_capacity(layer_count);
     for _ in 0..layer_count {
-        let mut layer = Vec::with_capacity(node_count);
+        let mut offsets = Vec::with_capacity(node_count + 1);
+        offsets.push(0);
+        // The rest of the payload bounds this layer's edges; the unused
+        // part of the reservation is released below.
+        let mut targets = Vec::with_capacity(c.remaining() / 4);
         for _ in 0..node_count {
             let degree = c.u32()?;
             let degree = c.count(u64::from(degree), 4, "neighbour")?;
-            let mut adj = Vec::with_capacity(degree);
             for _ in 0..degree {
                 let n = c.u32()?;
                 if n as usize >= node_count {
@@ -102,11 +106,15 @@ pub fn graph_from_chunk(bytes: &[u8], chunk: &str) -> Result<HnswGraph, ArchiveE
                         "neighbour {n} outside the {node_count} nodes"
                     )));
                 }
-                adj.push(n);
+                targets.push(n);
             }
-            layer.push(adj);
+            offsets.push(
+                u32::try_from(targets.len())
+                    .map_err(|_| fail(format!("more than {} edges in one layer", u32::MAX)))?,
+            );
         }
-        layers.push(layer);
+        targets.shrink_to_fit();
+        layers.push(Layer { offsets, targets });
     }
     c.finish()?;
     Ok(HnswGraph {

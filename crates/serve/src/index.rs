@@ -98,7 +98,10 @@ pub trait SearchIndex: Send + Sync {
     /// Expected vector dimension, 0 for key indexes.
     fn dim(&self) -> usize;
 
-    /// Checks a query fits this index (variant and dimension).
+    /// Checks a query fits this index: its variant, its dimension, and,
+    /// for a vector, that every component is finite. A NaN or infinite
+    /// component would reach k-d split tests, BVH slab tests and the HNSW
+    /// heaps, none of which define an answer for it.
     fn validate(&self, query: &Query) -> Result<(), ServeError> {
         match (self.family(), query) {
             (IndexFamily::Btree, Query::Key(_)) => Ok(()),
@@ -110,14 +113,19 @@ pub trait SearchIndex: Send + Sync {
                 self.family()
             ))),
             (_, Query::Vector(v)) => {
-                if v.len() == self.dim() {
-                    Ok(())
-                } else {
-                    Err(ServeError::BadQuery(format!(
+                if v.len() != self.dim() {
+                    return Err(ServeError::BadQuery(format!(
                         "dimension {} != index dimension {}",
                         v.len(),
                         self.dim()
-                    )))
+                    )));
+                }
+                match v.iter().position(|x| !x.is_finite()) {
+                    None => Ok(()),
+                    Some(i) => Err(ServeError::BadQuery(format!(
+                        "component {i} is {}, not finite",
+                        v[i]
+                    ))),
                 }
             }
         }

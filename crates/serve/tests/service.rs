@@ -5,6 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hsu_bench::ArchiveCache;
+use hsu_datasets::DatasetId;
 use hsu_serve::prelude::*;
 use hsu_serve::QueryBatch;
 
@@ -68,6 +69,56 @@ fn bad_queries_are_rejected_at_admission() {
     }
     // Valid queries still flow afterwards.
     assert!(engine.query(Query::Key(1)).is_ok());
+}
+
+/// Submits `dim`-wide vectors with one NaN, +inf or -inf component to
+/// `index` and asserts each is refused at admission with a typed
+/// `BadQuery`, while a finite query is still answered.
+fn rejects_non_finite_vectors(index: impl SearchIndex + 'static) {
+    let dim = index.dim();
+    let engine = Engine::new(Arc::new(index), EngineConfig::default());
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        for at in [0, dim - 1] {
+            let mut v = vec![0.5f32; dim];
+            v[at] = bad;
+            match engine.try_submit(Query::Vector(v)) {
+                Err(ServeError::BadQuery(why)) => {
+                    assert!(why.contains("not finite"), "{bad} at {at}: {why}")
+                }
+                other => panic!("{bad} at {at}: expected BadQuery, got {other:?}"),
+            }
+        }
+    }
+    assert_eq!(
+        engine.stats().admitted,
+        0,
+        "a non-finite query was admitted"
+    );
+    match engine.query(Query::Vector(vec![0.5f32; dim])) {
+        Ok(QueryOutput::Neighbors(_)) => {}
+        other => panic!("finite query failed: {other:?}"),
+    }
+}
+
+#[test]
+fn graph_index_rejects_non_finite_vectors() {
+    let cache = ArchiveCache::disabled();
+    let index = GraphIndex::open(&cache, DatasetId::Sift10k, 300, 7, 5, 32).expect("open graph");
+    rejects_non_finite_vectors(index);
+}
+
+#[test]
+fn kd_index_rejects_non_finite_vectors() {
+    let cache = ArchiveCache::disabled();
+    let index = KdIndex::open(&cache, DatasetId::Bunny, 400, 7, 5, 16).expect("open kd");
+    rejects_non_finite_vectors(index);
+}
+
+#[test]
+fn bvh_index_rejects_non_finite_vectors() {
+    let cache = ArchiveCache::disabled();
+    let index = BvhIndex::open(&cache, DatasetId::Bunny, 400, 7, 5).expect("open bvh");
+    rejects_non_finite_vectors(index);
 }
 
 #[test]
