@@ -2,23 +2,20 @@
 //!
 //! ```text
 //! repro [--sms N] [--quick] [--seed S] [--jobs N] [--sim-mode M]
-//!       [--sim-threads N] [--keep-going] [--job-timeout SECS]
+//!       [--keep-going] [--job-timeout SECS]
 //!       [--archive-dir DIR] [--no-cache] <item>...
 //!   items: table2 table3 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
 //!          fig15 fig16 rtindex ablation all
 //!          traces (--trace FILE ...) gen-fault-traces (--out DIR)
 //! ```
 //!
-//! `--jobs N` fans the run matrix over N worker threads (0 = all cores).
-//! `--sim-mode stepped|event|parallel` selects the run-loop strategy
-//! (default: event); reports are identical in every mode, so stdout does
-//! not change. `--sim-threads N` sets the parallel-epoch worker count
-//! inside each simulation (0 = auto); the two levels of parallelism share
-//! one machine budget via [`hsu_bench::runner::thread_budget`], so
-//! `--jobs 8 --sim-mode parallel` never spawns `jobs × sim-threads`
-//! workers. Figure output on stdout is byte-identical for every worker
-//! count, thread count, and simulation mode; the per-run observability
-//! table goes to stderr.
+//! `--jobs N` fans the run matrix over N worker threads (0 = all cores);
+//! each simulation runs on one thread. `--sim-mode stepped|event` selects
+//! the run-loop strategy (default: event); reports are identical in both
+//! modes, so stdout does not change. Figure output on stdout is
+//! byte-identical for every worker count and simulation mode; the per-run
+//! observability table goes to stderr. Unknown flags, and the removed
+//! `--sim-threads` and `--sim-mode parallel`, exit 2 with a usage message.
 //!
 //! Failure semantics: the default is fail-fast — the first failing
 //! simulation cancels the not-yet-started jobs and `repro` exits nonzero
@@ -102,13 +99,7 @@ fn main() {
                 config.sim_mode = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--sim-mode needs 'stepped', 'event' or 'parallel'"));
-            }
-            "--sim-threads" => {
-                config.sim_threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--sim-threads needs a number (0 = auto)"));
+                    .unwrap_or_else(|| usage("--sim-mode needs 'stepped' or 'event'"));
             }
             "--archive-dir" => {
                 config.archive_dir = Some(
@@ -127,6 +118,7 @@ fn main() {
                 policy.job_timeout = Some(Duration::from_secs(secs));
             }
             "--help" | "-h" => usage(""),
+            flag if flag.starts_with('-') => usage(&format!("unknown flag '{flag}'")),
             item => items.push(item.to_string()),
         }
     }
@@ -138,14 +130,6 @@ fn main() {
     if no_cache {
         config.archive_dir = None;
     }
-    // Split the machine between suite workers and per-simulation epoch
-    // workers so the two levels of parallelism never oversubscribe it. The
-    // serial modes ignore `sim_threads`, so their job counts only change
-    // when `--sim-threads` was set explicitly (which implies parallel mode).
-    let (jobs, sim_threads) =
-        runner::thread_budget(runner::default_jobs(), config.jobs, config.sim_threads);
-    config.jobs = jobs;
-    config.sim_threads = sim_threads;
     if items.iter().any(|i| i == "all") {
         items = [
             "table2", "table3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
@@ -333,14 +317,12 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro [--sms N] [--quick] [--seed S] [--jobs N] [--sim-mode M] [--out DIR]\n\
-         \x20            [--sim-threads N] [--keep-going] [--job-timeout SECS]\n\
+         \x20            [--keep-going] [--job-timeout SECS]\n\
          \x20            [--archive-dir DIR] [--no-cache] [--trace FILE]... <item>...\n\
          items: table2 table3 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16\n\
          \x20      rtindex ablation all traces gen-fault-traces\n\
          --jobs N runs the simulation matrix on N worker threads (0 = all cores);\n\
-         --sim-mode stepped|event|parallel picks the run loop (default: event);\n\
-         --sim-threads N sets parallel-epoch workers per simulation (0 = auto;\n\
-         \x20  shares one machine budget with --jobs, never multiplies it);\n\
+         --sim-mode stepped|event picks the run loop (default: event);\n\
          --archive-dir DIR caches datasets/indexes/traces as content-keyed .hsar\n\
          \x20  archives so re-runs skip the build phase (stdout is byte-identical\n\
          \x20  warm or cold); --no-cache forces a cold build, ignoring --archive-dir;\n\

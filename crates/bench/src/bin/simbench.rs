@@ -1,18 +1,17 @@
-//! `simbench` — measure the event-driven and parallel-epoch run loops
-//! against the stepped oracle on the full workload suite and append a
-//! machine-readable trajectory entry.
+//! `simbench` — measure the event-driven run loop against the stepped
+//! oracle on the full workload suite and append a machine-readable
+//! trajectory entry.
 //!
 //! ```text
-//! simbench [--quick] [--sms N] [--seed S] [--jobs N] [--sim-threads N]
+//! simbench [--quick] [--sms N] [--seed S] [--jobs N]
 //!          [--archive-dir DIR] [--pr LABEL] [--out PATH]
 //! ```
 //!
-//! Builds the suite three times — once per [`hsu_sim::config::SimMode`] —
-//! then:
+//! Builds the suite twice — once per [`hsu_sim::config::SimMode`] — then:
 //!
 //! 1. asserts every (app × dataset × variant) report is identical across
-//!    all modes (exits non-zero on any divergence),
-//! 2. runs the suite a fourth time under the treelet-scheduled RT core
+//!    both modes (exits non-zero on any divergence),
+//! 2. runs the suite a third time under the treelet-scheduled RT core
 //!    ([`hsu_sim::config::RtCoreKind::Treelet`], event mode) and asserts
 //!    the functional projection of every report — instruction issue,
 //!    warp retirement, RT instruction counts — matches the baseline
@@ -30,17 +29,14 @@
 //! `.hsar` archive cache: once against an empty cache directory (cold —
 //! generators and index builders run, archives are written) and once again
 //! (warm — everything loads from the archives). Both wall-times land in the
-//! entry's `build_phase` block, and the three mode runs then reuse the warm
+//! entry's `build_phase` block, and the mode runs then reuse the warm
 //! cache, which also exercises cold-vs-warm equivalence: any divergence the
 //! cache introduced would trip the cross-mode report check. The probe uses
 //! a throwaway directory under the system temp dir unless `--archive-dir`
 //! pins it somewhere persistent.
 //!
-//! `--jobs` (suite workers) and `--sim-threads` (parallel-epoch workers
-//! inside each simulation) share one machine budget via
-//! [`hsu_bench::runner::thread_budget`] — the product never oversubscribes
-//! the host. The JSON is hand-rolled: the workspace deliberately has no
-//! serde.
+//! `--jobs` sets the suite workers; each simulation runs on one thread.
+//! The JSON is hand-rolled: the workspace deliberately has no serde.
 
 use std::time::Instant;
 
@@ -109,12 +105,6 @@ fn main() {
                     .unwrap_or_else(|| usage("--jobs needs a number (0 = all cores)"));
                 config.jobs = if n == 0 { runner::default_jobs() } else { n };
             }
-            "--sim-threads" => {
-                config.sim_threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--sim-threads needs a number (0 = auto)"));
-            }
             "--archive-dir" => {
                 archive_dir = Some(
                     args.next()
@@ -135,20 +125,12 @@ fn main() {
             other => usage(&format!("unknown argument '{other}'")),
         }
     }
-    // One machine budget for both parallelism levels; stepped/event runs
-    // ignore `sim_threads`, so the resolved job count applies uniformly.
-    // The host core count and the *resolved* knobs go into the entry's
-    // config block: a 1-core host resolves every request to 1×1, and
-    // without the context the near-1.0 "parallel" speedups such a host
-    // measures would read as regressions.
+    // The host core count goes into the entry's config block next to the
+    // job count, so wall times are only compared between like hosts.
     let host_cores = runner::default_jobs();
-    let (jobs, sim_threads) = runner::thread_budget(host_cores, config.jobs, config.sim_threads);
-    config.jobs = jobs;
-    config.sim_threads = sim_threads;
-
     eprintln!(
-        "simbench: suite sms={} scale=1/{} seed={} jobs={} sim-threads={}",
-        config.sms, config.scale_divisor, config.seed, config.jobs, config.sim_threads
+        "simbench: suite sms={} scale=1/{} seed={} jobs={}",
+        config.sms, config.scale_divisor, config.seed, config.jobs
     );
 
     // Cold/warm build-phase probe: time phase A against an empty archive
@@ -183,34 +165,19 @@ fn main() {
         "event:    {:.2}s build, {:.2}s simulating, {} ticks",
         event.build_wall_s, event.sim_wall_s, event.ticks_executed
     );
-    let parallel = run_mode(&config, SimMode::ParallelEpoch);
-    eprintln!(
-        "parallel: {:.2}s build, {:.2}s simulating, {} ticks",
-        parallel.build_wall_s, parallel.sim_wall_s, parallel.ticks_executed
-    );
 
     // The differential check: every report in the matrix must agree on every
-    // architectural counter across all three modes (sched counters differ
-    // between stepped and the event-driven pair by design).
+    // architectural counter across both modes (sched counters differ by
+    // design).
     let mut divergences = 0usize;
-    for ((a, b), c) in stepped
-        .suite
-        .runs
-        .iter()
-        .zip(&event.suite.runs)
-        .zip(&parallel.suite.runs)
-    {
-        for (variant, ra, rb, rc) in [
-            ("hsu", &a.hsu, &b.hsu, &c.hsu),
-            ("base", &a.base, &b.base, &c.base),
-            ("stripped", &a.stripped, &b.stripped, &c.stripped),
+    for (a, b) in stepped.suite.runs.iter().zip(&event.suite.runs) {
+        for (variant, ra, rb) in [
+            ("hsu", &a.hsu, &b.hsu),
+            ("base", &a.base, &b.base),
+            ("stripped", &a.stripped, &b.stripped),
         ] {
             if ra.normalized() != rb.normalized() {
                 eprintln!("DIVERGENCE at {}/{variant} (event)", a.label);
-                divergences += 1;
-            }
-            if ra.normalized() != rc.normalized() {
-                eprintln!("DIVERGENCE at {}/{variant} (parallel-epoch)", a.label);
                 divergences += 1;
             }
         }
@@ -254,25 +221,22 @@ fn main() {
     let equivalent = divergences == 0;
 
     let tick_reduction = stepped.ticks_executed as f64 / event.ticks_executed.max(1) as f64;
-    let speedup_of = |m: &ModeRun| {
-        if m.sim_wall_s > 0.0 {
-            stepped.sim_wall_s / m.sim_wall_s
-        } else {
-            0.0
-        }
+    let event_speedup = if event.sim_wall_s > 0.0 {
+        stepped.sim_wall_s / event.sim_wall_s
+    } else {
+        0.0
     };
 
     let entry = format!(
         "  {{\n    \"pr\": \"{}\",\n    \
-           \"config\": {{ \"sms\": {}, \"scale_divisor\": {}, \"seed\": {}, \"host_cores\": {}, \"jobs\": {}, \"sim_threads\": {} }},\n    \
+           \"config\": {{ \"sms\": {}, \"scale_divisor\": {}, \"seed\": {}, \"host_cores\": {}, \"jobs\": {} }},\n    \
            \"runs\": {},\n    \
            \"build_phase\": {{ \"cold_s\": {:.6}, \"warm_s\": {:.6} }},\n    \
            \"modes\": {{\n      \
              \"stepped\": {},\n      \
-             \"event\": {},\n      \
-             \"parallel\": {}\n    }},\n    \
+             \"event\": {}\n    }},\n    \
            \"tick_reduction\": {:.3},\n    \
-           \"speedup\": {{ \"event\": {:.3}, \"parallel\": {:.3} }},\n    \
+           \"speedup\": {{ \"event\": {:.3} }},\n    \
            \"organizations\": {{\n      \
              \"baseline\": {},\n      \
              \"treelet\": {}\n    }},\n    \
@@ -283,16 +247,13 @@ fn main() {
         config.seed,
         host_cores,
         config.jobs,
-        config.sim_threads,
         stepped.suite.runs.len(),
         cold_s,
         warm_s,
         mode_json(&stepped),
         mode_json(&event),
-        mode_json(&parallel),
         tick_reduction,
-        speedup_of(&event),
-        speedup_of(&parallel),
+        event_speedup,
         org_json(&event),
         org_json(&treelet),
         equivalent,
@@ -306,16 +267,13 @@ fn main() {
     println!(
         "simbench: {} runs, build {cold_s:.2}s cold / {warm_s:.2}s warm, \
          ticks {} -> {} ({tick_reduction:.2}x fewer), \
-         sim wall {:.2}s -> event {:.2}s ({:.2}x) / parallel {:.2}s ({:.2}x), \
+         sim wall {:.2}s -> event {:.2}s ({event_speedup:.2}x), \
          treelet org {:.2}s, reports {}",
         stepped.suite.runs.len(),
         stepped.ticks_executed,
         event.ticks_executed,
         stepped.sim_wall_s,
         event.sim_wall_s,
-        speedup_of(&event),
-        parallel.sim_wall_s,
-        speedup_of(&parallel),
         treelet.sim_wall_s,
         if equivalent { "identical" } else { "DIVERGED" },
     );
@@ -387,14 +345,14 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: simbench [--quick] [--sms N] [--seed S] [--jobs N] [--sim-threads N]\n\
+        "usage: simbench [--quick] [--sms N] [--seed S] [--jobs N]\n\
          \x20               [--archive-dir DIR] [--pr LABEL] [--out PATH]\n\
-         runs the workload suite under all three simulation modes plus the\n\
+         runs the workload suite under both simulation modes plus the\n\
          treelet RT organization, checks the reports are identical (and the\n\
          organizations functionally equivalent), and appends a JSON\n\
          timing/ticks trajectory entry with a per-organization ablation\n\
          block (32-SM machine by default; --quick = quarter-scale datasets;\n\
-         --jobs and --sim-threads share one machine budget). The build phase\n\
+         --jobs N runs N simulations at once). The build phase\n\
          is timed cold and warm through the .hsar archive cache first\n\
          (--archive-dir pins the cache; default is a throwaway temp dir) and\n\
          both timings are recorded in the entry's build_phase block"

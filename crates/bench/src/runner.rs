@@ -45,64 +45,13 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Splits `machine` hardware threads between the two levels of parallelism:
-/// `jobs` suite workers (each running whole simulations) × `sim_threads`
-/// parallel-epoch workers *inside* each simulation. Returns the resolved
-/// `(jobs, sim_threads)` pair.
-///
-/// Policy — the product never oversubscribes the machine:
-///
-/// * `sim_threads == 0` (auto): outer parallelism wins, because suite jobs
-///   are independent and scale near-linearly while epoch workers synchronize
-///   twice per simulated cycle. Each job gets the leftover share,
-///   `max(1, machine / jobs)`, so `jobs × sim_threads <= machine` whenever
-///   `jobs <= machine`.
-/// * `sim_threads` explicit: the per-simulation count is honoured (the user
-///   asked for it — e.g. to exercise barrier behaviour) and the *job* count
-///   is clamped to `max(1, machine / sim_threads)` instead.
-///
-/// Both knobs are floored at 1; results are identical for every resolved
-/// value — only wall-time changes.
-pub fn thread_budget(machine: usize, jobs: usize, sim_threads: usize) -> (usize, usize) {
-    let machine = machine.max(1);
-    let jobs = jobs.max(1);
-    match machine.checked_div(sim_threads) {
-        // sim_threads == 0: auto mode, outer parallelism wins.
-        None => (jobs, (machine / jobs).max(1)),
-        Some(job_cap) => (jobs.min(job_cap.max(1)), sim_threads),
-    }
-}
-
-/// Splits `machine` hardware threads three ways: `serve_workers` serving
-/// threads (total across all engine shards) × `jobs` suite workers ×
-/// `sim_threads` parallel-epoch workers. Returns the resolved
-/// `(jobs, sim_threads, serve_workers)` triple.
-///
-/// Policy — serving is latency-sensitive foreground work, so its budget
-/// comes off the top: the requested `serve_workers` count is honoured
-/// (capped at the machine), and the *remainder* is split between suite
-/// jobs and sim threads by exactly the [`thread_budget`] two-way policy.
-/// When serving wants the whole machine, batch work degrades to one
-/// thread of each rather than zero — everything keeps making progress,
-/// nothing oversubscribes by more than the two floor threads.
-///
-/// `serve_workers == 0` means "no service running" and degenerates to
-/// [`thread_budget`] (the returned serve share is 0).
-pub fn thread_budget3(
-    machine: usize,
-    jobs: usize,
-    sim_threads: usize,
-    serve_workers: usize,
-) -> (usize, usize, usize) {
-    let machine = machine.max(1);
-    if serve_workers == 0 {
-        let (j, s) = thread_budget(machine, jobs, sim_threads);
-        return (j, s, 0);
-    }
-    let serve = serve_workers.min(machine);
-    let rest = (machine - serve).max(1);
-    let (j, s) = thread_budget(rest, jobs, sim_threads);
-    (j, s, serve)
+/// The serving threads (total across all engine shards) that `machine`
+/// hardware threads can give a service asking for `serve_workers`: the
+/// request, capped at the machine, and never zero when serving was asked
+/// for. Serving is latency-sensitive foreground work, so a co-resident
+/// suite runs its jobs (one whole simulation per thread) on what is left.
+pub fn serve_share(machine: usize, serve_workers: usize) -> usize {
+    serve_workers.min(machine.max(1))
 }
 
 /// Derives an independent RNG seed for one job from the suite seed and the
@@ -589,70 +538,15 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_never_oversubscribes() {
-        // Auto: outer jobs win, inner threads get the leftover share.
-        assert_eq!(thread_budget(16, 4, 0), (4, 4));
-        assert_eq!(thread_budget(8, 8, 0), (8, 1));
-        assert_eq!(thread_budget(1, 8, 0), (8, 1));
-        assert_eq!(thread_budget(16, 1, 0), (1, 16));
-        // Explicit: the per-simulation count is honoured, jobs are clamped.
-        assert_eq!(thread_budget(16, 8, 4), (4, 4));
-        assert_eq!(thread_budget(8, 8, 8), (1, 8));
-        assert_eq!(thread_budget(1, 8, 2), (1, 2));
-        // The product never exceeds the machine beyond what a single level
-        // of parallelism already requested on its own (each knob floors at
-        // 1, and an explicit over-request is honoured on its own axis —
-        // never *multiplied* by the other axis).
-        for machine in 1..=32 {
-            for jobs in 1..=16 {
-                for st in 0..=8 {
-                    let (j, t) = thread_budget(machine, jobs, st);
-                    assert!(j >= 1 && t >= 1);
-                    assert!(
-                        j * t <= machine.max(j).max(t),
-                        "machine={machine} jobs={jobs} st={st} -> {j}x{t}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn thread_budget3_pins_the_three_way_split() {
-        // No service running: exactly the two-way policy, serve share 0.
-        assert_eq!(thread_budget3(16, 4, 0, 0), (4, 4, 0));
-        assert_eq!(thread_budget3(16, 8, 4, 0), (4, 4, 0));
-        // Serving comes off the top; the remainder splits two-way.
-        assert_eq!(thread_budget3(16, 4, 0, 4), (4, 3, 4)); // 12 left: 4 jobs x 3 epochs
-        assert_eq!(thread_budget3(16, 8, 4, 8), (2, 4, 8)); // 8 left, explicit st=4
-        assert_eq!(thread_budget3(8, 2, 0, 6), (2, 1, 6)); // 2 left: jobs win
-                                                           // Serving wants the whole machine (or more): it is capped at the
-                                                           // machine and batch work degrades to 1x1, never to zero.
-        assert_eq!(thread_budget3(8, 4, 0, 8), (4, 1, 8));
-        assert_eq!(thread_budget3(4, 2, 2, 64), (1, 2, 4));
-        // Single-core host (this repo's CI box): everyone gets one thread.
-        assert_eq!(thread_budget3(1, 4, 0, 2), (4, 1, 1));
-        // Invariants across the space: all shares >= the floors, the serve
-        // share never exceeds the machine, and the batch product never
-        // exceeds what the two-way policy would grant on the remainder.
-        for machine in 1..=32 {
-            for jobs in 1..=8 {
-                for st in 0..=4 {
-                    for sw in 0..=40 {
-                        let (j, t, s) = thread_budget3(machine, jobs, st, sw);
-                        assert!(j >= 1 && t >= 1);
-                        assert!(s <= machine);
-                        assert_eq!(s, if sw == 0 { 0 } else { sw.min(machine) });
-                        let rest = (machine - s).max(1);
-                        assert_eq!(
-                            (j, t),
-                            thread_budget(rest, jobs, st),
-                            "machine={machine} jobs={jobs} st={st} sw={sw}"
-                        );
-                    }
-                }
-            }
-        }
+    fn serve_share_is_capped_at_the_machine() {
+        assert_eq!(serve_share(16, 4), 4);
+        assert_eq!(serve_share(8, 8), 8);
+        assert_eq!(serve_share(4, 64), 4);
+        // No service running: no share.
+        assert_eq!(serve_share(16, 0), 0);
+        // A zero-core report still gives a requested service one thread.
+        assert_eq!(serve_share(0, 2), 1);
+        assert_eq!(serve_share(1, 2), 1);
     }
 
     #[test]

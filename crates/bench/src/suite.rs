@@ -94,12 +94,6 @@ pub struct SuiteConfig {
     /// figure and table) are identical for every mode; only wall-time and
     /// the scheduler counters change.
     pub sim_mode: SimMode,
-    /// Worker threads *inside* each simulation when `sim_mode` is
-    /// [`SimMode::ParallelEpoch`] (0 = derive from the machine). Reports are
-    /// identical for every value. [`crate::runner::thread_budget`] splits
-    /// the machine between `jobs` and this knob so the two levels of
-    /// parallelism never oversubscribe the host.
-    pub sim_threads: usize,
     /// Directory for the content-keyed `.hsar` build cache
     /// ([`crate::cache::ArchiveCache`]). `None` (the default) builds cold.
     /// Warm or cold, populated or empty, suite output is byte-identical —
@@ -122,7 +116,6 @@ impl Default for SuiteConfig {
             seed: 7,
             jobs: 1,
             sim_mode: SimMode::default(),
-            sim_threads: 0,
             archive_dir: None,
             rt_core: RtCoreKind::default(),
         }
@@ -151,12 +144,6 @@ impl SuiteConfig {
         self
     }
 
-    /// The same configuration with a different per-simulation thread count.
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads;
-        self
-    }
-
     /// The same configuration with an archive-cache directory attached.
     pub fn with_archive_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.archive_dir = Some(dir.into());
@@ -174,7 +161,6 @@ impl SuiteConfig {
         GpuConfig {
             num_sms: self.sms,
             sim_mode: self.sim_mode,
-            sim_threads: self.sim_threads,
             rt_core: self.rt_core,
             ..GpuConfig::small()
         }

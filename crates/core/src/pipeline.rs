@@ -133,6 +133,7 @@ impl PipelineStats {
 /// for _ in 0..9 {
 ///     done.extend(pipe.tick());
 /// }
+/// assert!(pipe.is_empty());
 /// assert_eq!(done.len(), 1);
 /// assert_eq!(done[0].tag, 1);
 /// ```
@@ -140,6 +141,8 @@ impl PipelineStats {
 pub struct DatapathPipeline {
     /// `stages[0]` is the issue stage; ops shift toward `stages[depth-1]`.
     stages: VecDeque<Option<Completion>>,
+    /// Occupied stages, kept in step with `stages`.
+    in_flight: usize,
     issued_this_cycle: bool,
     stats: PipelineStats,
 }
@@ -155,6 +158,7 @@ impl DatapathPipeline {
     pub fn new() -> Self {
         DatapathPipeline {
             stages: (0..PIPELINE_DEPTH).map(|_| None).collect(),
+            in_flight: 0,
             issued_this_cycle: false,
             stats: PipelineStats::default(),
         }
@@ -174,6 +178,7 @@ impl DatapathPipeline {
         }
         debug_assert!(self.stages[0].is_none(), "stage 1 occupied at issue time");
         self.stages[0] = Some(Completion { mode, tag });
+        self.in_flight += 1;
         self.issued_this_cycle = true;
         self.stats.issued[mode.index()] += 1;
         self.stats.issue_busy_cycles += 1;
@@ -181,18 +186,18 @@ impl DatapathPipeline {
     }
 
     /// Advances every in-flight operation by one stage and ends the cycle.
-    /// Operations leaving the last stage are returned (at most one, since the
-    /// initiation interval is one).
-    pub fn tick(&mut self) -> Vec<Completion> {
+    /// Returns the operation leaving the last stage, if any (at most one,
+    /// since the initiation interval is one).
+    pub fn tick(&mut self) -> Option<Completion> {
         self.stats.cycles += 1;
         self.issued_this_cycle = false;
-        let mut out = Vec::new();
-        if let Some(done) = self.stages.pop_back().flatten() {
+        let done = self.stages.pop_back().flatten();
+        if let Some(done) = done {
             self.stats.completed[done.mode.index()] += 1;
-            out.push(done);
+            self.in_flight -= 1;
         }
         self.stages.push_front(None);
-        out
+        done
     }
 
     /// Accounts `cycles` idle cycles at once — the event-driven simulator
@@ -213,13 +218,15 @@ impl DatapathPipeline {
     }
 
     /// Number of operations currently in flight.
+    #[inline]
     pub fn in_flight(&self) -> usize {
-        self.stages.iter().flatten().count()
+        self.in_flight
     }
 
     /// Returns `true` when no operations are in flight.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.in_flight() == 0
+        self.in_flight == 0
     }
 
     /// Modes currently occupying each stage, front (issue) to back; used by
@@ -246,8 +253,8 @@ mod tests {
         loop {
             let done = pipe.tick();
             cycles += 1;
-            if !done.is_empty() {
-                assert_eq!(done[0].tag, 42);
+            if let Some(done) = done {
+                assert_eq!(done.tag, 42);
                 break;
             }
             assert!(cycles <= PIPELINE_DEPTH as u64, "op never completed");
@@ -261,7 +268,7 @@ mod tests {
         let mut ticked = DatapathPipeline::new();
         let mut skipped = DatapathPipeline::new();
         for _ in 0..37 {
-            assert!(ticked.tick().is_empty());
+            assert!(ticked.tick().is_none());
         }
         skipped.fast_forward(37);
         assert_eq!(ticked.stats(), skipped.stats());
@@ -321,6 +328,7 @@ mod tests {
         }
         assert_eq!(tags, vec![0, 1]);
         assert!(pipe.is_empty());
+        assert_eq!(pipe.in_flight(), 0);
     }
 
     #[test]

@@ -34,7 +34,8 @@ pub struct WarpEntry {
     pub issued_mask: u32,
     /// Lanes whose computation has completed (result buffered).
     pub completed_mask: u32,
-    /// Per-lane instruction (node pointer differs per lane).
+    /// Per-lane instruction (node pointer differs per lane); empty for
+    /// entries from [`WarpBuffer::allocate_mask`].
     pub lanes: Vec<Option<HsuInstruction>>,
 }
 
@@ -89,6 +90,8 @@ impl WarpEntry {
 #[derive(Debug)]
 pub struct WarpBuffer {
     entries: Vec<Option<WarpEntry>>,
+    /// Occupied entries, kept in step with `entries`.
+    occupied: usize,
 }
 
 impl WarpBuffer {
@@ -101,6 +104,7 @@ impl WarpBuffer {
         assert!(capacity > 0, "warp buffer needs at least one entry");
         WarpBuffer {
             entries: (0..capacity).map(|_| None).collect(),
+            occupied: 0,
         }
     }
 
@@ -111,13 +115,15 @@ impl WarpBuffer {
     }
 
     /// Number of occupied entries.
+    #[inline]
     pub fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.occupied
     }
 
     /// Returns `true` if no entry is free.
+    #[inline]
     pub fn is_full(&self) -> bool {
-        self.entries.iter().all(|e| e.is_some())
+        self.occupied == self.entries.len()
     }
 
     /// Allocates an entry for a dispatched warp instruction. Returns `None`
@@ -148,6 +154,36 @@ impl WarpBuffer {
                 assert!(slot.is_some(), "active lane {lane} has no instruction");
             }
         }
+        self.insert(warp_id, sub_core, active_mask, lanes)
+    }
+
+    /// Allocates an entry that tracks masks only, for owners that keep the
+    /// per-lane payloads themselves (its `lanes` stays empty). Returns
+    /// `None` when the buffer is full. Never allocates memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `active_mask` is zero.
+    pub fn allocate_mask(
+        &mut self,
+        warp_id: usize,
+        sub_core: usize,
+        active_mask: u32,
+    ) -> Option<EntryId> {
+        assert!(
+            active_mask != 0,
+            "warp instruction needs at least one active lane"
+        );
+        self.insert(warp_id, sub_core, active_mask, Vec::new())
+    }
+
+    fn insert(
+        &mut self,
+        warp_id: usize,
+        sub_core: usize,
+        active_mask: u32,
+        lanes: Vec<Option<HsuInstruction>>,
+    ) -> Option<EntryId> {
         let slot = self.entries.iter().position(|e| e.is_none())?;
         self.entries[slot] = Some(WarpEntry {
             warp_id,
@@ -158,7 +194,14 @@ impl WarpBuffer {
             completed_mask: 0,
             lanes,
         });
+        self.occupied += 1;
         Some(slot)
+    }
+
+    /// The entry at `id`, or `None` when it is vacant or out of range.
+    #[inline]
+    pub fn get(&self, id: EntryId) -> Option<&WarpEntry> {
+        self.entries.get(id).and_then(Option::as_ref)
     }
 
     /// Borrow of an entry.
@@ -213,6 +256,7 @@ impl WarpBuffer {
             entry.writeback_ready(),
             "released entry has incomplete lanes"
         );
+        self.occupied -= 1;
         entry
     }
 
@@ -292,6 +336,26 @@ mod tests {
         let entry = buf.release(id);
         assert_eq!(entry.warp_id, 5);
         assert_eq!(buf.occupancy(), 0);
+    }
+
+    #[test]
+    fn mask_only_entries_count_like_full_ones() {
+        let mut buf = WarpBuffer::new(2);
+        let a = buf.allocate_mask(0, 0, 0b101).unwrap();
+        assert!(buf.entry(a).lanes.is_empty());
+        let b = buf.allocate(1, 1, 1, full_lanes(1)).unwrap();
+        assert!(buf.is_full());
+        assert!(buf.allocate_mask(2, 2, 1).is_none());
+        for lane in [0, 2] {
+            buf.mark_valid(a, lane);
+            buf.mark_issued(a, lane);
+            buf.mark_completed(a, lane);
+        }
+        buf.release(a);
+        assert_eq!(buf.occupancy(), 1);
+        assert!(buf.get(a).is_none());
+        assert_eq!(buf.get(b).map(|e| e.warp_id), Some(1));
+        assert!(buf.get(7).is_none());
     }
 
     #[test]

@@ -525,8 +525,7 @@ mod tests {
         trace
             .warps()
             .iter()
-            .flat_map(|w| &w.instructions)
-            .flat_map(|i| i.lanes.iter().flatten())
+            .flat_map(|w| (0..w.len()).flat_map(|pc| w.ops(pc)))
             .filter(|op| matches!(op, ThreadOp::HsuRayIntersect { .. }))
             .count() as u64
     }

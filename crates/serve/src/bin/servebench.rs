@@ -162,11 +162,9 @@ fn main() {
         install_quiet_panic_hook();
     }
     let host_cores = runner::default_jobs();
-    // Serving owns the whole machine here (no co-resident suite or
-    // simulation), so the three-way budget degenerates to the serve
-    // share; co-located callers should size `shards × workers` with
-    // `runner::thread_budget3` instead.
-    let (_, _, serve_share) = runner::thread_budget3(host_cores, 1, 1, opts.shards * opts.workers);
+    // Serving owns the whole machine here (no co-resident suite), so its
+    // share is the request capped at the host.
+    let serve_share = runner::serve_share(host_cores, opts.shards * opts.workers);
     eprintln!(
         "servebench: host_cores={host_cores} shards={} workers={} (serve share {serve_share}) \
          batch={} capacity={} seed={} queries/family={}",

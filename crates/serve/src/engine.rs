@@ -56,8 +56,7 @@ pub struct EngineConfig {
     /// Admission queues (and worker pools) to run. Floored at 1.
     pub shards: usize,
     /// Worker threads per shard. Floored at 1. Size the product with
-    /// `hsu_bench::runner::thread_budget3` when a suite or simulation
-    /// shares the host.
+    /// `hsu_bench::runner::serve_share` when a suite shares the host.
     pub workers_per_shard: usize,
     /// Most queries one worker coalesces into a single SoA batch.
     /// Floored at 1.

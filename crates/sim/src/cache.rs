@@ -1,6 +1,35 @@
 //! Set-associative caches with LRU replacement and MSHR tracking.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A multiplicative hasher for line numbers: one widening multiply, folded
+/// so both the low bits (bucket index) and the high bits (tag) depend on
+/// every bit of the line. MSHR maps are only probed and never iterated, so
+/// the hash cannot leak into any output, and they hold at most the MSHR
+/// capacity, so even lines a crafted trace makes collide cost at most a
+/// capacity-long probe.
+#[derive(Debug, Default, Clone, Copy)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, line: u64) {
+        let p = u128::from(line) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
 
 /// Hit/miss statistics of one cache instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,7 +84,7 @@ pub struct Cache {
     /// `sets[s]` holds up to `ways` entries of `(line, last_use)`.
     sets: Vec<Vec<(u64, u64)>>,
     ways: usize,
-    mshrs: HashMap<u64, Vec<u64>>,
+    mshrs: LineMap<Vec<u64>>,
     mshr_capacity: usize,
     use_counter: u64,
     stats: CacheStats,
@@ -76,7 +105,7 @@ impl Cache {
         Cache {
             sets: vec![Vec::with_capacity(ways); sets],
             ways,
-            mshrs: HashMap::new(),
+            mshrs: LineMap::default(),
             mshr_capacity,
             use_counter: 0,
             stats: CacheStats::default(),

@@ -68,12 +68,10 @@ impl std::str::FromStr for RtCoreKind {
 
 /// How [`crate::Gpu::run`] advances simulated time.
 ///
-/// All modes produce identical reports for every kernel — the equivalence
+/// Both modes produce identical reports for every kernel — the equivalence
 /// is locked by `tests/sim_equivalence.rs` — but [`SimMode::Event`] skips
 /// cycles in which no component can change state (long DRAM stalls), which
-/// makes memory-bound workloads simulate several times faster, and
-/// [`SimMode::ParallelEpoch`] additionally fans the per-cycle SM work out
-/// across worker threads between memory-system barriers.
+/// makes memory-bound workloads simulate several times faster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimMode {
     /// Tick every SM and the memory hierarchy on every cycle. The legacy
@@ -83,26 +81,19 @@ pub enum SimMode {
     /// change state (`next_event`), accounting skipped cycles in bulk.
     #[default]
     Event,
-    /// Event-driven like [`SimMode::Event`], but within each visited cycle
-    /// all observing SMs advance concurrently on a worker pool; the memory
-    /// system drains between those epochs under a deterministic barrier, so
-    /// reports stay bit-identical to the other modes for *any* thread count
-    /// (see [`GpuConfig::sim_threads`]).
-    ParallelEpoch,
 }
 
 impl SimMode {
-    /// CLI / display name (`stepped`, `event`, or `parallel`).
+    /// CLI / display name (`stepped` or `event`).
     pub fn name(self) -> &'static str {
         match self {
             SimMode::Stepped => "stepped",
             SimMode::Event => "event",
-            SimMode::ParallelEpoch => "parallel",
         }
     }
 
     /// All modes, in oracle-first order (handy for differential sweeps).
-    pub const ALL: [SimMode; 3] = [SimMode::Stepped, SimMode::Event, SimMode::ParallelEpoch];
+    pub const ALL: [SimMode; 2] = [SimMode::Stepped, SimMode::Event];
 }
 
 impl std::str::FromStr for SimMode {
@@ -112,10 +103,7 @@ impl std::str::FromStr for SimMode {
         match s {
             "stepped" => Ok(SimMode::Stepped),
             "event" => Ok(SimMode::Event),
-            "parallel" | "parallel-epoch" => Ok(SimMode::ParallelEpoch),
-            other => Err(format!(
-                "unknown sim mode '{other}' (stepped|event|parallel)"
-            )),
+            other => Err(format!("unknown sim mode '{other}' (stepped|event)")),
         }
     }
 }
@@ -181,11 +169,6 @@ pub struct GpuConfig {
     pub max_cycles: u64,
     /// How the run loop advances time (identical results either way).
     pub sim_mode: SimMode,
-    /// Worker threads for [`SimMode::ParallelEpoch`] (ignored by the other
-    /// modes). `0` means "auto": the host's available parallelism, clamped
-    /// to the SM count. Results are bit-identical for every value — the
-    /// thread count only changes wall-clock, never the report.
-    pub sim_threads: usize,
 }
 
 impl GpuConfig {
@@ -218,7 +201,6 @@ impl GpuConfig {
             dram_transfer_cycles: 4,
             max_cycles: 2_000_000_000,
             sim_mode: SimMode::default(),
-            sim_threads: 0,
         }
     }
 
@@ -263,27 +245,6 @@ impl GpuConfig {
     pub fn with_sim_mode(mut self, mode: SimMode) -> Self {
         self.sim_mode = mode;
         self
-    }
-
-    /// Sets the [`SimMode::ParallelEpoch`] worker-thread count (`0` = auto).
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads;
-        self
-    }
-
-    /// The worker count a [`SimMode::ParallelEpoch`] run will actually use:
-    /// `sim_threads`, with `0` resolved to the host's available parallelism,
-    /// clamped to `[1, num_sms]` (more workers than SMs can never help).
-    /// Purely a scheduling choice — reports are bit-identical for every
-    /// value — so callers (e.g. a bench runner splitting a global thread
-    /// budget across concurrent runs) may pick anything.
-    pub fn effective_sim_threads(&self) -> usize {
-        let requested = if self.sim_threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.sim_threads
-        };
-        requested.clamp(1, self.num_sms.max(1))
     }
 
     /// Number of L1 sets.
@@ -483,22 +444,14 @@ mod tests {
         assert_eq!(GpuConfig::volta_v100().sim_mode, SimMode::Event);
         assert_eq!("stepped".parse::<SimMode>().unwrap(), SimMode::Stepped);
         assert_eq!("event".parse::<SimMode>().unwrap(), SimMode::Event);
-        assert_eq!(
-            "parallel".parse::<SimMode>().unwrap(),
-            SimMode::ParallelEpoch
-        );
-        assert_eq!(
-            "parallel-epoch".parse::<SimMode>().unwrap(),
-            SimMode::ParallelEpoch
-        );
         assert!("cycle".parse::<SimMode>().is_err());
+        assert!("parallel".parse::<SimMode>().is_err());
+        assert!("parallel-epoch".parse::<SimMode>().is_err());
         for mode in SimMode::ALL {
             assert_eq!(mode.name().parse::<SimMode>().unwrap(), mode);
         }
         let cfg = GpuConfig::tiny().with_sim_mode(SimMode::Stepped);
         assert_eq!(cfg.sim_mode, SimMode::Stepped);
-        assert_eq!(GpuConfig::tiny().sim_threads, 0, "auto by default");
-        assert_eq!(GpuConfig::tiny().with_sim_threads(4).sim_threads, 4);
     }
 
     #[test]

@@ -2,12 +2,10 @@
 
 use crate::config::{GpuConfig, SimMode};
 use crate::error::{DeadlockReport, RunLimits, SimError, WatchdogCause};
-use crate::memory::{lock_shard, EventBuf, L1Shard, MemParams, MemorySystem, SmPort};
+use crate::memory::MemorySystem;
 use crate::sm::Sm;
 use crate::stats::{SchedStats, SimReport};
 use crate::trace::KernelTrace;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Barrier, Mutex, RwLock};
 use std::time::Instant;
 
 /// A configured GPU ready to execute kernel traces.
@@ -99,14 +97,6 @@ impl Gpu {
         limits: &RunLimits,
     ) -> Result<SimReport, SimError> {
         self.cfg.validate()?;
-        match self.cfg.sim_mode {
-            SimMode::Stepped | SimMode::Event => self.run_serial(kernel, limits),
-            SimMode::ParallelEpoch => self.run_parallel(kernel, limits),
-        }
-    }
-
-    /// The stepped / event-driven run loop: one thread owns everything.
-    fn run_serial(&self, kernel: &KernelTrace, limits: &RunLimits) -> Result<SimReport, SimError> {
         let mut sms: Vec<Sm> = (0..self.cfg.num_sms)
             .map(|i| Sm::new(i, &self.cfg))
             .collect();
@@ -205,9 +195,7 @@ impl Gpu {
             }
             now = match self.cfg.sim_mode {
                 SimMode::Stepped => now + 1,
-                // ParallelEpoch dispatches to `run_parallel` before this
-                // loop; the arm is unreachable but harmlessly identical.
-                SimMode::Event | SimMode::ParallelEpoch => {
+                SimMode::Event => {
                     let mem_next = mem.next_event(now);
                     // Sleeping SMs' wakeups all lie in the future; SMs
                     // that ticked at `now` just refreshed theirs.
@@ -261,294 +249,6 @@ impl Gpu {
         Ok(report)
     }
 
-    /// The parallel-epoch run loop: the event-driven schedule of
-    /// [`Gpu::run_serial`], with each visited cycle's SM work fanned out
-    /// across a worker pool.
-    ///
-    /// # Why this is deterministic (the epoch-barrier argument)
-    ///
-    /// Per visited cycle, an SM's work — replaying its sleep window,
-    /// consuming its completions, ticking — reads and writes only its own
-    /// state and its own [`L1Shard`], and *pushes future events* into a
-    /// thread-local [`EventBuf`]. Nothing an SM does in cycle `now` is
-    /// observable by another SM within `now`: all cross-SM communication
-    /// flows through the shared memory core, which only the barrier thread
-    /// advances, *between* SM phases. The barrier absorbs the buffered
-    /// events in fixed SM-index order, and the event heap pops distinct
-    /// events in sorted order regardless of insertion order (equal events
-    /// are interchangeable) — so the drain is identical to the serial
-    /// loop's no matter how the SM phase was scheduled across threads.
-    /// Errors are ranked by the serial loop's processing order (completion
-    /// deliveries in done-list order, then ticks in SM-index order) and the
-    /// minimum rank wins, reproducing serial first-error-wins exactly.
-    /// Hence: bit-identical reports and error payloads for every thread
-    /// count, including 1.
-    fn run_parallel(
-        &self,
-        kernel: &KernelTrace,
-        limits: &RunLimits,
-    ) -> Result<SimReport, SimError> {
-        let num_sms = self.cfg.num_sms;
-        let threads = self.cfg.effective_sim_threads();
-        let mut sms: Vec<Sm> = (0..num_sms).map(|i| Sm::new(i, &self.cfg)).collect();
-        for (i, warp) in kernel.warps().into_iter().enumerate() {
-            sms[i % num_sms].enqueue_warp(warp);
-        }
-        let lanes: Vec<Mutex<SmLane>> = sms
-            .into_iter()
-            .enumerate()
-            .map(|(idx, sm)| {
-                Mutex::new(SmLane {
-                    sm,
-                    idx,
-                    last_ticked: u64::MAX,
-                    wake: Some(0),
-                    buf: EventBuf::new(),
-                    sched: SchedStats::default(),
-                    finished: false,
-                    err: None,
-                })
-            })
-            .collect();
-        let mut mem = MemorySystem::new(&self.cfg);
-        let terminal = {
-            let (core, params, shards) = mem.split();
-            let cycle_in = RwLock::new(CycleIn {
-                phase: Phase::Run,
-                now: 0,
-                done: Vec::new(),
-                l1_touched: Vec::new(),
-            });
-            let barrier = Barrier::new(threads + 1);
-            let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-            std::thread::scope(|s| {
-                if threads > 1 {
-                    for w in 0..threads {
-                        let lanes = &lanes;
-                        let cycle_in = &cycle_in;
-                        let barrier = &barrier;
-                        let panic_slot = &panic_slot;
-                        let params: &MemParams = params;
-                        let shards: &[Mutex<L1Shard>] = shards;
-                        s.spawn(move || loop {
-                            barrier.wait();
-                            let cin = cycle_in.read().unwrap_or_else(|e| e.into_inner());
-                            let phase = cin.phase;
-                            match phase {
-                                Phase::Exit => break,
-                                Phase::Run | Phase::Drain(_) => {
-                                    let work = catch_unwind(AssertUnwindSafe(|| {
-                                        for lane_m in lanes.iter().skip(w).step_by(threads) {
-                                            let mut lane = lock_lane(lane_m);
-                                            match phase {
-                                                Phase::Run => {
-                                                    lane_cycle(&mut lane, &cin, params, shards);
-                                                }
-                                                Phase::Drain(cycles) => {
-                                                    drain_lane(&mut lane, cycles, params, shards);
-                                                }
-                                                Phase::Exit => unreachable!(),
-                                            }
-                                        }
-                                    }));
-                                    drop(cin);
-                                    if let Err(payload) = work {
-                                        let mut slot =
-                                            panic_slot.lock().unwrap_or_else(|e| e.into_inner());
-                                        slot.get_or_insert(payload);
-                                    }
-                                    barrier.wait();
-                                    if matches!(phase, Phase::Drain(_)) {
-                                        break;
-                                    }
-                                }
-                            }
-                        });
-                    }
-                }
-
-                // One epoch: publish the cycle, run every lane's SM phase
-                // (on the pool, or inline when single-threaded), then sync.
-                // Returns any panic payload captured from a worker.
-                let run_epoch = |phase: Phase| -> Option<Box<dyn std::any::Any + Send>> {
-                    if threads > 1 {
-                        barrier.wait(); // release workers into the phase
-                        barrier.wait(); // wait for every lane to finish it
-                        panic_slot.lock().unwrap_or_else(|e| e.into_inner()).take()
-                    } else {
-                        let cin = cycle_in.read().unwrap_or_else(|e| e.into_inner());
-                        for lane_m in &lanes {
-                            let mut lane = lock_lane(lane_m);
-                            match phase {
-                                Phase::Run => lane_cycle(&mut lane, &cin, params, shards),
-                                Phase::Drain(cycles) => {
-                                    drain_lane(&mut lane, cycles, params, shards);
-                                }
-                                Phase::Exit => unreachable!(),
-                            }
-                        }
-                        None
-                    }
-                };
-                // Every terminal path but Drain must park the pool before
-                // returning, or the scope's implicit join would hang.
-                let shutdown = || {
-                    if threads > 1 {
-                        cycle_in.write().unwrap_or_else(|e| e.into_inner()).phase = Phase::Exit;
-                        barrier.wait();
-                    }
-                };
-
-                let mut now = 0u64;
-                let mut iterations = 0u64;
-                loop {
-                    if let Some(token) = limits.cancel.as_ref() {
-                        if token.is_cancelled() {
-                            shutdown();
-                            return Terminal::Fail(self.watchdog(
-                                kernel,
-                                now,
-                                WatchdogCause::Cancelled,
-                            ));
-                        }
-                    }
-                    if let Some(deadline) = limits.deadline {
-                        if iterations & 1023 == 0 && Instant::now() >= deadline {
-                            shutdown();
-                            return Terminal::Fail(self.watchdog(
-                                kernel,
-                                now,
-                                WatchdogCause::Deadline,
-                            ));
-                        }
-                    }
-                    iterations += 1;
-                    {
-                        let mut cin = cycle_in.write().unwrap_or_else(|e| e.into_inner());
-                        cin.phase = Phase::Run;
-                        cin.now = now;
-                        cin.done.clear();
-                        core.tick(now, &mut cin.done, params, shards);
-                        cin.l1_touched.clear();
-                        cin.l1_touched.extend_from_slice(core.l1_touched());
-                    }
-                    if let Some(payload) = run_epoch(Phase::Run) {
-                        shutdown();
-                        return Terminal::Panicked(payload);
-                    }
-
-                    // Deterministic merge, in fixed SM-index order: absorb
-                    // each lane's buffered events, take the minimum wakeup,
-                    // and pick the lowest-ranked error if any lane failed.
-                    let mut first_err: Option<(u8, u32, usize)> = None;
-                    let mut sm_next: Option<u64> = None;
-                    let mut all_finished = true;
-                    for (i, lane_m) in lanes.iter().enumerate() {
-                        let mut lane = lock_lane(lane_m);
-                        core.absorb(&mut lane.buf);
-                        if let Some((phase, rank, _)) = &lane.err {
-                            let key = (*phase, *rank, i);
-                            if first_err.is_none_or(|k| key < k) {
-                                first_err = Some(key);
-                            }
-                        }
-                        all_finished &= lane.finished;
-                        if let Some(w) = lane.wake {
-                            sm_next = Some(sm_next.map_or(w, |n| n.min(w)));
-                        }
-                    }
-                    if let Some((_, _, i)) = first_err {
-                        shutdown();
-                        let err = lock_lane(&lanes[i])
-                            .err
-                            .take()
-                            .map(|(_, _, e)| e)
-                            .unwrap_or_else(|| SimError::IllegalDispatch {
-                                detail: "lane error vanished during merge".to_string(),
-                            });
-                        return Terminal::Fail(err);
-                    }
-
-                    if all_finished && core.quiescent() {
-                        let cycles = now + 1;
-                        {
-                            let mut cin = cycle_in.write().unwrap_or_else(|e| e.into_inner());
-                            cin.phase = Phase::Drain(cycles);
-                        }
-                        if let Some(payload) = run_epoch(Phase::Drain(cycles)) {
-                            return Terminal::Panicked(payload);
-                        }
-                        return Terminal::Done(cycles);
-                    }
-                    if now + 1 == self.cfg.max_cycles {
-                        shutdown();
-                        return Terminal::Fail(deadlock_from_lanes(
-                            &self.cfg,
-                            kernel,
-                            &lanes,
-                            shards,
-                            core.quiescent(),
-                        ));
-                    }
-                    let next = match (core.next_event(now), sm_next) {
-                        (Some(a), Some(b)) => a.min(b),
-                        (Some(a), None) | (None, Some(a)) => a,
-                        (None, None) => {
-                            shutdown();
-                            return Terminal::Fail(deadlock_from_lanes(
-                                &self.cfg,
-                                kernel,
-                                &lanes,
-                                shards,
-                                core.quiescent(),
-                            ));
-                        }
-                    };
-                    debug_assert!(next > now, "next event must lie in the future");
-                    if next >= self.cfg.max_cycles {
-                        shutdown();
-                        return Terminal::Fail(deadlock_from_lanes(
-                            &self.cfg,
-                            kernel,
-                            &lanes,
-                            shards,
-                            core.quiescent(),
-                        ));
-                    }
-                    now = next;
-                }
-            })
-        };
-
-        let cycles = match terminal {
-            Terminal::Done(cycles) => cycles,
-            Terminal::Fail(err) => return Err(err),
-            Terminal::Panicked(payload) => resume_unwind(payload),
-        };
-        let mut sched = SchedStats::default();
-        let mut sm_stats = Vec::with_capacity(num_sms);
-        let mut rt_stats = Vec::with_capacity(num_sms);
-        for lane_m in lanes {
-            let lane = lane_m.into_inner().unwrap_or_else(|e| e.into_inner());
-            sched.ticks_executed += lane.sched.ticks_executed;
-            sched.cycles_skipped += lane.sched.cycles_skipped;
-            sched.skipped_on_memory += lane.sched.skipped_on_memory;
-            sched.skipped_on_timers += lane.sched.skipped_on_timers;
-            sm_stats.push(lane.sm.stats().clone());
-            rt_stats.push(lane.sm.rt_stats());
-        }
-        let mut report = SimReport::aggregate(
-            kernel.name().to_string(),
-            cycles,
-            num_sms,
-            &sm_stats,
-            &rt_stats,
-            mem.stats(),
-        );
-        report.sched = sched;
-        Ok(report)
-    }
-
     /// Builds the deadlock diagnostic at the moment the guard trips.
     ///
     /// Every field of the snapshot is mode-invariant (see
@@ -579,159 +279,6 @@ impl Gpu {
             cause,
         }
     }
-}
-
-/// What the barrier thread tells the pool to do with the published cycle.
-#[derive(Debug, Clone, Copy)]
-enum Phase {
-    /// Run one visited cycle's SM phase.
-    Run,
-    /// The machine drained at the given cycle count: replay every lane's
-    /// final sleep window (bulk accounting only), then exit.
-    Drain(u64),
-    /// Terminal: exit without touching the lanes (error/cancel paths —
-    /// the serial loop returns without final-drain accounting there too).
-    Exit,
-}
-
-/// The cycle the barrier thread publishes to the pool.
-#[derive(Debug)]
-struct CycleIn {
-    phase: Phase,
-    now: u64,
-    /// This cycle's completions, in heap-drain order; the position of an
-    /// entry is its global error rank (serial delivery order).
-    done: Vec<(usize, u64)>,
-    /// SMs whose L1 received a fill this cycle (memory-side wakeups).
-    l1_touched: Vec<usize>,
-}
-
-/// How a parallel-epoch run ended, carried out of the thread scope.
-enum Terminal {
-    Done(u64),
-    Fail(SimError),
-    Panicked(Box<dyn std::any::Any + Send>),
-}
-
-/// One SM plus everything the event schedule tracks per SM. Owned by a
-/// `Mutex` so workers take disjoint lanes during the SM phase while the
-/// barrier thread reads them between phases (never concurrently).
-#[derive(Debug)]
-struct SmLane {
-    sm: Sm,
-    idx: usize,
-    /// Cycle this SM last ticked (`u64::MAX` = never).
-    last_ticked: u64,
-    /// Self-reported wakeup cycle (`None` = blocked on memory/finished).
-    wake: Option<u64>,
-    /// Future events produced this cycle; absorbed at the barrier.
-    buf: EventBuf,
-    /// This lane's share of the scheduler accounting.
-    sched: SchedStats,
-    finished: bool,
-    /// First error this lane hit, ranked by serial processing order:
-    /// `(0, done-list index)` for completion routing, `(1, SM index)` for
-    /// tick errors. The merge picks the global minimum.
-    err: Option<(u8, u32, SimError)>,
-}
-
-fn lock_lane(lane: &Mutex<SmLane>) -> std::sync::MutexGuard<'_, SmLane> {
-    lane.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// One lane's share of a visited cycle: decide whether the SM observes it,
-/// replay the sleep window, deliver completions, tick, refresh the wakeup.
-/// Mirrors the serial loop's per-SM work for one cycle exactly; see
-/// `Gpu::run_parallel` for why running lanes concurrently is sound.
-fn lane_cycle(lane: &mut SmLane, cin: &CycleIn, params: &MemParams, shards: &[Mutex<L1Shard>]) {
-    let now = cin.now;
-    let mut active = lane.wake.is_some_and(|t| t <= now);
-    let mut woken_by_mem = false;
-    if cin.done.iter().any(|&(sm, _)| sm == lane.idx) {
-        active = true;
-        woken_by_mem = true;
-    }
-    if cin.l1_touched.contains(&lane.idx) {
-        active = true;
-        woken_by_mem = true;
-    }
-    if !active {
-        return;
-    }
-    let mut port = SmPort::new(params, shards, lane.idx, &mut lane.buf);
-    let slept = match lane.last_ticked {
-        u64::MAX => now,
-        t => now - t - 1,
-    };
-    if slept > 0 {
-        lane.sm.fast_forward(slept, &mut port);
-        lane.sched.cycles_skipped += slept;
-        if woken_by_mem {
-            lane.sched.skipped_on_memory += slept;
-        } else {
-            lane.sched.skipped_on_timers += slept;
-        }
-    }
-    for (rank, &(sm, waiter)) in cin.done.iter().enumerate() {
-        if sm != lane.idx {
-            continue;
-        }
-        if let Err(e) = lane.sm.on_mem_done(waiter) {
-            lane.err = Some((0, rank as u32, e));
-            return;
-        }
-    }
-    if let Err(e) = lane.sm.tick(now, &mut port) {
-        lane.err = Some((1, lane.idx as u32, e));
-        return;
-    }
-    lane.sched.ticks_executed += 1;
-    lane.last_ticked = now;
-    lane.wake = lane.sm.next_event(now, &port);
-    lane.finished = lane.sm.finished();
-}
-
-/// Final bulk accounting for a lane that went quiet before the machine
-/// drained (the serial loop's post-loop fast-forward, per lane).
-fn drain_lane(lane: &mut SmLane, cycles: u64, params: &MemParams, shards: &[Mutex<L1Shard>]) {
-    let slept = match lane.last_ticked {
-        u64::MAX => cycles,
-        t => cycles - t - 1,
-    };
-    if slept > 0 {
-        let mut port = SmPort::new(params, shards, lane.idx, &mut lane.buf);
-        lane.sm.fast_forward(slept, &mut port);
-        lane.sched.cycles_skipped += slept;
-        lane.sched.skipped_on_timers += slept;
-        drop(port);
-        debug_assert!(lane.buf.is_empty(), "fast_forward must not emit events");
-    }
-}
-
-/// The parallel-epoch deadlock diagnostic: field-for-field the payload
-/// `Gpu::deadlock` builds, assembled from lanes in SM-index order.
-fn deadlock_from_lanes(
-    cfg: &GpuConfig,
-    kernel: &KernelTrace,
-    lanes: &[Mutex<SmLane>],
-    shards: &[Mutex<L1Shard>],
-    mem_quiescent: bool,
-) -> SimError {
-    SimError::Deadlock(Box::new(DeadlockReport {
-        kernel: kernel.name().to_string(),
-        cycle: cfg.max_cycles,
-        mem_quiescent,
-        per_sm: lanes
-            .iter()
-            .enumerate()
-            .map(|(i, lane_m)| {
-                lock_lane(lane_m)
-                    .sm
-                    .deadlock_state(cfg.max_cycles, lock_shard(&shards[i]).mshrs_in_use())
-            })
-            .collect(),
-    }))
 }
 
 #[cfg(test)]
@@ -946,56 +493,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_epoch_matches_stepped_for_every_thread_count() {
-        use crate::config::SimMode;
-        // Multiple SMs so lanes genuinely spread across workers, and a
-        // mixed kernel touching timers, loads, and the HSU path.
-        let base = GpuConfig {
-            num_sms: 4,
-            ..GpuConfig::tiny()
-        };
-        let k = kernel_of(
-            512,
-            vec![
-                ThreadOp::Load {
-                    addr: 0x2000,
-                    bytes: 64,
-                },
-                ThreadOp::Alu { count: 12 },
-                ThreadOp::HsuDistance {
-                    metric: Metric::Euclidean,
-                    dim: 32,
-                    candidate_addr: 0x9000,
-                },
-                ThreadOp::Shared { count: 2 },
-            ],
-        );
-        let stepped = Gpu::new(base.clone().with_sim_mode(SimMode::Stepped))
-            .run(&k)
-            .unwrap();
-        let event = Gpu::new(base.clone().with_sim_mode(SimMode::Event))
-            .run(&k)
-            .unwrap();
-        for threads in [1, 2, 8] {
-            let parallel = Gpu::new(
-                base.clone()
-                    .with_sim_mode(SimMode::ParallelEpoch)
-                    .with_sim_threads(threads),
-            )
-            .run(&k)
-            .unwrap();
-            assert_eq!(
-                stepped.normalized(),
-                parallel.normalized(),
-                "parallel-epoch ({threads} threads) diverged from the oracle"
-            );
-            // The parallel loop follows the event schedule exactly, down to
-            // the scheduler accounting.
-            assert_eq!(parallel.sched, event.sched, "{threads} threads");
-        }
-    }
-
     /// Runs `k` under both modes with the given guard and returns the two
     /// deadlock errors, asserting both guards fired with identical payloads.
     fn deadlock_of(k: &KernelTrace, max_cycles: u64) -> SimError {
@@ -1014,19 +511,6 @@ mod tests {
             stepped, event,
             "deadlock payloads diverged between stepped and event modes"
         );
-        for threads in [1, 2, 8] {
-            let cfg = GpuConfig {
-                max_cycles,
-                ..GpuConfig::tiny()
-            }
-            .with_sim_mode(SimMode::ParallelEpoch)
-            .with_sim_threads(threads);
-            let parallel = Gpu::new(cfg).run(k).expect_err("guard must fire");
-            assert_eq!(
-                stepped, parallel,
-                "deadlock payloads diverged under parallel-epoch ({threads} threads)"
-            );
-        }
         assert!(matches!(stepped, SimError::Deadlock(_)));
         stepped
     }

@@ -26,22 +26,31 @@
 //!
 //! # Simulation modes
 //!
-//! Time advances under one of three [`config::SimMode`]s. `Stepped` is the
+//! Time advances under one of two [`config::SimMode`]s. `Stepped` is the
 //! oracle: every component ticks on every cycle. `Event` (the default) is
 //! the fast path: each component reports the earliest future cycle its
 //! state can change ([`memory::MemorySystem::next_event`],
 //! [`sm::Sm::next_event`]), the run loop jumps straight to the minimum, and
 //! within a visited cycle only the SMs that can observe it tick — the rest
 //! sleep until a completion, an L1 fill, or their own wakeup cycle arrives,
-//! and bulk-account the skipped window via `fast_forward`. `ParallelEpoch`
-//! runs the same event-driven schedule but fans each visited cycle's SM
-//! work out across a worker pool ([`config::GpuConfig::sim_threads`]),
-//! draining the shared memory system between epochs under a deterministic
-//! barrier. All three modes produce bit-identical [`SimReport`]s for every
-//! thread count (only the [`stats::SchedStats`] scheduler counters differ
-//! between stepped and the event-driven pair); `tests/sim_equivalence.rs`
-//! proves this differentially over random kernels, random machine
-//! geometries, thread counts, and the full benchmark suite.
+//! and bulk-account the skipped window via `fast_forward`. Both modes
+//! produce bit-identical [`SimReport`]s (only the [`stats::SchedStats`]
+//! scheduler counters differ); `tests/sim_equivalence.rs` proves this
+//! differentially over random kernels, random machine geometries, and the
+//! full benchmark suite.
+//!
+//! # One owner, flat data
+//!
+//! One run is one thread: the run loop owns every SM and the whole memory
+//! hierarchy, and an SM presents its accesses straight to the
+//! [`memory::MemorySystem`], which keeps its per-SM L1 state in a plain
+//! vector and its pending events in a cycle-bucketed queue. Warp traces are
+//! pre-decoded ([`trace::WarpTrace`]): each instruction's class, lane mask
+//! and issue summaries sit in a header, and the active lanes' operations in
+//! one dense pool per warp. Parallelism lives one level up, across
+//! independent simulations (`hsu-bench`'s job runner): splitting one run's
+//! cycles over threads costs more in per-cycle synchronisation than it
+//! saves (EXPERIMENTS.md, "Simulation modes").
 //!
 //! # Examples
 //!
@@ -77,6 +86,7 @@ pub mod cache;
 pub mod config;
 pub mod dram;
 pub mod error;
+mod event_queue;
 pub mod faults;
 pub mod memory;
 pub mod rt_core;
@@ -107,9 +117,4 @@ const _: () = {
     // runner carries them through catch_unwind + channels).
     assert_send_sync::<SimError>();
     assert_send_sync::<error::CancelToken>();
-    // The parallel-epoch run loop additionally moves SMs and memory shards
-    // across its own worker pool.
-    const fn assert_send<T: Send>() {}
-    assert_send::<sm::Sm>();
-    assert_send::<memory::MemorySystem>();
 };

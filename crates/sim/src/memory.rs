@@ -5,34 +5,22 @@
 //! service. Completion tokens (`waiter`s) are opaque to the hierarchy; the
 //! SMs map them back to blocked warps or RT-unit lanes.
 //!
-//! # Sharding for intra-run parallelism
+//! # One owner
 //!
-//! The hierarchy is split along the only boundary SMs can observe:
-//!
-//! * [`L1Shard`] — one per SM: its L1 tag/MSHR state, its private RT cache
-//!   (if the policy has one), and its requester counters. Each shard sits
-//!   behind a `Mutex` so the parallel-epoch run loop can hand disjoint
-//!   shards to worker threads while the serial modes lock them inline
-//!   (uncontended).
-//! * `MemCore` — everything shared: the event heap, L2 banks, DRAM
-//!   channels. Only the epoch barrier (the run loop's main thread) touches
-//!   it.
-//!
-//! An SM's per-cycle work mutates only its own shard and *pushes future
-//! events*. Event pushes commute: the heap pops distinct events in sorted
-//! `(cycle, event)` order regardless of insertion order, and equal events
-//! are interchangeable — so draining at the barrier is deterministic no
-//! matter how many threads produced the events. That is the entire
-//! epoch-drain contract, and why every [`crate::config::SimMode`] produces
-//! bit-identical reports.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::{Mutex, MutexGuard};
+//! The run loop owns the whole hierarchy and drives it from one thread:
+//! each visited cycle it ticks the hierarchy (DRAM service, then every
+//! event due), then lets each SM present its accesses through
+//! [`MemorySystem::access`]. Per-SM state lives in a plain vector of
+//! `L1Shard`s (L1 tags and MSHRs, the private RT cache if the policy has
+//! one, requester counters); everything an access schedules goes into one
+//! cycle-bucketed event queue whose drain order is exactly a binary
+//! min-heap's over `(cycle, event)`. That order is what makes every
+//! [`crate::config::SimMode`] produce bit-identical reports.
 
 use crate::cache::{Cache, CacheStats, Lookup};
 use crate::config::{GpuConfig, RtCachePolicy};
 use crate::dram::{DramChannel, DramStats};
+use crate::event_queue::EventQueue;
 
 /// Who issued an L1 access — the paper separates LSU and RT-unit traffic
 /// when reporting L1 access counts (Fig. 12).
@@ -85,45 +73,10 @@ pub struct MemoryStats {
     pub dram: DramStats,
 }
 
-/// The abstract L1 port the SM drives. Implemented by [`MemorySystem`]
-/// (serial modes: lock-and-forward into the shared event heap) and by
-/// [`SmPort`] (parallel-epoch workers: exclusive shard access plus a local
-/// event buffer merged at the barrier). The `sm` argument always names the
-/// calling SM; a port bound to one shard asserts it matches.
-pub trait MemPort {
-    /// See [`MemorySystem::rt_has_private_path`].
-    fn rt_has_private_path(&self) -> bool;
-    /// See [`MemorySystem::can_accept`].
-    fn can_accept(&self, sm: usize, line: u64, requester: Requester) -> bool;
-    /// See [`MemorySystem::access`].
-    fn access(
-        &mut self,
-        sm: usize,
-        line: u64,
-        waiter: u64,
-        requester: Requester,
-        now: u64,
-    ) -> AccessOutcome;
-    /// See [`MemorySystem::store`].
-    fn store(&mut self, sm: usize, line: u64, requester: Requester);
-    /// See [`MemorySystem::note_stalled_probes`].
-    fn note_stalled_probes(&mut self, sm: usize, requester: Requester, count: u64);
-}
-
-/// Latencies and geometry every port needs; immutable for a run.
-#[derive(Debug, Clone)]
-pub(crate) struct MemParams {
-    line_bytes: u64,
-    l1_latency: u64,
-    half_l2_latency: u64,
-    rt_private: bool,
-}
-
 /// One SM's slice of the hierarchy: L1 + optional private RT cache +
-/// requester counters. Disjoint across SMs by construction; see the module
-/// docs for why that makes per-SM work parallelizable.
+/// requester counters.
 #[derive(Debug)]
-pub(crate) struct L1Shard {
+struct L1Shard {
     l1: Cache,
     rt_cache: Option<Cache>,
     lsu_accesses: u64,
@@ -131,25 +84,128 @@ pub(crate) struct L1Shard {
 }
 
 impl L1Shard {
-    /// Presents one access; returns the outcome and at most one future
-    /// event for the shared heap.
-    fn access(
+    /// The cache `requester` presents to, and whether it is the private RT
+    /// cache.
+    fn cache_for(&mut self, requester: Requester) -> (bool, &mut Cache) {
+        match (requester, &mut self.rt_cache) {
+            (Requester::RtUnit, Some(cache)) => (true, cache),
+            _ => (false, &mut self.l1),
+        }
+    }
+
+    fn count(&mut self, requester: Requester) {
+        match requester {
+            Requester::Lsu => self.lsu_accesses += 1,
+            Requester::RtUnit => self.rt_accesses += 1,
+        }
+    }
+
+    /// Outstanding misses in the L1 plus the private RT cache, if any.
+    fn mshrs_in_use(&self) -> usize {
+        self.l1.mshrs_in_use() + self.rt_cache.as_ref().map_or(0, Cache::mshrs_in_use)
+    }
+}
+
+/// The full hierarchy.
+#[derive(Debug)]
+pub struct MemorySystem {
+    line_bytes: u64,
+    l1_latency: u64,
+    half_l2_latency: u64,
+    rt_private: bool,
+    shards: Vec<L1Shard>,
+    l2_banks: Vec<Cache>,
+    l2_bank_busy: Vec<u64>,
+    dram: Vec<DramChannel>,
+    dram_banks: u64,
+    lines_per_row: u64,
+    events: EventQueue<Event>,
+    dram_completions: Vec<(u64, u64)>,
+    /// SMs whose L1 (or private RT cache) received a fill during the most
+    /// recent tick; see [`MemorySystem::l1_touched`].
+    l1_touched: Vec<usize>,
+}
+
+impl MemorySystem {
+    /// Builds the hierarchy for `cfg`.
+    pub fn new(cfg: &GpuConfig) -> Self {
+        let l2_sets_per_bank = (cfg.l2_sets() / cfg.l2_banks).max(1);
+        let rt_cache = || match cfg.rt_cache {
+            RtCachePolicy::SharedWithLsu => None,
+            RtCachePolicy::Private { bytes } => {
+                let sets = (bytes / (4 * cfg.line_bytes)).max(1);
+                Some(Cache::new(sets, 4, cfg.l1_mshrs))
+            }
+            // Bypass = a degenerate one-line cache: no capacity to
+            // pollute, but in-flight duplicate fetches still merge the
+            // way a pending-request queue would.
+            RtCachePolicy::Bypass => Some(Cache::new(1, 1, cfg.l1_mshrs)),
+        };
+        MemorySystem {
+            line_bytes: cfg.line_bytes as u64,
+            l1_latency: cfg.l1_latency,
+            half_l2_latency: cfg.l2_latency / 2,
+            rt_private: !matches!(cfg.rt_cache, RtCachePolicy::SharedWithLsu),
+            shards: (0..cfg.num_sms)
+                .map(|_| L1Shard {
+                    l1: Cache::new(cfg.l1_sets(), cfg.l1_ways, cfg.l1_mshrs),
+                    rt_cache: rt_cache(),
+                    lsu_accesses: 0,
+                    rt_accesses: 0,
+                })
+                .collect(),
+            l2_banks: (0..cfg.l2_banks)
+                .map(|_| Cache::new(l2_sets_per_bank, cfg.l2_ways, 64))
+                .collect(),
+            l2_bank_busy: vec![0; cfg.l2_banks],
+            dram: (0..cfg.dram_channels)
+                .map(|_| {
+                    DramChannel::new(
+                        cfg.dram_banks,
+                        cfg.dram_row_hit_cycles,
+                        cfg.dram_row_miss_cycles,
+                        cfg.dram_transfer_cycles,
+                    )
+                })
+                .collect(),
+            dram_banks: cfg.dram_banks as u64,
+            lines_per_row: cfg.lines_per_row(),
+            events: EventQueue::new(),
+            dram_completions: Vec::new(),
+            l1_touched: Vec::new(),
+        }
+    }
+
+    /// Converts a byte address to a line number.
+    #[inline]
+    pub fn line_of(&self, addr: u64) -> u64 {
+        addr / self.line_bytes
+    }
+
+    /// The unique lines touched by `bytes` starting at `addr`.
+    pub fn lines_of_range(&self, addr: u64, bytes: u64) -> impl Iterator<Item = u64> {
+        let first = addr / self.line_bytes;
+        let last = (addr + bytes.max(1) - 1) / self.line_bytes;
+        first..=last
+    }
+
+    /// Presents one access to `sm`'s L1 port (the caller enforces the
+    /// one-access-per-cycle port sharing between LSU and RT FIFO when the
+    /// shared policy is active).
+    pub fn access(
         &mut self,
-        p: &MemParams,
         sm: usize,
         line: u64,
         waiter: u64,
         requester: Requester,
         now: u64,
-    ) -> (AccessOutcome, Option<(u64, Event)>) {
-        let (use_rt_cache, cache) = match (requester, &mut self.rt_cache) {
-            (Requester::RtUnit, Some(cache)) => (true, cache),
-            _ => (false, &mut self.l1),
-        };
+    ) -> AccessOutcome {
+        let shard = &mut self.shards[sm];
+        let (rt_fill, cache) = shard.cache_for(requester);
         let event = match cache.access(line, waiter) {
-            Lookup::Stall => return (AccessOutcome::Rejected, None),
+            Lookup::Stall => return AccessOutcome::Rejected,
             Lookup::Hit => Some((
-                now + p.l1_latency,
+                now + self.l1_latency,
                 Event::Done {
                     sm: sm as u32,
                     waiter,
@@ -158,181 +214,79 @@ impl L1Shard {
             Lookup::MshrHit => None, // merged; completes with the fill
             Lookup::Miss => {
                 // Tag the L2 waiter so the fill returns to the right cache.
-                let tag = if use_rt_cache {
+                let tag = if rt_fill {
                     (sm as u32) | RT_FILL
                 } else {
                     sm as u32
                 };
-                Some((now + p.half_l2_latency, Event::L2Arrive { sm: tag, line }))
+                Some((
+                    now + self.half_l2_latency,
+                    Event::L2Arrive { sm: tag, line },
+                ))
             }
         };
-        match requester {
-            Requester::Lsu => self.lsu_accesses += 1,
-            Requester::RtUnit => self.rt_accesses += 1,
+        shard.count(requester);
+        if let Some((at, event)) = event {
+            self.events.push(at, event);
         }
-        (AccessOutcome::Accepted, event)
+        AccessOutcome::Accepted
     }
 
-    fn store(&mut self, line: u64, requester: Requester) {
-        self.l1.probe(line);
-        match requester {
-            Requester::Lsu => self.lsu_accesses += 1,
-            Requester::RtUnit => self.rt_accesses += 1,
-        }
+    /// A write-through store: counts an L1 access; no completion event (the
+    /// workloads keep their hot mutable state in shared memory).
+    pub fn store(&mut self, sm: usize, line: u64, requester: Requester) {
+        let shard = &mut self.shards[sm];
+        shard.l1.probe(line);
+        shard.count(requester);
     }
 
-    fn can_accept(&self, line: u64, requester: Requester) -> bool {
-        match (requester, &self.rt_cache) {
+    /// Returns `true` if `sm`'s L1 MSHR file is full (the access would be
+    /// rejected).
+    pub fn l1_mshrs_full(&self, sm: usize) -> bool {
+        self.shards[sm].l1.mshrs_full()
+    }
+
+    /// Outstanding misses tracked by `sm`'s L1 plus its private RT cache, if
+    /// any (deadlock diagnostics: in-flight memory the SM is waiting on).
+    pub fn l1_mshrs_in_use(&self, sm: usize) -> usize {
+        self.shards[sm].mshrs_in_use()
+    }
+
+    /// Returns `true` when the RT unit has a private path to memory (the
+    /// shared L1 port need not be arbitrated).
+    pub fn rt_has_private_path(&self) -> bool {
+        self.rt_private
+    }
+
+    /// Whether presenting `line` on `sm`'s port for `requester` would be
+    /// accepted this cycle (i.e. [`MemorySystem::access`] would not return
+    /// [`AccessOutcome::Rejected`]). Non-mutating; used by `Sm::next_event`
+    /// to distinguish a queue that can make progress next cycle from one
+    /// blocked until a fill frees an MSHR — the latter's wakeup is already
+    /// owned by this system's event queue.
+    pub fn can_accept(&self, sm: usize, line: u64, requester: Requester) -> bool {
+        let shard = &self.shards[sm];
+        match (requester, &shard.rt_cache) {
             (Requester::RtUnit, Some(cache)) => cache.can_accept(line),
-            _ => self.l1.can_accept(line),
+            _ => shard.l1.can_accept(line),
         }
     }
 
-    fn note_stalled_probes(&mut self, requester: Requester, count: u64) {
-        match (requester, &mut self.rt_cache) {
-            (Requester::RtUnit, Some(cache)) => cache.note_stalled_probes(count),
-            _ => self.l1.note_stalled_probes(count),
-        }
-    }
-
-    /// Outstanding misses in the L1 plus the private RT cache, if any.
-    pub(crate) fn mshrs_in_use(&self) -> usize {
-        self.l1.mshrs_in_use() + self.rt_cache.as_ref().map_or(0, Cache::mshrs_in_use)
-    }
-}
-
-/// Locks a shard, recovering from poison (a panicking worker already
-/// aborts the run; its shard's counters remain usable for diagnostics).
-pub(crate) fn lock_shard(shard: &Mutex<L1Shard>) -> MutexGuard<'_, L1Shard> {
-    shard
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// A buffer of future events produced by one SM during an epoch, merged
-/// into the shared heap at the barrier via `MemCore::absorb`. Opaque so the
-/// event vocabulary stays private to this module.
-#[derive(Debug, Default)]
-pub(crate) struct EventBuf(Vec<(u64, Event)>);
-
-impl EventBuf {
-    pub(crate) fn new() -> Self {
-        EventBuf(Vec::new())
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
-/// An SM-exclusive L1 port for parallel-epoch workers: holds the shard's
-/// lock for the duration of one cycle's SM phase and buffers event pushes
-/// locally. The barrier later absorbs the buffer into the shared heap;
-/// ordering is immaterial (see the module docs), so no cross-thread
-/// coordination is needed during the phase.
-pub(crate) struct SmPort<'a> {
-    sm: usize,
-    params: &'a MemParams,
-    shard: MutexGuard<'a, L1Shard>,
-    out: &'a mut EventBuf,
-}
-
-impl<'a> SmPort<'a> {
-    pub(crate) fn new(
-        params: &'a MemParams,
-        shards: &'a [Mutex<L1Shard>],
-        sm: usize,
-        out: &'a mut EventBuf,
-    ) -> Self {
-        SmPort {
-            sm,
-            params,
-            shard: lock_shard(&shards[sm]),
-            out,
-        }
-    }
-}
-
-impl MemPort for SmPort<'_> {
-    fn rt_has_private_path(&self) -> bool {
-        self.params.rt_private
-    }
-
-    fn can_accept(&self, sm: usize, line: u64, requester: Requester) -> bool {
-        debug_assert_eq!(sm, self.sm, "port bound to a different SM");
-        self.shard.can_accept(line, requester)
-    }
-
-    fn access(
-        &mut self,
-        sm: usize,
-        line: u64,
-        waiter: u64,
-        requester: Requester,
-        now: u64,
-    ) -> AccessOutcome {
-        debug_assert_eq!(sm, self.sm, "port bound to a different SM");
-        let (outcome, event) =
-            self.shard
-                .access(self.params, self.sm, line, waiter, requester, now);
-        if let Some(ev) = event {
-            self.out.0.push(ev);
-        }
-        outcome
-    }
-
-    fn store(&mut self, sm: usize, line: u64, requester: Requester) {
-        debug_assert_eq!(sm, self.sm, "port bound to a different SM");
-        self.shard.store(line, requester);
-    }
-
-    fn note_stalled_probes(&mut self, sm: usize, requester: Requester, count: u64) {
-        debug_assert_eq!(sm, self.sm, "port bound to a different SM");
-        self.shard.note_stalled_probes(requester, count);
-    }
-}
-
-/// The shared (single-owner) part of the hierarchy: event heap, L2 banks,
-/// DRAM channels. In the parallel-epoch mode only the barrier thread holds
-/// it; SM workers never see it.
-#[derive(Debug)]
-pub(crate) struct MemCore {
-    l2_banks: Vec<Cache>,
-    l2_bank_busy: Vec<u64>,
-    dram: Vec<DramChannel>,
-    dram_banks: u64,
-    lines_per_row: u64,
-    events: BinaryHeap<Reverse<(u64, Event)>>,
-    dram_completions: Vec<(u64, u64)>,
-    /// SMs whose L1 (or private RT cache) received a fill during the most
-    /// recent tick; see [`MemorySystem::l1_touched`].
-    l1_touched: Vec<usize>,
-}
-
-impl MemCore {
-    fn push(&mut self, at: u64, event: Event) {
-        self.events.push(Reverse((at, event)));
-    }
-
-    /// Merges an epoch's buffered events into the heap. Absorption order
-    /// does not affect drain order (the heap pops sorted), but callers
-    /// absorb in fixed SM-index order anyway so the merge is reproducible
-    /// step by step.
-    pub(crate) fn absorb(&mut self, buf: &mut EventBuf) {
-        for (at, event) in buf.0.drain(..) {
-            self.events.push(Reverse((at, event)));
-        }
+    /// Bulk-accounts `count` rejected port presentations by `requester` on
+    /// `sm`, exactly as `count` per-cycle retries ending in
+    /// [`AccessOutcome::Rejected`] would have (stall statistics only — a
+    /// rejected access never reaches the requester counters). Called by
+    /// `Sm::fast_forward` so the stepped oracle and the event-driven loop
+    /// report identical stall streams.
+    pub fn note_stalled_probes(&mut self, sm: usize, requester: Requester, count: u64) {
+        self.shards[sm]
+            .cache_for(requester)
+            .1
+            .note_stalled_probes(count);
     }
 
     /// Advances one cycle; appends `(sm, waiter)` completions to `done`.
-    /// Needs the shards because L1 fills land in per-SM caches.
-    pub(crate) fn tick(
-        &mut self,
-        now: u64,
-        done: &mut Vec<(usize, u64)>,
-        params: &MemParams,
-        shards: &[Mutex<L1Shard>],
-    ) {
+    pub fn tick(&mut self, now: u64, done: &mut Vec<(usize, u64)>) {
         // DRAM channels progress independently.
         self.dram_completions.clear();
         self.l1_touched.clear();
@@ -343,30 +297,25 @@ impl MemCore {
             // Tokens are lines; convert to L2 fills at the return latency.
             for &(finish, line) in &self.dram_completions[before..] {
                 debug_assert_eq!((line % channels) as usize, ch);
-                self.events.push(Reverse((finish, Event::L2Fill { line })));
+                self.events.push(finish, Event::L2Fill { line });
             }
         }
 
-        // Drain events due now.
-        while let Some(&Reverse((at, _))) = self.events.peek() {
-            if at > now {
-                break;
-            }
-            let Some(Reverse((_, event))) = self.events.pop() else {
-                break; // unreachable: we just peeked a due event
-            };
+        // Drain events due now, including any this drain schedules for now.
+        while let Some((_, event)) = self.events.pop_due(now) {
             match event {
                 Event::L2Arrive { sm, line } => {
                     let bank = self.bank_of(line);
                     if self.l2_bank_busy[bank] > now {
                         // Port conflict: retry next cycle.
-                        self.push(now + 1, Event::L2Arrive { sm, line });
+                        self.events.push(now + 1, Event::L2Arrive { sm, line });
                         continue;
                     }
                     self.l2_bank_busy[bank] = now + 1;
                     match self.l2_banks[bank].access(line, sm as u64) {
                         Lookup::Hit => {
-                            self.push(now + params.half_l2_latency, Event::L1Fill { sm, line });
+                            self.events
+                                .push(now + self.half_l2_latency, Event::L1Fill { sm, line });
                         }
                         Lookup::MshrHit => {}
                         Lookup::Miss => {
@@ -382,15 +331,15 @@ impl MemCore {
                             self.dram[ch].enqueue(line, bank_idx, row, now);
                         }
                         Lookup::Stall => {
-                            self.push(now + 1, Event::L2Arrive { sm, line });
+                            self.events.push(now + 1, Event::L2Arrive { sm, line });
                         }
                     }
                 }
                 Event::L2Fill { line } => {
                     let bank = self.bank_of(line);
                     for sm in self.l2_banks[bank].fill(line) {
-                        self.push(
-                            now + params.half_l2_latency,
+                        self.events.push(
+                            now + self.half_l2_latency,
                             Event::L1Fill {
                                 sm: sm as u32,
                                 line,
@@ -402,7 +351,7 @@ impl MemCore {
                     let is_rt = sm & RT_FILL != 0;
                     let sm_idx = (sm & !RT_FILL) as usize;
                     self.l1_touched.push(sm_idx);
-                    let mut shard = lock_shard(&shards[sm_idx]);
+                    let shard = &mut self.shards[sm_idx];
                     let waiters = match (is_rt, &mut shard.rt_cache) {
                         (true, Some(cache)) => cache.fill(line),
                         // An RT-tagged fill can only originate from an
@@ -410,10 +359,9 @@ impl MemCore {
                         (true, None) => unreachable!("RT fill without an RT cache"),
                         (false, _) => shard.l1.fill(line),
                     };
-                    drop(shard);
                     for waiter in waiters {
-                        self.push(
-                            now + params.l1_latency,
+                        self.events.push(
+                            now + self.l1_latency,
                             Event::Done {
                                 sm: sm_idx as u32,
                                 waiter,
@@ -429,13 +377,23 @@ impl MemCore {
     }
 
     /// Returns `true` when no request is in flight anywhere.
-    pub(crate) fn quiescent(&self) -> bool {
+    pub fn quiescent(&self) -> bool {
         self.events.is_empty() && self.dram.iter().all(|d| d.queue_len() == 0)
     }
 
-    /// See [`MemorySystem::next_event`].
-    pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
-        let mut next = self.events.peek().map(|Reverse((at, _))| *at);
+    /// The earliest future cycle at which [`MemorySystem::tick`] can do any
+    /// work, or `None` when the hierarchy is quiescent.
+    ///
+    /// Two sources of future activity exist, both expressed as absolute
+    /// cycles: the event queue (interconnect hops, fills, completions, L2
+    /// retries) and each DRAM channel's next possible FR-FCFS service
+    /// ([`DramChannel::next_service_cycle`]). Ticking strictly between `now`
+    /// and the returned cycle is provably a no-op, which is what licenses
+    /// the event-driven loop to skip those cycles. Call only after `tick
+    /// (now)` has drained everything due at `now`; the result is clamped to
+    /// `now + 1` so the caller always advances.
+    pub fn next_event(&self, now: u64) -> Option<u64> {
+        let mut next = self.events.next_cycle();
         for d in &self.dram {
             next = match (next, d.next_service_cycle()) {
                 (Some(a), Some(b)) => Some(a.min(b)),
@@ -445,8 +403,11 @@ impl MemCore {
         next.map(|t| t.max(now + 1))
     }
 
-    /// See [`MemorySystem::l1_touched`].
-    pub(crate) fn l1_touched(&self) -> &[usize] {
+    /// SMs whose L1 (or private RT cache) received a fill during the most
+    /// recent [`MemorySystem::tick`] — the set of SMs whose
+    /// [`MemorySystem::can_accept`] answers may just have flipped. May
+    /// contain duplicates; order follows event-drain order.
+    pub fn l1_touched(&self) -> &[usize] {
         &self.l1_touched
     }
 
@@ -457,187 +418,6 @@ impl MemCore {
     fn channel_of(&self, line: u64) -> usize {
         (line % self.dram.len() as u64) as usize
     }
-}
-
-/// The full hierarchy.
-#[derive(Debug)]
-pub struct MemorySystem {
-    params: MemParams,
-    shards: Vec<Mutex<L1Shard>>,
-    core: MemCore,
-}
-
-impl MemorySystem {
-    /// Builds the hierarchy for `cfg`.
-    pub fn new(cfg: &GpuConfig) -> Self {
-        let l2_sets_per_bank = (cfg.l2_sets() / cfg.l2_banks).max(1);
-        let rt_cache_of = |_: usize| match cfg.rt_cache {
-            RtCachePolicy::SharedWithLsu => None,
-            RtCachePolicy::Private { bytes } => {
-                let sets = (bytes / (4 * cfg.line_bytes)).max(1);
-                Some(Cache::new(sets, 4, cfg.l1_mshrs))
-            }
-            // Bypass = a degenerate one-line cache: no capacity to
-            // pollute, but in-flight duplicate fetches still merge the
-            // way a pending-request queue would.
-            RtCachePolicy::Bypass => Some(Cache::new(1, 1, cfg.l1_mshrs)),
-        };
-        MemorySystem {
-            params: MemParams {
-                line_bytes: cfg.line_bytes as u64,
-                l1_latency: cfg.l1_latency,
-                half_l2_latency: cfg.l2_latency / 2,
-                rt_private: !matches!(cfg.rt_cache, RtCachePolicy::SharedWithLsu),
-            },
-            shards: (0..cfg.num_sms)
-                .map(|i| {
-                    Mutex::new(L1Shard {
-                        l1: Cache::new(cfg.l1_sets(), cfg.l1_ways, cfg.l1_mshrs),
-                        rt_cache: rt_cache_of(i),
-                        lsu_accesses: 0,
-                        rt_accesses: 0,
-                    })
-                })
-                .collect(),
-            core: MemCore {
-                l2_banks: (0..cfg.l2_banks)
-                    .map(|_| Cache::new(l2_sets_per_bank, cfg.l2_ways, 64))
-                    .collect(),
-                l2_bank_busy: vec![0; cfg.l2_banks],
-                dram: (0..cfg.dram_channels)
-                    .map(|_| {
-                        DramChannel::new(
-                            cfg.dram_banks,
-                            cfg.dram_row_hit_cycles,
-                            cfg.dram_row_miss_cycles,
-                            cfg.dram_transfer_cycles,
-                        )
-                    })
-                    .collect(),
-                dram_banks: cfg.dram_banks as u64,
-                lines_per_row: cfg.lines_per_row(),
-                events: BinaryHeap::new(),
-                dram_completions: Vec::new(),
-                l1_touched: Vec::new(),
-            },
-        }
-    }
-
-    /// Splits the hierarchy for a parallel-epoch run: the single-owner core
-    /// for the barrier thread, plus the read-shared params and the shard
-    /// array for SM workers.
-    pub(crate) fn split(&mut self) -> (&mut MemCore, &MemParams, &[Mutex<L1Shard>]) {
-        (&mut self.core, &self.params, &self.shards)
-    }
-
-    /// Converts a byte address to a line number.
-    #[inline]
-    pub fn line_of(&self, addr: u64) -> u64 {
-        addr / self.params.line_bytes
-    }
-
-    /// The unique lines touched by `bytes` starting at `addr`.
-    pub fn lines_of_range(&self, addr: u64, bytes: u64) -> impl Iterator<Item = u64> {
-        let first = addr / self.params.line_bytes;
-        let last = (addr + bytes.max(1) - 1) / self.params.line_bytes;
-        first..=last
-    }
-
-    /// Presents one access to `sm`'s L1 port (the caller enforces the
-    /// one-access-per-cycle port sharing between LSU and RT FIFO when the
-    /// shared policy is active).
-    pub fn access(
-        &mut self,
-        sm: usize,
-        line: u64,
-        waiter: u64,
-        requester: Requester,
-        now: u64,
-    ) -> AccessOutcome {
-        let (outcome, event) =
-            lock_shard(&self.shards[sm]).access(&self.params, sm, line, waiter, requester, now);
-        if let Some((at, ev)) = event {
-            self.core.push(at, ev);
-        }
-        outcome
-    }
-
-    /// A write-through store: counts an L1 access; no completion event (the
-    /// workloads keep their hot mutable state in shared memory).
-    pub fn store(&mut self, sm: usize, line: u64, requester: Requester) {
-        lock_shard(&self.shards[sm]).store(line, requester);
-    }
-
-    /// Returns `true` if `sm`'s L1 MSHR file is full (the access would be
-    /// rejected).
-    pub fn l1_mshrs_full(&self, sm: usize) -> bool {
-        lock_shard(&self.shards[sm]).l1.mshrs_full()
-    }
-
-    /// Outstanding misses tracked by `sm`'s L1 plus its private RT cache, if
-    /// any (deadlock diagnostics: in-flight memory the SM is waiting on).
-    pub fn l1_mshrs_in_use(&self, sm: usize) -> usize {
-        lock_shard(&self.shards[sm]).mshrs_in_use()
-    }
-
-    /// Returns `true` when the RT unit has a private path to memory (the
-    /// shared L1 port need not be arbitrated).
-    pub fn rt_has_private_path(&self) -> bool {
-        self.params.rt_private
-    }
-
-    /// Whether presenting `line` on `sm`'s port for `requester` would be
-    /// accepted this cycle (i.e. [`MemorySystem::access`] would not return
-    /// [`AccessOutcome::Rejected`]). Non-mutating; used by `Sm::next_event`
-    /// to distinguish a queue that can make progress next cycle from one
-    /// blocked until a fill frees an MSHR — the latter's wakeup is already
-    /// owned by this system's event heap.
-    pub fn can_accept(&self, sm: usize, line: u64, requester: Requester) -> bool {
-        lock_shard(&self.shards[sm]).can_accept(line, requester)
-    }
-
-    /// Bulk-accounts `count` rejected port presentations by `requester` on
-    /// `sm`, exactly as `count` per-cycle retries ending in
-    /// [`AccessOutcome::Rejected`] would have (stall statistics only — a
-    /// rejected access never reaches the requester counters). Called by
-    /// `Sm::fast_forward` so the stepped oracle and the event-driven loop
-    /// report identical stall streams.
-    pub fn note_stalled_probes(&mut self, sm: usize, requester: Requester, count: u64) {
-        lock_shard(&self.shards[sm]).note_stalled_probes(requester, count);
-    }
-
-    /// Advances one cycle; appends `(sm, waiter)` completions to `done`.
-    pub fn tick(&mut self, now: u64, done: &mut Vec<(usize, u64)>) {
-        self.core.tick(now, done, &self.params, &self.shards);
-    }
-
-    /// Returns `true` when no request is in flight anywhere.
-    pub fn quiescent(&self) -> bool {
-        self.core.quiescent()
-    }
-
-    /// The earliest future cycle at which [`MemorySystem::tick`] can do any
-    /// work, or `None` when the hierarchy is quiescent.
-    ///
-    /// Two sources of future activity exist, both expressed as absolute
-    /// cycles: the event heap (interconnect hops, fills, completions, L2
-    /// retries) and each DRAM channel's next possible FR-FCFS service
-    /// ([`DramChannel::next_service_cycle`]). Ticking strictly between `now`
-    /// and the returned cycle is provably a no-op, which is what licenses
-    /// the event-driven loop to skip those cycles. Call only after `tick
-    /// (now)` has drained everything due at `now`; the result is clamped to
-    /// `now + 1` so the caller always advances.
-    pub fn next_event(&self, now: u64) -> Option<u64> {
-        self.core.next_event(now)
-    }
-
-    /// SMs whose L1 (or private RT cache) received a fill during the most
-    /// recent [`MemorySystem::tick`] — the set of SMs whose
-    /// [`MemorySystem::can_accept`] answers may just have flipped. May
-    /// contain duplicates; order follows event-drain order.
-    pub fn l1_touched(&self) -> &[usize] {
-        self.core.l1_touched()
-    }
 
     /// Aggregated statistics across all components.
     pub fn stats(&self) -> MemoryStats {
@@ -646,7 +426,6 @@ impl MemorySystem {
         let mut lsu_accesses = 0;
         let mut rt_accesses = 0;
         for shard in &self.shards {
-            let shard = lock_shard(shard);
             let s = shard.l1.stats();
             l1.hits += s.hits;
             l1.mshr_hits += s.mshr_hits;
@@ -663,7 +442,7 @@ impl MemorySystem {
             rt_accesses += shard.rt_accesses;
         }
         let mut l2 = CacheStats::default();
-        for c in &self.core.l2_banks {
+        for c in &self.l2_banks {
             let s = c.stats();
             l2.hits += s.hits;
             l2.mshr_hits += s.mshr_hits;
@@ -671,7 +450,7 @@ impl MemorySystem {
             l2.mshr_stalls += s.mshr_stalls;
         }
         let mut dram = DramStats::default();
-        for d in &self.core.dram {
+        for d in &self.dram {
             let s = d.stats();
             dram.accesses += s.accesses;
             dram.row_hits += s.row_hits;
@@ -688,38 +467,12 @@ impl MemorySystem {
     }
 }
 
-impl MemPort for MemorySystem {
-    fn rt_has_private_path(&self) -> bool {
-        MemorySystem::rt_has_private_path(self)
-    }
-
-    fn can_accept(&self, sm: usize, line: u64, requester: Requester) -> bool {
-        MemorySystem::can_accept(self, sm, line, requester)
-    }
-
-    fn access(
-        &mut self,
-        sm: usize,
-        line: u64,
-        waiter: u64,
-        requester: Requester,
-        now: u64,
-    ) -> AccessOutcome {
-        MemorySystem::access(self, sm, line, waiter, requester, now)
-    }
-
-    fn store(&mut self, sm: usize, line: u64, requester: Requester) {
-        MemorySystem::store(self, sm, line, requester)
-    }
-
-    fn note_stalled_probes(&mut self, sm: usize, requester: Requester, count: u64) {
-        MemorySystem::note_stalled_probes(self, sm, requester, count)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn run_until_done(mem: &mut MemorySystem, expect: usize, max: u64) -> Vec<(u64, usize, u64)> {
         let mut done = Vec::new();
@@ -900,41 +653,100 @@ mod tests {
         assert_eq!(mem.stats().dram.accesses, 1);
     }
 
-    #[test]
-    fn sm_port_buffers_events_identically_to_the_serial_port() {
-        // Drive the same access stream through the serial MemorySystem port
-        // and through an SmPort whose buffer is absorbed afterwards: both
-        // hierarchies must then deliver identical completion streams. This
-        // pins the epoch-drain contract at the module level.
-        let cfg = GpuConfig::tiny();
-        let mut serial = MemorySystem::new(&cfg);
-        let mut sharded = MemorySystem::new(&cfg);
-        let stream = [(0u64, 1u64), (7, 2), (7, 3), (129, 4)];
-        for &(line, waiter) in &stream {
-            assert_eq!(
-                MemPort::access(&mut serial, 0, line, waiter, Requester::Lsu, 0),
-                AccessOutcome::Accepted
-            );
-        }
-        let mut buf = EventBuf::new();
-        {
-            let (_, params, shards) = sharded.split();
-            let mut port = SmPort::new(params, shards, 0, &mut buf);
-            for &(line, waiter) in &stream {
-                assert_eq!(
-                    port.access(0, line, waiter, Requester::Lsu, 0),
-                    AccessOutcome::Accepted
+    /// One step of a queue workout: push `(cycle offset, event)` pairs,
+    /// then drain the next cycle, feeding `echo` pushes back in while it
+    /// drains.
+    #[derive(Debug, Clone)]
+    struct Step {
+        pushes: Vec<(i64, Event)>,
+        advance: u64,
+        echo: Vec<(u64, Event)>,
+    }
+
+    fn arb_event() -> impl Strategy<Value = Event> {
+        prop_oneof![
+            (0u32..3, 0u64..6).prop_map(|(sm, line)| Event::L2Arrive { sm, line }),
+            (0u64..6).prop_map(|line| Event::L2Fill { line }),
+            (0u32..3, 0u64..6).prop_map(|(sm, line)| Event::L1Fill { sm, line }),
+            (0u32..3, 0u64..6).prop_map(|(sm, waiter)| Event::Done { sm, waiter }),
+        ]
+    }
+
+    /// Offsets relative to the current cycle: negative = late (already
+    /// drained), small = inside the ring, large = overflow heap.
+    fn arb_offset() -> impl Strategy<Value = i64> {
+        prop_oneof![-40i64..0, 0i64..4, 0i64..600, 400i64..3000]
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        (
+            prop::collection::vec((arb_offset(), arb_event()), 0..8),
+            prop_oneof![1u64..3, 0u64..700],
+            prop::collection::vec((0u64..3, arb_event()), 0..4),
+        )
+            .prop_map(|(pushes, advance, echo)| Step {
+                pushes,
+                advance,
+                echo,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn event_queue_drains_in_binary_heap_order(
+            steps in prop::collection::vec(arb_step(), 1..40),
+        ) {
+            let mut queue = EventQueue::new();
+            let mut heap: BinaryHeap<Reverse<(u64, Event)>> = BinaryHeap::new();
+            let mut now = 0u64;
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let push = |q: &mut EventQueue<Event>, h: &mut BinaryHeap<_>, at, e| {
+                q.push(at, e);
+                h.push(Reverse((at, e)));
+            };
+            for step in &steps {
+                for &(offset, event) in &step.pushes {
+                    let at = now.saturating_add_signed(offset);
+                    push(&mut queue, &mut heap, at, event);
+                }
+                prop_assert_eq!(
+                    queue.next_cycle(),
+                    heap.peek().map(|Reverse((at, _))| *at)
                 );
+                now += step.advance;
+                // Drain both; each popped event may schedule an echo at
+                // `now + d` (d = 0: a same-cycle push during the drain).
+                let mut echoes = step.echo.iter();
+                while let Some((at, event)) = queue.pop_due(now) {
+                    got.push((at, event));
+                    if let Some(&(d, e)) = echoes.next() {
+                        queue.push(now + d, e);
+                    }
+                }
+                let mut echoes = step.echo.iter();
+                while heap.peek().is_some_and(|Reverse((at, _))| *at <= now) {
+                    let Some(Reverse(item)) = heap.pop() else { break };
+                    want.push(item);
+                    if let Some(&(d, e)) = echoes.next() {
+                        heap.push(Reverse((now + d, e)));
+                    }
+                }
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(queue.is_empty(), heap.is_empty());
+                now += 1;
             }
-            assert!(port.can_accept(0, 0, Requester::Lsu));
+            // Flush everything left, far in the future.
+            let end = now + 10_000;
+            while let Some(item) = queue.pop_due(end) {
+                got.push(item);
+            }
+            while let Some(Reverse(item)) = heap.pop() {
+                want.push(item);
+            }
+            prop_assert_eq!(got, want);
+            prop_assert!(queue.is_empty());
         }
-        assert!(!buf.is_empty());
-        let (core, _, _) = sharded.split();
-        core.absorb(&mut buf);
-        assert!(buf.is_empty());
-        let a = run_until_done(&mut serial, 4, 100_000);
-        let b = run_until_done(&mut sharded, 4, 100_000);
-        assert_eq!(a, b, "completion streams diverged");
-        assert_eq!(serial.stats(), sharded.stats());
     }
 }

@@ -3,9 +3,8 @@
 //!
 //! The SM talks to one [`RtCore`] value; every method delegates to the
 //! selected organization. An enum (rather than a trait object) keeps the
-//! unit inline in [`crate::sm::Sm`], keeps `Send` for the parallel-epoch
-//! mode trivial, and lets the two organizations expose the exact same
-//! typed surface — the cross-organization differential harness in
+//! unit inline in [`crate::sm::Sm`] and lets the two organizations expose
+//! the exact same typed surface — the cross-organization differential harness in
 //! `tests/rt_organization.rs` depends on the functional columns of
 //! [`RtUnitStats`] meaning the same thing under either arm.
 
@@ -72,7 +71,8 @@ impl RtCore {
         delegate!(self, u => u.grant(requesting))
     }
 
-    /// Dispatches a warp instruction into the unit.
+    /// Dispatches a warp instruction into the unit: `ops` holds one op per
+    /// set bit of `active_mask`, lowest lane first.
     ///
     /// # Errors
     ///
@@ -83,10 +83,10 @@ impl RtCore {
         warp: usize,
         sub_core: usize,
         active_mask: u32,
-        lanes: &[Option<ThreadOp>],
+        ops: &[ThreadOp],
         line_bytes: u64,
     ) -> Result<EntryId, SimError> {
-        delegate!(self, u => u.dispatch(warp, sub_core, active_mask, lanes, line_bytes))
+        delegate!(self, u => u.dispatch(warp, sub_core, active_mask, ops, line_bytes))
     }
 
     /// The next node fetch awaiting the L1 port, if the organization can
@@ -140,9 +140,10 @@ impl RtCore {
         delegate!(self, u => u.fast_forward(cycles))
     }
 
-    /// Warps whose HSU instruction wrote back since the last call.
-    pub fn take_completed(&mut self) -> Vec<usize> {
-        delegate!(self, u => u.take_completed())
+    /// Moves the warps whose HSU instruction wrote back since the last
+    /// call into `out` (cleared first).
+    pub fn take_completed(&mut self, out: &mut Vec<usize>) {
+        delegate!(self, u => u.take_completed(out))
     }
 
     /// Returns `true` when the unit holds no work.

@@ -22,7 +22,7 @@ use hsu_core::warp_buffer::{EntryId, WarpBuffer, WARP_WIDTH};
 use hsu_core::HsuConfig;
 
 use crate::error::SimError;
-use crate::trace::ThreadOp;
+use crate::trace::{lanes_of, ThreadOp};
 
 /// A pending CISC fetch: one unique cache line needed by one or more lanes
 /// of a warp-buffer entry. Identical lane fetches are coalesced at dispatch
@@ -145,6 +145,60 @@ pub(crate) fn lane_plan(
     }
 }
 
+/// Checks a dispatched instruction before either organization commits any
+/// state: one op per active lane, each one an HSU op. Returns the same
+/// typed errors under both organizations.
+pub(crate) fn check_dispatch(
+    cfg: &HsuConfig,
+    active_mask: u32,
+    ops: &[ThreadOp],
+) -> Result<(), SimError> {
+    for op in ops.iter().take(active_mask.count_ones() as usize) {
+        lane_plan(cfg, op)?;
+    }
+    match lanes_of(active_mask).nth(ops.len()) {
+        Some(lane) => Err(SimError::IllegalDispatch {
+            detail: format!("active lane {lane} without an op (mask {active_mask:#x})"),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Sets each active lane's state and gathers the entry's fetch table,
+/// coalescing identical lines across lanes into one request (the
+/// warp-level analogue of LSU coalescing). Returns the ISA instructions
+/// the entry expands to. Shared by both RT-unit organizations; call after
+/// [`check_dispatch`].
+pub(crate) fn plan_lanes(
+    cfg: &HsuConfig,
+    active_mask: u32,
+    ops: &[ThreadOp],
+    line_bytes: u64,
+    lanes: &mut [LaneState; WARP_WIDTH],
+    table: &mut Vec<(u64, u32)>,
+) -> Result<u64, SimError> {
+    let mut isa_instructions = 0;
+    for (lane, op) in lanes_of(active_mask).zip(ops) {
+        let (mode, beats, addr, bytes) = lane_plan(cfg, op)?;
+        isa_instructions += u64::from(beats);
+        let first = addr / line_bytes;
+        let last = (addr + bytes.max(1) - 1) / line_bytes;
+        lanes[lane] = LaneState {
+            pending_lines: (last - first + 1) as u32,
+            beats_to_issue: beats,
+            beats_in_flight: beats,
+            mode: Some(mode),
+        };
+        for line in first..=last {
+            match table.iter_mut().find(|(l, _)| *l == line) {
+                Some((_, mask)) => *mask |= 1 << lane,
+                None => table.push((line, 1 << lane)),
+            }
+        }
+    }
+    Ok(isa_instructions)
+}
+
 /// Whether `op` is legal on a unit with HSU configuration `cfg` (the
 /// baseline RT unit rejects the HSU extensions). Shared by both RT-unit
 /// organizations.
@@ -165,6 +219,8 @@ pub struct RtUnit {
     entry_owner: Vec<Option<usize>>,
     lane_state: Vec<[LaneState; WARP_WIDTH]>,
     arbiter: SubCoreArbiter,
+    /// All-false accumulate bits for the arbiter (sized once).
+    no_accumulate: Vec<bool>,
     pipeline: DatapathPipeline,
     fifo: VecDeque<FifoRequest>,
     /// Per-entry coalesced fetch table: `(line, lane mask)`.
@@ -186,6 +242,7 @@ impl RtUnit {
             entry_owner: vec![None; entries],
             lane_state: vec![[LaneState::default(); WARP_WIDTH]; entries],
             arbiter: SubCoreArbiter::new(sub_cores),
+            no_accumulate: vec![false; sub_cores],
             pipeline: DatapathPipeline::new(),
             fifo: VecDeque::new(),
             entry_requests: vec![Vec::new(); entries],
@@ -217,12 +274,13 @@ impl RtUnit {
             }
             return None;
         }
-        let accumulate = vec![false; requesting.len()];
-        self.arbiter.grant(requesting, &accumulate)
+        self.arbiter.grant(requesting, &self.no_accumulate)
     }
 
     /// Dispatches a warp instruction into the warp buffer, enqueueing each
-    /// active lane's line fetches. `line_bytes` is the cache-line size.
+    /// active lane's line fetches. `ops` holds one op per set bit of
+    /// `active_mask`, lowest lane first; `line_bytes` is the cache-line
+    /// size.
     ///
     /// # Errors
     ///
@@ -235,35 +293,13 @@ impl RtUnit {
         warp: usize,
         sub_core: usize,
         active_mask: u32,
-        lanes: &[Option<ThreadOp>],
+        ops: &[ThreadOp],
         line_bytes: u64,
     ) -> Result<EntryId, SimError> {
-        // Plan every active lane before committing any state, so a
+        // Check every active lane before committing any state, so a
         // malformed instruction cannot leave a half-dispatched entry.
-        let mut plans: Vec<(usize, OperatingMode, u32, u64, u64)> = Vec::new();
-        for (lane, op) in lanes.iter().enumerate() {
-            if active_mask & (1 << lane) == 0 {
-                continue;
-            }
-            let Some(op) = op.as_ref() else {
-                return Err(SimError::IllegalDispatch {
-                    detail: format!("active lane {lane} without an op (mask {active_mask:#x})"),
-                });
-            };
-            let (mode, beats, addr, bytes) = lane_plan(&self.cfg, op)?;
-            plans.push((lane, mode, beats, addr, bytes));
-        }
-
-        // The hsu-core warp buffer tracks masks; lane instructions are kept
-        // in this struct's lane_state (richer than the ISA struct).
-        let placeholder = hsu_core::HsuInstruction::ray_intersect(0, 0);
-        let proto: Vec<Option<hsu_core::HsuInstruction>> = (0..WARP_WIDTH)
-            .map(|l| (active_mask & (1 << l) != 0).then_some(placeholder))
-            .collect();
-        let Some(entry) = self
-            .warp_buffer
-            .allocate(warp, sub_core, active_mask, proto)
-        else {
+        check_dispatch(&self.cfg, active_mask, ops)?;
+        let Some(entry) = self.warp_buffer.allocate_mask(warp, sub_core, active_mask) else {
             return Err(SimError::IllegalDispatch {
                 detail: "dispatch without a free warp buffer entry".to_string(),
             });
@@ -271,27 +307,16 @@ impl RtUnit {
         self.entry_owner[entry] = Some(warp);
         self.stats.warp_instructions += 1;
 
-        // Gather each lane's lines, coalescing identical lines across lanes
-        // into one FIFO request (the warp-level analogue of LSU coalescing).
-        let mut table: Vec<(u64, u32)> = Vec::new();
-        for (lane, mode, beats, addr, bytes) in plans {
-            self.stats.isa_instructions += beats as u64;
-            let first = addr / line_bytes;
-            let last = (addr + bytes.max(1) - 1) / line_bytes;
-            let n_lines = (last - first + 1) as u32;
-            self.lane_state[entry][lane] = LaneState {
-                pending_lines: n_lines,
-                beats_to_issue: beats,
-                beats_in_flight: beats,
-                mode: Some(mode),
-            };
-            for line in first..=last {
-                match table.iter_mut().find(|(l, _)| *l == line) {
-                    Some((_, mask)) => *mask |= 1 << lane,
-                    None => table.push((line, 1 << lane)),
-                }
-            }
-        }
+        // The entry's table keeps its capacity across releases.
+        let mut table = std::mem::take(&mut self.entry_requests[entry]);
+        self.stats.isa_instructions += plan_lanes(
+            &self.cfg,
+            active_mask,
+            ops,
+            line_bytes,
+            &mut self.lane_state[entry],
+            &mut table,
+        )?;
         for (req, &(line, _)) in table.iter().enumerate() {
             self.fifo.push_back(FifoRequest { entry, req, line });
         }
@@ -333,10 +358,7 @@ impl RtUnit {
     /// last line lands.
     pub fn on_mem_response(&mut self, entry: EntryId, req: usize) {
         let (_, mask) = self.entry_requests[entry][req];
-        for lane in 0..WARP_WIDTH {
-            if mask & (1 << lane) == 0 {
-                continue;
-            }
+        for lane in lanes_of(mask) {
             let state = &mut self.lane_state[entry][lane];
             debug_assert!(state.pending_lines > 0, "response for satisfied lane");
             state.pending_lines -= 1;
@@ -383,7 +405,7 @@ impl RtUnit {
         }
 
         // Completion stage.
-        for done in self.pipeline.tick() {
+        if let Some(done) = self.pipeline.tick() {
             let entry = (done.tag >> 8) as usize;
             let lane = (done.tag & 0xff) as usize;
             let state = &mut self.lane_state[entry][lane];
@@ -393,14 +415,15 @@ impl RtUnit {
             }
         }
 
-        // Writeback stage: retire finished entries.
-        let finished: Vec<EntryId> = self
-            .warp_buffer
-            .iter()
-            .filter(|(_, e)| e.writeback_ready())
-            .map(|(id, _)| id)
-            .collect();
-        for entry in finished {
+        // Writeback stage: retire finished entries, lowest id first.
+        for entry in 0..self.warp_buffer.capacity() {
+            if !self
+                .warp_buffer
+                .get(entry)
+                .is_some_and(|e| e.writeback_ready())
+            {
+                continue;
+            }
             self.warp_buffer.release(entry);
             // Internal invariant: dispatch records an owner for every
             // allocated entry.
@@ -458,9 +481,12 @@ impl RtUnit {
         self.pipeline.fast_forward(cycles);
     }
 
-    /// Warps whose HSU instruction wrote back since the last call.
-    pub fn take_completed(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.completed_warps)
+    /// Moves the warps whose HSU instruction wrote back since the last
+    /// call into `out` (cleared first). The two buffers swap, so neither
+    /// side allocates once both are warm.
+    pub fn take_completed(&mut self, out: &mut Vec<usize>) {
+        out.clear();
+        std::mem::swap(out, &mut self.completed_warps);
     }
 
     /// Returns `true` when the unit holds no work.
@@ -489,10 +515,14 @@ mod tests {
         }
     }
 
-    fn lanes_with(op: ThreadOp, mask: u32) -> Vec<Option<ThreadOp>> {
-        (0..WARP_WIDTH)
-            .map(|l| (mask & (1 << l) != 0).then_some(op))
-            .collect()
+    fn lanes_with(op: ThreadOp, mask: u32) -> Vec<ThreadOp> {
+        vec![op; mask.count_ones() as usize]
+    }
+
+    fn completed(unit: &mut RtUnit) -> Vec<usize> {
+        let mut out = Vec::new();
+        unit.take_completed(&mut out);
+        out
     }
 
     /// Drives the unit until `warp` completes, answering all memory requests
@@ -515,7 +545,7 @@ mod tests {
                 }
             });
             unit.tick();
-            all_done.extend(unit.take_completed());
+            all_done.extend(completed(unit));
             if unit.idle() && !all_done.is_empty() {
                 return (now, all_done);
             }
@@ -660,7 +690,7 @@ mod tests {
         assert!(unit.busy_next_cycle(), "operands arrived: lane issuable");
         // Drain: one beat issues, then rides the pipeline to writeback.
         let mut guard = 0;
-        while unit.take_completed().is_empty() {
+        while completed(&mut unit).is_empty() {
             assert!(
                 unit.busy_next_cycle(),
                 "unit with in-flight beats must stay busy"

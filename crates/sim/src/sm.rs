@@ -5,9 +5,9 @@ use std::collections::VecDeque;
 
 use crate::config::GpuConfig;
 use crate::error::{SimError, SmDeadlockState};
-use crate::memory::{AccessOutcome, MemPort, Requester};
+use crate::memory::{AccessOutcome, MemorySystem, Requester};
 use crate::rt_core::RtCore;
-use crate::trace::{OpClass, ThreadOp, WarpInstruction, WarpTrace};
+use crate::trace::{OpClass, ThreadOp, WarpTrace};
 
 /// Waiter-token encoding: bit 63 selects RT-unit responses.
 const RT_FLAG: u64 = 1 << 63;
@@ -88,10 +88,11 @@ pub struct Sm {
     /// proves the stripe empty. Purely an accelerator for `gto_pick` —
     /// conservatively true is always safe.
     ready_hint: Vec<bool>,
-    /// Scratch buffers reused across `issue` calls so the per-tick hot
-    /// path allocates nothing.
+    /// Scratch buffers reused across ticks so the per-tick hot path
+    /// allocates nothing.
     scratch_picks: Vec<Option<usize>>,
     scratch_hsu: Vec<bool>,
+    scratch_completed: Vec<usize>,
     coalesce_buf: Vec<u64>,
     stats: SmStats,
 }
@@ -119,6 +120,7 @@ impl Sm {
             ready_hint: vec![false; cfg.sub_cores],
             scratch_picks: Vec::new(),
             scratch_hsu: Vec::new(),
+            scratch_completed: Vec::new(),
             coalesce_buf: Vec::new(),
             stats: SmStats::default(),
         }
@@ -159,7 +161,7 @@ impl Sm {
     /// * a timer wait reports `max(wakeup, sub-core free)` — waking a warp
     ///   into a busy sub-core changes only its status word, which is
     ///   unobservable until the warp can issue.
-    pub fn next_event(&self, now: u64, mem: &impl MemPort) -> Option<u64> {
+    pub fn next_event(&self, now: u64, mem: &MemorySystem) -> Option<u64> {
         // Launching needs a free or finished slot; if none exists the launch
         // queue only drains after a retirement, which another event causes.
         let can_launch = !self.launch_queue.is_empty()
@@ -200,7 +202,7 @@ impl Sm {
     /// still record one rejected probe per cycle (MSHR-stall statistics and
     /// the cache's port-use counter), and the shared L1 port's round-robin
     /// bit keeps toggling while both requesters are waiting.
-    pub fn fast_forward(&mut self, cycles: u64, mem: &mut impl MemPort) {
+    pub fn fast_forward(&mut self, cycles: u64, mem: &mut MemorySystem) {
         let lsu_pending = !self.lsu_queue.is_empty();
         let rt_pending = self.rt.peek_fifo().is_some();
         if mem.rt_has_private_path() {
@@ -279,13 +281,14 @@ impl Sm {
     /// [`SimError::IllegalDispatch`] if the cycle's issue stage routes an op
     /// to a unit that cannot execute it (see [`Sm::on_mem_done`] and the
     /// RT-unit dispatch path).
-    pub fn tick(&mut self, now: u64, mem: &mut impl MemPort) -> Result<(), SimError> {
+    pub fn tick(&mut self, now: u64, mem: &mut MemorySystem) -> Result<(), SimError> {
         self.fill_resident_slots();
         self.unblock_timed_warps(now);
 
         // RT unit writebacks resume their warps.
         self.rt.tick();
-        for slot in self.rt.take_completed() {
+        self.rt.take_completed(&mut self.scratch_completed);
+        for &slot in &self.scratch_completed {
             debug_assert_eq!(self.warps[slot].status, WarpStatus::WaitHsu);
             self.warps[slot].status = WarpStatus::Ready;
             self.ready_hint[self.warps[slot].sub_core] = true;
@@ -355,7 +358,7 @@ impl Sm {
     /// unit's FIFO (they time-share the cache, §VI-H). Under a private or
     /// bypass RT-cache policy (§VI-I) the RT FIFO gets its own port and both
     /// sides proceed each cycle.
-    fn arbitrate_l1_port(&mut self, now: u64, mem: &mut impl MemPort) {
+    fn arbitrate_l1_port(&mut self, now: u64, mem: &mut MemorySystem) {
         let lsu_pending = !self.lsu_queue.is_empty();
         let rt_pending = self.rt.peek_fifo().is_some();
         if mem.rt_has_private_path() {
@@ -381,7 +384,7 @@ impl Sm {
         }
     }
 
-    fn issue_rt_fetch(&mut self, now: u64, mem: &mut impl MemPort) {
+    fn issue_rt_fetch(&mut self, now: u64, mem: &mut MemorySystem) {
         let Some(req) = self.rt.pop_fifo() else {
             return;
         };
@@ -392,7 +395,7 @@ impl Sm {
         }
     }
 
-    fn issue_lsu_access(&mut self, now: u64, mem: &mut impl MemPort) {
+    fn issue_lsu_access(&mut self, now: u64, mem: &mut MemorySystem) {
         let Some(&(line, slot)) = self.lsu_queue.front() else {
             return;
         };
@@ -408,9 +411,7 @@ impl Sm {
     /// otherwise the oldest ready warp.
     fn gto_pick(&mut self, sub_core: usize) -> Option<usize> {
         let issuable = |w: &WarpSlot| {
-            w.sub_core == sub_core
-                && w.status == WarpStatus::Ready
-                && w.pc < w.trace.instructions.len()
+            w.sub_core == sub_core && w.status == WarpStatus::Ready && w.pc < w.trace.len()
         };
         if let Some(last) = self.last_issued[sub_core] {
             if last < self.warps.len() && issuable(&self.warps[last]) {
@@ -440,7 +441,7 @@ impl Sm {
         best.map(|(_, i)| i)
     }
 
-    fn issue(&mut self, now: u64, mem: &mut impl MemPort) -> Result<(), SimError> {
+    fn issue(&mut self, now: u64, mem: &mut MemorySystem) -> Result<(), SimError> {
         // The pick/request buffers live on the SM so the hot path allocates
         // nothing; a terminal error may leave them taken, which only costs
         // a fresh allocation on a run that is already dead.
@@ -455,7 +456,7 @@ impl Sm {
     fn issue_inner(
         &mut self,
         now: u64,
-        mem: &mut impl MemPort,
+        mem: &mut MemorySystem,
         picks: &mut Vec<Option<usize>>,
         hsu_requests: &mut Vec<bool>,
     ) -> Result<(), SimError> {
@@ -472,12 +473,7 @@ impl Sm {
             picks.push(pick);
             hsu_requests.push(pick.is_some_and(|slot| {
                 let w = &self.warps[slot];
-                w.trace.instructions[w.pc]
-                    .lanes
-                    .iter()
-                    .flatten()
-                    .next()
-                    .is_some_and(|op| op.is_hsu())
+                w.trace.instructions()[w.pc].class.is_hsu()
             }));
         }
 
@@ -500,16 +496,16 @@ impl Sm {
             // block touches only disjoint fields (stats, queues, rt, ...)
             // until the status write below.
             let warp = &self.warps[slot];
-            let instr = &warp.trace.instructions[warp.pc];
-            let class = instr.class();
+            let (instr, ops) = warp.trace.get(warp.pc);
+            let class = instr.class;
             self.stats.issued[class.index()] += 1;
-            self.stats.issued_weighted[class.index()] += weighted_count(instr);
+            self.stats.issued_weighted[class.index()] += instr.weighted;
             any_issued = true;
             self.last_issued[sc] = Some(slot);
 
             let new_status = match class {
                 OpClass::Alu | OpClass::Shared => {
-                    let count = max_run(instr) as u64;
+                    let count = u64::from(instr.max_run);
                     let lat = if class == OpClass::Alu {
                         self.alu_latency
                     } else {
@@ -522,7 +518,7 @@ impl Sm {
                 }
                 OpClass::Load => {
                     let mut lines = std::mem::take(&mut self.coalesce_buf);
-                    let coalesced = coalesce_into(instr, self.line_bytes, &mut lines);
+                    let coalesced = coalesce_into(ops, self.line_bytes, &mut lines);
                     if let Err(e) = coalesced {
                         self.coalesce_buf = lines;
                         return Err(e);
@@ -537,7 +533,7 @@ impl Sm {
                 }
                 OpClass::Store => {
                     let mut lines = std::mem::take(&mut self.coalesce_buf);
-                    let coalesced = coalesce_into(instr, self.line_bytes, &mut lines);
+                    let coalesced = coalesce_into(ops, self.line_bytes, &mut lines);
                     if let Err(e) = coalesced {
                         self.coalesce_buf = lines;
                         return Err(e);
@@ -549,7 +545,7 @@ impl Sm {
                     WarpStatus::WaitUntil(now + 1)
                 }
                 OpClass::HsuRayIntersect | OpClass::HsuDistance | OpClass::HsuKeyCompare => {
-                    let Some(lead) = instr.lanes.iter().flatten().next() else {
+                    let Some(lead) = ops.first() else {
                         return Err(SimError::IllegalDispatch {
                             detail: format!(
                                 "{class:?} warp instruction with no active lanes on sm{}",
@@ -566,7 +562,7 @@ impl Sm {
                         });
                     }
                     self.rt
-                        .dispatch(slot, sc, instr.active_mask, &instr.lanes, self.line_bytes)?;
+                        .dispatch(slot, sc, instr.active_mask, ops, self.line_bytes)?;
                     WarpStatus::WaitHsu
                 }
             };
@@ -575,7 +571,7 @@ impl Sm {
             let warp = &mut self.warps[slot];
             warp.status = new_status;
             warp.pc += 1;
-            if warp.pc == warp.trace.instructions.len()
+            if warp.pc == warp.trace.len()
                 && matches!(warp.status, WarpStatus::Ready | WarpStatus::WaitUntil(_))
             {
                 // The warp drains its outstanding work, then is finished. We
@@ -595,7 +591,7 @@ impl Sm {
 
         // Retire warps whose last instruction's stall has resolved.
         for warp in &mut self.warps {
-            if warp.pc == warp.trace.instructions.len() && warp.status == WarpStatus::Ready {
+            if warp.pc == warp.trace.len() && warp.status == WarpStatus::Ready {
                 warp.status = WarpStatus::Finished;
                 self.stats.warps_retired += 1;
             }
@@ -656,48 +652,15 @@ impl Sm {
     }
 }
 
-/// Expanded instruction weight of a warp instruction: Alu/Shared runs count
-/// their per-lane instruction totals; other classes count active lanes.
-fn weighted_count(instr: &WarpInstruction) -> u64 {
-    instr
-        .lanes
-        .iter()
-        .flatten()
-        .map(|op| match op {
-            ThreadOp::Alu { count } | ThreadOp::Shared { count } => *count as u64,
-            _ => 1,
-        })
-        .sum()
-}
-
-/// Maximum Alu/Shared run length across active lanes (lockstep SIMT executes
-/// the longest lane's count).
-fn max_run(instr: &WarpInstruction) -> u32 {
-    instr
-        .lanes
-        .iter()
-        .flatten()
-        .map(|op| match op {
-            ThreadOp::Alu { count } | ThreadOp::Shared { count } => *count,
-            _ => 1,
-        })
-        .max()
-        .unwrap_or(1)
-}
-
 /// Unique cache lines touched by a load/store warp instruction, written
 /// into a caller-owned scratch buffer (cleared first) so the per-issue hot
 /// path allocates nothing.
 ///
 /// Rejects instructions whose lanes mix in non-memory ops (a malformed or
 /// corrupted trace) instead of panicking mid-issue.
-fn coalesce_into(
-    instr: &WarpInstruction,
-    line_bytes: u64,
-    lines: &mut Vec<u64>,
-) -> Result<(), SimError> {
+fn coalesce_into(ops: &[ThreadOp], line_bytes: u64, lines: &mut Vec<u64>) -> Result<(), SimError> {
     lines.clear();
-    for op in instr.lanes.iter().flatten() {
+    for op in ops {
         let (addr, bytes) = match op {
             ThreadOp::Load { addr, bytes } | ThreadOp::Store { addr, bytes } => {
                 (*addr, *bytes as u64)

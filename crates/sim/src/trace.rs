@@ -134,6 +134,14 @@ impl OpClass {
         }
     }
 
+    /// Returns `true` for classes executed on the RT/HSU unit.
+    pub fn is_hsu(self) -> bool {
+        matches!(
+            self,
+            OpClass::HsuRayIntersect | OpClass::HsuDistance | OpClass::HsuKeyCompare
+        )
+    }
+
     /// Label for stat dumps.
     pub fn label(self) -> &'static str {
         match self {
@@ -180,40 +188,91 @@ impl ThreadTrace {
     }
 }
 
-/// One warp instruction: an operation class with per-lane payloads.
-#[derive(Debug, Clone, PartialEq)]
+/// One pre-decoded warp instruction: the lanes taking part, their shared
+/// operation class, and the issue-time summaries the SM needs. The active
+/// lanes' operations live densely in the owning [`WarpTrace`]'s op pool
+/// ([`WarpTrace::ops`]): the *n*-th op belongs to the *n*-th set bit of
+/// `active_mask`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarpInstruction {
-    /// Lanes participating (bit *i* = lane *i*).
+    /// Lanes participating (bit *i* = lane *i*); never zero.
     pub active_mask: u32,
-    /// Per-lane operations; `None` for inactive lanes. All `Some` entries
-    /// share the same [`OpClass`].
-    pub lanes: Vec<Option<ThreadOp>>,
+    /// The operation class every active lane shares.
+    pub class: OpClass,
+    /// Longest Alu/Shared run across the active lanes (lockstep SIMT
+    /// executes the longest lane's count); 1 for every other class.
+    pub max_run: u32,
+    /// Expanded instruction weight: Alu/Shared runs count their per-lane
+    /// totals, every other class counts its active lanes.
+    pub weighted: u64,
+    /// Pool index of the first active lane's op.
+    offset: usize,
 }
 
 impl WarpInstruction {
-    /// The shared operation class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instruction has no active lane.
-    pub fn class(&self) -> OpClass {
-        let Some(op) = self.lanes.iter().flatten().next() else {
-            panic!("warp instruction without active lanes");
-        };
-        op.class()
-    }
-
     /// Number of active lanes.
     pub fn active_lanes(&self) -> u32 {
         self.active_mask.count_ones()
     }
 }
 
-/// The instruction stream of one warp.
+/// The lane indices set in `mask`, lowest first: the lane of each op in a
+/// dense per-instruction op slice.
+pub fn lanes_of(mask: u32) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let lane = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            lane
+        })
+    })
+}
+
+/// The instruction stream of one warp: instruction headers in program
+/// order plus one dense pool of active-lane operations.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WarpTrace {
-    /// Instructions in program order.
-    pub instructions: Vec<WarpInstruction>,
+    instructions: Vec<WarpInstruction>,
+    ops: Vec<ThreadOp>,
+}
+
+impl WarpTrace {
+    /// Number of warp instructions.
+    pub fn len(&self) -> usize {
+        self.instructions.len()
+    }
+
+    /// Returns `true` if the warp has no instruction.
+    pub fn is_empty(&self) -> bool {
+        self.instructions.is_empty()
+    }
+
+    /// The instruction headers in program order.
+    pub fn instructions(&self) -> &[WarpInstruction] {
+        &self.instructions
+    }
+
+    /// Instruction `pc`'s header and its active lanes' operations, in lane
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc >= self.len()`.
+    pub fn get(&self, pc: usize) -> (&WarpInstruction, &[ThreadOp]) {
+        let instr = &self.instructions[pc];
+        let end = instr.offset + instr.active_mask.count_ones() as usize;
+        (instr, &self.ops[instr.offset..end])
+    }
+
+    /// Instruction `pc`'s active lanes' operations, in lane order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc >= self.len()`.
+    pub fn ops(&self, pc: usize) -> &[ThreadOp] {
+        self.get(pc).1
+    }
 }
 
 /// A kernel launch: one trace per thread, packed into warps on demand.
@@ -267,40 +326,56 @@ impl KernelTrace {
 
     /// Packs threads into warps of 32 consecutive lanes and lowers each
     /// warp's logs into divergence-grouped [`WarpInstruction`]s.
+    ///
+    /// At each step the next operation of every unfinished lane is taken;
+    /// the class of the lowest pending lane is emitted first, with every
+    /// pending lane of that class, then the next class of the lowest lane
+    /// still pending, until the step is exhausted (a deterministic
+    /// reconvergence order).
     pub fn warps(&self) -> Vec<WarpTrace> {
         self.threads
             .chunks(WARP_WIDTH)
             .map(|chunk| {
-                let mut cursors = vec![0usize; chunk.len()];
-                let mut out = WarpTrace::default();
+                let mut cursors = [0usize; WARP_WIDTH];
+                let mut out = WarpTrace {
+                    instructions: Vec::new(),
+                    ops: Vec::with_capacity(chunk.iter().map(|t| t.ops().len()).sum()),
+                };
                 loop {
                     // Lanes that still have operations.
-                    let mut pending: Vec<usize> = (0..chunk.len())
+                    let mut pending = (0..chunk.len())
                         .filter(|&l| cursors[l] < chunk[l].ops().len())
-                        .collect();
-                    if pending.is_empty() {
+                        .fold(0u32, |m, l| m | 1 << l);
+                    if pending == 0 {
                         break;
                     }
-                    // Group by class; emit the class of the lowest pending
-                    // lane first (deterministic reconvergence order).
-                    while !pending.is_empty() {
-                        let lead_class = chunk[pending[0]].ops()[cursors[pending[0]]].class();
-                        let mut mask = 0u32;
-                        let mut lanes = vec![None; WARP_WIDTH];
-                        pending.retain(|&l| {
+                    while pending != 0 {
+                        let lead = pending.trailing_zeros() as usize;
+                        let class = chunk[lead].ops()[cursors[lead]].class();
+                        let offset = out.ops.len();
+                        let (mut mask, mut max_run, mut weighted) = (0u32, 0u32, 0u64);
+                        for l in lanes_of(pending) {
                             let op = chunk[l].ops()[cursors[l]];
-                            if op.class() == lead_class {
-                                mask |= 1 << l;
-                                lanes[l] = Some(op);
-                                cursors[l] += 1;
-                                false
-                            } else {
-                                true
+                            if op.class() != class {
+                                continue;
                             }
-                        });
+                            let run = match op {
+                                ThreadOp::Alu { count } | ThreadOp::Shared { count } => count,
+                                _ => 1,
+                            };
+                            mask |= 1 << l;
+                            max_run = max_run.max(run);
+                            weighted += u64::from(run);
+                            out.ops.push(op);
+                            cursors[l] += 1;
+                        }
+                        pending &= !mask;
                         out.instructions.push(WarpInstruction {
                             active_mask: mask,
-                            lanes,
+                            class,
+                            max_run,
+                            weighted,
+                            offset,
                         });
                     }
                 }
@@ -313,6 +388,7 @@ impl KernelTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn alu_runs_merge() {
@@ -342,10 +418,11 @@ mod tests {
         let warps = k.warps();
         assert_eq!(warps.len(), 2);
         for w in &warps {
-            assert_eq!(w.instructions.len(), 2);
-            assert_eq!(w.instructions[0].active_mask, u32::MAX);
-            assert_eq!(w.instructions[0].class(), OpClass::Alu);
-            assert_eq!(w.instructions[1].class(), OpClass::Load);
+            assert_eq!(w.len(), 2);
+            assert_eq!(w.instructions()[0].active_mask, u32::MAX);
+            assert_eq!(w.instructions()[0].class, OpClass::Alu);
+            assert_eq!(w.instructions()[1].class, OpClass::Load);
+            assert_eq!(w.ops(1).len(), 32);
         }
     }
 
@@ -364,9 +441,13 @@ mod tests {
         let warps = k.warps();
         assert_eq!(warps.len(), 1);
         // One step, two classes -> two serialized warp instructions.
-        assert_eq!(warps[0].instructions.len(), 2);
-        assert_eq!(warps[0].instructions[0].active_mask, 0b0101);
-        assert_eq!(warps[0].instructions[1].active_mask, 0b1010);
+        assert_eq!(warps[0].len(), 2);
+        assert_eq!(warps[0].instructions()[0].active_mask, 0b0101);
+        assert_eq!(warps[0].instructions()[1].active_mask, 0b1010);
+        let (instr, ops) = warps[0].get(1);
+        let lanes: Vec<usize> = lanes_of(instr.active_mask).collect();
+        assert_eq!(lanes, vec![1, 3]);
+        assert_eq!(ops, [ThreadOp::Load { addr: 0, bytes: 4 }; 2]);
     }
 
     #[test]
@@ -381,7 +462,7 @@ mod tests {
         }
         let warps = k.warps();
         let masks: Vec<u32> = warps[0]
-            .instructions
+            .instructions()
             .iter()
             .map(|i| i.active_mask)
             .collect();
@@ -412,6 +493,28 @@ mod tests {
         }
         .is_hsu());
         assert!(!ThreadOp::Alu { count: 1 }.is_hsu());
+        for c in OpClass::ALL {
+            assert_eq!(c.is_hsu(), c.index() >= OpClass::HsuRayIntersect.index());
+        }
+    }
+
+    #[test]
+    fn issue_summaries_follow_the_lanes() {
+        let mut k = KernelTrace::new("runs");
+        for count in [3u32, 9, 1] {
+            let mut t = ThreadTrace::new();
+            t.push(ThreadOp::Alu { count });
+            t.push(ThreadOp::Load { addr: 0, bytes: 4 });
+            k.push_thread(t);
+        }
+        let w = &k.warps()[0];
+        let alu = w.instructions()[0];
+        assert_eq!((alu.max_run, alu.weighted, alu.active_lanes()), (9, 13, 3));
+        let load = w.instructions()[1];
+        assert_eq!(
+            (load.max_run, load.weighted, load.active_lanes()),
+            (1, 3, 3)
+        );
     }
 
     #[test]
@@ -421,7 +524,7 @@ mod tests {
         k.push_thread(ThreadTrace::new());
         let warps = k.warps();
         assert_eq!(warps.len(), 1);
-        assert!(warps[0].instructions.is_empty());
+        assert!(warps[0].is_empty());
     }
 
     #[test]
@@ -432,5 +535,123 @@ mod tests {
             assert!(!c.label().is_empty());
         }
         assert_eq!(seen.len(), 7);
+    }
+
+    /// The packer as it was before warp instructions were pre-decoded: one
+    /// 32-slot `Vec<Option<ThreadOp>>` per instruction. Kept as the oracle
+    /// for [`KernelTrace::warps`].
+    fn reference_warps(k: &KernelTrace) -> Vec<Vec<(u32, Vec<Option<ThreadOp>>)>> {
+        k.threads()
+            .chunks(WARP_WIDTH)
+            .map(|chunk| {
+                let mut cursors = vec![0usize; chunk.len()];
+                let mut out = Vec::new();
+                loop {
+                    let mut pending: Vec<usize> = (0..chunk.len())
+                        .filter(|&l| cursors[l] < chunk[l].ops().len())
+                        .collect();
+                    if pending.is_empty() {
+                        break;
+                    }
+                    while !pending.is_empty() {
+                        let lead_class = chunk[pending[0]].ops()[cursors[pending[0]]].class();
+                        let mut mask = 0u32;
+                        let mut lanes = vec![None; WARP_WIDTH];
+                        pending.retain(|&l| {
+                            let op = chunk[l].ops()[cursors[l]];
+                            if op.class() == lead_class {
+                                mask |= 1 << l;
+                                lanes[l] = Some(op);
+                                cursors[l] += 1;
+                                false
+                            } else {
+                                true
+                            }
+                        });
+                        out.push((mask, lanes));
+                    }
+                }
+                out
+            })
+            .collect()
+    }
+
+    fn arb_op() -> impl Strategy<Value = ThreadOp> {
+        prop_oneof![
+            (1u32..6).prop_map(|count| ThreadOp::Alu { count }),
+            (0u64..4096, 1u32..300).prop_map(|(addr, bytes)| ThreadOp::Load { addr, bytes }),
+            (0u64..4096, 1u32..16).prop_map(|(addr, bytes)| ThreadOp::Store { addr, bytes }),
+            (1u32..4).prop_map(|count| ThreadOp::Shared { count }),
+            (0u64..4096, any::<bool>()).prop_map(|(node_addr, triangle)| {
+                ThreadOp::HsuRayIntersect {
+                    node_addr,
+                    bytes: 64,
+                    triangle,
+                }
+            }),
+            (1u32..64, 0u64..4096).prop_map(|(dim, candidate_addr)| ThreadOp::HsuDistance {
+                metric: Metric::Angular,
+                dim,
+                candidate_addr,
+            }),
+            (0u64..4096, 1u32..80).prop_map(|(node_addr, separators)| {
+                ThreadOp::HsuKeyCompare {
+                    node_addr,
+                    separators,
+                }
+            }),
+        ]
+    }
+
+    /// Kernels of 1..100 threads (a partial last warp most of the time),
+    /// each thread an op log of divergent length, sometimes empty, mixing
+    /// every op class.
+    fn arb_kernel() -> impl Strategy<Value = KernelTrace> {
+        prop::collection::vec(prop::collection::vec(arb_op(), 0..12), 1..100).prop_map(|threads| {
+            let mut k = KernelTrace::new("packing");
+            for ops in threads {
+                let mut t = ThreadTrace::new();
+                for op in ops {
+                    t.push(op);
+                }
+                k.push_thread(t);
+            }
+            k
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn predecoded_warps_decode_to_the_reference_packing(k in arb_kernel()) {
+            let got = k.warps();
+            let want = reference_warps(&k);
+            prop_assert_eq!(got.len(), want.len());
+            for (w, reference) in got.iter().zip(&want) {
+                prop_assert_eq!(w.len(), reference.len());
+                for (pc, (mask, lanes)) in reference.iter().enumerate() {
+                    let (instr, ops) = w.get(pc);
+                    prop_assert_eq!(instr.active_mask, *mask);
+                    prop_assert_eq!(ops.len(), mask.count_ones() as usize);
+                    let mut decoded = vec![None; WARP_WIDTH];
+                    for (lane, op) in lanes_of(instr.active_mask).zip(ops) {
+                        decoded[lane] = Some(*op);
+                    }
+                    prop_assert_eq!(&decoded, lanes);
+                    // The header summaries equal what the issue path used
+                    // to recompute from the 32 slots.
+                    let active = lanes.iter().flatten();
+                    let runs = active.clone().map(|op| match op {
+                        ThreadOp::Alu { count } | ThreadOp::Shared { count } => *count,
+                        _ => 1,
+                    });
+                    prop_assert_eq!(Some(instr.class), active.clone().next().map(|op| op.class()));
+                    prop_assert!(active.clone().all(|op| op.class() == instr.class));
+                    prop_assert_eq!(instr.max_run, runs.clone().max().unwrap_or(1));
+                    prop_assert_eq!(instr.weighted, runs.map(u64::from).sum::<u64>());
+                }
+            }
+        }
     }
 }

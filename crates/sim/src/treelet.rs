@@ -27,7 +27,7 @@
 //! The organization is *functionally* identical to the baseline — same ISA,
 //! same beat counts, same typed errors with identical payloads — and obeys
 //! the exact same event-driven contracts (`advances_on_tick`,
-//! `fast_forward` stat integration), so all three [`crate::config::SimMode`]s
+//! `fast_forward` stat integration), so both [`crate::config::SimMode`]s
 //! remain bit-identical for it. Only timing and memory-traffic columns may
 //! differ from the baseline; `tests/rt_organization.rs` locks that split.
 
@@ -39,8 +39,10 @@ use hsu_core::warp_buffer::{EntryId, WarpBuffer, WARP_WIDTH};
 use hsu_core::HsuConfig;
 
 use crate::error::SimError;
-use crate::rt_unit::{lane_plan, unit_supports, FifoRequest, LaneState, RtUnitStats};
-use crate::trace::ThreadOp;
+use crate::rt_unit::{
+    check_dispatch, lane_plan, plan_lanes, unit_supports, FifoRequest, LaneState, RtUnitStats,
+};
+use crate::trace::{lanes_of, ThreadOp};
 
 /// The treelet-scheduled RT/HSU unit of one SM.
 #[derive(Debug)]
@@ -53,6 +55,8 @@ pub struct TreeletRtUnit {
     entry_owner: Vec<Option<usize>>,
     lane_state: Vec<[LaneState; WARP_WIDTH]>,
     arbiter: SubCoreArbiter,
+    /// All-false accumulate bits for the arbiter (sized once).
+    no_accumulate: Vec<bool>,
     pipeline: DatapathPipeline,
     fifo: VecDeque<FifoRequest>,
     /// Per-entry coalesced fetch table: `(line, lane mask)`.
@@ -94,6 +98,7 @@ impl TreeletRtUnit {
             entry_owner: vec![None; entries],
             lane_state: vec![[LaneState::default(); WARP_WIDTH]; entries],
             arbiter: SubCoreArbiter::new(sub_cores),
+            no_accumulate: vec![false; sub_cores],
             pipeline: DatapathPipeline::new(),
             fifo: VecDeque::new(),
             entry_requests: vec![Vec::new(); entries],
@@ -127,8 +132,7 @@ impl TreeletRtUnit {
             }
             return None;
         }
-        let accumulate = vec![false; requesting.len()];
-        self.arbiter.grant(requesting, &accumulate)
+        self.arbiter.grant(requesting, &self.no_accumulate)
     }
 
     /// Marks `line` most-recently-used in the staged pool. Returns `true`
@@ -157,33 +161,13 @@ impl TreeletRtUnit {
         warp: usize,
         sub_core: usize,
         active_mask: u32,
-        lanes: &[Option<ThreadOp>],
+        ops: &[ThreadOp],
         line_bytes: u64,
     ) -> Result<EntryId, SimError> {
-        // Plan every active lane before committing any state, so a
+        // Check every active lane before committing any state, so a
         // malformed instruction cannot leave a half-dispatched entry.
-        let mut plans: Vec<(usize, hsu_core::pipeline::OperatingMode, u32, u64, u64)> = Vec::new();
-        for (lane, op) in lanes.iter().enumerate() {
-            if active_mask & (1 << lane) == 0 {
-                continue;
-            }
-            let Some(op) = op.as_ref() else {
-                return Err(SimError::IllegalDispatch {
-                    detail: format!("active lane {lane} without an op (mask {active_mask:#x})"),
-                });
-            };
-            let (mode, beats, addr, bytes) = lane_plan(&self.cfg, op)?;
-            plans.push((lane, mode, beats, addr, bytes));
-        }
-
-        let placeholder = hsu_core::HsuInstruction::ray_intersect(0, 0);
-        let proto: Vec<Option<hsu_core::HsuInstruction>> = (0..WARP_WIDTH)
-            .map(|l| (active_mask & (1 << l) != 0).then_some(placeholder))
-            .collect();
-        let Some(entry) = self
-            .warp_buffer
-            .allocate(warp, sub_core, active_mask, proto)
-        else {
+        check_dispatch(&self.cfg, active_mask, ops)?;
+        let Some(entry) = self.warp_buffer.allocate_mask(warp, sub_core, active_mask) else {
             return Err(SimError::IllegalDispatch {
                 detail: "dispatch without a free warp buffer entry".to_string(),
             });
@@ -194,7 +178,8 @@ impl TreeletRtUnit {
         // Treelet stack: a treelet is the staging capacity's worth of
         // consecutive lines; note when this warp's walk crossed into a new
         // one since its previous dispatch.
-        if let Some((_, _, _, addr, _)) = plans.first() {
+        if let Some(op) = ops.first() {
+            let (_, _, addr, _) = lane_plan(&self.cfg, op)?;
             let treelet_bytes = (self.staging_slots as u64 * line_bytes).max(1);
             let treelet = addr / treelet_bytes;
             if self.last_treelet.len() <= warp {
@@ -206,35 +191,23 @@ impl TreeletRtUnit {
             self.last_treelet[warp] = Some(treelet);
         }
 
-        // Coalesce identical lines across lanes, as the baseline does.
-        let mut table: Vec<(u64, u32)> = Vec::new();
-        for (lane, mode, beats, addr, bytes) in plans {
-            self.stats.isa_instructions += beats as u64;
-            let first = addr / line_bytes;
-            let last = (addr + bytes.max(1) - 1) / line_bytes;
-            let n_lines = (last - first + 1) as u32;
-            self.lane_state[entry][lane] = LaneState {
-                pending_lines: n_lines,
-                beats_to_issue: beats,
-                beats_in_flight: beats,
-                mode: Some(mode),
-            };
-            for line in first..=last {
-                match table.iter_mut().find(|(l, _)| *l == line) {
-                    Some((_, mask)) => *mask |= 1 << lane,
-                    None => table.push((line, 1 << lane)),
-                }
-            }
-        }
+        // Coalesce identical lines across lanes, as the baseline does. The
+        // entry's table keeps its capacity across releases.
+        let mut table = std::mem::take(&mut self.entry_requests[entry]);
+        self.stats.isa_instructions += plan_lanes(
+            &self.cfg,
+            active_mask,
+            ops,
+            line_bytes,
+            &mut self.lane_state[entry],
+            &mut table,
+        )?;
         // Staging-buffer check: lines already resident satisfy their lanes
         // immediately; the rest queue for fetch.
         for (req, &(line, mask)) in table.iter().enumerate() {
             if self.touch_staged(line) {
                 self.stats.staging_hits += 1;
-                for lane in 0..WARP_WIDTH {
-                    if mask & (1 << lane) == 0 {
-                        continue;
-                    }
+                for lane in lanes_of(mask) {
                     let state = &mut self.lane_state[entry][lane];
                     state.pending_lines -= 1;
                     if state.pending_lines == 0 {
@@ -313,10 +286,7 @@ impl TreeletRtUnit {
             "staging pool overflow"
         );
         let was_ready = self.warp_buffer.entry(entry).operands_ready();
-        for lane in 0..WARP_WIDTH {
-            if mask & (1 << lane) == 0 {
-                continue;
-            }
+        for lane in lanes_of(mask) {
             let state = &mut self.lane_state[entry][lane];
             debug_assert!(state.pending_lines > 0, "response for satisfied lane");
             state.pending_lines -= 1;
@@ -368,7 +338,7 @@ impl TreeletRtUnit {
         }
 
         // Completion stage.
-        for done in self.pipeline.tick() {
+        if let Some(done) = self.pipeline.tick() {
             let entry = (done.tag >> 8) as usize;
             let lane = (done.tag & 0xff) as usize;
             let state = &mut self.lane_state[entry][lane];
@@ -378,14 +348,15 @@ impl TreeletRtUnit {
             }
         }
 
-        // Writeback stage: retire finished entries.
-        let finished: Vec<EntryId> = self
-            .warp_buffer
-            .iter()
-            .filter(|(_, e)| e.writeback_ready())
-            .map(|(id, _)| id)
-            .collect();
-        for entry in finished {
+        // Writeback stage: retire finished entries, lowest id first.
+        for entry in 0..self.warp_buffer.capacity() {
+            if !self
+                .warp_buffer
+                .get(entry)
+                .is_some_and(|e| e.writeback_ready())
+            {
+                continue;
+            }
             self.warp_buffer.release(entry);
             // Internal invariant: dispatch records an owner for every
             // allocated entry.
@@ -434,9 +405,12 @@ impl TreeletRtUnit {
         self.pipeline.fast_forward(cycles);
     }
 
-    /// Warps whose HSU instruction wrote back since the last call.
-    pub fn take_completed(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.completed_warps)
+    /// Moves the warps whose HSU instruction wrote back since the last
+    /// call into `out` (cleared first), swapping buffers so neither side
+    /// allocates once both are warm.
+    pub fn take_completed(&mut self, out: &mut Vec<usize>) {
+        out.clear();
+        std::mem::swap(out, &mut self.completed_warps);
     }
 
     /// Returns `true` when the unit holds no work (staged lines are cached
@@ -474,10 +448,14 @@ mod tests {
         }
     }
 
-    fn lanes_with(op: ThreadOp, mask: u32) -> Vec<Option<ThreadOp>> {
-        (0..WARP_WIDTH)
-            .map(|l| (mask & (1 << l) != 0).then_some(op))
-            .collect()
+    fn lanes_with(op: ThreadOp, mask: u32) -> Vec<ThreadOp> {
+        vec![op; mask.count_ones() as usize]
+    }
+
+    fn completed(unit: &mut TreeletRtUnit) -> Vec<usize> {
+        let mut out = Vec::new();
+        unit.take_completed(&mut out);
+        out
     }
 
     /// Drives the unit until it drains, answering all memory requests after
@@ -503,7 +481,7 @@ mod tests {
                 }
             });
             unit.tick();
-            all_done.extend(unit.take_completed());
+            all_done.extend(completed(unit));
             if unit.idle() && !all_done.is_empty() {
                 return (now, all_done);
             }
@@ -535,7 +513,7 @@ mod tests {
             .unwrap();
         assert_eq!(unit.fifo_len(), 0, "staged line needs no fetch");
         let mut guard = 0;
-        while unit.take_completed().is_empty() {
+        while completed(&mut unit).is_empty() {
             unit.tick();
             guard += 1;
             assert!(guard < 50, "staged dispatch never completed");
@@ -587,7 +565,7 @@ mod tests {
         let mut guard = 0;
         while done.len() < 2 {
             unit.tick();
-            done.extend(unit.take_completed());
+            done.extend(completed(&mut unit));
             guard += 1;
             assert!(guard < 100, "entries never drained");
         }

@@ -1,32 +1,24 @@
 //! Differential equivalence harness: the event-driven fast-forward run loop
-//! and the parallel-epoch loop must be observably identical to the
-//! cycle-stepped oracle, the latter for every worker-thread count.
+//! must be observably identical to the cycle-stepped oracle.
 //!
 //! Three layers of evidence:
 //!
 //! 1. property tests over random kernels × random machine geometries
-//!    (SM counts, MSHR sizes, latencies, warp-buffer depths) × thread
-//!    counts {1, 2, 8},
-//! 2. the five golden workloads of `golden_reports.rs`, run in every mode,
+//!    (SM counts, MSHR sizes, latencies, warp-buffer depths),
+//! 2. the five golden workloads of `golden_reports.rs`, run in both modes,
 //! 3. the full app × dataset × variant suite matrix (release builds only),
-//!    three ways, which also locks the headline win: ≥ 3× fewer run-loop
+//!    both ways, which also locks the headline win: ≥ 3× fewer run-loop
 //!    ticks.
 //!
 //! "Identical" means `SimReport::normalized()` equality — every
 //! architectural counter bit for bit; only the `sched` scheduler counters
-//! may (and should) differ between stepped and the event-driven pair.
+//! may (and should) differ between the modes.
 
 use hsu::prelude::*;
 use hsu::sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
 use proptest::prelude::*;
 
-/// Worker-thread counts every parallel-epoch check sweeps: single-worker
-/// (the inline path), two workers (real barriers, uneven lane split), and
-/// more workers than most test machines have SMs (clamping).
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Runs one kernel under all three modes (parallel-epoch across
-/// [`THREAD_COUNTS`]) and checks full equivalence plus the
+/// Runs one kernel under both modes and checks full equivalence plus the
 /// scheduler-accounting invariants.
 fn assert_modes_agree(cfg: &GpuConfig, kernel: &KernelTrace) -> (SimReport, SimReport) {
     let stepped = Gpu::new(cfg.clone().with_sim_mode(SimMode::Stepped))
@@ -40,26 +32,6 @@ fn assert_modes_agree(cfg: &GpuConfig, kernel: &KernelTrace) -> (SimReport, SimR
         event.normalized(),
         "architectural counters diverged between modes"
     );
-    for threads in THREAD_COUNTS {
-        let parallel = Gpu::new(
-            cfg.clone()
-                .with_sim_mode(SimMode::ParallelEpoch)
-                .with_sim_threads(threads),
-        )
-        .run(kernel)
-        .expect("parallel-epoch run failed");
-        assert_eq!(
-            stepped.normalized(),
-            parallel.normalized(),
-            "parallel-epoch ({threads} threads) diverged from the oracle"
-        );
-        // The parallel loop follows the event-driven schedule exactly, so
-        // even the (normalized-away) scheduler counters must match.
-        assert_eq!(
-            parallel.sched, event.sched,
-            "parallel-epoch ({threads} threads) visited a different schedule"
-        );
-    }
     // Stepped mode ticks every SM on every cycle and never skips.
     assert_eq!(
         stepped.sched.ticks_executed,
@@ -255,13 +227,13 @@ fn golden_workloads_are_mode_equivalent() {
     }
 }
 
-/// The full matrix, all three modes, release builds only (three suite
-/// builds are slow unoptimized). Also locks the headline: the event loop
+/// The full matrix, both modes, release builds only (full suite builds are
+/// slow unoptimized). Also locks the headline: the event loop
 /// executes at least 3× fewer ticks than the oracle across the whole suite.
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "three full suite builds are slow unoptimized; run with --release"
+    ignore = "full suite builds are slow unoptimized; run with --release"
 )]
 fn full_suite_matrix_is_mode_equivalent() {
     use hsu_bench::{Suite, SuiteConfig};
@@ -276,20 +248,14 @@ fn full_suite_matrix_is_mode_equivalent() {
         ..SuiteConfig::default()
     };
     let stepped = Suite::build(cfg.clone().with_sim_mode(SimMode::Stepped));
-    let event = Suite::build(cfg.clone().with_sim_mode(SimMode::Event));
-    let parallel = Suite::build(
-        cfg.with_sim_mode(SimMode::ParallelEpoch)
-            .with_sim_threads(4),
-    );
+    let event = Suite::build(cfg.with_sim_mode(SimMode::Event));
     assert_eq!(stepped.runs.len(), event.runs.len());
-    assert_eq!(stepped.runs.len(), parallel.runs.len());
-    for ((a, b), c) in stepped.runs.iter().zip(&event.runs).zip(&parallel.runs) {
+    for (a, b) in stepped.runs.iter().zip(&event.runs) {
         assert_eq!(a.label, b.label, "matrix ordering drifted");
-        assert_eq!(a.label, c.label, "parallel-epoch matrix ordering drifted");
-        for (variant, ra, rb, rc) in [
-            ("hsu", &a.hsu, &b.hsu, &c.hsu),
-            ("base", &a.base, &b.base, &c.base),
-            ("stripped", &a.stripped, &b.stripped, &c.stripped),
+        for (variant, ra, rb) in [
+            ("hsu", &a.hsu, &b.hsu),
+            ("base", &a.base, &b.base),
+            ("stripped", &a.stripped, &b.stripped),
         ] {
             assert_eq!(
                 ra.normalized(),
@@ -297,22 +263,10 @@ fn full_suite_matrix_is_mode_equivalent() {
                 "{}/{variant} diverged between modes",
                 a.label
             );
-            assert_eq!(
-                ra.normalized(),
-                rc.normalized(),
-                "{}/{variant} diverged under parallel-epoch",
-                a.label
-            );
         }
     }
     let stepped_ticks: u64 = stepped.records.iter().map(|r| r.ticks_executed).sum();
     let event_ticks: u64 = event.records.iter().map(|r| r.ticks_executed).sum();
-    let parallel_ticks: u64 = parallel.records.iter().map(|r| r.ticks_executed).sum();
-    // The parallel-epoch loop walks the exact event-driven schedule.
-    assert_eq!(
-        parallel_ticks, event_ticks,
-        "parallel-epoch schedule drifted"
-    );
     let reduction = stepped_ticks as f64 / event_ticks as f64;
     assert!(
         reduction >= 3.0,

@@ -66,7 +66,7 @@ proptest! {
 
         // Issued warp instructions match the packed trace exactly.
         let total_instr: u64 =
-            kernel.warps().iter().map(|w| w.instructions.len() as u64).sum();
+            kernel.warps().iter().map(|w| w.len() as u64).sum();
         let issued: u64 = report.issued.iter().sum();
         prop_assert_eq!(issued, total_instr);
 
@@ -74,8 +74,8 @@ proptest! {
         let cfg = HsuConfig::default();
         let mut expected_isa = 0u64;
         for w in kernel.warps() {
-            for i in &w.instructions {
-                for op in i.lanes.iter().flatten() {
+            for pc in 0..w.len() {
+                for op in w.ops(pc) {
                     expected_isa += match op {
                         ThreadOp::HsuRayIntersect { .. } => 1,
                         ThreadOp::HsuDistance { metric, dim, .. } =>
