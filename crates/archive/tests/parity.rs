@@ -142,7 +142,7 @@ fn trace_archive_parity() {
     use hsu_sim::archive_io::{decode_trace_archive, encode_trace_archive};
     use hsu_sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
 
-    let mut kernel = KernelTrace::new("parity");
+    let mut kernel = KernelTrace::builder("parity");
     for t in 0..40u64 {
         let mut tt = ThreadTrace::new();
         tt.push(ThreadOp::Alu {
@@ -154,6 +154,7 @@ fn trace_archive_parity() {
         });
         kernel.push_thread(tt);
     }
+    let kernel = kernel.finish();
     let key = "trace-parity-key";
     let bytes = encode_trace_archive(key, &[("hsu", &kernel)]).unwrap();
     let decoded = decode_trace_archive(&bytes, key, &["hsu"]).unwrap();

@@ -10,7 +10,7 @@ use hsu_sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
 use hsu_sim::Gpu;
 
 fn synthetic_kernel(threads: usize) -> KernelTrace {
-    let mut k = KernelTrace::new("synthetic");
+    let mut k = KernelTrace::builder("synthetic");
     for i in 0..threads as u64 {
         let mut t = ThreadTrace::new();
         t.push(ThreadOp::Load {
@@ -26,7 +26,7 @@ fn synthetic_kernel(threads: usize) -> KernelTrace {
         t.push(ThreadOp::Shared { count: 2 });
         k.push_thread(t);
     }
-    k
+    k.finish()
 }
 
 fn bench_sim_throughput(c: &mut Criterion) {

@@ -14,8 +14,10 @@
 //! the run-loop strategy (default: event); reports are identical in both
 //! modes, so stdout does not change. Figure output on stdout is
 //! byte-identical for every worker count and simulation mode; the per-run
-//! observability table goes to stderr. Unknown flags, and the removed
-//! `--sim-threads` and `--sim-mode parallel`, exit 2 with a usage message.
+//! observability table goes to stderr. Unknown flags, the removed
+//! `--sim-threads` and `--sim-mode parallel`, and a machine the simulator
+//! rejects (e.g. `--sms 0`) exit 2 with a usage message before any item
+//! runs.
 //!
 //! Failure semantics: the default is fail-fast — the first failing
 //! simulation cancels the not-yet-started jobs and `repro` exits nonzero
@@ -129,6 +131,11 @@ fn main() {
     // cold build without touching (or trusting) the cache directory.
     if no_cache {
         config.archive_dir = None;
+    }
+    // A machine the simulator would reject fails here, before any item
+    // prints or builds anything.
+    if let Err(e) = config.gpu_config().validate() {
+        usage(&e.to_string());
     }
     if items.iter().any(|i| i == "all") {
         items = [
@@ -274,7 +281,7 @@ fn run_trace_files(
 /// Writes one healthy and three corrupted trace files into `dir`, for
 /// exercising the fault-tolerant replay path (`traces`) end to end.
 fn gen_fault_traces(dir: &std::path::Path) -> Result<String, SimError> {
-    let mut kernel = KernelTrace::new("fault-smoke");
+    let mut kernel = KernelTrace::builder("fault-smoke");
     for t in 0..64u64 {
         let mut thread = ThreadTrace::new();
         thread.push(ThreadOp::Alu { count: 2 });
@@ -284,6 +291,7 @@ fn gen_fault_traces(dir: &std::path::Path) -> Result<String, SimError> {
         });
         kernel.push_thread(thread);
     }
+    let kernel = kernel.finish();
     std::fs::create_dir_all(dir)
         .map_err(|e| SimError::from_io(format!("creating {}", dir.display()), e))?;
     save_trace(&kernel, dir.join("healthy.hsut"))?;

@@ -18,9 +18,13 @@
 //!    organization (cycles and memory behaviour legitimately differ),
 //! 3. **appends** an entry to the trajectory JSON (`BENCH_sim.json` by
 //!    default): `{pr, config, runs, build_phase, modes, tick_reduction,
-//!    speedup, organizations, equivalent}` with wall time, simulated
-//!    cycles, and SM ticks executed per mode, plus both RT organizations'
-//!    sim wall-clock and per-workload HSU speedup. The file is an
+//!    speedup, organizations, memory, equivalent}` with wall time,
+//!    simulated cycles, and SM ticks executed per mode, both RT
+//!    organizations' sim wall-clock and per-workload HSU speedup, and the
+//!    memory block: `traces_mb`, the heap one suite's packed traces hold
+//!    ([`hsu_sim::trace::KernelTrace::heap_bytes`] summed), and
+//!    `peak_rss_mb`, the process's peak resident set (`VmHWM`; `null` off
+//!    Linux). The file is an
 //!    append-only array so successive PRs record their own measurements
 //!    next to history instead of erasing it; a legacy single-object
 //!    snapshot is wrapped into the array on first append.
@@ -40,7 +44,7 @@
 
 use std::time::Instant;
 
-use hsu_bench::trajectory::{append_entry, json_escape};
+use hsu_bench::trajectory::{append_entry, json_escape, peak_rss_mb};
 use hsu_bench::{runner, Suite, SuiteConfig};
 use hsu_sim::config::{RtCoreKind, SimMode};
 
@@ -124,6 +128,9 @@ fn main() {
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument '{other}'")),
         }
+    }
+    if let Err(e) = config.gpu_config().validate() {
+        usage(&e.to_string());
     }
     // The host core count goes into the entry's config block next to the
     // job count, so wall times are only compared between like hosts.
@@ -227,6 +234,16 @@ fn main() {
         0.0
     };
 
+    let traces_mb = event
+        .suite
+        .traces
+        .iter()
+        .flat_map(|t| [&t.hsu, &t.base, &t.stripped])
+        .map(|k| k.heap_bytes())
+        .sum::<usize>() as f64
+        / (1024.0 * 1024.0);
+    let peak_rss = peak_rss_mb().map_or_else(|| "null".to_string(), |mb| format!("{mb:.1}"));
+
     let entry = format!(
         "  {{\n    \"pr\": \"{}\",\n    \
            \"config\": {{ \"sms\": {}, \"scale_divisor\": {}, \"seed\": {}, \"host_cores\": {}, \"jobs\": {} }},\n    \
@@ -240,6 +257,7 @@ fn main() {
            \"organizations\": {{\n      \
              \"baseline\": {},\n      \
              \"treelet\": {}\n    }},\n    \
+           \"memory\": {{ \"traces_mb\": {:.1}, \"peak_rss_mb\": {} }},\n    \
            \"equivalent\": {}\n  }}",
         json_escape(&pr_label),
         config.sms,
@@ -256,6 +274,8 @@ fn main() {
         event_speedup,
         org_json(&event),
         org_json(&treelet),
+        traces_mb,
+        peak_rss,
         equivalent,
     );
     append_entry(&out_path, &entry)
@@ -268,7 +288,7 @@ fn main() {
         "simbench: {} runs, build {cold_s:.2}s cold / {warm_s:.2}s warm, \
          ticks {} -> {} ({tick_reduction:.2}x fewer), \
          sim wall {:.2}s -> event {:.2}s ({event_speedup:.2}x), \
-         treelet org {:.2}s, reports {}",
+         treelet org {:.2}s, traces {traces_mb:.1} MB, peak RSS {peak_rss} MB, reports {}",
         stepped.suite.runs.len(),
         stepped.ticks_executed,
         event.ticks_executed,

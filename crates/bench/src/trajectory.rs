@@ -57,6 +57,15 @@ pub fn append_entry(path: &Path, entry: &str) -> std::io::Result<()> {
     std::fs::write(path, json)
 }
 
+/// The process's peak resident set (`VmHWM` in `/proc/self/status`), in
+/// MiB, or `None` where that file does not exist (non-Linux hosts).
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,6 +91,13 @@ mod tests {
         assert!(got.trim_start().starts_with('['));
 
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn peak_rss_is_read_where_procfs_exists() {
+        if std::path::Path::new("/proc/self/status").exists() {
+            assert!(peak_rss_mb().is_some_and(|mb| mb > 0.0));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Flag edges of the `repro` and `simbench` binaries: removed or malformed
-//! options exit with status 2 and a usage message, before any work starts,
-//! and never panic.
+//! options, and machines the simulator would reject, exit with status 2
+//! and a usage message before any work starts, and never panic.
 
 use std::process::{Command, Output};
 
@@ -47,5 +47,35 @@ fn simbench_rejects_the_removed_sim_threads_flag() {
         env!("CARGO_BIN_EXE_simbench"),
         &["--sim-threads", "2"],
         "unknown argument '--sim-threads'",
+    );
+}
+
+/// An invalid machine is a usage error for every item, caught right after
+/// parsing: `table3` used to print "# SMs 0" and exit 0, and `fig7` to exit
+/// 1 only after starting the suite build.
+#[test]
+fn repro_rejects_an_invalid_machine_before_any_work() {
+    for item in ["table3", "fig7", "table2"] {
+        let args = ["--sms", "0", item];
+        assert_usage_error(
+            env!("CARGO_BIN_EXE_repro"),
+            &args,
+            "invalid config: num_sms = 0",
+        );
+        let stderr =
+            String::from_utf8_lossy(&run(env!("CARGO_BIN_EXE_repro"), &args).stderr).into_owned();
+        assert!(
+            !stderr.contains("building workload suite"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn simbench_rejects_an_invalid_machine_before_any_work() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_simbench"),
+        &["--sms", "0"],
+        "invalid config: num_sms = 0",
     );
 }

@@ -144,7 +144,7 @@ impl BtreeWorkload {
     ///   chain per node (the point of the instruction is that one thread can
     ///   traverse alone), so a warp carries 32 queries.
     pub fn trace(&self, variant: Variant) -> KernelTrace {
-        let mut kernel = KernelTrace::new(format!("btree-{variant:?}"));
+        let mut kernel = KernelTrace::builder(format!("btree-{variant:?}"));
         match variant {
             Variant::Hsu => {
                 for chunk in self.events.chunks(32) {
@@ -233,7 +233,7 @@ impl BtreeWorkload {
                 }
             }
         }
-        kernel
+        kernel.finish()
     }
 
     /// Number of lookup queries (one warp each).

@@ -193,7 +193,7 @@ impl BvhnnWorkload {
 
     /// Lowers the recorded traversals into a kernel trace.
     pub fn trace(&self, variant: Variant) -> KernelTrace {
-        let mut kernel = KernelTrace::new(format!("bvhnn-{variant:?}"));
+        let mut kernel = KernelTrace::builder(format!("bvhnn-{variant:?}"));
         for events in &self.events {
             let mut t = ThreadTrace::new();
             t.push(ThreadOp::Alu { count: 6 }); // ray/query setup
@@ -258,7 +258,7 @@ impl BvhnnWorkload {
             });
             kernel.push_thread(t);
         }
-        kernel
+        kernel.finish()
     }
 
     /// Number of query threads.
@@ -524,8 +524,7 @@ mod tests {
     fn ray_ops(trace: &KernelTrace) -> u64 {
         trace
             .warps()
-            .iter()
-            .flat_map(|w| (0..w.len()).flat_map(|pc| w.ops(pc)))
+            .flat_map(|w| (0..w.len()).flat_map(move |pc| w.ops(pc)))
             .filter(|op| matches!(op, ThreadOp::HsuRayIntersect { .. }))
             .count() as u64
     }

@@ -135,7 +135,7 @@ impl FlannWorkload {
 
     /// Lowers the recorded searches into a kernel trace.
     pub fn trace(&self, variant: Variant) -> KernelTrace {
-        let mut kernel = KernelTrace::new(format!("flann-{variant:?}"));
+        let mut kernel = KernelTrace::builder(format!("flann-{variant:?}"));
         for events in &self.events {
             let mut t = ThreadTrace::new();
             t.push(ThreadOp::Alu { count: 4 });
@@ -204,7 +204,7 @@ impl FlannWorkload {
             });
             kernel.push_thread(t);
         }
-        kernel
+        kernel.finish()
     }
 
     /// Number of query threads.

@@ -156,7 +156,7 @@ impl GgnnWorkload {
 
     /// Lowers the recorded events into a kernel trace.
     pub fn trace(&self, variant: Variant) -> KernelTrace {
-        let mut kernel = KernelTrace::new(format!("ggnn-{variant:?}"));
+        let mut kernel = KernelTrace::builder(format!("ggnn-{variant:?}"));
         for events in &self.events {
             let mut lanes: Vec<ThreadTrace> = (0..32).map(|_| ThreadTrace::new()).collect();
             for ev in events {
@@ -222,7 +222,7 @@ impl GgnnWorkload {
                 kernel.push_thread(t);
             }
         }
-        kernel
+        kernel.finish()
     }
 }
 

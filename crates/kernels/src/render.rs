@@ -90,7 +90,7 @@ impl RenderWorkload {
 
     /// Lowers the recorded rays into a kernel trace.
     pub fn trace(&self, variant: Variant) -> KernelTrace {
-        let mut kernel = KernelTrace::new(format!("render-{variant:?}"));
+        let mut kernel = KernelTrace::builder(format!("render-{variant:?}"));
         for events in &self.events {
             let mut t = ThreadTrace::new();
             t.push(ThreadOp::Alu { count: 8 }); // ray setup + shear constants
@@ -120,7 +120,7 @@ impl RenderWorkload {
             });
             kernel.push_thread(t);
         }
-        kernel
+        kernel.finish()
     }
 
     /// Number of primary rays.

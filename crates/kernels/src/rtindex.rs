@@ -149,7 +149,7 @@ impl RtIndexWorkload {
             Variant::Baseline => "rtindex-triangle-keys",
             Variant::BaselineStripped => "rtindex-stripped",
         };
-        let mut kernel = KernelTrace::new(name);
+        let mut kernel = KernelTrace::builder(name);
         let events_for = match variant {
             Variant::Hsu => &self.point_events,
             Variant::Baseline | Variant::BaselineStripped => &self.triangle_events,
@@ -195,7 +195,7 @@ impl RtIndexWorkload {
             });
             kernel.push_thread(t);
         }
-        kernel
+        kernel.finish()
     }
 
     /// Memory footprint of the key store under each encoding, in bytes.

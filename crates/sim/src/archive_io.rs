@@ -1,6 +1,6 @@
 //! Packing kernel traces into `.hsar` archives.
 //!
-//! A trace chunk ([`hsu_archive::kind::TRACE`]) carries the existing packed
+//! A trace chunk ([`hsu_archive::kind::TRACE`]) carries the warp-packed
 //! `HSUT` stream produced by [`crate::trace_io::write_trace`], unchanged —
 //! the archive adds the group tree, per-chunk checksums, and the content
 //! key on top, so a trace archive is corruption-evident and cache-keyed
@@ -113,7 +113,7 @@ mod tests {
     use crate::trace::{ThreadOp, ThreadTrace};
 
     fn sample(name: &str, threads: u64) -> KernelTrace {
-        let mut k = KernelTrace::new(name);
+        let mut k = KernelTrace::builder(name);
         for t in 0..threads {
             let mut tt = ThreadTrace::new();
             tt.push(ThreadOp::Alu {
@@ -125,7 +125,7 @@ mod tests {
             });
             k.push_thread(tt);
         }
-        k
+        k.finish()
     }
 
     #[test]

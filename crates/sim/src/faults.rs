@@ -10,7 +10,7 @@
 //! abort.
 
 use crate::config::{GpuConfig, RtCoreKind};
-use crate::trace::{KernelTrace, ThreadOp, ThreadTrace};
+use crate::trace::{KernelTrace, ThreadOp, ThreadTrace, WARP_WIDTH};
 
 // Chunk-level archive corruptions (truncation, checksum bit-flips, bogus
 // chunk kinds, header version skew), re-exported so the fault harness has
@@ -27,7 +27,7 @@ pub enum TraceFault {
     /// version, or the high byte of the name-length field — the last
     /// exercises the allocation plausibility cap).
     BitFlip,
-    /// Overwrite the first op tag with an undefined opcode.
+    /// Overwrite the first instruction's class byte with an undefined class.
     BogusOpcode,
 }
 
@@ -51,8 +51,9 @@ fn splitmix64(mut x: u64) -> u64 {
 ///
 /// `bytes` must be a well-formed stream from
 /// [`crate::trace_io::write_trace`]; the result is guaranteed to be rejected
-/// by [`crate::trace_io::read_trace`]. `BogusOpcode` needs at least one op
-/// in the stream and falls back to truncation when there is none.
+/// by [`crate::trace_io::read_trace`]. `BogusOpcode` needs at least one
+/// instruction in the stream and falls back to truncation when there is
+/// none.
 pub fn corrupt_trace_bytes(bytes: &[u8], fault: TraceFault, seed: u64) -> Vec<u8> {
     let r = splitmix64(seed);
     let mut out = bytes.to_vec();
@@ -71,19 +72,33 @@ pub fn corrupt_trace_bytes(bytes: &[u8], fault: TraceFault, seed: u64) -> Vec<u8
             let bit = ((r >> 8) % 8) as u32;
             out[offset] ^= 1 << bit;
         }
-        TraceFault::BogusOpcode => {
-            // First op tag: magic(4) + version(1) + name_len(4) + name +
-            // thread_count(4) + first op_count(4).
-            let name_len = u32::from_le_bytes([bytes[5], bytes[6], bytes[7], bytes[8]]) as usize;
-            let tag_at = 17 + name_len;
-            if tag_at < out.len() {
-                out[tag_at] = 200; // far beyond the last defined tag
-            } else {
-                out.truncate(out.len().saturating_sub(1));
-            }
-        }
+        TraceFault::BogusOpcode => match first_class_offset(bytes) {
+            Some(at) => out[at] = 200, // far beyond the last defined class
+            None => out.truncate(out.len().saturating_sub(1)),
+        },
     }
     out
+}
+
+/// Offset of the first instruction's class byte in a well-formed stream:
+/// magic(4) + version(1) + name_len(4) + name + the thread, instruction and
+/// op totals (3 × 4), then one instruction count per warp, skipping warps
+/// that have none. `None` when the trace holds no instruction.
+fn first_class_offset(bytes: &[u8]) -> Option<usize> {
+    let u32_at = |at: usize| {
+        let b = bytes.get(at..at + 4)?;
+        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+    };
+    let name_len = u32_at(5)?;
+    let warps = u32_at(9 + name_len)?.div_ceil(WARP_WIDTH);
+    let mut at = 21 + name_len;
+    for _ in 0..warps {
+        if u32_at(at)? > 0 {
+            return Some(at + 4);
+        }
+        at += 4;
+    }
+    None
 }
 
 /// Configurations that must be rejected by [`GpuConfig::validate`], paired
@@ -217,14 +232,14 @@ pub fn pathological_configs() -> Vec<(&'static str, GpuConfig)> {
 /// guard: each warp grinds through far more ALU latency than the guard
 /// allows, so the deadlock diagnostics path always fires.
 pub fn forced_deadlock_kernel() -> KernelTrace {
-    let mut kernel = KernelTrace::new("forced-deadlock");
+    let mut kernel = KernelTrace::builder("forced-deadlock");
     for _ in 0..32 {
         let mut thread = ThreadTrace::new();
         thread.push(ThreadOp::Alu { count: 1000 });
         thread.push(ThreadOp::Shared { count: 1 });
         kernel.push_thread(thread);
     }
-    kernel
+    kernel.finish()
 }
 
 /// A valid configuration whose guard is far below what
@@ -242,12 +257,12 @@ mod tests {
     use crate::trace_io::write_trace;
 
     fn encoded_sample() -> Vec<u8> {
-        let mut k = KernelTrace::new("ft");
+        let mut k = KernelTrace::builder("ft");
         let mut t = ThreadTrace::new();
         t.push(ThreadOp::Alu { count: 3 });
         k.push_thread(t);
         let mut buf = Vec::new();
-        write_trace(&k, &mut buf).unwrap();
+        write_trace(&k.finish(), &mut buf).unwrap();
         buf
     }
 
@@ -262,6 +277,32 @@ mod tests {
                 assert_ne!(a, buf, "{fault:?} seed {seed} left the bytes intact");
             }
         }
+    }
+
+    #[test]
+    fn bogus_opcode_hits_the_first_instruction_past_empty_warps() {
+        let mut k = KernelTrace::builder("gap");
+        for t in 0..40 {
+            let mut th = ThreadTrace::new();
+            if t >= 32 {
+                th.push(ThreadOp::Load { addr: 0, bytes: 4 });
+            }
+            k.push_thread(th);
+        }
+        let mut buf = Vec::new();
+        write_trace(&k.finish(), &mut buf).unwrap();
+        let bad = corrupt_trace_bytes(&buf, TraceFault::BogusOpcode, 0);
+        let err = crate::trace_io::read_trace(bad.as_slice()).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown instruction class 200"),
+            "{err}"
+        );
+
+        // No instruction at all: the fault falls back to truncation.
+        let mut empty = Vec::new();
+        write_trace(&KernelTrace::builder("none").finish(), &mut empty).unwrap();
+        let bad = corrupt_trace_bytes(&empty, TraceFault::BogusOpcode, 0);
+        assert!(crate::trace_io::read_trace(bad.as_slice()).is_err());
     }
 
     #[test]

@@ -17,11 +17,11 @@ use std::time::Instant;
 /// use hsu_sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
 /// use hsu_sim::Gpu;
 ///
-/// let mut k = KernelTrace::new("tiny");
+/// let mut k = KernelTrace::builder("tiny");
 /// let mut t = ThreadTrace::new();
 /// t.push(ThreadOp::Alu { count: 1 });
 /// k.push_thread(t);
-/// let report = Gpu::new(GpuConfig::tiny()).run(&k).unwrap();
+/// let report = Gpu::new(GpuConfig::tiny()).run(&k.finish()).unwrap();
 /// assert_eq!(report.warps_retired, 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -102,7 +102,7 @@ impl Gpu {
             .collect();
         let mut mem = MemorySystem::new(&self.cfg);
 
-        for (i, warp) in kernel.warps().into_iter().enumerate() {
+        for (i, warp) in kernel.warps().enumerate() {
             sms[i % self.cfg.num_sms].enqueue_warp(warp);
         }
 
@@ -288,7 +288,7 @@ mod tests {
     use hsu_geometry::point::Metric;
 
     fn kernel_of(n_threads: usize, ops: Vec<ThreadOp>) -> KernelTrace {
-        let mut k = KernelTrace::new("k");
+        let mut k = KernelTrace::builder("k");
         for _ in 0..n_threads {
             let mut t = ThreadTrace::new();
             for &op in &ops {
@@ -296,7 +296,7 @@ mod tests {
             }
             k.push_thread(t);
         }
-        k
+        k.finish()
     }
 
     #[test]
@@ -356,8 +356,8 @@ mod tests {
         // 2 of every 32 lanes are doing distance work this "iteration".
         let warps = 16u64;
         let dim = 96u32;
-        let mut hsu = KernelTrace::new("hsu");
-        let mut base = KernelTrace::new("base");
+        let mut hsu = KernelTrace::builder("hsu");
+        let mut base = KernelTrace::builder("base");
         for w in 0..warps {
             for lane in 0..32u64 {
                 let active = lane % 16 == 0; // 2 active lanes per warp
@@ -385,6 +385,8 @@ mod tests {
                 base.push_thread(tb);
             }
         }
+        let hsu = hsu.finish();
+        let base = base.finish();
         let gpu = Gpu::new(GpuConfig::tiny());
         let hsu_r = gpu.run(&hsu).unwrap();
         let base_r = gpu.run(&base).unwrap();
@@ -403,7 +405,7 @@ mod tests {
     fn rt_cache_policies_execute_correctly() {
         use crate::config::RtCachePolicy;
         // An HSU-heavy kernel with heavy node reuse.
-        let mut k = KernelTrace::new("policy");
+        let mut k = KernelTrace::builder("policy");
         for i in 0..256u64 {
             let mut t = ThreadTrace::new();
             t.push(ThreadOp::Load {
@@ -417,6 +419,7 @@ mod tests {
             });
             k.push_thread(t);
         }
+        let k = k.finish();
         let shared = Gpu::new(GpuConfig::tiny()).run(&k).unwrap();
         let private = Gpu::new(GpuConfig {
             rt_cache: RtCachePolicy::Private { bytes: 16 * 1024 },
@@ -684,7 +687,7 @@ mod tests {
 
     #[test]
     fn report_exposes_memory_behaviour() {
-        let mut k = KernelTrace::new("mem");
+        let mut k = KernelTrace::builder("mem");
         for i in 0..512u64 {
             let mut t = ThreadTrace::new();
             // Same line for everyone: high hit rate after the first warp.
@@ -698,6 +701,7 @@ mod tests {
             });
             k.push_thread(t);
         }
+        let k = k.finish();
         let r = Gpu::new(GpuConfig::tiny()).run(&k).unwrap();
         assert!(r.l1_accesses() > 0);
         assert!(r.l1_miss_rate() > 0.0 && r.l1_miss_rate() < 1.0);

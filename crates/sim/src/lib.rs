@@ -18,8 +18,8 @@
 //! * a shared, banked **L2** (6 MB, 24-way) and **HBM channels with FR-FCFS**
 //!   row-buffer scheduling whose locality statistics feed Fig. 14,
 //! * a **trace format** ([`trace`]) the workload kernels emit: per-thread
-//!   operation logs packed into 32-lane warps with divergence-aware active
-//!   masks.
+//!   operation logs packed once, as they are recorded, into 32-lane warps
+//!   with divergence-aware active masks.
 //!
 //! The simulator is deterministic: the same trace and configuration always
 //! produce the same cycle count and statistics.
@@ -44,10 +44,14 @@
 //! One run is one thread: the run loop owns every SM and the whole memory
 //! hierarchy, and an SM presents its accesses straight to the
 //! [`memory::MemorySystem`], which keeps its per-SM L1 state in a plain
-//! vector and its pending events in a cycle-bucketed queue. Warp traces are
-//! pre-decoded ([`trace::WarpTrace`]): each instruction's class, lane mask
-//! and issue summaries sit in a header, and the active lanes' operations in
-//! one dense pool per warp. Parallelism lives one level up, across
+//! vector and its pending events in a cycle-bucketed queue. A
+//! [`trace::KernelTrace`] exists only in its warp-packed form, built once
+//! when it is recorded or decoded: one kernel-wide pool of instruction
+//! headers (class, lane mask, issue summaries) and one pool of the per-lane
+//! ops the simulator reads (Load, Store, HSU) — `Alu`/`Shared` runs live in
+//! their header alone. A run borrows it: each SM holds
+//! [`trace::WarpTrace`] views into the pools, so [`Gpu::run`] packs and
+//! copies nothing. Parallelism lives one level up, across
 //! independent simulations (`hsu-bench`'s job runner): splitting one run's
 //! cycles over threads costs more in per-cycle synchronisation than it
 //! saves (EXPERIMENTS.md, "Simulation modes").
@@ -59,14 +63,14 @@
 //! use hsu_sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
 //! use hsu_sim::Gpu;
 //!
-//! let mut kernel = KernelTrace::new("demo");
+//! let mut kernel = KernelTrace::builder("demo");
 //! for t in 0..64 {
 //!     let mut thread = ThreadTrace::new();
 //!     thread.push(ThreadOp::Alu { count: 4 });
 //!     thread.push(ThreadOp::Load { addr: t * 128, bytes: 4 });
 //!     kernel.push_thread(thread);
 //! }
-//! let report = Gpu::new(GpuConfig::small()).run(&kernel).unwrap();
+//! let report = Gpu::new(GpuConfig::small()).run(&kernel.finish()).unwrap();
 //! assert!(report.cycles > 0);
 //! ```
 //!

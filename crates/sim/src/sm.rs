@@ -28,8 +28,8 @@ enum WarpStatus {
 }
 
 #[derive(Debug)]
-struct WarpSlot {
-    trace: WarpTrace,
+struct WarpSlot<'k> {
+    trace: WarpTrace<'k>,
     pc: usize,
     status: WarpStatus,
     sub_core: usize,
@@ -52,9 +52,11 @@ pub struct SmStats {
     pub warps_retired: u64,
 }
 
-/// One streaming multiprocessor.
+/// One streaming multiprocessor. Its warps borrow their instruction
+/// streams from the [`crate::trace::KernelTrace`] being run (lifetime
+/// `'k`).
 #[derive(Debug)]
-pub struct Sm {
+pub struct Sm<'k> {
     index: usize,
     sub_cores: usize,
     max_warps: usize,
@@ -62,8 +64,8 @@ pub struct Sm {
     shared_latency: u64,
     line_bytes: u64,
     /// Warps waiting to become resident.
-    launch_queue: VecDeque<WarpTrace>,
-    warps: Vec<WarpSlot>,
+    launch_queue: VecDeque<WarpTrace<'k>>,
+    warps: Vec<WarpSlot<'k>>,
     /// GTO state: last-issued warp per sub-core.
     last_issued: Vec<Option<usize>>,
     /// Issue-slot occupancy: a sub-core executing an N-instruction ALU or
@@ -97,7 +99,7 @@ pub struct Sm {
     stats: SmStats,
 }
 
-impl Sm {
+impl<'k> Sm<'k> {
     /// Creates SM `index` under `cfg`.
     pub fn new(index: usize, cfg: &GpuConfig) -> Self {
         Sm {
@@ -127,7 +129,7 @@ impl Sm {
     }
 
     /// Queues a warp for execution on this SM.
-    pub fn enqueue_warp(&mut self, trace: WarpTrace) {
+    pub fn enqueue_warp(&mut self, trace: WarpTrace<'k>) {
         self.launch_queue.push_back(trace);
     }
 
@@ -492,9 +494,7 @@ impl Sm {
             if wants_hsu && granted != Some(sc) {
                 continue; // arbiter did not pick this sub-core; retry next cycle
             }
-            // Split borrows: `instr` pins `self.warps` immutably, so this
-            // block touches only disjoint fields (stats, queues, rt, ...)
-            // until the status write below.
+            // `instr` and `ops` borrow the kernel trace, not `self`.
             let warp = &self.warps[slot];
             let (instr, ops) = warp.trace.get(warp.pc);
             let class = instr.class;
@@ -686,8 +686,10 @@ mod tests {
     use crate::memory::MemorySystem;
     use crate::trace::{KernelTrace, ThreadTrace};
 
-    fn single_warp_kernel(ops: Vec<ThreadOp>, lanes: usize) -> WarpTrace {
-        let mut k = KernelTrace::new("t");
+    /// A one-warp kernel, leaked so a test's SM can borrow the warp for as
+    /// long as it likes.
+    fn single_warp_kernel(ops: Vec<ThreadOp>, lanes: usize) -> WarpTrace<'static> {
+        let mut k = KernelTrace::builder("t");
         for _ in 0..lanes {
             let mut t = ThreadTrace::new();
             for &op in &ops {
@@ -695,7 +697,7 @@ mod tests {
             }
             k.push_thread(t);
         }
-        k.warps().remove(0)
+        Box::leak(Box::new(k.finish())).warp(0)
     }
 
     fn run(sm: &mut Sm, mem: &mut MemorySystem, max: u64) -> u64 {
@@ -739,7 +741,7 @@ mod tests {
         let mut sm = Sm::new(0, &cfg);
         let mut mem = MemorySystem::new(&cfg);
         // 32 lanes loading consecutive 4-byte words: exactly one 128-B line.
-        let mut k = KernelTrace::new("c");
+        let mut k = KernelTrace::builder("c");
         for lane in 0..32u64 {
             let mut t = ThreadTrace::new();
             t.push(ThreadOp::Load {
@@ -748,7 +750,8 @@ mod tests {
             });
             k.push_thread(t);
         }
-        sm.enqueue_warp(k.warps().remove(0));
+        let k = k.finish();
+        sm.enqueue_warp(k.warp(0));
         run(&mut sm, &mut mem, 100_000);
         assert_eq!(
             mem.stats().l1_lsu_accesses,
@@ -762,7 +765,7 @@ mod tests {
         let cfg = GpuConfig::tiny();
         let mut sm = Sm::new(0, &cfg);
         let mut mem = MemorySystem::new(&cfg);
-        let mut k = KernelTrace::new("s");
+        let mut k = KernelTrace::builder("s");
         for lane in 0..32u64 {
             let mut t = ThreadTrace::new();
             t.push(ThreadOp::Load {
@@ -771,7 +774,8 @@ mod tests {
             });
             k.push_thread(t);
         }
-        sm.enqueue_warp(k.warps().remove(0));
+        let k = k.finish();
+        sm.enqueue_warp(k.warp(0));
         run(&mut sm, &mut mem, 200_000);
         assert_eq!(mem.stats().l1_lsu_accesses, 32, "non-coalescable accesses");
     }

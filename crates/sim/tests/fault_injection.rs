@@ -26,7 +26,7 @@ use hsu_sim::trace_io::{read_trace, write_trace};
 use hsu_sim::{Gpu, SimError};
 
 fn sample_kernel(threads: u64, ops_per_thread: u32) -> KernelTrace {
-    let mut k = KernelTrace::new("fault-sample");
+    let mut k = KernelTrace::builder("fault-sample");
     for t in 0..threads {
         let mut tt = ThreadTrace::new();
         for i in 0..ops_per_thread {
@@ -41,7 +41,7 @@ fn sample_kernel(threads: u64, ops_per_thread: u32) -> KernelTrace {
         }
         k.push_thread(tt);
     }
-    k
+    k.finish()
 }
 
 fn encoded_sample() -> Vec<u8> {
@@ -350,13 +350,14 @@ fn pathological_configs_are_typed_identically_for_both_organizations() {
 /// plan are shared between the cores, so the diagnostics are too.
 #[test]
 fn hsu_ops_without_extensions_are_rejected_identically_by_both_organizations() {
-    let mut kernel = KernelTrace::new("illegal-dispatch");
+    let mut kernel = KernelTrace::builder("illegal-dispatch");
     let mut thread = ThreadTrace::new();
     thread.push(ThreadOp::HsuKeyCompare {
         node_addr: 0,
         separators: 8,
     });
     kernel.push_thread(thread);
+    let kernel = kernel.finish();
     let base = GpuConfig::tiny().with_hsu(HsuConfig::baseline_rt());
     let payloads: Vec<String> = organizations(&base)
         .into_iter()

@@ -18,7 +18,7 @@ use hsu_sim::{Gpu, SimReport};
 /// A mixed load / ALU / HSU kernel with divergent lanes, shared and private
 /// lines, and stores, sized to keep both SMs' MSHRs and RT units busy.
 fn mixed_kernel() -> KernelTrace {
-    let mut k = KernelTrace::new("zero-latency");
+    let mut k = KernelTrace::builder("zero-latency");
     for t in 0..192u64 {
         let mut th = ThreadTrace::new();
         th.push(ThreadOp::Load {
@@ -62,7 +62,7 @@ fn mixed_kernel() -> KernelTrace {
         });
         k.push_thread(th);
     }
-    k
+    k.finish()
 }
 
 /// FNV-1a over the `Debug` rendering of the normalized report.

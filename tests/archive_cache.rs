@@ -4,7 +4,13 @@
 //! to a build with no cache at all, across `--jobs` 1 and 8. Re-running
 //! from the archive must *skip* work, never change it.
 
+use hsu_archive::{kind, ArchiveWriter, SliceArchive, KEY_PATH};
 use hsu_bench::{figures, ArchiveCache, Suite, SuiteConfig};
+use hsu_geometry::point::Metric;
+use hsu_sim::archive_io::TRACES_GROUP;
+use hsu_sim::trace::ThreadOp;
+use hsu_sim::trace_io::{load_trace, read_trace};
+use hsu_sim::SimError;
 
 /// Down-scaled but complete configuration: all app × dataset runs.
 fn small_config() -> SuiteConfig {
@@ -125,6 +131,167 @@ fn prepared_traces_match_between_cold_and_warm() {
             c.label
         );
     }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The version-1 trace stream — one op log per thread — as its encoder
+/// wrote it before traces were stored warp-packed. A test-only copy, kept
+/// to prove that caches written in the old format are rejected.
+fn write_trace_v1(name: &str, threads: &[Vec<ThreadOp>]) -> Vec<u8> {
+    let mut w = b"HSUT\x01".to_vec();
+    w.extend((name.len() as u32).to_le_bytes());
+    w.extend(name.as_bytes());
+    w.extend((threads.len() as u32).to_le_bytes());
+    for ops in threads {
+        w.extend((ops.len() as u32).to_le_bytes());
+        for op in ops {
+            let (tag, addr, word): (u8, Option<u64>, u32) = match *op {
+                ThreadOp::Alu { count } => (0, None, count),
+                ThreadOp::Load { addr, bytes } => (1, Some(addr), bytes),
+                ThreadOp::Store { addr, bytes } => (2, Some(addr), bytes),
+                ThreadOp::Shared { count } => (3, None, count),
+                ThreadOp::HsuRayIntersect {
+                    node_addr,
+                    bytes,
+                    triangle,
+                } => (if triangle { 5 } else { 4 }, Some(node_addr), bytes),
+                ThreadOp::HsuDistance {
+                    metric,
+                    dim,
+                    candidate_addr,
+                } => {
+                    let tag = match metric {
+                        Metric::Euclidean => 6,
+                        Metric::Angular => 7,
+                    };
+                    (tag, Some(candidate_addr), dim)
+                }
+                ThreadOp::HsuKeyCompare {
+                    node_addr,
+                    separators,
+                } => (8, Some(node_addr), separators),
+            };
+            w.push(tag);
+            if let Some(addr) = addr {
+                w.extend(addr.to_le_bytes());
+            }
+            w.extend(word.to_le_bytes());
+        }
+    }
+    w
+}
+
+fn v1_sample() -> Vec<u8> {
+    let thread = vec![
+        ThreadOp::Alu { count: 3 },
+        ThreadOp::Load {
+            addr: 0x80,
+            bytes: 4,
+        },
+        ThreadOp::HsuKeyCompare {
+            node_addr: 0x1000,
+            separators: 40,
+        },
+    ];
+    write_trace_v1("stale", &[thread.clone(), thread])
+}
+
+/// A v1 stream fails with a typed error that names its version, from both
+/// the stream decoder and the file loader.
+#[test]
+fn v1_trace_streams_are_rejected_by_version() {
+    let err = read_trace(v1_sample().as_slice()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(
+        err.to_string().contains("unsupported trace version 1"),
+        "{err}"
+    );
+
+    let dir = fresh_dir("v1-file");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("stale.hsut");
+    std::fs::write(&path, v1_sample()).unwrap();
+    match load_trace(&path).unwrap_err() {
+        SimError::TraceDecode { ref detail } if detail.contains("unsupported trace version 1") => {}
+        other => panic!("expected a version-1 TraceDecode, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cache dir written by the v1 encoder keeps its archive keys, so every
+/// trace archive is found — and must then miss on the stream version,
+/// rebuild, and leave a cache the next run hits in full, with reports
+/// identical to an uncached build.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "several phase-A and suite builds are slow unoptimized; run with --release"
+)]
+fn stale_v1_trace_archives_miss_and_rebuild() {
+    let dir = fresh_dir("stale-v1");
+    let config = small_config();
+    let cold = Suite::prepare_traces(&config, &ArchiveCache::new(Some(dir.clone())));
+
+    // Rewrite every trace archive as the v1 encoder would have: same key,
+    // same chunk names, v1 payloads.
+    let mut stale = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let is_traces = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .is_some_and(|n| n.starts_with("traces-"));
+        if !is_traces {
+            continue;
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        let archive = SliceArchive::parse(&bytes).unwrap();
+        let key = String::from_utf8(archive.read(KEY_PATH, kind::META).unwrap().to_vec()).unwrap();
+        let prefix = format!("{TRACES_GROUP}/");
+        let mut w = ArchiveWriter::new();
+        w.set_key(&key);
+        w.begin_group(TRACES_GROUP);
+        for e in archive.entries() {
+            if let Some(name) = e.path.strip_prefix(&prefix) {
+                w.add_chunk(name, kind::TRACE, &v1_sample());
+            }
+        }
+        w.end_group();
+        w.finish_to_file(&path).unwrap();
+        stale += 1;
+    }
+    assert!(stale > 0, "the cold build must write trace archives");
+
+    let rebuilt_cache = ArchiveCache::new(Some(dir.clone()));
+    let rebuilt = Suite::prepare_traces(&config, &rebuilt_cache);
+    assert_eq!(
+        rebuilt_cache.misses(),
+        stale,
+        "every v1 trace archive must miss, and nothing else"
+    );
+
+    let warm_cache = ArchiveCache::new(Some(dir.clone()));
+    let warm = Suite::prepare_traces(&config, &warm_cache);
+    assert_eq!(warm_cache.misses(), 0, "the rebuilt cache must hit in full");
+    assert!(warm_cache.hits() > 0);
+    for traces in [&rebuilt, &warm] {
+        assert_eq!(traces.len(), cold.len());
+        for (c, t) in cold.iter().zip(traces) {
+            assert_eq!(c.label, t.label, "plan order drifted");
+            assert_eq!(c.hsu, t.hsu, "{}: hsu trace drifted", c.label);
+            assert_eq!(c.base, t.base, "{}: base trace drifted", c.label);
+            assert_eq!(
+                c.stripped, t.stripped,
+                "{}: stripped trace drifted",
+                c.label
+            );
+        }
+    }
+
+    let uncached = Suite::build(config.clone());
+    let warm_suite = Suite::build(config.with_archive_dir(&dir));
+    assert_suites_identical(&uncached, &warm_suite, "warm-after-stale-vs-uncached");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

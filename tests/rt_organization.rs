@@ -124,7 +124,7 @@ fn arb_op() -> impl Strategy<Value = ThreadOp> {
 
 fn arb_kernel() -> impl Strategy<Value = KernelTrace> {
     prop::collection::vec(prop::collection::vec(arb_op(), 0..10), 1..60).prop_map(|threads| {
-        let mut k = KernelTrace::new("prop");
+        let mut k = KernelTrace::builder("prop");
         for ops in threads {
             let mut t = ThreadTrace::new();
             for op in ops {
@@ -132,7 +132,7 @@ fn arb_kernel() -> impl Strategy<Value = KernelTrace> {
             }
             k.push_thread(t);
         }
-        k
+        k.finish()
     })
 }
 

@@ -40,7 +40,7 @@ fn arb_op() -> impl Strategy<Value = ThreadOp> {
 
 fn arb_kernel() -> impl Strategy<Value = KernelTrace> {
     prop::collection::vec(prop::collection::vec(arb_op(), 0..12), 1..96).prop_map(|threads| {
-        let mut k = KernelTrace::new("prop");
+        let mut k = KernelTrace::builder("prop");
         for ops in threads {
             let mut t = ThreadTrace::new();
             for op in ops {
@@ -48,7 +48,7 @@ fn arb_kernel() -> impl Strategy<Value = KernelTrace> {
             }
             k.push_thread(t);
         }
-        k
+        k.finish()
     })
 }
 
@@ -66,7 +66,7 @@ proptest! {
 
         // Issued warp instructions match the packed trace exactly.
         let total_instr: u64 =
-            kernel.warps().iter().map(|w| w.len() as u64).sum();
+            kernel.warps().map(|w| w.len() as u64).sum();
         let issued: u64 = report.issued.iter().sum();
         prop_assert_eq!(issued, total_instr);
 
@@ -104,13 +104,14 @@ proptest! {
 
     #[test]
     fn more_sms_never_slow_a_parallel_kernel(threads in 64usize..256) {
-        let mut k = KernelTrace::new("scale");
+        let mut k = KernelTrace::builder("scale");
         for i in 0..threads as u64 {
             let mut t = ThreadTrace::new();
             t.push(ThreadOp::Alu { count: 16 });
             t.push(ThreadOp::Load { addr: i * 256, bytes: 16 });
             k.push_thread(t);
         }
+        let k = k.finish();
         let one = Gpu::new(GpuConfig { num_sms: 1, ..GpuConfig::tiny() }).run(&k).unwrap();
         let two = Gpu::new(GpuConfig { num_sms: 2, ..GpuConfig::tiny() }).run(&k).unwrap();
         // Allow small constant noise for drain effects.
@@ -139,7 +140,7 @@ fn kernel_pool() -> Vec<KernelTrace> {
     (0..6u64)
         .map(|i| {
             let seed = hsu_bench::runner::job_seed(7, &format!("pool/{i}"));
-            let mut k = KernelTrace::new(format!("pool-{i}"));
+            let mut k = KernelTrace::builder(format!("pool-{i}"));
             for t in 0..(16 + (seed % 48)) {
                 let mut tt = ThreadTrace::new();
                 tt.push(ThreadOp::Alu {
@@ -167,7 +168,7 @@ fn kernel_pool() -> Vec<KernelTrace> {
                 }
                 k.push_thread(tt);
             }
-            k
+            k.finish()
         })
         .collect()
 }
@@ -197,7 +198,7 @@ proptest! {
 
 #[test]
 fn op_class_totals_partition_issued_instructions() {
-    let mut k = KernelTrace::new("classes");
+    let mut k = KernelTrace::builder("classes");
     for i in 0..64u64 {
         let mut t = ThreadTrace::new();
         t.push(ThreadOp::Alu { count: 3 });
@@ -211,6 +212,7 @@ fn op_class_totals_partition_issued_instructions() {
         });
         k.push_thread(t);
     }
+    let k = k.finish();
     let r = Gpu::new(GpuConfig::tiny()).run(&k).unwrap();
     assert_eq!(r.issued[OpClass::Alu.index()], 2);
     assert_eq!(r.issued[OpClass::Load.index()], 2);
