@@ -33,17 +33,6 @@ echo "== sim-mode matrix (stepped / event) =="
 # unit proptests' small machines might miss.
 cargo test --release -q --test sim_equivalence full_suite_matrix_is_mode_equivalent
 
-echo "== RT-organization golden matrix (baseline vs treelet cores, smoke scale) =="
-# Cross-organization differential leg: the five golden workloads must
-# produce identical report payloads (instruction issue, warp retirement,
-# RT instruction counts) under the baseline and treelet-scheduled RT cores
-# in both simulation modes, and the baseline core must still hit its
-# pinned golden cycle counts. Fails if the two organizations ever diverge
-# in anything but timing/stat columns.
-cargo test --release -q --test rt_organization -- \
-    golden_workloads_agree_across_organizations \
-    baseline_organization_still_matches_the_golden_cycles
-
 echo "== sim modes (differential bench: stepped oracle vs event) =="
 # Runs the suite matrix under both simulation modes, asserts the
 # reports are identical, and APPENDS wall time + ticks per mode to the

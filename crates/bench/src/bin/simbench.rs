@@ -11,17 +11,10 @@
 //!
 //! 1. asserts every (app × dataset × variant) report is identical across
 //!    both modes (exits non-zero on any divergence),
-//! 2. runs the suite a third time under the treelet-scheduled RT core
-//!    ([`hsu_sim::config::RtCoreKind::Treelet`], event mode) and asserts
-//!    the functional projection of every report — instruction issue,
-//!    warp retirement, RT instruction counts — matches the baseline
-//!    organization (cycles and memory behaviour legitimately differ),
-//! 3. **appends** an entry to the trajectory JSON (`BENCH_sim.json` by
+//! 2. **appends** an entry to the trajectory JSON (`BENCH_sim.json` by
 //!    default): `{pr, config, runs, build_phase, modes, tick_reduction,
-//!    speedup, organizations, memory, equivalent}` with wall time,
-//!    simulated cycles, and SM ticks executed per mode, both RT
-//!    organizations' sim wall-clock and per-workload HSU speedup, and the
-//!    memory block: `traces_mb`, the heap one suite's packed traces hold
+//!    speedup, memory, equivalent}` with wall time, simulated cycles, and
+//!    SM ticks executed per mode, and the memory block: `traces_mb`, the heap one suite's packed traces hold
 //!    ([`hsu_sim::trace::KernelTrace::heap_bytes`] summed), and
 //!    `peak_rss_mb`, the process's peak resident set (`VmHWM`; `null` off
 //!    Linux). The file is an
@@ -46,7 +39,7 @@ use std::time::Instant;
 
 use hsu_bench::trajectory::{append_entry, json_escape, peak_rss_mb};
 use hsu_bench::{runner, Suite, SuiteConfig};
-use hsu_sim::config::{RtCoreKind, SimMode};
+use hsu_sim::config::SimMode;
 
 struct ModeRun {
     suite: Suite,
@@ -189,42 +182,6 @@ fn main() {
             }
         }
     }
-    // RT-organization leg: re-run the suite under the treelet-scheduled
-    // core (event mode reuses the same warm cache — rt_core is a machine
-    // knob, so phase A is all hits) and check the *functional* projection
-    // of every report against the baseline organization. Cycles, memory
-    // behaviour, and the staging/treelet counters legitimately differ
-    // between the cores; instruction counts and retirement must not.
-    let treelet = run_mode(
-        &config.clone().with_rt_core(RtCoreKind::Treelet),
-        SimMode::Event,
-    );
-    eprintln!(
-        "treelet:  {:.2}s build, {:.2}s simulating, {} ticks",
-        treelet.build_wall_s, treelet.sim_wall_s, treelet.ticks_executed
-    );
-    for (a, b) in event.suite.runs.iter().zip(&treelet.suite.runs) {
-        for (variant, ra, rb) in [
-            ("hsu", &a.hsu, &b.hsu),
-            ("base", &a.base, &b.base),
-            ("stripped", &a.stripped, &b.stripped),
-        ] {
-            let functional = |r: &hsu_sim::SimReport| {
-                (
-                    r.kernel.clone(),
-                    r.issued,
-                    r.issued_weighted,
-                    r.warps_retired,
-                    r.rt.warp_instructions,
-                    r.rt.isa_instructions,
-                )
-            };
-            if functional(ra) != functional(rb) {
-                eprintln!("DIVERGENCE at {}/{variant} (treelet organization)", a.label);
-                divergences += 1;
-            }
-        }
-    }
     let equivalent = divergences == 0;
 
     let tick_reduction = stepped.ticks_executed as f64 / event.ticks_executed.max(1) as f64;
@@ -254,9 +211,6 @@ fn main() {
              \"event\": {}\n    }},\n    \
            \"tick_reduction\": {:.3},\n    \
            \"speedup\": {{ \"event\": {:.3} }},\n    \
-           \"organizations\": {{\n      \
-             \"baseline\": {},\n      \
-             \"treelet\": {}\n    }},\n    \
            \"memory\": {{ \"traces_mb\": {:.1}, \"peak_rss_mb\": {} }},\n    \
            \"equivalent\": {}\n  }}",
         json_escape(&pr_label),
@@ -272,8 +226,6 @@ fn main() {
         mode_json(&event),
         tick_reduction,
         event_speedup,
-        org_json(&event),
-        org_json(&treelet),
         traces_mb,
         peak_rss,
         equivalent,
@@ -288,13 +240,12 @@ fn main() {
         "simbench: {} runs, build {cold_s:.2}s cold / {warm_s:.2}s warm, \
          ticks {} -> {} ({tick_reduction:.2}x fewer), \
          sim wall {:.2}s -> event {:.2}s ({event_speedup:.2}x), \
-         treelet org {:.2}s, traces {traces_mb:.1} MB, peak RSS {peak_rss} MB, reports {}",
+         traces {traces_mb:.1} MB, peak RSS {peak_rss} MB, reports {}",
         stepped.suite.runs.len(),
         stepped.ticks_executed,
         event.ticks_executed,
         stepped.sim_wall_s,
         event.sim_wall_s,
-        treelet.sim_wall_s,
         if equivalent { "identical" } else { "DIVERGED" },
     );
     println!("appended entry '{}' to {}", pr_label, out_path.display());
@@ -323,36 +274,6 @@ fn time_build_phase(config: &SuiteConfig, dir: &std::path::Path) -> f64 {
     elapsed
 }
 
-/// Per-organization ablation block: sim wall-clock plus each workload's
-/// HSU-vs-baseline speedup under that RT core. Both organizations run in
-/// event mode, so the wall-clock columns compare like for like; the
-/// speedups are *within*-organization (HSU over that core's own baseline),
-/// which is the comparison the cross-organization ablation table reports.
-fn org_json(m: &ModeRun) -> String {
-    let workloads: Vec<String> = m
-        .suite
-        .runs
-        .iter()
-        .map(|r| {
-            format!(
-                "{{ \"label\": \"{}\", \"app\": \"{}\", \"hsu_cycles\": {}, \
-                 \"base_cycles\": {}, \"hsu_speedup\": {:.4} }}",
-                json_escape(&r.label),
-                r.app.name(),
-                r.hsu.cycles,
-                r.base.cycles,
-                r.speedup()
-            )
-        })
-        .collect();
-    format!(
-        "{{ \"sim_wall_s\": {:.6}, \"cycles\": {}, \"workloads\": [\n        {}\n      ] }}",
-        m.sim_wall_s,
-        m.cycles,
-        workloads.join(",\n        ")
-    )
-}
-
 fn mode_json(m: &ModeRun) -> String {
     format!(
         "{{ \"build_wall_s\": {:.6}, \"sim_wall_s\": {:.6}, \"cycles\": {}, \"ticks_executed\": {} }}",
@@ -367,11 +288,9 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: simbench [--quick] [--sms N] [--seed S] [--jobs N]\n\
          \x20               [--archive-dir DIR] [--pr LABEL] [--out PATH]\n\
-         runs the workload suite under both simulation modes plus the\n\
-         treelet RT organization, checks the reports are identical (and the\n\
-         organizations functionally equivalent), and appends a JSON\n\
-         timing/ticks trajectory entry with a per-organization ablation\n\
-         block (32-SM machine by default; --quick = quarter-scale datasets;\n\
+         runs the workload suite under both simulation modes, checks the\n\
+         reports are identical, and appends a JSON timing/ticks trajectory\n\
+         entry (32-SM machine by default; --quick = quarter-scale datasets;\n\
          --jobs N runs N simulations at once). The build phase\n\
          is timed cold and warm through the .hsar archive cache first\n\
          (--archive-dir pins the cache; default is a throwaway temp dir) and\n\

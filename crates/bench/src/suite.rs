@@ -8,7 +8,7 @@ use hsu_kernels::bvhnn::{BvhnnParams, BvhnnWorkload};
 use hsu_kernels::flann::{FlannParams, FlannWorkload};
 use hsu_kernels::ggnn::{GgnnParams, GgnnWorkload};
 use hsu_kernels::{offloadable_fraction, Variant};
-use hsu_sim::config::{GpuConfig, RtCoreKind, SimMode};
+use hsu_sim::config::{GpuConfig, SimMode};
 use hsu_sim::trace::KernelTrace;
 use hsu_sim::{Gpu, SimError, SimReport};
 
@@ -99,10 +99,6 @@ pub struct SuiteConfig {
     /// Warm or cold, populated or empty, suite output is byte-identical —
     /// the cache only skips the dataset/index/trace construction work.
     pub archive_dir: Option<std::path::PathBuf>,
-    /// Which RT-unit organization the simulated machine uses. A machine
-    /// knob, not a workload knob: the archive cache keys pin generator
-    /// inputs only, so both organizations share cached traces.
-    pub rt_core: RtCoreKind,
 }
 
 impl Default for SuiteConfig {
@@ -117,7 +113,6 @@ impl Default for SuiteConfig {
             jobs: 1,
             sim_mode: SimMode::default(),
             archive_dir: None,
-            rt_core: RtCoreKind::default(),
         }
     }
 }
@@ -150,18 +145,11 @@ impl SuiteConfig {
         self
     }
 
-    /// The same configuration with a different RT-unit organization.
-    pub fn with_rt_core(mut self, kind: RtCoreKind) -> Self {
-        self.rt_core = kind;
-        self
-    }
-
     /// The GPU configuration the suite simulates.
     pub fn gpu_config(&self) -> GpuConfig {
         GpuConfig {
             num_sms: self.sms,
             sim_mode: self.sim_mode,
-            rt_core: self.rt_core,
             ..GpuConfig::small()
         }
     }

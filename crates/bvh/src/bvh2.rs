@@ -1,7 +1,7 @@
 //! The binary BVH structure and its invariant checks.
 
 use crate::primitive::Primitive;
-use hsu_geometry::Aabb;
+use hsu_geometry::{Aabb, Vec3};
 
 /// What a [`Bvh2Node`] holds: two children or a primitive range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,6 +220,39 @@ impl Bvh2 {
             return Err("unreachable nodes present".into());
         }
         Ok(())
+    }
+
+    /// The leaf visit set of a radius query — the `start` slots of every
+    /// leaf whose dilated box intersects the ball, sorted. This is the
+    /// layout-independent projection of "which leaves did traversal
+    /// examine": a leaf's own box test decides (its ancestors' boxes
+    /// contain it, so they can never cull a passing leaf), which makes the
+    /// set well-defined across the binary and 4-wide ([`crate::Bvh4`])
+    /// arrangements of the same tree.
+    pub fn radius_visited_leaves(&self, query: Vec3, radius: f32) -> Vec<u32> {
+        let r2 = radius * radius;
+        let mut out = Vec::new();
+        let mut stack: Vec<u32> = if self.nodes.is_empty() {
+            vec![]
+        } else {
+            vec![0]
+        };
+        while let Some(i) = stack.pop() {
+            let node = &self.nodes[i as usize];
+            match node.content {
+                NodeContent::Internal { left, right } => {
+                    stack.push(left);
+                    stack.push(right);
+                }
+                NodeContent::Leaf { start, .. } => {
+                    if node.aabb.distance_squared_to(query) <= r2 {
+                        out.push(start);
+                    }
+                }
+            }
+        }
+        out.sort_unstable();
+        out
     }
 }
 

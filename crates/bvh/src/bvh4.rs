@@ -5,55 +5,73 @@
 //! ray-box hardware idle — "a BVH4 tree would likely have better performance
 //! in our unit for this reason". This module provides that ablation: a BVH4
 //! built by greedily merging each BVH2 node with its grandchildren.
+//!
+//! Every node is exactly four child slots — four AABBs plus four child
+//! references padded to the full width — so a node occupies one fixed
+//! footprint no matter how many slots are populated:
+//!
+//! ```text
+//! 4 × AABB   (6 × f32)   = 96 B
+//! 4 × child ref (u64)    = 32 B   (tag ∣ index ∣ leaf start/count)
+//!                         ------
+//!                          128 B  = one wide-node RAY_INTERSECT fetch
+//! ```
+//!
+//! That fixed stride is what the trace lowering charges
+//! (`BVH_NODES_BASE + node * 128`). Traversal results are bit-exact versus
+//! [`Bvh2`]: the child boxes are copied verbatim (same f32 bits, same
+//! dilated-box tests) and the leaf ranges address the same primitive
+//! permutation, so radius search returns the same neighbor set —
+//! `tests/layout_equivalence.rs` proves it over random point clouds.
 
 use crate::bvh2::{Bvh2, NodeContent};
 use crate::primitive::PointPrimitive;
 use crate::search::{Neighbor, TraversalStats};
 use hsu_geometry::{Aabb, Vec3};
 
-/// A child slot of a [`Bvh4Node`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Bvh4Child {
-    /// Child internal node.
-    Node {
-        /// Index in the node array.
-        index: u32,
-        /// Child bounds.
-        aabb: Aabb,
-    },
-    /// Leaf range into the primitive-index permutation.
+/// One child slot of a [`WideNode`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum WideChild {
+    /// Unpopulated slot (the padding that buys the fixed stride).
+    #[default]
+    Empty,
+    /// Internal child: index into the node array.
+    Node(u32),
+    /// Leaf child: a range into the primitive-index permutation.
     Leaf {
         /// First slot in the primitive-index array.
         start: u32,
         /// Number of primitives.
         count: u32,
-        /// Leaf bounds.
-        aabb: Aabb,
     },
 }
 
-impl Bvh4Child {
-    /// The child's bounding box.
-    pub fn aabb(&self) -> &Aabb {
-        match self {
-            Bvh4Child::Node { aabb, .. } | Bvh4Child::Leaf { aabb, .. } => aabb,
-        }
-    }
+/// One node of a [`Bvh4`]: four AABB slots and four child references,
+/// tested by a single `RAY_INTERSECT`. Populated slots come first.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WideNode {
+    /// Child bounds, slot-aligned with `children`. Empty slots hold
+    /// [`Aabb::EMPTY`], which fails every box test.
+    pub aabbs: [Aabb; 4],
+    /// Child references, slot-aligned with `aabbs`.
+    pub children: [WideChild; 4],
 }
 
-/// One node of a [`Bvh4`]: up to four children, tested by a single
-/// `RAY_INTERSECT`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Bvh4Node {
-    /// The 1..=4 children.
-    pub children: Vec<Bvh4Child>,
+impl WideNode {
+    const EMPTY: WideNode = WideNode {
+        aabbs: [Aabb::EMPTY; 4],
+        children: [WideChild::Empty; 4],
+    };
 }
+
+/// Bytes one wide node occupies (the trace-lowering stride).
+pub const BVH4_NODE_BYTES: u64 = 128;
 
 /// A 4-wide bounding volume hierarchy sharing its primitive permutation with
 /// the [`Bvh2`] it was collapsed from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Bvh4 {
-    nodes: Vec<Bvh4Node>,
+    nodes: Vec<WideNode>,
     prim_indices: Vec<u32>,
     root_aabb: Aabb,
 }
@@ -61,6 +79,8 @@ pub struct Bvh4 {
 impl Bvh4 {
     /// Collapses a binary BVH. Each internal node adopts its grandchildren
     /// when both children are internal, producing nodes of up to 4 children.
+    /// Nodes are numbered in pre-order and slots keep the BVH2's
+    /// left-to-right order.
     pub fn from_bvh2(bvh2: &Bvh2) -> Self {
         if bvh2.nodes().is_empty() {
             return Bvh4 {
@@ -74,16 +94,13 @@ impl Bvh4 {
             prim_indices: bvh2.prim_indices().to_vec(),
             root_aabb: bvh2.root().aabb,
         };
-        // Root: if the BVH2 root is a leaf, wrap it in a single-child node.
+        // Root: if the BVH2 root is a leaf, wrap it in a single-slot node.
         match bvh2.root().content {
             NodeContent::Leaf { start, count } => {
-                out.nodes.push(Bvh4Node {
-                    children: vec![Bvh4Child::Leaf {
-                        start,
-                        count,
-                        aabb: bvh2.root().aabb,
-                    }],
-                });
+                let mut root = WideNode::EMPTY;
+                root.aabbs[0] = bvh2.root().aabb;
+                root.children[0] = WideChild::Leaf { start, count };
+                out.nodes.push(root);
             }
             NodeContent::Internal { .. } => {
                 out.collapse(bvh2, 0);
@@ -92,58 +109,50 @@ impl Bvh4 {
         out
     }
 
-    /// Recursively emits the BVH4 node for BVH2 internal node `b2`, returning
-    /// its index.
+    /// Recursively emits the wide node for BVH2 internal node `b2`,
+    /// returning its index.
     fn collapse(&mut self, bvh2: &Bvh2, b2: u32) -> u32 {
         // Gather up to four BVH2 descendants: split internal children once.
         let NodeContent::Internal { left, right } = bvh2.nodes()[b2 as usize].content else {
             unreachable!("collapse called on a leaf");
         };
-        let mut slots: Vec<u32> = Vec::with_capacity(4);
+        let mut slots = [0u32; 4];
+        let mut used = 0;
         for child in [left, right] {
             match bvh2.nodes()[child as usize].content {
                 NodeContent::Internal {
                     left: gl,
                     right: gr,
                 } => {
-                    slots.push(gl);
-                    slots.push(gr);
+                    slots[used] = gl;
+                    slots[used + 1] = gr;
+                    used += 2;
                 }
-                NodeContent::Leaf { .. } => slots.push(child),
+                NodeContent::Leaf { .. } => {
+                    slots[used] = child;
+                    used += 1;
+                }
             }
         }
 
         let index = self.nodes.len() as u32;
-        self.nodes.push(Bvh4Node {
-            children: Vec::new(),
-        });
-        let mut children = Vec::with_capacity(slots.len());
-        for s in slots {
+        self.nodes.push(WideNode::EMPTY);
+        for (slot, &s) in slots[..used].iter().enumerate() {
             let node = &bvh2.nodes()[s as usize];
-            match node.content {
-                NodeContent::Leaf { start, count } => {
-                    children.push(Bvh4Child::Leaf {
-                        start,
-                        count,
-                        aabb: node.aabb,
-                    });
-                }
-                NodeContent::Internal { .. } => {
-                    let child_index = self.collapse(bvh2, s);
-                    children.push(Bvh4Child::Node {
-                        index: child_index,
-                        aabb: node.aabb,
-                    });
-                }
-            }
+            let child = match node.content {
+                NodeContent::Leaf { start, count } => WideChild::Leaf { start, count },
+                NodeContent::Internal { .. } => WideChild::Node(self.collapse(bvh2, s)),
+            };
+            let wide = &mut self.nodes[index as usize];
+            wide.aabbs[slot] = node.aabb;
+            wide.children[slot] = child;
         }
-        self.nodes[index as usize].children = children;
         index
     }
 
     /// The node array (root at index 0).
     #[inline]
-    pub fn nodes(&self) -> &[Bvh4Node] {
+    pub fn nodes(&self) -> &[WideNode] {
         &self.nodes
     }
 
@@ -159,8 +168,9 @@ impl Bvh4 {
         &self.root_aabb
     }
 
-    /// Radius search equivalent to [`Bvh2::radius_search_counted`], but each
-    /// visited node tests up to four child boxes with one `RAY_INTERSECT`.
+    /// Radius search equivalent to [`Bvh2::radius_search_counted`] (same
+    /// neighbor set, output order may differ), but each visited node tests
+    /// its four child boxes with one `RAY_INTERSECT`.
     pub fn radius_search_counted(
         &self,
         prims: &[PointPrimitive],
@@ -177,13 +187,16 @@ impl Bvh4 {
         while let Some(i) = stack.pop() {
             stats.max_stack_depth = stats.max_stack_depth.max(stack.len() + 1);
             stats.nodes_visited += 1;
-            for child in &self.nodes[i as usize].children {
-                if child.aabb().distance_squared_to(query) > r2 {
+            let node = &self.nodes[i as usize];
+            for slot in 0..4 {
+                // Empty slots hold Aabb::EMPTY and fail like any culled box.
+                if node.aabbs[slot].distance_squared_to(query) > r2 {
                     continue;
                 }
-                match *child {
-                    Bvh4Child::Node { index, .. } => stack.push(index),
-                    Bvh4Child::Leaf { start, count, .. } => {
+                match node.children[slot] {
+                    WideChild::Empty => {}
+                    WideChild::Node(index) => stack.push(index),
+                    WideChild::Leaf { start, count } => {
                         stats.leaves_visited += 1;
                         for s in start..start + count {
                             let prim = &prims[self.prim_indices[s as usize] as usize];
@@ -228,30 +241,21 @@ mod tests {
     }
 
     #[test]
-    fn collapse_preserves_search_results() {
-        let prims = random_points(300, 17);
+    fn collapse_matches_bvh2_radius_results_bitwise() {
+        let prims = random_points(500, 21);
         let bvh2 = LbvhBuilder::default().build(&prims);
         let bvh4 = Bvh4::from_bvh2(&bvh2);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        for _ in 0..30 {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        for _ in 0..40 {
             let q = Vec3::new(
                 rng.gen_range(-2.0..2.0),
                 rng.gen_range(-2.0..2.0),
                 rng.gen_range(-2.0..2.0),
             );
-            let mut a: Vec<u32> = bvh2
-                .radius_search(&prims, q, 0.3)
-                .iter()
-                .map(|n| n.id)
-                .collect();
-            let mut b: Vec<u32> = bvh4
-                .radius_search_counted(&prims, q, 0.3)
-                .0
-                .iter()
-                .map(|n| n.id)
-                .collect();
-            a.sort_unstable();
-            b.sort_unstable();
+            let mut a = bvh2.radius_search_counted(&prims, q, 0.4).0;
+            let mut b = bvh4.radius_search_counted(&prims, q, 0.4).0;
+            a.sort_by_key(|n| (n.distance_squared.to_bits(), n.id));
+            b.sort_by_key(|n| (n.distance_squared.to_bits(), n.id));
             assert_eq!(a, b);
         }
     }
@@ -273,12 +277,20 @@ mod tests {
     }
 
     #[test]
-    fn all_nodes_have_at_most_four_children() {
+    fn populated_slots_come_first_and_empty_slots_are_empty_boxes() {
         let prims = random_points(500, 3);
         let bvh4 = Bvh4::from_bvh2(&LbvhBuilder::default().build(&prims));
         for node in bvh4.nodes() {
-            assert!(!node.children.is_empty());
-            assert!(node.children.len() <= 4);
+            let used = node
+                .children
+                .iter()
+                .take_while(|c| **c != WideChild::Empty)
+                .count();
+            assert!(used >= 2, "an internal BVH2 node has two children");
+            for slot in used..4 {
+                assert_eq!(node.children[slot], WideChild::Empty);
+                assert_eq!(node.aabbs[slot], Aabb::EMPTY);
+            }
         }
     }
 

@@ -13,10 +13,8 @@
 //! * [`Bvh2`] — the binary hierarchy with leaf primitive ranges,
 //! * [`Bvh4`] — the collapsed 4-wide hierarchy matching the RT unit's
 //!   four-box `RAY_INTERSECT` (§VI-E notes BVH4 would use the unit better),
-//! * [`Bvh4Packed`] — the fixed-slot 128-byte wide-node memory layout of
-//!   that hierarchy, the stride the trace lowering charges,
-//! * [`TreeletPacked`] — the [`Bvh2`] re-permuted into cache-line-grouped
-//!   treelets for the treelet-scheduled RT core's staging buffers,
+//!   stored as fixed-slot 128-byte wide nodes, the stride the trace
+//!   lowering charges,
 //! * point radius / nearest-neighbour searches and ray traversal, each
 //!   reporting the traversal statistics the trace generators charge.
 //!
@@ -40,15 +38,11 @@ pub mod archive_io;
 mod builder;
 mod bvh2;
 mod bvh4;
-mod bvh4_packed;
 mod primitive;
 mod search;
-mod treelet;
 
 pub use builder::{LbvhBuilder, SahBuilder};
 pub use bvh2::{Bvh2, Bvh2Node, NodeContent};
-pub use bvh4::{Bvh4, Bvh4Child, Bvh4Node};
-pub use bvh4_packed::{Bvh4Packed, Bvh4PackedNode, PackedChild, BVH4_PACKED_NODE_BYTES};
+pub use bvh4::{Bvh4, WideChild, WideNode, BVH4_NODE_BYTES};
 pub use primitive::{PointPrimitive, Primitive, TrianglePrimitive};
 pub use search::{Neighbor, TraversalStats};
-pub use treelet::TreeletPacked;

@@ -1,17 +1,17 @@
-//! Layout-equivalence suite: the BVH4-packed and treelet-packed
-//! arrangements must be *indistinguishable from [`Bvh2`] in results* —
-//! same leaf visit sets, bit-identical kNN and radius neighbors — over
-//! random point clouds, for every builder.
+//! Layout-equivalence suite: the 4-wide [`Bvh4`] must be
+//! *indistinguishable from [`Bvh2`] in results* — same leaf visit sets,
+//! bit-identical radius neighbors — over random point clouds, for every
+//! builder.
 //!
 //! Two layers:
 //!
-//! 1. proptests over generated clouds × queries × radii × treelet sizes
-//!    (shrinking finds the minimal divergent tree if a packing bug slips
-//!    in; `layout_equivalence.proptest-regressions` pins past finds),
+//! 1. proptests over generated clouds × queries × radii (shrinking finds
+//!    the minimal divergent tree if a collapse bug slips in;
+//!    `layout_equivalence.proptest-regressions` pins past finds),
 //! 2. a deterministic 256-seed sweep — ChaCha-seeded clouds 0..256, one
 //!    query batch each — which is the bulk-volume leg CI runs in release.
 
-use hsu_bvh::{Bvh2, Bvh4Packed, LbvhBuilder, PointPrimitive, SahBuilder, TreeletPacked};
+use hsu_bvh::{Bvh2, Bvh4, LbvhBuilder, PointPrimitive, SahBuilder, WideChild};
 use hsu_geometry::Vec3;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -25,58 +25,51 @@ fn canon(mut hits: Vec<hsu_bvh::Neighbor>) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Asserts every layout agrees with `bvh2` on one query: leaf visit set,
-/// full radius result, and truncated-K result, all bitwise.
+/// The `start` slots of every leaf a 4-wide walk reaches for a radius
+/// query, sorted — the [`Bvh4`] side of [`Bvh2::radius_visited_leaves`].
+fn bvh4_visited_leaves(bvh4: &Bvh4, query: Vec3, radius: f32) -> Vec<u32> {
+    let r2 = radius * radius;
+    let mut out = Vec::new();
+    let mut stack: Vec<u32> = if bvh4.nodes().is_empty() {
+        vec![]
+    } else {
+        vec![0]
+    };
+    while let Some(i) = stack.pop() {
+        let node = &bvh4.nodes()[i as usize];
+        for slot in 0..4 {
+            if node.aabbs[slot].distance_squared_to(query) > r2 {
+                continue;
+            }
+            match node.children[slot] {
+                WideChild::Empty => {}
+                WideChild::Node(index) => stack.push(index),
+                WideChild::Leaf { start, .. } => out.push(start),
+            }
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
+/// Asserts the 4-wide tree agrees with `bvh2` on one query: leaf visit set
+/// and full radius result, both bitwise.
 fn assert_layouts_agree(
     bvh2: &Bvh2,
-    packed4: &Bvh4Packed,
-    treelet: &TreeletPacked,
+    bvh4: &Bvh4,
     prims: &[PointPrimitive],
     query: Vec3,
     radius: f32,
-    k: usize,
 ) {
-    let leaves = bvh2.radius_visited_leaves(query, radius);
     assert_eq!(
-        leaves,
-        packed4.radius_visited_leaves(query, radius),
-        "BVH4-packed visited a different leaf set"
-    );
-    // The treelet permutation renumbers nodes but not leaf ranges, so the
-    // `start`-slot visit set must survive the re-pack untouched.
-    assert_eq!(
-        leaves,
-        treelet.as_bvh2().radius_visited_leaves(query, radius),
-        "treelet-packed visited a different leaf set"
-    );
-
-    let base = canon(bvh2.radius_search_counted(prims, query, radius).0);
-    assert_eq!(
-        base,
-        canon(packed4.radius_search_counted(prims, query, radius).0),
-        "BVH4-packed radius result diverged"
+        bvh2.radius_visited_leaves(query, radius),
+        bvh4_visited_leaves(bvh4, query, radius),
+        "BVH4 visited a different leaf set"
     );
     assert_eq!(
-        base,
-        canon(
-            treelet
-                .as_bvh2()
-                .radius_search_counted(prims, query, radius)
-                .0
-        ),
-        "treelet-packed radius result diverged"
-    );
-
-    let knn = canon(bvh2.radius_knn(prims, query, radius, k).0);
-    assert_eq!(
-        knn,
-        canon(packed4.radius_knn(prims, query, radius, k).0),
-        "BVH4-packed kNN diverged"
-    );
-    assert_eq!(
-        knn,
-        canon(treelet.as_bvh2().radius_knn(prims, query, radius, k).0),
-        "treelet-packed kNN diverged"
+        canon(bvh2.radius_search_counted(prims, query, radius).0),
+        canon(bvh4.radius_search_counted(prims, query, radius).0),
+        "BVH4 radius result diverged"
     );
 }
 
@@ -98,8 +91,8 @@ fn arb_points(max: usize) -> impl Strategy<Value = Vec<PointPrimitive>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The core layout property: any cloud, any query ball, any treelet
-    /// granularity — all three arrangements return the same answers.
+    /// The core layout property: any cloud, any query ball — both
+    /// arrangements return the same answers.
     /// Integer-grid points make duplicate positions common, so the
     /// `(distance_bits, id)` tie-breaking is exercised, not just assumed.
     #[test]
@@ -107,20 +100,14 @@ proptest! {
         prims in arb_points(250),
         qx in -12.0f32..12.0, qy in -12.0f32..12.0, qz in -12.0f32..12.0,
         r in 0.1f32..4.0,
-        k in 1usize..12,
-        treelet_nodes in 1usize..16,
     ) {
         let bvh2 = LbvhBuilder::default().build(&prims);
-        let packed4 = Bvh4Packed::from_bvh2(&bvh2);
-        let treelet = TreeletPacked::pack(&bvh2, treelet_nodes);
-        assert_layouts_agree(
-            &bvh2, &packed4, &treelet, &prims,
-            Vec3::new(qx, qy, qz), r, k,
-        );
+        let bvh4 = Bvh4::from_bvh2(&bvh2);
+        assert_layouts_agree(&bvh2, &bvh4, &prims, Vec3::new(qx, qy, qz), r);
     }
 
     /// Same property over the SAH builder's very different tree shapes
-    /// (deeper, uneven splits stress the packing budget logic).
+    /// (deeper, uneven splits stress the grandchild collapse).
     #[test]
     fn layouts_agree_on_sah_trees(
         prims in arb_points(150),
@@ -128,17 +115,13 @@ proptest! {
         r in 0.1f32..4.0,
     ) {
         let bvh2 = SahBuilder::default().build(&prims);
-        let packed4 = Bvh4Packed::from_bvh2(&bvh2);
-        let treelet = TreeletPacked::pack(&bvh2, 8);
-        assert_layouts_agree(
-            &bvh2, &packed4, &treelet, &prims,
-            Vec3::new(qx, qy, qz), r, 5,
-        );
+        let bvh4 = Bvh4::from_bvh2(&bvh2);
+        assert_layouts_agree(&bvh2, &bvh4, &prims, Vec3::new(qx, qy, qz), r);
     }
 }
 
 /// The deterministic 256-seed sweep: ChaCha-generated clouds, eight
-/// queries each, both packings at the staging-pool-matched granularity.
+/// queries each.
 /// Debug builds sweep a prefix; release builds (`ci.sh`) sweep all 256.
 #[test]
 fn layouts_agree_across_256_seeds() {
@@ -160,12 +143,9 @@ fn layouts_agree_across_256_seeds() {
             })
             .collect();
         let bvh2 = LbvhBuilder::default().build(&prims);
-        let packed4 = Bvh4Packed::from_bvh2(&bvh2);
-        let treelet = TreeletPacked::pack(&bvh2, 8);
-        treelet
-            .as_bvh2()
-            .validate(&prims)
-            .unwrap_or_else(|e| panic!("seed {seed}: packed tree invalid: {e}"));
+        bvh2.validate(&prims)
+            .unwrap_or_else(|e| panic!("seed {seed}: tree invalid: {e}"));
+        let bvh4 = Bvh4::from_bvh2(&bvh2);
         for _ in 0..8 {
             let q = Vec3::new(
                 rng.gen_range(-2.5..2.5),
@@ -173,7 +153,7 @@ fn layouts_agree_across_256_seeds() {
                 rng.gen_range(-2.5..2.5),
             );
             let r = rng.gen_range(0.2..1.5);
-            assert_layouts_agree(&bvh2, &packed4, &treelet, &prims, q, r, 5);
+            assert_layouts_agree(&bvh2, &bvh4, &prims, q, r);
         }
     }
 }

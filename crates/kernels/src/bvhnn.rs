@@ -6,8 +6,7 @@
 //! maintenance and hit processing stay on the SIMT core (§VI-C).
 
 use hsu_bvh::{
-    Bvh2, Bvh4, Bvh4Child, Bvh4Packed, LbvhBuilder, NodeContent, PackedChild, PointPrimitive,
-    SahBuilder, TreeletPacked,
+    Bvh2, Bvh4, LbvhBuilder, NodeContent, PointPrimitive, SahBuilder, WideChild, BVH4_NODE_BYTES,
 };
 use hsu_datasets::query_set;
 use hsu_geometry::batch;
@@ -25,25 +24,13 @@ pub enum BvhFlavor {
     #[default]
     Lbvh2,
     /// The LBVH collapsed to 4-wide nodes ("a BVH4 tree would likely have
-    /// better performance in our unit", §VI-E).
+    /// better performance in our unit", §VI-E). Node addresses follow the
+    /// fixed 128-byte [`Bvh4`] stride, which is exactly the fetch the
+    /// 4-wide `RAY_INTERSECT` charges.
     Lbvh4,
     /// A binary SAH tree (the "more optimized BVH" quality upgrade, §VI-E).
     Sah2,
-    /// The LBVH4 in the packed fixed-slot 128-byte layout
-    /// ([`Bvh4Packed`]) — node addresses follow the packed stride, which
-    /// is exactly the 128-byte fetch the 4-wide `RAY_INTERSECT` charges.
-    Packed4,
-    /// The binary LBVH re-permuted into cache-line-grouped treelets
-    /// ([`TreeletPacked`], [`TREELET_NODES`] nodes per treelet) — same
-    /// tree, same results, but node addresses cluster so the treelet RT
-    /// core's staging buffers turn parent→child hops into hits.
-    Treelet,
 }
-
-/// Nodes per treelet for [`BvhFlavor::Treelet`]: the simulator's default
-/// staging pool (4 lines × 128 B) holds 512 B, i.e. eight 64-byte binary
-/// nodes — one treelet fits the pool exactly.
-pub const TREELET_NODES: usize = 8;
 
 /// Workload parameters.
 #[derive(Debug, Clone)]
@@ -156,9 +143,6 @@ impl BvhnnWorkload {
         let prims = Self::primitives(data, radius);
         let queries = query_set(data, params.queries, params.seed ^ 0xbeef);
         let bvh4 = (params.flavor == BvhFlavor::Lbvh4).then(|| Bvh4::from_bvh2(bvh2));
-        let packed4 = (params.flavor == BvhFlavor::Packed4).then(|| Bvh4Packed::from_bvh2(bvh2));
-        let treelet =
-            (params.flavor == BvhFlavor::Treelet).then(|| TreeletPacked::pack(bvh2, TREELET_NODES));
 
         let mut events = Vec::with_capacity(queries.len());
         let mut total_neighbors = 0u64;
@@ -167,14 +151,6 @@ impl BvhnnWorkload {
             let query = Vec3::new(q[0], q[1], q[2]);
             let (evs, found, tests) = if let Some(bvh4) = &bvh4 {
                 record_radius_search4(bvh4, &prims, query, radius)
-            } else if let Some(packed4) = &packed4 {
-                record_radius_search_packed4(packed4, &prims, query, radius)
-            } else if let Some(treelet) = &treelet {
-                // The packed tree is a Bvh2 permutation: the recorder walks
-                // it directly, so NodeTest events carry the *packed* node
-                // indices and the lowered addresses inherit the treelet
-                // grouping.
-                record_radius_search(treelet.as_bvh2(), &prims, query, radius)
             } else {
                 record_radius_search(bvh2, &prims, query, radius)
             };
@@ -215,12 +191,12 @@ impl BvhnnWorkload {
                     Event::NodeTest4 { node, pushes } => {
                         // A 4-wide node: one 128-byte RAY_INTERSECT on the
                         // HSU; eight LDG.128s plus four slab tests on the SM.
-                        let addr = crate::layout::BVH_NODES_BASE + node as u64 * 128;
+                        let addr = crate::layout::BVH_NODES_BASE + node as u64 * BVH4_NODE_BYTES;
                         match variant {
                             Variant::Hsu => {
                                 t.push(ThreadOp::HsuRayIntersect {
                                     node_addr: addr,
-                                    bytes: 128,
+                                    bytes: BVH4_NODE_BYTES as u32,
                                     triangle: false,
                                 });
                             }
@@ -362,77 +338,19 @@ fn record_radius_search4(
         events.push(Event::Pop);
         let mut pushes = 0;
         leaf_points.clear();
-        for child in &bvh.nodes()[i as usize].children {
-            if child.aabb().distance_squared_to(query) > r2 {
-                continue;
-            }
-            match *child {
-                Bvh4Child::Node { index, .. } => {
-                    stack.push(index);
-                    pushes += 1;
-                }
-                Bvh4Child::Leaf { start, count, .. } => {
-                    for s in start..start + count {
-                        leaf_points.push(bvh.prim_indices()[s as usize]);
-                    }
-                }
-            }
-        }
-        events.push(Event::NodeTest4 { node: i, pushes });
-        leaf_pos.clear();
-        leaf_pos.extend(leaf_points.iter().map(|&p| prims[p as usize].position));
-        dists.clear();
-        batch::vec3_distance_squared(query, &leaf_pos, &mut dists);
-        for (&p, &d2) in leaf_points.iter().zip(&dists) {
-            events.push(Event::LeafDistance {
-                point: prims[p as usize].id,
-            });
-            tests += 1;
-            if d2 <= r2 {
-                found += 1;
-            }
-        }
-    }
-    (events, found, tests)
-}
-
-/// 4-wide traversal of the packed fixed-slot layout. Event-identical to
-/// [`record_radius_search4`] on the same tree — the packed layout mirrors
-/// [`Bvh4`] slot for slot and empty slots fail every box test — but the
-/// walk reads the memory arrangement the trace actually charges.
-fn record_radius_search_packed4(
-    bvh: &Bvh4Packed,
-    prims: &[PointPrimitive],
-    query: Vec3,
-    radius: f32,
-) -> (Vec<Event>, u64, u64) {
-    let mut events = Vec::new();
-    let mut found = 0u64;
-    let mut tests = 0u64;
-    if bvh.nodes().is_empty() {
-        return (events, found, tests);
-    }
-    let r2 = radius * radius;
-    let mut stack = vec![0u32];
-    let mut leaf_points: Vec<u32> = Vec::new();
-    let mut leaf_pos: Vec<Vec3> = Vec::new();
-    let mut dists: Vec<f32> = Vec::new();
-    while let Some(i) = stack.pop() {
-        events.push(Event::Pop);
-        let mut pushes = 0;
-        leaf_points.clear();
         let node = &bvh.nodes()[i as usize];
         for slot in 0..4 {
+            // Empty slots hold Aabb::EMPTY and fail like any culled box.
             if node.aabbs[slot].distance_squared_to(query) > r2 {
                 continue;
             }
             match node.children[slot] {
-                PackedChild::Empty => {}
-                PackedChild::Node(index) => {
+                WideChild::Empty => {}
+                WideChild::Node(index) => {
                     stack.push(index);
                     pushes += 1;
                 }
-                PackedChild::Leaf { start, count } => {
+                WideChild::Leaf { start, count } => {
                     for s in start..start + count {
                         leaf_points.push(bvh.prim_indices()[s as usize]);
                     }
@@ -570,87 +488,6 @@ mod tests {
         let nl = ray_ops(&lbvh.trace(Variant::Hsu));
         let ns = ray_ops(&sah.trace(Variant::Hsu));
         assert!(ns <= nl * 2, "SAH {ns} vs LBVH {nl} node tests");
-    }
-
-    #[test]
-    fn packed4_flavor_matches_the_logical_bvh4_events() {
-        let base = BvhnnParams {
-            points: 1000,
-            queries: 48,
-            ..Default::default()
-        };
-        let wl4 = BvhnnWorkload::build(&BvhnnParams {
-            flavor: BvhFlavor::Lbvh4,
-            ..base.clone()
-        });
-        let wlp = BvhnnWorkload::build(&BvhnnParams {
-            flavor: BvhFlavor::Packed4,
-            ..base.clone()
-        });
-        // The packed layout mirrors the logical BVH4 slot for slot, so the
-        // lowered traces are identical, not merely equivalent.
-        assert!((wl4.mean_neighbors - wlp.mean_neighbors).abs() < 1e-9);
-        assert_eq!(wl4.trace(Variant::Hsu), wlp.trace(Variant::Hsu));
-    }
-
-    #[test]
-    fn treelet_flavor_matches_answers_with_reordered_addresses() {
-        let base = BvhnnParams {
-            points: 1200,
-            queries: 64,
-            ..Default::default()
-        };
-        let wl2 = BvhnnWorkload::build(&base);
-        let wlt = BvhnnWorkload::build(&BvhnnParams {
-            flavor: BvhFlavor::Treelet,
-            ..base.clone()
-        });
-        // Same answers, same per-thread work (a permutation cannot change
-        // which boxes pass), different node addresses.
-        assert!((wl2.mean_neighbors - wlt.mean_neighbors).abs() < 1e-9);
-        assert!((wl2.mean_distance_tests - wlt.mean_distance_tests).abs() < 1e-9);
-        assert_eq!(
-            ray_ops(&wl2.trace(Variant::Hsu)),
-            ray_ops(&wlt.trace(Variant::Hsu))
-        );
-        assert_ne!(wl2.trace(Variant::Hsu), wlt.trace(Variant::Hsu));
-    }
-
-    #[test]
-    fn treelet_layout_feeds_the_staging_pool() {
-        use hsu_sim::config::RtCoreKind;
-        // The layout × organization payoff: on the treelet core, the
-        // treelet-packed node arrangement must produce more staging-buffer
-        // hits than the builder's native DFS order.
-        let base = BvhnnParams {
-            points: 1200,
-            queries: 64,
-            ..Default::default()
-        };
-        let native = BvhnnWorkload::build(&base);
-        let packed = BvhnnWorkload::build(&BvhnnParams {
-            flavor: BvhFlavor::Treelet,
-            ..base.clone()
-        });
-        let gpu = Gpu::new(GpuConfig::tiny().with_rt_core(RtCoreKind::Treelet));
-        let native_run = gpu.run(&native.trace(Variant::Hsu)).unwrap();
-        let packed_run = gpu.run(&packed.trace(Variant::Hsu)).unwrap();
-        assert!(
-            packed_run.rt.staging_hits > native_run.rt.staging_hits,
-            "treelet packing must raise staging hits: {} vs {}",
-            packed_run.rt.staging_hits,
-            native_run.rt.staging_hits
-        );
-        // The per-warp transition counter keys on the *lead lane's* walk
-        // only, and the 32 lanes of a warp chase different queries — so the
-        // packing shows up as staging hits (above), while transitions only
-        // need to stay in the same band, not strictly improve.
-        assert!(
-            packed_run.rt.treelet_transitions <= native_run.rt.treelet_transitions * 11 / 10,
-            "treelet packing blew up treelet switches: {} vs {}",
-            packed_run.rt.treelet_transitions,
-            native_run.rt.treelet_transitions
-        );
     }
 
     #[test]

@@ -737,44 +737,12 @@ fn parse_args() -> Options {
                     other => usage(&format!("unknown family '{other}'")),
                 };
             }
-            "--queries" => {
-                opts.queries = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--queries needs a number"));
-            }
-            "--shards" => {
-                opts.shards = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--shards needs a number"));
-            }
-            "--workers" => {
-                opts.workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--workers needs a number"));
-            }
-            "--batch" => {
-                opts.batch = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--batch needs a number"));
-            }
-            "--queue-capacity" => {
-                opts.queue_capacity = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--queue-capacity needs a number"));
-            }
-            "--window" => {
-                opts.window = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&w: &usize| w >= 1)
-                        .unwrap_or_else(|| usage("--window needs a number >= 1")),
-                );
-            }
+            "--queries" => opts.queries = count_arg(&mut args, "--queries"),
+            "--shards" => opts.shards = count_arg(&mut args, "--shards"),
+            "--workers" => opts.workers = count_arg(&mut args, "--workers"),
+            "--batch" => opts.batch = count_arg(&mut args, "--batch"),
+            "--queue-capacity" => opts.queue_capacity = count_arg(&mut args, "--queue-capacity"),
+            "--window" => opts.window = Some(count_arg(&mut args, "--window")),
             "--priority-mix" => {
                 opts.priority_mix = Some(
                     args.next()
@@ -824,6 +792,19 @@ fn parse_args() -> Options {
         }
     }
     opts
+}
+
+/// The next argument as a nonzero count, or a usage error naming `flag`:
+/// a zero shard, worker, batch or queue size would be silently run as 1,
+/// and zero queries would report an empty measurement.
+fn count_arg<T: std::str::FromStr + Default + PartialEq>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .filter(|n| *n != T::default())
+        .unwrap_or_else(|| usage(&format!("{flag} needs a number >= 1")))
 }
 
 fn usage(err: &str) -> ! {

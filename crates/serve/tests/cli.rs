@@ -1,0 +1,70 @@
+//! Flag edges of the `servebench` binary: a zero query count or a zero
+//! shard, worker, batch or queue size exits with status 2 and a usage
+//! message before any index is opened, and never panics. The engine would
+//! otherwise run a zero topology as 1 while the report printed 0, and zero
+//! queries would report "0 qps".
+
+use std::process::{Command, Output};
+
+fn servebench(args: &[&str]) -> Output {
+    let bin = env!("CARGO_BIN_EXE_servebench");
+    match Command::new(bin).args(args).output() {
+        Ok(out) => out,
+        Err(e) => panic!("cannot run {bin}: {e}"),
+    }
+}
+
+/// Asserts a usage error: exit status 2, the usage text and `needle` on
+/// stderr, nothing on stdout, no panic message, and no sign that the run
+/// started (the topology banner is printed right after parsing).
+fn assert_usage_error(args: &[&str], needle: &str) {
+    let out = servebench(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(!stderr.contains("host_cores="), "{args:?} started a run");
+    assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+}
+
+#[test]
+fn zero_counts_are_usage_errors() {
+    for flag in [
+        "--queries",
+        "--shards",
+        "--workers",
+        "--batch",
+        "--queue-capacity",
+    ] {
+        assert_usage_error(
+            &["--smoke", "--family", "btree", flag, "0"],
+            &format!("{flag} needs a number >= 1"),
+        );
+    }
+}
+
+/// An all-zero topology is rejected on the first zero flag.
+#[test]
+fn an_all_zero_topology_is_a_usage_error() {
+    assert_usage_error(
+        &[
+            "--smoke",
+            "--family",
+            "btree",
+            "--shards",
+            "0",
+            "--batch",
+            "0",
+            "--queue-capacity",
+            "0",
+        ],
+        "--shards needs a number >= 1",
+    );
+}
+
+#[test]
+fn non_numeric_counts_are_usage_errors() {
+    assert_usage_error(&["--batch", "many"], "--batch needs a number >= 1");
+    assert_usage_error(&["--window", "0"], "--window needs a number >= 1");
+}

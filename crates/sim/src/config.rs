@@ -19,53 +19,6 @@ pub enum RtCachePolicy {
     Bypass,
 }
 
-/// Which RT-unit organization each SM instantiates — the
-/// architectural-diversity ablation ("does the HSU win survive a smarter RT
-/// core?"). Both organizations execute the same ISA and produce identical
-/// *functional* results (instruction counts, neighbors, error payloads);
-/// only timing and memory-traffic columns may differ. The cross-organization
-/// identity is locked by `tests/rt_organization.rs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RtCoreKind {
-    /// The paper's per-instruction RDNA3-style pipeline
-    /// ([`crate::rt_unit::RtUnit`]): every dispatched warp instruction
-    /// fetches its node lines through the FIFO with unbounded outstanding
-    /// fetches and the datapath drains buffer entries in slot-scan order.
-    #[default]
-    Baseline,
-    /// A treelet-scheduled core ([`crate::treelet::TreeletRtUnit`]) with
-    /// cache-line-sized node staging buffers that double as a small line
-    /// cache, fetch throttling to the staging capacity, and a FIFO
-    /// ray-scheduling queue feeding the datapath (the Haydelj/arches
-    /// `UnitTreeletRTCore` organization).
-    Treelet,
-}
-
-impl RtCoreKind {
-    /// CLI / display name (`baseline` or `treelet`).
-    pub fn name(self) -> &'static str {
-        match self {
-            RtCoreKind::Baseline => "baseline",
-            RtCoreKind::Treelet => "treelet",
-        }
-    }
-
-    /// Both organizations, baseline first (handy for differential sweeps).
-    pub const ALL: [RtCoreKind; 2] = [RtCoreKind::Baseline, RtCoreKind::Treelet];
-}
-
-impl std::str::FromStr for RtCoreKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "baseline" => Ok(RtCoreKind::Baseline),
-            "treelet" => Ok(RtCoreKind::Treelet),
-            other => Err(format!("unknown RT core '{other}' (baseline|treelet)")),
-        }
-    }
-}
-
 /// How [`crate::Gpu::run`] advances simulated time.
 ///
 /// Both modes produce identical reports for every kernel — the equivalence
@@ -125,12 +78,6 @@ pub struct GpuConfig {
     pub hsu: HsuConfig,
     /// How RT-unit fetches interact with the L1 (§VI-I ablation).
     pub rt_cache: RtCachePolicy,
-    /// Which RT-unit organization each SM instantiates.
-    pub rt_core: RtCoreKind,
-    /// Cache-line-sized node staging buffers in the [`RtCoreKind::Treelet`]
-    /// organization (bounds outstanding node fetches and sizes the staged
-    /// line cache; ignored by [`RtCoreKind::Baseline`]).
-    pub rt_staging_buffers: usize,
     /// ALU latency in cycles (dependent issue-to-ready).
     pub alu_latency: u64,
     /// Shared-memory access latency in cycles.
@@ -180,8 +127,6 @@ impl GpuConfig {
             max_warps_per_sm: 64,
             hsu: HsuConfig::default(),
             rt_cache: RtCachePolicy::SharedWithLsu,
-            rt_core: RtCoreKind::default(),
-            rt_staging_buffers: 4,
             alu_latency: 4,
             shared_latency: 24,
             l1_bytes: 128 * 1024,
@@ -232,12 +177,6 @@ impl GpuConfig {
     /// Replaces the HSU configuration (width / warp-buffer sweeps).
     pub fn with_hsu(mut self, hsu: HsuConfig) -> Self {
         self.hsu = hsu;
-        self
-    }
-
-    /// Replaces the RT-unit organization (baseline vs treelet ablation).
-    pub fn with_rt_core(mut self, kind: RtCoreKind) -> Self {
-        self.rt_core = kind;
         self
     }
 
@@ -310,13 +249,6 @@ impl GpuConfig {
                 "hsu.warp_buffer_entries",
                 self.hsu.warp_buffer_entries,
                 "the RT unit needs at least one warp-buffer entry",
-            ));
-        }
-        if self.rt_core == RtCoreKind::Treelet && self.rt_staging_buffers == 0 {
-            return Err(bad(
-                "rt_staging_buffers",
-                self.rt_staging_buffers,
-                "the treelet core needs at least one staging buffer",
             ));
         }
         if self.line_bytes == 0 {
@@ -455,54 +387,7 @@ mod tests {
     }
 
     #[test]
-    fn rt_core_round_trips_and_defaults_to_baseline() {
-        assert_eq!(GpuConfig::volta_v100().rt_core, RtCoreKind::Baseline);
-        assert_eq!(GpuConfig::volta_v100().rt_staging_buffers, 4);
-        assert_eq!(
-            "baseline".parse::<RtCoreKind>().unwrap(),
-            RtCoreKind::Baseline
-        );
-        assert_eq!(
-            "treelet".parse::<RtCoreKind>().unwrap(),
-            RtCoreKind::Treelet
-        );
-        assert!("rdna3".parse::<RtCoreKind>().is_err());
-        for kind in RtCoreKind::ALL {
-            assert_eq!(kind.name().parse::<RtCoreKind>().unwrap(), kind);
-        }
-        let cfg = GpuConfig::tiny().with_rt_core(RtCoreKind::Treelet);
-        assert_eq!(cfg.rt_core, RtCoreKind::Treelet);
-    }
-
-    #[test]
-    fn treelet_core_requires_staging_buffers() {
-        let cfg = GpuConfig {
-            rt_core: RtCoreKind::Treelet,
-            rt_staging_buffers: 0,
-            ..GpuConfig::tiny()
-        };
-        match cfg.validate() {
-            Err(SimError::InvalidConfig { field, .. }) => {
-                assert_eq!(field, "rt_staging_buffers")
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-        // The baseline core ignores the knob entirely.
-        let cfg = GpuConfig {
-            rt_staging_buffers: 0,
-            ..GpuConfig::tiny()
-        };
-        cfg.validate().expect("baseline ignores staging buffers");
-    }
-
-    #[test]
     fn validate_accepts_every_preset() {
-        for kind in RtCoreKind::ALL {
-            GpuConfig::tiny()
-                .with_rt_core(kind)
-                .validate()
-                .expect("both organizations must validate");
-        }
         for cfg in [
             GpuConfig::volta_v100(),
             GpuConfig::small(),

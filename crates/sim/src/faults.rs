@@ -9,7 +9,7 @@
 //! surfaces as its matching typed [`crate::SimError`] — never a panic or an
 //! abort.
 
-use crate::config::{GpuConfig, RtCoreKind};
+use crate::config::GpuConfig;
 use crate::trace::{KernelTrace, ThreadOp, ThreadTrace, WARP_WIDTH};
 
 // Chunk-level archive corruptions (truncation, checksum bit-flips, bogus
@@ -211,17 +211,6 @@ pub fn pathological_configs() -> Vec<(&'static str, GpuConfig)> {
             "max_cycles",
             GpuConfig {
                 max_cycles: 0,
-                ..base()
-            },
-        ),
-        // The treelet-scheduled core cannot run without a staging pool;
-        // the baseline organization ignores the knob, so this entry is the
-        // one pathological case that is organization-specific.
-        (
-            "rt_staging_buffers",
-            GpuConfig {
-                rt_core: RtCoreKind::Treelet,
-                rt_staging_buffers: 0,
                 ..base()
             },
         ),

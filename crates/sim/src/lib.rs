@@ -6,13 +6,11 @@
 //!
 //! * **SMs with four sub-cores** and greedy-then-oldest (GTO) warp
 //!   scheduling, one issue slot per sub-core per cycle (Table III),
-//! * **one RT/HSU unit per SM** shared by the sub-cores through a
-//!   round-robin arbiter, with the warp buffer, FIFO L1-access queue,
-//!   single-lane 9-stage datapath and result buffer of `hsu-core` — in one
-//!   of two organizations ([`config::RtCoreKind`]): the paper's
-//!   slot-scanned baseline ([`rt_unit::RtUnit`]) or a treelet-scheduled
-//!   core with cache-line staging buffers ([`treelet::TreeletRtUnit`]),
-//!   functionally identical but timed differently,
+//! * **one RT/HSU unit per SM** ([`rt_unit::RtUnit`]) shared by the
+//!   sub-cores through a round-robin arbiter, with the warp buffer, FIFO
+//!   L1-access queue, single-lane 9-stage datapath and result buffer of
+//!   `hsu-core`. Like RDNA3's `IMAGE_BVH_INTERSECT_RAY`, each instruction
+//!   is one node test: the traversal stack stays in software on the SM,
 //! * **L1D caches with MSHRs** (128 KB, 128-B lines) time-shared between the
 //!   load-store unit and the RT unit's fetch FIFO (§VI-H),
 //! * a shared, banked **L2** (6 MB, 24-way) and **HBM channels with FR-FCFS**
@@ -93,13 +91,11 @@ pub mod error;
 mod event_queue;
 pub mod faults;
 pub mod memory;
-pub mod rt_core;
 pub mod rt_unit;
 pub mod sm;
 pub mod stats;
 pub mod trace;
 pub mod trace_io;
-pub mod treelet;
 
 mod gpu;
 

@@ -53,15 +53,6 @@ pub struct RtUnitStats {
     pub cycles: u64,
     /// Dispatches rejected because the warp buffer was full.
     pub dispatch_stalls: u64,
-    /// Node-line fetches satisfied by a staged line without touching memory
-    /// (treelet core only; always zero under the baseline organization).
-    pub staging_hits: u64,
-    /// Staged lines evicted to make room for a new fetch (treelet core
-    /// only).
-    pub staging_evictions: u64,
-    /// Dispatches whose node treelet differed from the same warp's previous
-    /// dispatch (treelet core only) — the treelet-stack switch count.
-    pub treelet_transitions: u64,
     /// Datapath pipeline statistics.
     pub pipeline: PipelineStats,
 }
@@ -77,31 +68,25 @@ impl RtUnitStats {
     }
 }
 
-/// Per-lane bookkeeping inside a warp-buffer entry (shared by both RT-unit
-/// organizations).
+/// Per-lane bookkeeping inside a warp-buffer entry.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LaneState {
+struct LaneState {
     /// Outstanding memory lines.
-    pub(crate) pending_lines: u32,
+    pending_lines: u32,
     /// Datapath beats not yet issued.
-    pub(crate) beats_to_issue: u32,
+    beats_to_issue: u32,
     /// Datapath beats not yet completed.
-    pub(crate) beats_in_flight: u32,
+    beats_in_flight: u32,
     /// Operating mode of this lane's beats.
-    pub(crate) mode: Option<OperatingMode>,
+    mode: Option<OperatingMode>,
 }
 
 /// Operating mode, beat count and fetch footprint `(mode, beats, addr,
-/// bytes)` of a lane's op. Shared by both RT-unit organizations so a
-/// malformed instruction produces the *identical* typed error under either
-/// — the cross-organization payload-parity tests rely on this.
+/// bytes)` of a lane's op.
 ///
 /// Non-HSU ops are a dispatch-routing violation (a malformed trace or a
 /// scheduler bug) and surface as [`SimError::IllegalDispatch`].
-pub(crate) fn lane_plan(
-    cfg: &HsuConfig,
-    op: &ThreadOp,
-) -> Result<(OperatingMode, u32, u64, u64), SimError> {
+fn lane_plan(cfg: &HsuConfig, op: &ThreadOp) -> Result<(OperatingMode, u32, u64, u64), SimError> {
     match *op {
         ThreadOp::HsuRayIntersect {
             node_addr,
@@ -142,71 +127,6 @@ pub(crate) fn lane_plan(
         ref other => Err(SimError::IllegalDispatch {
             detail: format!("non-HSU op dispatched to the RT unit: {other:?}"),
         }),
-    }
-}
-
-/// Checks a dispatched instruction before either organization commits any
-/// state: one op per active lane, each one an HSU op. Returns the same
-/// typed errors under both organizations.
-pub(crate) fn check_dispatch(
-    cfg: &HsuConfig,
-    active_mask: u32,
-    ops: &[ThreadOp],
-) -> Result<(), SimError> {
-    for op in ops.iter().take(active_mask.count_ones() as usize) {
-        lane_plan(cfg, op)?;
-    }
-    match lanes_of(active_mask).nth(ops.len()) {
-        Some(lane) => Err(SimError::IllegalDispatch {
-            detail: format!("active lane {lane} without an op (mask {active_mask:#x})"),
-        }),
-        None => Ok(()),
-    }
-}
-
-/// Sets each active lane's state and gathers the entry's fetch table,
-/// coalescing identical lines across lanes into one request (the
-/// warp-level analogue of LSU coalescing). Returns the ISA instructions
-/// the entry expands to. Shared by both RT-unit organizations; call after
-/// [`check_dispatch`].
-pub(crate) fn plan_lanes(
-    cfg: &HsuConfig,
-    active_mask: u32,
-    ops: &[ThreadOp],
-    line_bytes: u64,
-    lanes: &mut [LaneState; WARP_WIDTH],
-    table: &mut Vec<(u64, u32)>,
-) -> Result<u64, SimError> {
-    let mut isa_instructions = 0;
-    for (lane, op) in lanes_of(active_mask).zip(ops) {
-        let (mode, beats, addr, bytes) = lane_plan(cfg, op)?;
-        isa_instructions += u64::from(beats);
-        let first = addr / line_bytes;
-        let last = (addr + bytes.max(1) - 1) / line_bytes;
-        lanes[lane] = LaneState {
-            pending_lines: (last - first + 1) as u32,
-            beats_to_issue: beats,
-            beats_in_flight: beats,
-            mode: Some(mode),
-        };
-        for line in first..=last {
-            match table.iter_mut().find(|(l, _)| *l == line) {
-                Some((_, mask)) => *mask |= 1 << lane,
-                None => table.push((line, 1 << lane)),
-            }
-        }
-    }
-    Ok(isa_instructions)
-}
-
-/// Whether `op` is legal on a unit with HSU configuration `cfg` (the
-/// baseline RT unit rejects the HSU extensions). Shared by both RT-unit
-/// organizations.
-pub(crate) fn unit_supports(cfg: &HsuConfig, op: &ThreadOp) -> bool {
-    match op {
-        ThreadOp::HsuRayIntersect { .. } => true,
-        ThreadOp::HsuDistance { .. } | ThreadOp::HsuKeyCompare { .. } => cfg.hsu_extensions,
-        _ => false,
     }
 }
 
@@ -260,7 +180,13 @@ impl RtUnit {
     /// Whether the instruction is legal on this unit (the baseline RT unit
     /// rejects the HSU extensions).
     pub fn supports(&self, op: &ThreadOp) -> bool {
-        unit_supports(&self.cfg, op)
+        match op {
+            ThreadOp::HsuRayIntersect { .. } => true,
+            ThreadOp::HsuDistance { .. } | ThreadOp::HsuKeyCompare { .. } => {
+                self.cfg.hsu_extensions
+            }
+            _ => false,
+        }
     }
 
     /// Arbitrates among sub-cores with pending HSU instructions this cycle.
@@ -298,7 +224,14 @@ impl RtUnit {
     ) -> Result<EntryId, SimError> {
         // Check every active lane before committing any state, so a
         // malformed instruction cannot leave a half-dispatched entry.
-        check_dispatch(&self.cfg, active_mask, ops)?;
+        for op in ops.iter().take(active_mask.count_ones() as usize) {
+            lane_plan(&self.cfg, op)?;
+        }
+        if let Some(lane) = lanes_of(active_mask).nth(ops.len()) {
+            return Err(SimError::IllegalDispatch {
+                detail: format!("active lane {lane} without an op (mask {active_mask:#x})"),
+            });
+        }
         let Some(entry) = self.warp_buffer.allocate_mask(warp, sub_core, active_mask) else {
             return Err(SimError::IllegalDispatch {
                 detail: "dispatch without a free warp buffer entry".to_string(),
@@ -307,20 +240,32 @@ impl RtUnit {
         self.entry_owner[entry] = Some(warp);
         self.stats.warp_instructions += 1;
 
-        // The entry's table keeps its capacity across releases.
-        let mut table = std::mem::take(&mut self.entry_requests[entry]);
-        self.stats.isa_instructions += plan_lanes(
-            &self.cfg,
-            active_mask,
-            ops,
-            line_bytes,
-            &mut self.lane_state[entry],
-            &mut table,
-        )?;
+        // Set each active lane's state and gather the entry's fetch table,
+        // coalescing identical lines across lanes into one request (the
+        // warp-level analogue of LSU coalescing). The table keeps its
+        // capacity across releases.
+        let table = &mut self.entry_requests[entry];
+        for (lane, op) in lanes_of(active_mask).zip(ops) {
+            let (mode, beats, addr, bytes) = lane_plan(&self.cfg, op)?;
+            self.stats.isa_instructions += u64::from(beats);
+            let first = addr / line_bytes;
+            let last = (addr + bytes.max(1) - 1) / line_bytes;
+            self.lane_state[entry][lane] = LaneState {
+                pending_lines: (last - first + 1) as u32,
+                beats_to_issue: beats,
+                beats_in_flight: beats,
+                mode: Some(mode),
+            };
+            for line in first..=last {
+                match table.iter_mut().find(|(l, _)| *l == line) {
+                    Some((_, mask)) => *mask |= 1 << lane,
+                    None => table.push((line, 1 << lane)),
+                }
+            }
+        }
         for (req, &(line, _)) in table.iter().enumerate() {
             self.fifo.push_back(FifoRequest { entry, req, line });
         }
-        self.entry_requests[entry] = table;
         Ok(entry)
     }
 

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 use crate::config::GpuConfig;
 use crate::error::{SimError, SmDeadlockState};
 use crate::memory::{AccessOutcome, MemorySystem, Requester};
-use crate::rt_core::RtCore;
+use crate::rt_unit::{RtUnit, RtUnitStats};
 use crate::trace::{OpClass, ThreadOp, WarpTrace};
 
 /// Waiter-token encoding: bit 63 selects RT-unit responses.
@@ -75,7 +75,7 @@ pub struct Sm<'k> {
     lsu_queue: VecDeque<(u64, usize)>,
     /// Round-robin token for the shared L1 port (LSU vs RT FIFO, §VI-H).
     port_prefers_rt: bool,
-    rt: RtCore,
+    rt: RtUnit,
     next_age: u64,
     /// Last cycle any sub-core issued an instruction (deadlock diagnostics'
     /// "last progress" marker; `None` until the first issue).
@@ -115,7 +115,7 @@ impl<'k> Sm<'k> {
             sub_core_busy_until: vec![0; cfg.sub_cores],
             lsu_queue: VecDeque::new(),
             port_prefers_rt: false,
-            rt: RtCore::new(cfg),
+            rt: RtUnit::new(cfg.hsu.clone(), cfg.sub_cores),
             next_age: 0,
             last_issue_cycle: None,
             earliest_timer: u64::MAX,
@@ -647,7 +647,7 @@ impl<'k> Sm<'k> {
     }
 
     /// The RT/HSU unit's statistics.
-    pub fn rt_stats(&self) -> crate::rt_unit::RtUnitStats {
+    pub fn rt_stats(&self) -> RtUnitStats {
         self.rt.stats()
     }
 }

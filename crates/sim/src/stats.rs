@@ -107,9 +107,6 @@ impl SimReport {
             rt.occupancy_peak = rt.occupancy_peak.max(r.occupancy_peak);
             rt.cycles += r.cycles;
             rt.dispatch_stalls += r.dispatch_stalls;
-            rt.staging_hits += r.staging_hits;
-            rt.staging_evictions += r.staging_evictions;
-            rt.treelet_transitions += r.treelet_transitions;
             rt.pipeline.cycles += r.pipeline.cycles;
             rt.pipeline.issue_busy_cycles += r.pipeline.issue_busy_cycles;
             for i in 0..5 {

@@ -5,17 +5,13 @@
 //!
 //! The corruptions come from [`hsu_sim::faults`], which guarantees they are
 //! real faults; this suite proves the *simulator's* side of the contract.
-//! Every class is additionally pinned under the treelet-scheduled RT core
-//! ([`hsu_sim::config::RtCoreKind::Treelet`]) with payload parity against
-//! the baseline organization — a fault must look the same no matter which
-//! core the machine was built with.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 
 use hsu_core::HsuConfig;
-use hsu_sim::config::{GpuConfig, RtCoreKind, SimMode};
+use hsu_sim::config::{GpuConfig, SimMode};
 use hsu_sim::error::{CancelToken, RunLimits, WatchdogCause};
 use hsu_sim::faults::{
     corrupt_trace_bytes, forced_deadlock_config, forced_deadlock_kernel, pathological_configs,
@@ -207,33 +203,12 @@ fn watchdog_deadline_yields_a_typed_watchdog_error() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// RT-organization parity: every fault class pins the same typed error under
-// the treelet-scheduled core as under the baseline organization
-// ---------------------------------------------------------------------------
-
-/// The same machine under both RT-unit organizations.
-fn organizations(cfg: &GpuConfig) -> [GpuConfig; 2] {
-    [
-        GpuConfig {
-            rt_core: RtCoreKind::Baseline,
-            ..cfg.clone()
-        },
-        GpuConfig {
-            rt_core: RtCoreKind::Treelet,
-            ..cfg.clone()
-        },
-    ]
-}
-
-/// Byte-level corruption is rejected at decode, *before* an RT organization
-/// is even constructed, so the typed error cannot depend on the core. This
-/// pins the taxonomy — every trace-fault class maps to
-/// [`SimError::TraceDecode`] — and then proves the healthy twin of the
-/// corrupted stream executes under both organizations with identical
-/// instruction issue and retirement (cycles legitimately differ).
+/// Byte-level corruption is rejected at decode: every trace-fault class maps
+/// to [`SimError::TraceDecode`] through the taxonomy the loaders use, never
+/// to `Io`. The healthy twin of the corrupted stream decodes and simulates
+/// exactly like the kernel it was written from.
 #[test]
-fn every_fault_class_is_pinned_to_trace_decode_for_both_organizations() {
+fn every_fault_class_is_pinned_to_trace_decode() {
     let buf = encoded_sample();
     for fault in TRACE_FAULTS {
         for seed in 0..64u64 {
@@ -242,8 +217,6 @@ fn every_fault_class_is_pinned_to_trace_decode_for_both_organizations() {
                 Err(e) => e,
                 Ok(_) => panic!("{fault:?} seed {seed}: corrupted trace decoded"),
             };
-            // Lift through the same taxonomy the loaders use: every byte
-            // corruption must land on `TraceDecode`, never `Io`.
             let err = SimError::from_io("fault harness", io_err);
             assert!(
                 matches!(err, SimError::TraceDecode { .. }),
@@ -252,104 +225,18 @@ fn every_fault_class_is_pinned_to_trace_decode_for_both_organizations() {
         }
     }
     let kernel = read_trace(buf.as_slice()).expect("healthy stream decodes");
-    let [a, b] = organizations(&GpuConfig::tiny()).map(|cfg| {
-        Gpu::new(cfg)
-            .run(&kernel)
-            .expect("healthy stream simulates under both organizations")
-    });
-    assert_eq!(
-        a.issued, b.issued,
-        "issue mix diverged between organizations"
-    );
-    assert_eq!(a.warps_retired, b.warps_retired);
-    assert_eq!(a.rt.warp_instructions, b.rt.warp_instructions);
-    assert_eq!(a.rt.isa_instructions, b.rt.isa_instructions);
+    let gpu = Gpu::new(GpuConfig::tiny());
+    let restored = gpu.run(&kernel).expect("healthy stream simulates");
+    let original = gpu.run(&sample_kernel(8, 4)).expect("original simulates");
+    assert_eq!(restored.normalized(), original.normalized());
 }
 
-/// The forced-deadlock pair must trip the cycle guard with *identical*
-/// diagnostics under the treelet core, in every mode and thread count. The
-/// kernel carries no HSU ops, so the organizations run in lockstep and any
-/// payload divergence is an organization bug, not a modelling difference.
-#[test]
-fn forced_deadlock_payloads_agree_across_organizations() {
-    let kernel = forced_deadlock_kernel();
-    let oracle_err = Gpu::new(forced_deadlock_config())
-        .run(&kernel)
-        .expect_err("baseline stepped run must deadlock");
-    let SimError::Deadlock(oracle) = &oracle_err else {
-        panic!("expected Deadlock, got {oracle_err:?}");
-    };
-    let treelet = GpuConfig {
-        rt_core: RtCoreKind::Treelet,
-        ..forced_deadlock_config()
-    };
-    let configs = vec![
-        GpuConfig {
-            sim_mode: SimMode::Stepped,
-            ..treelet.clone()
-        },
-        GpuConfig {
-            sim_mode: SimMode::Event,
-            ..treelet.clone()
-        },
-    ];
-    for (i, cfg) in configs.into_iter().enumerate() {
-        let err = Gpu::new(cfg)
-            .run(&kernel)
-            .expect_err("forced deadlock must trip the guard under the treelet core");
-        match &err {
-            SimError::Deadlock(d) => assert_eq!(
-                d.as_ref(),
-                oracle.as_ref(),
-                "treelet deadlock diagnostics diverged from the baseline oracle (config {i})"
-            ),
-            other => panic!("expected Deadlock for treelet config {i}, got {other:?}"),
-        }
-    }
-}
-
-/// Every pathological configuration is rejected on the same field with the
-/// same rendered diagnostics under both organizations. The staging-pool
-/// entry is organization-specific by design (the baseline ignores the
-/// knob), so it pins the treelet core alone; everything else sweeps both.
-#[test]
-fn pathological_configs_are_typed_identically_for_both_organizations() {
-    let kernel = sample_kernel(4, 2);
-    for (field, cfg) in pathological_configs() {
-        let variants = if field == "rt_staging_buffers" {
-            vec![cfg.clone()]
-        } else {
-            organizations(&cfg).to_vec()
-        };
-        let payloads: Vec<String> = variants
-            .into_iter()
-            .map(|c| {
-                let err = Gpu::new(c)
-                    .run(&kernel)
-                    .expect_err("pathological config must be rejected");
-                match &err {
-                    SimError::InvalidConfig { field: got, .. } => {
-                        assert_eq!(*got, field, "wrong offending field reported");
-                    }
-                    other => panic!("expected InvalidConfig for {field}, got {other:?}"),
-                }
-                err.to_string()
-            })
-            .collect();
-        assert!(
-            payloads.windows(2).all(|w| w[0] == w[1]),
-            "{field}: organizations rendered different diagnostics: {payloads:?}"
-        );
-    }
-}
-
-/// The fault class that *does* reach the RT core: a decodable trace whose
+/// The fault class that *does* reach the RT unit: a decodable trace whose
 /// `KEY_COMPARE` the configured unit cannot execute (HSU extensions absent).
-/// Both organizations must reject it with the same typed
-/// [`SimError::IllegalDispatch`] payload — the support matrix and dispatch
-/// plan are shared between the cores, so the diagnostics are too.
+/// A whole [`Gpu::run`] must stop with a typed [`SimError::IllegalDispatch`]
+/// in every simulation mode, not a panic or a wrong answer.
 #[test]
-fn hsu_ops_without_extensions_are_rejected_identically_by_both_organizations() {
+fn hsu_ops_without_extensions_are_rejected_with_illegal_dispatch() {
     let mut kernel = KernelTrace::builder("illegal-dispatch");
     let mut thread = ThreadTrace::new();
     thread.push(ThreadOp::HsuKeyCompare {
@@ -358,24 +245,18 @@ fn hsu_ops_without_extensions_are_rejected_identically_by_both_organizations() {
     });
     kernel.push_thread(thread);
     let kernel = kernel.finish();
-    let base = GpuConfig::tiny().with_hsu(HsuConfig::baseline_rt());
-    let payloads: Vec<String> = organizations(&base)
-        .into_iter()
-        .map(|cfg| {
-            let err = Gpu::new(cfg)
-                .run(&kernel)
-                .expect_err("a baseline RT unit must reject KEY_COMPARE");
-            match &err {
-                SimError::IllegalDispatch { .. } => {}
-                other => panic!("expected IllegalDispatch, got {other:?}"),
-            }
-            err.to_string()
-        })
-        .collect();
-    assert_eq!(
-        payloads[0], payloads[1],
-        "organizations rendered different dispatch diagnostics"
-    );
+    for mode in SimMode::ALL {
+        let cfg = GpuConfig {
+            sim_mode: mode,
+            ..GpuConfig::tiny().with_hsu(HsuConfig::baseline_rt())
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| Gpu::new(cfg).run(&kernel)));
+        match outcome {
+            Ok(Err(SimError::IllegalDispatch { .. })) => {}
+            Ok(other) => panic!("{mode:?}: expected IllegalDispatch, got {other:?}"),
+            Err(_) => panic!("{mode:?}: illegal dispatch panicked the simulator"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@
 //! `(cycle, event)` does. Stepped and event mode push the same late events,
 //! so the stepped-vs-event comparison cannot see a wrong late-event order;
 //! the cycle counts and report digests below can. They were recorded with
-//! the binary-heap event queue.
+//! the binary-heap event queue, and re-pinned once, when `RtUnitStats`
+//! dropped three counters that were always zero on this RT unit: putting
+//! those three `: 0` fields back into the new reports' `Debug` text
+//! reproduces the old digests exactly, and the cycle counts never moved.
 
 use hsu_geometry::point::Metric;
 use hsu_sim::config::{GpuConfig, SimMode};
@@ -94,10 +97,10 @@ fn run(l1_latency: u64, l2_latency: u64, mode: SimMode) -> SimReport {
 fn zero_latency_machines_match_the_recorded_reports() {
     // (l1_latency, l2_latency, cycles, normalized-report digest)
     let pins: [(u64, u64, u64, u64); 4] = [
-        (0, 0, 1784, 0x86cd_225b_1049_4cdd),
-        (0, 1, 1784, 0x86cd_225b_1049_4cdd),
-        (1, 0, 1783, 0x7f31_e1fd_3a18_7778),
-        (0, 2, 1755, 0x2f62_6cad_7c84_4166),
+        (0, 0, 1784, 0xac48_bd81_1e08_136b),
+        (0, 1, 1784, 0xac48_bd81_1e08_136b),
+        (1, 0, 1783, 0x39f9_a0db_b47f_5146),
+        (0, 2, 1755, 0x2b12_6998_7690_6a02),
     ];
     for (l1, l2, cycles, want) in pins {
         let stepped = run(l1, l2, SimMode::Stepped);
