@@ -32,6 +32,9 @@ echo "== sim-mode matrix (stepped / event) =="
 # reports in both simulation modes. Catches event-schedule bugs that the
 # unit proptests' small machines might miss.
 cargo test --release -q --test sim_equivalence full_suite_matrix_is_mode_equivalent
+# Small warp buffers: the suite's HSU traces at buffer sizes 1/2/4/8/16,
+# where the event loop sleeps through refused dispatches into a full buffer.
+cargo test --release -q --test sim_equivalence warp_buffer_sweep_is_mode_equivalent
 
 echo "== sim modes (differential bench: stepped oracle vs event) =="
 # Runs the suite matrix under both simulation modes, asserts the

@@ -128,7 +128,7 @@ impl PipelineStats {
 ///
 /// let mut pipe = DatapathPipeline::new();
 /// assert!(pipe.issue(OperatingMode::RayBox, 1));
-/// assert!(pipe.issue_blocked()); // one issue per cycle
+/// assert!(!pipe.issue(OperatingMode::RayBox, 2)); // one issue per cycle
 /// let mut done = Vec::new();
 /// for _ in 0..9 {
 ///     done.extend(pipe.tick());
@@ -162,12 +162,6 @@ impl DatapathPipeline {
             issued_this_cycle: false,
             stats: PipelineStats::default(),
         }
-    }
-
-    /// Returns `true` if the single issue slot was already used this cycle.
-    #[inline]
-    pub fn issue_blocked(&self) -> bool {
-        self.issued_this_cycle
     }
 
     /// Issues one thread's operation into stage 1. Returns `false` (and does
@@ -215,6 +209,20 @@ impl DatapathPipeline {
         );
         self.issued_this_cycle = false;
         self.stats.cycles += cycles;
+    }
+
+    /// Ticks until the youngest in-flight operation whose tag satisfies
+    /// `matches` leaves the last stage (`1` = the next [`tick`] returns it),
+    /// or `None` when no such operation is in flight. Read-only: the
+    /// event-driven simulator uses it to bound when a buffered instruction
+    /// can write back.
+    ///
+    /// [`tick`]: DatapathPipeline::tick
+    pub fn ticks_until_drained(&self, matches: impl Fn(u64) -> bool) -> Option<u64> {
+        self.stages
+            .iter()
+            .position(|s| s.is_some_and(|c| matches(c.tag)))
+            .map(|stage| (PIPELINE_DEPTH - stage) as u64)
     }
 
     /// Number of operations currently in flight.
@@ -275,6 +283,33 @@ mod tests {
         // Both can issue normally afterwards.
         assert!(ticked.issue(OperatingMode::Euclid, 0));
         assert!(skipped.issue(OperatingMode::Euclid, 0));
+    }
+
+    #[test]
+    fn ticks_until_drained_counts_to_the_youngest_match() {
+        let mut pipe = DatapathPipeline::new();
+        assert_eq!(pipe.ticks_until_drained(|_| true), None);
+        pipe.issue(OperatingMode::Euclid, 1);
+        pipe.tick();
+        pipe.issue(OperatingMode::Euclid, 2);
+        pipe.tick();
+        pipe.issue(OperatingMode::Euclid, 1);
+        // The youngest tag-1 op still waits a full pipeline depth.
+        assert_eq!(
+            pipe.ticks_until_drained(|t| t == 1),
+            Some(PIPELINE_DEPTH as u64)
+        );
+        pipe.tick();
+        let left = pipe.ticks_until_drained(|t| t == 2).unwrap();
+        assert_eq!(left, PIPELINE_DEPTH as u64 - 2);
+        let mut exits = Vec::new();
+        for i in 1..=left {
+            if let Some(done) = pipe.tick() {
+                exits.push((i, done.tag));
+            }
+        }
+        assert_eq!(exits, vec![(left - 1, 1), (left, 2)]);
+        assert_eq!(pipe.ticks_until_drained(|t| t == 7), None);
     }
 
     #[test]

@@ -56,15 +56,18 @@ impl Gpu {
     /// oracle loop). Under [`SimMode::Event`] the loop asks each component
     /// for the earliest cycle its state can change and jumps straight there
     /// — and within each visited cycle it ticks only the SMs that can
-    /// observe it. An SM sleeps until one of three wakeups: a completion is
-    /// delivered to it, its L1 (or private RT cache) receives a fill (which
-    /// frees an MSHR and can flip what the port accepts), or its own
-    /// self-reported [`Sm::next_event`] cycle arrives. Every cycle an SM
-    /// sleeps through is provably a no-op for it in the stepped machine —
-    /// its warps are blocked on timers, busy issue slots, or memory
-    /// (including L1 queues whose head the cache would reject) — and is
-    /// bulk-accounted on wakeup via [`Sm::fast_forward`], down to the stall
-    /// statistics and the L1 port's round-robin state.
+    /// observe it. An SM sleeps until one of three wakeups: its L1 (or
+    /// private RT cache) receives a fill (which frees an MSHR and can flip
+    /// what the port accepts), a completion it can observe is delivered to
+    /// it ([`Sm::completion_wakes`]; the others are applied on delivery),
+    /// or its own self-reported [`Sm::next_event`] cycle arrives. Every
+    /// cycle an SM sleeps through is provably a no-op for what it can
+    /// observe in the stepped machine — its warps are blocked on timers,
+    /// busy issue slots, memory (including L1 queues whose head the cache
+    /// would reject), or an RT unit that is draining its datapath or
+    /// refusing dispatches into a full warp buffer — and is bulk-accounted
+    /// on wakeup via [`Sm::fast_forward`], down to the stall statistics,
+    /// the datapath's beats and the L1 port's round-robin state.
     ///
     /// # Errors
     ///
@@ -118,6 +121,8 @@ impl Gpu {
         let mut wake: Vec<Option<u64>> = vec![Some(0); num_sms];
         let mut active: Vec<bool> = vec![true; num_sms];
         let mut woken_by_mem: Vec<bool> = vec![false; num_sms];
+        // Completions held back until their SM has replayed its sleep window.
+        let mut deliver: Vec<(usize, u64)> = Vec::new();
         let mut now = 0u64;
         let mut iterations = 0u64;
         let cycles = loop {
@@ -136,20 +141,29 @@ impl Gpu {
             mem.tick(now, &mut done);
             if event_mode {
                 // An SM must tick at `now` iff it can observe the cycle:
-                // its own wakeup arrived, a completion is delivered to
-                // it, or its L1 received a fill (freeing an MSHR, which
-                // can flip what its port would accept).
+                // its own wakeup arrived, its L1 received a fill (freeing
+                // an MSHR, which can flip what its port would accept), or
+                // a completion it can observe is delivered to it.
                 for i in 0..num_sms {
                     woken_by_mem[i] = false;
                     active[i] = wake[i].is_some_and(|t| t <= now);
                 }
-                for &(sm, _) in &done {
-                    active[sm] = true;
-                    woken_by_mem[sm] = true;
-                }
                 for &sm in mem.l1_touched() {
                     active[sm] = true;
                     woken_by_mem[sm] = true;
+                }
+            }
+            // A completion a sleeping SM cannot observe yet commutes with
+            // its sleep window, so it is applied on the spot; every other
+            // one wakes its SM and waits for the window's replay.
+            deliver.clear();
+            for &(sm, waiter) in &done {
+                if !active[sm] && !sms[sm].completion_wakes(waiter) {
+                    sms[sm].on_mem_done(waiter)?;
+                } else {
+                    active[sm] = true;
+                    woken_by_mem[sm] = true;
+                    deliver.push((sm, waiter));
                 }
             }
             // Waking SMs first replay their sleep window in bulk, so the
@@ -159,12 +173,11 @@ impl Gpu {
                 if !active[i] {
                     continue;
                 }
-                let slept = match last_ticked[i] {
-                    u64::MAX => now,
-                    t => now - t - 1,
-                };
+                // A never-ticked SM (`u64::MAX`) slept from cycle 0.
+                let start = last_ticked[i].wrapping_add(1);
+                let slept = now - start;
                 if slept > 0 {
-                    sm.fast_forward(slept, &mut mem);
+                    sm.fast_forward(start, slept, &mut mem);
                     sched.cycles_skipped += slept;
                     if woken_by_mem[i] {
                         sched.skipped_on_memory += slept;
@@ -173,7 +186,7 @@ impl Gpu {
                     }
                 }
             }
-            for &(sm, waiter) in &done {
+            for &(sm, waiter) in &deliver {
                 sms[sm].on_mem_done(waiter)?;
             }
             for (i, sm) in sms.iter_mut().enumerate() {
@@ -224,12 +237,10 @@ impl Gpu {
         // bulk accounting for their final sleep window (stepped mode ticks
         // every SM on every cycle, so this is a no-op there).
         for (i, sm) in sms.iter_mut().enumerate() {
-            let slept = match last_ticked[i] {
-                u64::MAX => cycles,
-                t => cycles - t - 1,
-            };
+            let start = last_ticked[i].wrapping_add(1);
+            let slept = cycles - start;
             if slept > 0 {
-                sm.fast_forward(slept, &mut mem);
+                sm.fast_forward(start, slept, &mut mem);
                 sched.cycles_skipped += slept;
                 sched.skipped_on_timers += slept;
             }

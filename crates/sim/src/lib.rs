@@ -30,8 +30,10 @@
 //! state can change ([`memory::MemorySystem::next_event`],
 //! [`sm::Sm::next_event`]), the run loop jumps straight to the minimum, and
 //! within a visited cycle only the SMs that can observe it tick — the rest
-//! sleep until a completion, an L1 fill, or their own wakeup cycle arrives,
-//! and bulk-account the skipped window via `fast_forward`. Both modes
+//! sleep until an L1 fill, a completion they can observe, or their own
+//! wakeup cycle arrives (an SM sleeps through its RT datapath draining and
+//! through dispatches refused by a full warp buffer), and bulk-account the
+//! skipped window via `fast_forward`. Both modes
 //! produce bit-identical [`SimReport`]s (only the [`stats::SchedStats`]
 //! scheduler counters differ); `tests/sim_equivalence.rs` proves this
 //! differentially over random kernels, random machine geometries, and the

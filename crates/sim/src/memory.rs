@@ -109,7 +109,6 @@ impl L1Shard {
 /// The full hierarchy.
 #[derive(Debug)]
 pub struct MemorySystem {
-    line_bytes: u64,
     l1_latency: u64,
     half_l2_latency: u64,
     rt_private: bool,
@@ -142,7 +141,6 @@ impl MemorySystem {
             RtCachePolicy::Bypass => Some(Cache::new(1, 1, cfg.l1_mshrs)),
         };
         MemorySystem {
-            line_bytes: cfg.line_bytes as u64,
             l1_latency: cfg.l1_latency,
             half_l2_latency: cfg.l2_latency / 2,
             rt_private: !matches!(cfg.rt_cache, RtCachePolicy::SharedWithLsu),
@@ -174,19 +172,6 @@ impl MemorySystem {
             dram_completions: Vec::new(),
             l1_touched: Vec::new(),
         }
-    }
-
-    /// Converts a byte address to a line number.
-    #[inline]
-    pub fn line_of(&self, addr: u64) -> u64 {
-        addr / self.line_bytes
-    }
-
-    /// The unique lines touched by `bytes` starting at `addr`.
-    pub fn lines_of_range(&self, addr: u64, bytes: u64) -> impl Iterator<Item = u64> {
-        let first = addr / self.line_bytes;
-        let last = (addr + bytes.max(1) - 1) / self.line_bytes;
-        first..=last
     }
 
     /// Presents one access to `sm`'s L1 port (the caller enforces the
@@ -238,12 +223,6 @@ impl MemorySystem {
         let shard = &mut self.shards[sm];
         shard.l1.probe(line);
         shard.count(requester);
-    }
-
-    /// Returns `true` if `sm`'s L1 MSHR file is full (the access would be
-    /// rejected).
-    pub fn l1_mshrs_full(&self, sm: usize) -> bool {
-        self.shards[sm].l1.mshrs_full()
     }
 
     /// Outstanding misses tracked by `sm`'s L1 plus its private RT cache, if
@@ -565,19 +544,6 @@ mod tests {
         let s = mem.stats();
         assert_eq!(s.l1_lsu_accesses, 2);
         assert_eq!(s.l1_rt_accesses, 1);
-    }
-
-    #[test]
-    fn range_line_splitting() {
-        let cfg = GpuConfig::tiny();
-        let mem = MemorySystem::new(&cfg);
-        // 128-byte lines: a 64-byte fetch at offset 96 spans two lines.
-        let lines: Vec<u64> = mem.lines_of_range(96, 64).collect();
-        assert_eq!(lines, vec![0, 1]);
-        let lines: Vec<u64> = mem.lines_of_range(0, 128).collect();
-        assert_eq!(lines, vec![0]);
-        let lines: Vec<u64> = mem.lines_of_range(256, 1).collect();
-        assert_eq!(lines, vec![2]);
     }
 
     #[test]

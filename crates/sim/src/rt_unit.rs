@@ -17,6 +17,7 @@
 use std::collections::VecDeque;
 
 use hsu_core::arbiter::SubCoreArbiter;
+use hsu_core::config::PIPELINE_DEPTH;
 use hsu_core::pipeline::{DatapathPipeline, OperatingMode, PipelineStats};
 use hsu_core::warp_buffer::{EntryId, WarpBuffer, WARP_WIDTH};
 use hsu_core::HsuConfig;
@@ -138,6 +139,8 @@ pub struct RtUnit {
     /// Which warp owns each entry (for resume notification).
     entry_owner: Vec<Option<usize>>,
     lane_state: Vec<[LaneState; WARP_WIDTH]>,
+    /// Datapath beats not yet issued, summed over each entry's lanes.
+    unissued_beats: Vec<u64>,
     arbiter: SubCoreArbiter,
     /// All-false accumulate bits for the arbiter (sized once).
     no_accumulate: Vec<bool>,
@@ -161,6 +164,7 @@ impl RtUnit {
             warp_buffer: WarpBuffer::new(entries),
             entry_owner: vec![None; entries],
             lane_state: vec![[LaneState::default(); WARP_WIDTH]; entries],
+            unissued_beats: vec![0; entries],
             arbiter: SubCoreArbiter::new(sub_cores),
             no_accumulate: vec![false; sub_cores],
             pipeline: DatapathPipeline::new(),
@@ -248,6 +252,7 @@ impl RtUnit {
         for (lane, op) in lanes_of(active_mask).zip(ops) {
             let (mode, beats, addr, bytes) = lane_plan(&self.cfg, op)?;
             self.stats.isa_instructions += u64::from(beats);
+            self.unissued_beats[entry] += u64::from(beats);
             let first = addr / line_bytes;
             let last = (addr + bytes.max(1) - 1) / line_bytes;
             self.lane_state[entry][lane] = LaneState {
@@ -313,6 +318,25 @@ impl RtUnit {
         }
     }
 
+    /// Whether the response for `(entry, req)` completes the entry's
+    /// operands, making it ready for the datapath. A response that leaves
+    /// some active lane still waiting changes only the entry's valid mask,
+    /// which no [`RtUnit::tick`] reads before the operands are complete —
+    /// so it can be applied early without changing what the unit does.
+    /// Read-only; call before [`RtUnit::on_mem_response`].
+    pub fn response_completes_operands(&self, entry: EntryId, req: usize) -> bool {
+        let (Some(e), Some(&(_, mask))) = (
+            self.warp_buffer.get(entry),
+            self.entry_requests.get(entry).and_then(|t| t.get(req)),
+        ) else {
+            return true; // misrouted: let on_mem_response surface it
+        };
+        let arriving = lanes_of(mask)
+            .filter(|&lane| self.lane_state[entry][lane].pending_lines == 1)
+            .fold(0u32, |m, lane| m | 1 << lane);
+        (e.valid_mask | arriving) & e.active_mask == e.active_mask
+    }
+
     /// Advances the datapath one cycle: issues at most one lane-beat, drains
     /// completions, and retires finished entries.
     pub fn tick(&mut self) {
@@ -342,6 +366,7 @@ impl RtUnit {
                 let tag = (entry as u64) << 8 | lane as u64;
                 if self.pipeline.issue(mode, tag) {
                     state.beats_to_issue -= 1;
+                    self.unissued_beats[entry] -= 1;
                     if state.beats_to_issue == 0 {
                         self.warp_buffer.mark_issued(entry, lane);
                     }
@@ -349,81 +374,130 @@ impl RtUnit {
             }
         }
 
-        // Completion stage.
-        if let Some(done) = self.pipeline.tick() {
-            let entry = (done.tag >> 8) as usize;
-            let lane = (done.tag & 0xff) as usize;
-            let state = &mut self.lane_state[entry][lane];
-            state.beats_in_flight -= 1;
-            if state.beats_in_flight == 0 {
-                self.warp_buffer.mark_completed(entry, lane);
-            }
+        // Completion stage. At most one beat leaves the pipeline per cycle,
+        // so at most one entry can become writeback-ready: it retires in
+        // the same cycle.
+        let Some(done) = self.pipeline.tick() else {
+            return;
+        };
+        let entry = (done.tag >> 8) as usize;
+        let lane = (done.tag & 0xff) as usize;
+        let state = &mut self.lane_state[entry][lane];
+        state.beats_in_flight -= 1;
+        if state.beats_in_flight > 0 {
+            return;
+        }
+        self.warp_buffer.mark_completed(entry, lane);
+        if !self.warp_buffer.entry(entry).writeback_ready() {
+            return;
         }
 
-        // Writeback stage: retire finished entries, lowest id first.
-        for entry in 0..self.warp_buffer.capacity() {
-            if !self
-                .warp_buffer
-                .get(entry)
-                .is_some_and(|e| e.writeback_ready())
-            {
-                continue;
-            }
-            self.warp_buffer.release(entry);
-            // Internal invariant: dispatch records an owner for every
-            // allocated entry.
-            let Some(warp) = self.entry_owner[entry].take() else {
-                unreachable!("entry without owner")
-            };
-            self.completed_warps.push(warp);
-            self.lane_state[entry] = [LaneState::default(); WARP_WIDTH];
-            self.entry_requests[entry].clear();
-            if self.draining == Some(entry) {
-                self.draining = None;
-            }
+        // Writeback stage.
+        self.warp_buffer.release(entry);
+        // Internal invariant: dispatch records an owner for every
+        // allocated entry.
+        let Some(warp) = self.entry_owner[entry].take() else {
+            unreachable!("entry without owner")
+        };
+        self.completed_warps.push(warp);
+        self.lane_state[entry] = [LaneState::default(); WARP_WIDTH];
+        self.entry_requests[entry].clear();
+        if self.draining == Some(entry) {
+            self.draining = None;
         }
     }
 
     /// Returns `true` when the next [`RtUnit::tick`] itself can change
-    /// architectural state: beats in the datapath, an undelivered writeback,
-    /// or a warp-buffer entry with issuable lanes. Pending fetches in the
-    /// FIFO are deliberately *excluded* — `tick` never consumes the FIFO
-    /// (the SM's L1-port arbiter does), so whether a queued fetch can make
+    /// internal state: beats in the datapath, an undelivered writeback, or
+    /// a warp-buffer entry with issuable lanes. Pending fetches in the FIFO
+    /// are deliberately *excluded* — `tick` never consumes the FIFO (the
+    /// SM's L1-port arbiter does), so whether a queued fetch can make
     /// progress is the SM's question, answered against the cache state.
-    pub fn advances_on_tick(&self) -> bool {
+    fn advances_on_tick(&self) -> bool {
         !self.pipeline.is_empty()
             || !self.completed_warps.is_empty()
             || self.warp_buffer.ready_entries().next().is_some()
     }
 
-    /// Returns `true` when the next cycle can change the unit's state
-    /// through *any* path — the datapath advancing ([`RtUnit::
-    /// advances_on_tick`]) or a queued fetch wanting the L1 port. When this
-    /// is `false` the unit is externally driven: only
-    /// [`RtUnit::on_mem_response`] can wake it, and the memory system's
-    /// event heap owns that wakeup time.
-    pub fn busy_next_cycle(&self) -> bool {
-        !self.fifo.is_empty() || self.advances_on_tick()
+    /// Returns `true` when no warp-buffer entry is free: every
+    /// [`RtUnit::grant`] refuses (and counts a dispatch stall) until the next
+    /// writeback.
+    pub fn buffer_full(&self) -> bool {
+        self.warp_buffer.is_full()
     }
 
-    /// Accounts `cycles` provably-idle cycles in one step, exactly as that
-    /// many [`RtUnit::tick`] calls would have with no state change: elapsed
-    /// cycles and warp-buffer occupancy integrate forward (entries parked on
-    /// memory still occupy the buffer), and the empty pipeline ages. Queued
-    /// FIFO fetches may exist — `tick` never touches them — provided the
-    /// caller has established they cannot be accepted by the cache during
-    /// the span (the SM accounts their per-cycle rejected probes).
-    pub fn fast_forward(&mut self, cycles: u64) {
+    /// A lower bound on the cycle of the unit's next writeback — the only
+    /// datapath event its SM can observe — given that the last
+    /// [`RtUnit::tick`] ran at cycle `now`:
+    ///
+    /// * a fully issued entry writes back when its last in-flight beat
+    ///   leaves the pipeline (exact);
+    /// * an operand-ready entry with `R` beats still to issue writes back no
+    ///   earlier than `now + R + PIPELINE_DEPTH - 1` (exact for the entry
+    ///   being drained, whose beats issue one per cycle);
+    /// * an entry still waiting on operands gives no bound: the response
+    ///   that completes its operands wakes the SM
+    ///   ([`RtUnit::response_completes_operands`]).
+    ///
+    /// `None` when no entry can write back without a memory response first.
+    pub fn next_release(&self, now: u64) -> Option<u64> {
+        self.warp_buffer
+            .iter()
+            .filter_map(|(id, entry)| {
+                if entry.fully_issued() {
+                    // Internal invariant: a fully issued entry that has not
+                    // written back still has a beat in the pipeline; `1`
+                    // keeps the bound sound regardless.
+                    let left = self
+                        .pipeline
+                        .ticks_until_drained(|tag| (tag >> 8) as usize == id)
+                        .unwrap_or(1);
+                    Some(now + left)
+                } else if entry.operands_ready() {
+                    Some(now + self.unissued_beats[id] + PIPELINE_DEPTH as u64 - 1)
+                } else {
+                    None
+                }
+            })
+            .min()
+    }
+
+    /// Accounts `cycles` cycles in which the SM cannot observe the unit,
+    /// exactly as that many [`RtUnit::tick`] calls would: the datapath
+    /// ticks cycle by cycle while it has beats in flight or an entry ready
+    /// to issue, then the remaining idle span is integrated in one step
+    /// (elapsed cycles, occupancy of entries parked on memory, the empty
+    /// pipeline's age). The caller guarantees that no writeback falls
+    /// inside the span ([`RtUnit::next_release`]) and that any queued FIFO
+    /// fetch cannot be accepted by the cache during it (the SM accounts the
+    /// rejected probes).
+    pub fn advance(&mut self, cycles: u64) {
+        let mut left = cycles;
+        while left > 0 && self.advances_on_tick() {
+            self.tick();
+            left -= 1;
+        }
         debug_assert!(
-            !self.advances_on_tick(),
-            "fast-forward across an active RT unit would skip state changes"
+            self.completed_warps.is_empty(),
+            "a writeback fell inside a skipped window"
         );
-        let occupancy = self.warp_buffer.occupancy() as u64;
-        self.stats.cycles += cycles;
-        self.stats.occupancy_sum += cycles * occupancy;
-        // occupancy_peak needs no update: occupancy is constant across the
-        // skipped span and was sampled by the last executed tick.
-        self.pipeline.fast_forward(cycles);
+        if left > 0 {
+            // Occupancy is constant across the window: no dispatch, no
+            // writeback.
+            let occupancy = self.warp_buffer.occupancy() as u64;
+            self.stats.cycles += left;
+            self.stats.occupancy_sum += left * occupancy;
+            self.stats.occupancy_peak = self.stats.occupancy_peak.max(occupancy);
+            self.pipeline.fast_forward(left);
+        }
+    }
+
+    /// Counts `cycles` refused dispatches in one step, exactly as that many
+    /// [`RtUnit::grant`] calls against a full buffer would (a refusal
+    /// touches nothing but this counter).
+    pub fn note_dispatch_stalls(&mut self, cycles: u64) {
+        debug_assert!(self.warp_buffer.is_full() || cycles == 0);
+        self.stats.dispatch_stalls += cycles;
     }
 
     /// Moves the warps whose HSU instruction wrote back since the last
@@ -451,6 +525,7 @@ impl RtUnit {
 mod tests {
     use super::*;
     use hsu_geometry::point::Metric;
+    use proptest::prelude::*;
 
     fn euclid_op(dim: u32) -> ThreadOp {
         ThreadOp::HsuDistance {
@@ -611,46 +686,9 @@ mod tests {
     }
 
     #[test]
-    fn busy_next_cycle_tracks_the_memory_stall_window() {
-        // The next_event contract across one instruction's lifetime: busy
-        // while fetches sit in the FIFO, idle (externally driven) while all
-        // lanes wait on memory, busy again from response to writeback.
-        let mut unit = RtUnit::new(HsuConfig::default(), 4);
-        assert!(!unit.busy_next_cycle(), "fresh unit is idle");
-        unit.dispatch(5, 0, 1, &lanes_with(euclid_op(16), 1), 128)
-            .unwrap();
-        assert!(unit.busy_next_cycle(), "fetch in FIFO wants the L1 port");
-        let req = unit.pop_fifo().unwrap();
-        unit.tick();
-        assert!(
-            !unit.busy_next_cycle(),
-            "all lanes stalled on memory: only on_mem_response can wake it"
-        );
-        // While parked, ticks must not change any mask/queue state —
-        // fast_forward relies on this.
-        let occ_before = unit.warp_buffer.occupancy();
-        unit.tick();
-        assert_eq!(unit.warp_buffer.occupancy(), occ_before);
-        unit.on_mem_response(req.entry, req.req);
-        assert!(unit.busy_next_cycle(), "operands arrived: lane issuable");
-        // Drain: one beat issues, then rides the pipeline to writeback.
-        let mut guard = 0;
-        while completed(&mut unit).is_empty() {
-            assert!(
-                unit.busy_next_cycle(),
-                "unit with in-flight beats must stay busy"
-            );
-            unit.tick();
-            guard += 1;
-            assert!(guard < 50, "writeback never happened");
-        }
-        assert!(!unit.busy_next_cycle(), "drained unit is idle again");
-    }
-
-    #[test]
-    fn fast_forward_matches_idle_ticks_while_parked_on_memory() {
+    fn advance_matches_idle_ticks_while_parked_on_memory() {
         // Stepped mode ticks a memory-parked unit every cycle; event mode
-        // calls fast_forward once. Both must leave identical statistics —
+        // calls advance once. Both must leave identical statistics —
         // including occupancy integration for the parked entry.
         let build = || {
             let mut u = RtUnit::new(HsuConfig::default(), 4);
@@ -665,13 +703,132 @@ mod tests {
         };
         let mut ticked = build();
         let mut skipped = build();
+        assert_eq!(skipped.next_release(0), None, "parked on memory");
         for _ in 0..100 {
             ticked.tick();
         }
-        skipped.fast_forward(100);
+        skipped.advance(100);
         assert_eq!(ticked.stats(), skipped.stats());
         assert_eq!(ticked.stats().occupancy_sum, 101, "1 entry × 101 cycles");
         assert_eq!(ticked.stats().occupancy_peak, 1);
+    }
+
+    /// One cycle of a random unit workout: a dispatch attempt (`(mask,
+    /// op)`, skipped while the buffer is full) and an optional FIFO pop
+    /// whose response lands after the given latency.
+    #[derive(Debug, Clone)]
+    struct Cycle {
+        dispatch: Option<(u32, ThreadOp)>,
+        fetch_latency: Option<u64>,
+    }
+
+    fn arb_cycle() -> impl Strategy<Value = Cycle> {
+        let op = prop_oneof![
+            (0u64..64, any::<bool>()).prop_map(|(n, triangle)| ThreadOp::HsuRayIntersect {
+                node_addr: n * 64,
+                bytes: 64,
+                triangle,
+            }),
+            (0u64..64, 1u32..65).prop_map(|(a, dim)| ThreadOp::HsuDistance {
+                metric: Metric::Euclidean,
+                dim,
+                candidate_addr: a * 96,
+            }),
+            (0u64..64, 1u32..80).prop_map(|(a, separators)| ThreadOp::HsuKeyCompare {
+                node_addr: a * 32,
+                separators,
+            }),
+        ];
+        let mask = prop_oneof![1u32..16, any::<u32>().prop_filter("no lanes", |&m| m != 0)];
+        // ~30 % of cycles attempt a dispatch, ~70 % pop a fetch.
+        (0u8..10, mask, op, 0u64..57).prop_map(|(roll, mask, op, latency)| Cycle {
+            dispatch: (roll < 3).then_some((mask, op)),
+            fetch_latency: (latency < 40).then_some(latency + 1),
+        })
+    }
+
+    /// Plays `schedule` on a fresh unit in the SM's per-cycle order
+    /// (responses, tick, FIFO pop, dispatch) and returns it with the cycle
+    /// of its last tick. Checks on the way that
+    /// `response_completes_operands` predicts every response.
+    fn replay(entries: usize, schedule: &[Cycle]) -> (RtUnit, u64) {
+        let mut unit = RtUnit::new(HsuConfig::default().with_warp_buffer(entries), 4);
+        let mut in_flight: Vec<(u64, EntryId, usize)> = Vec::new();
+        for (now, cycle) in schedule.iter().enumerate() {
+            let now = now as u64;
+            in_flight.retain(|&(at, entry, req)| {
+                if at != now {
+                    return true;
+                }
+                let completes = unit.response_completes_operands(entry, req);
+                unit.on_mem_response(entry, req);
+                assert_eq!(completes, unit.warp_buffer.entry(entry).operands_ready());
+                false
+            });
+            unit.tick();
+            completed(&mut unit);
+            if let Some(latency) = cycle.fetch_latency {
+                if let Some(req) = unit.pop_fifo() {
+                    in_flight.push((now + latency, req.entry, req.req));
+                }
+            }
+            if let Some((mask, op)) = cycle.dispatch {
+                if !unit.buffer_full() {
+                    unit.dispatch(now as usize, 0, mask, &lanes_with(op, mask), 128)
+                        .unwrap();
+                }
+            }
+        }
+        (unit, schedule.len() as u64 - 1)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The event-mode contract of the unit after every prefix of a
+        /// random dispatch/response schedule: `next_release` is never later
+        /// than the first writeback a plain tick loop reaches (and `None`
+        /// only when no writeback is reachable without a response), and
+        /// `advance(n)` over the window before it leaves every mask, queue,
+        /// pipeline stage and statistic identical to `n` ticks.
+        #[test]
+        fn next_release_bounds_writeback_and_advance_matches_ticks(
+            entries in 1usize..5,
+            schedule in prop::collection::vec(arb_cycle(), 1..80),
+        ) {
+            const HORIZON: u64 = 6_000;
+            for len in 1..=schedule.len() {
+                let (mut unit, now) = replay(entries, &schedule[..len]);
+                let bound = unit.next_release(now);
+                if let Some(b) = bound {
+                    prop_assert!(b > now, "bound {} not after {}", b, now);
+                }
+                let first_writeback = (1..=HORIZON).find_map(|k| {
+                    unit.tick();
+                    (!completed(&mut unit).is_empty()).then_some(now + k)
+                });
+                match (bound, first_writeback) {
+                    (Some(b), Some(w)) => prop_assert!(b <= w, "bound {} > writeback {}", b, w),
+                    (None, Some(w)) => prop_assert!(false, "no bound, writeback at {}", w),
+                    (Some(b), None) => prop_assert!(false, "bound {} but no writeback", b),
+                    (None, None) => {}
+                }
+                let window = first_writeback.map_or(50, |w| w - now - 1);
+                let (mut ticked, _) = replay(entries, &schedule[..len]);
+                let (mut advanced, _) = replay(entries, &schedule[..len]);
+                for _ in 0..window {
+                    ticked.tick();
+                }
+                advanced.advance(window);
+                prop_assert_eq!(ticked.stats(), advanced.stats());
+                prop_assert!(
+                    format!("{ticked:?}") == format!("{advanced:?}"),
+                    "unit state diverged after advance({}) from cycle {}",
+                    window,
+                    now
+                );
+            }
+        }
     }
 
     #[test]

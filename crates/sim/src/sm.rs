@@ -144,14 +144,15 @@ impl<'k> Sm<'k> {
     /// The earliest future cycle at which this SM's state can *observably*
     /// change without memory-side help, or `None` when it is entirely
     /// blocked on the memory system (or finished). The run loop additionally
-    /// wakes a sleeping SM when a completion is delivered to it or its L1
-    /// receives a fill ([`MemorySystem::l1_touched`]) — the only two
-    /// memory-side events that change what this SM can observe.
+    /// wakes a sleeping SM when its L1 receives a fill
+    /// ([`MemorySystem::l1_touched`]) or when a completion that
+    /// [`Sm::completion_wakes`] is delivered to it — the only memory-side
+    /// events that change what this SM can observe.
     ///
     /// The contract required by the event-driven run loop is soundness, not
     /// tightness: the returned cycle must never be *later* than the true
-    /// next state change. Three refinements keep memory- and compute-bound
-    /// phases skippable without breaking it:
+    /// next state change. Five refinements keep memory-, compute- and
+    /// RT-bound phases skippable without breaking it:
     ///
     /// * a queued L1 access (LSU or RT fetch) only forces `now + 1` if the
     ///   cache would actually *accept* it ([`MemorySystem::can_accept`]);
@@ -162,7 +163,14 @@ impl<'k> Sm<'k> {
     ///   run length), not the next cycle,
     /// * a timer wait reports `max(wakeup, sub-core free)` — waking a warp
     ///   into a busy sub-core changes only its status word, which is
-    ///   unobservable until the warp can issue.
+    ///   unobservable until the warp can issue,
+    /// * the RT unit contributes only its next writeback
+    ///   ([`RtUnit::next_release`]): beats draining through the datapath
+    ///   change nothing the SM reads until an entry writes back,
+    /// * a sub-core whose GTO pick wants the HSU while the warp buffer is
+    ///   full is blocked until that writeback, and so are the ready warps
+    ///   behind its pick; each cycle it only counts a refused dispatch,
+    ///   which [`Sm::fast_forward`] replays in bulk.
     pub fn next_event(&self, now: u64, mem: &MemorySystem) -> Option<u64> {
         // Launching needs a free or finished slot; if none exists the launch
         // queue only drains after a retirement, which another event causes.
@@ -177,34 +185,61 @@ impl<'k> Sm<'k> {
             .rt
             .peek_fifo()
             .is_some_and(|req| mem.can_accept(self.index, req.line, Requester::RtUnit));
-        if can_launch || lsu_can_issue || rt_can_fetch || self.rt.advances_on_tick() {
+        if can_launch || lsu_can_issue || rt_can_fetch {
             return Some(now + 1);
         }
-        let mut next: Option<u64> = None;
-        for warp in &self.warps {
-            let wake = match warp.status {
-                WarpStatus::Ready => now + 1,
-                WarpStatus::WaitUntil(t) => t,
-                WarpStatus::WaitMem(_) | WarpStatus::WaitHsu | WarpStatus::Finished => continue,
-            };
-            let t = wake
-                .max(self.sub_core_busy_until[warp.sub_core])
-                .max(now + 1);
-            next = Some(next.map_or(t, |n| n.min(t)));
+        let free = |sc: usize| self.sub_core_busy_until[sc].max(now + 1);
+        let mut next = self.rt.next_release(now);
+        let mut earliest = |t: u64| next = Some(next.map_or(t, |n: u64| n.min(t)));
+        // A sub-core with a ready warp issues when it is free, unless its
+        // pick can only be refused by a full warp buffer.
+        let buffer_full = self.rt.buffer_full();
+        for sc in 0..self.sub_cores {
+            if let Some(slot) = self.gto_peek(sc) {
+                if !(buffer_full && self.wants_hsu(slot)) {
+                    earliest(free(sc));
+                }
+            }
+        }
+        if self.earliest_timer != u64::MAX {
+            for warp in &self.warps {
+                if let WarpStatus::WaitUntil(t) = warp.status {
+                    earliest(t.max(free(warp.sub_core)));
+                }
+            }
         }
         next
     }
 
-    /// Bulk-accounts `cycles` provably idle cycles (see
-    /// [`Sm::next_event`]); equivalent to `cycles` calls to [`Sm::tick`] in
-    /// a state where no queue, warp, or unit can make observable progress.
+    /// Bulk-accounts the `cycles` cycles from `start` on that the SM slept
+    /// through (see [`Sm::next_event`]); equivalent to `cycles` calls to
+    /// [`Sm::tick`] in a state where no queue, warp, or unit can make
+    /// progress the SM can observe.
     ///
-    /// Two pieces of per-cycle bookkeeping from the stepped oracle must be
-    /// replayed so both modes stay bit-identical: blocked L1 presentations
-    /// still record one rejected probe per cycle (MSHR-stall statistics and
-    /// the cache's port-use counter), and the shared L1 port's round-robin
-    /// bit keeps toggling while both requesters are waiting.
-    pub fn fast_forward(&mut self, cycles: u64, mem: &mut MemorySystem) {
+    /// Three pieces of per-cycle work from the stepped oracle are replayed
+    /// so both modes stay bit-identical: the RT unit advances its datapath
+    /// ([`RtUnit::advance`]; no writeback falls inside the window), a
+    /// sub-core blocked on the full warp buffer counts one refused dispatch
+    /// per cycle from the earliest cycle such a sub-core is free, and
+    /// blocked L1 presentations record one rejected probe per cycle
+    /// (MSHR-stall statistics and the cache's port-use counter) while the
+    /// shared L1 port's round-robin bit keeps toggling when both requesters
+    /// are waiting.
+    pub fn fast_forward(&mut self, start: u64, cycles: u64, mem: &mut MemorySystem) {
+        if self.rt.buffer_full() {
+            // A free sub-core whose pick wants the HSU requests a dispatch
+            // every cycle; `grant` refuses it, counting at most one stall
+            // per cycle however many sub-cores request, and touches nothing
+            // else while the buffer is full.
+            let first_stall = (0..self.sub_cores)
+                .filter(|&sc| self.gto_peek(sc).is_some_and(|slot| self.wants_hsu(slot)))
+                .map(|sc| self.sub_core_busy_until[sc].max(start))
+                .min();
+            if let Some(from) = first_stall {
+                self.rt
+                    .note_dispatch_stalls((start + cycles).saturating_sub(from));
+            }
+        }
         let lsu_pending = !self.lsu_queue.is_empty();
         let rt_pending = self.rt.peek_fifo().is_some();
         if mem.rt_has_private_path() {
@@ -237,7 +272,30 @@ impl<'k> Sm<'k> {
                 }
             }
         }
-        self.rt.fast_forward(cycles);
+        self.rt.advance(cycles);
+    }
+
+    /// Whether delivering the completion `waiter` changes anything a tick
+    /// of this SM can observe. A load line that leaves its warp still
+    /// waiting on others (`WaitMem(n)` with `n >= 1` afterwards), or an RT
+    /// fetch that leaves its warp-buffer entry still missing operands, only
+    /// updates a counter or a valid mask that no tick reads — such a
+    /// completion commutes with the cycles the SM sleeps through, so the run
+    /// loop applies it on delivery without waking the SM. Read-only; call
+    /// before [`Sm::on_mem_done`].
+    pub fn completion_wakes(&self, waiter: u64) -> bool {
+        if waiter & RT_FLAG != 0 {
+            let entry = ((waiter >> 16) & 0xffff) as usize;
+            let req = (waiter & 0xffff) as usize;
+            self.rt.response_completes_operands(entry, req)
+        } else {
+            // Anything but a multi-line wait wakes (a misrouted token
+            // included, so on_mem_done reports it at the usual point).
+            !matches!(
+                self.warps.get(waiter as usize).map(|w| w.status),
+                Some(WarpStatus::WaitMem(n)) if n > 1
+            )
+        }
     }
 
     /// Handles a memory completion token.
@@ -410,8 +468,18 @@ impl<'k> Sm<'k> {
     }
 
     /// GTO pick for one sub-core: the last-issued warp if still ready,
-    /// otherwise the oldest ready warp.
+    /// otherwise the oldest ready warp. Clears the sub-core's ready hint
+    /// when it finds none.
     fn gto_pick(&mut self, sub_core: usize) -> Option<usize> {
+        let pick = self.gto_peek(sub_core);
+        if pick.is_none() {
+            self.ready_hint[sub_core] = false;
+        }
+        pick
+    }
+
+    /// The warp [`Sm::gto_pick`] would choose, without touching the hint.
+    fn gto_peek(&self, sub_core: usize) -> Option<usize> {
         let issuable = |w: &WarpSlot| {
             w.sub_core == sub_core && w.status == WarpStatus::Ready && w.pc < w.trace.len()
         };
@@ -437,10 +505,13 @@ impl<'k> Sm<'k> {
             }
             i += self.sub_cores;
         }
-        if best.is_none() {
-            self.ready_hint[sub_core] = false;
-        }
         best.map(|(_, i)| i)
+    }
+
+    /// Whether `slot`'s next instruction goes to the RT unit.
+    fn wants_hsu(&self, slot: usize) -> bool {
+        let w = &self.warps[slot];
+        w.trace.instructions()[w.pc].class.is_hsu()
     }
 
     fn issue(&mut self, now: u64, mem: &mut MemorySystem) -> Result<(), SimError> {
@@ -473,10 +544,7 @@ impl<'k> Sm<'k> {
                 self.gto_pick(sc)
             };
             picks.push(pick);
-            hsu_requests.push(pick.is_some_and(|slot| {
-                let w = &self.warps[slot];
-                w.trace.instructions()[w.pc].class.is_hsu()
-            }));
+            hsu_requests.push(pick.is_some_and(|slot| self.wants_hsu(slot)));
         }
 
         // Phase 2: the RT unit grants at most one sub-core's dispatch.
@@ -996,5 +1064,167 @@ mod tests {
         assert_eq!((tight.ready, tight.waiting_timer), (0, 1));
         assert_eq!(tight.last_issue_cycle, Some(0));
         assert_eq!(tight.resident, 1);
+    }
+
+    /// Single-SM counterpart of the event-mode loop in `Gpu::run`: the SM
+    /// ticks only at its own wakeup, on an L1 fill, or on a completion it
+    /// can observe; it replays each sleep window with `fast_forward`.
+    /// Returns the finishing cycle and every `(tick cycle, next_event)`.
+    fn run_event(sm: &mut Sm, mem: &mut MemorySystem, max: u64) -> (u64, Vec<(u64, Option<u64>)>) {
+        let mut done = Vec::new();
+        let mut deliver = Vec::new();
+        let mut log = Vec::new();
+        let (mut wake, mut next_start, mut now) = (Some(0), 0, 0);
+        loop {
+            done.clear();
+            deliver.clear();
+            mem.tick(now, &mut done);
+            let mut active = wake.is_some_and(|t| t <= now) || !mem.l1_touched().is_empty();
+            for &(_, waiter) in &done {
+                if !active && !sm.completion_wakes(waiter) {
+                    sm.on_mem_done(waiter).expect("completion routing");
+                } else {
+                    active = true;
+                    deliver.push(waiter);
+                }
+            }
+            if active {
+                if now > next_start {
+                    sm.fast_forward(next_start, now - next_start, mem);
+                }
+                for &waiter in &deliver {
+                    sm.on_mem_done(waiter).expect("completion routing");
+                }
+                sm.tick(now, mem).expect("tick failed");
+                next_start = now + 1;
+                wake = sm.next_event(now, mem);
+                log.push((now, wake));
+            }
+            if sm.finished() && mem.quiescent() {
+                return (now, log);
+            }
+            now = wake
+                .into_iter()
+                .chain(mem.next_event(now))
+                .min()
+                .expect("no future event: deadlock");
+            assert!(now < max, "event run never finished within {max} cycles");
+        }
+    }
+
+    #[test]
+    fn full_buffer_stall_sleeps_until_the_release() {
+        // One warp-buffer entry, two warps on different sub-cores, each
+        // with a 16-beat-per-lane distance: the second warp's dispatch is
+        // refused every cycle until the first entry writes back.
+        let cfg = GpuConfig::tiny().with_hsu(hsu_core::HsuConfig::default().with_warp_buffer(1));
+        let ops = vec![
+            ThreadOp::HsuDistance {
+                metric: hsu_geometry::point::Metric::Euclidean,
+                dim: 256,
+                candidate_addr: 0x8000,
+            },
+            ThreadOp::Alu { count: 1 },
+        ];
+        let build = || {
+            let mut sm = Sm::new(0, &cfg);
+            sm.enqueue_warp(single_warp_kernel(ops.clone(), 4));
+            sm.enqueue_warp(single_warp_kernel(ops.clone(), 4));
+            (sm, MemorySystem::new(&cfg))
+        };
+
+        // Stepped oracle: the release is the cycle the refused warp finally
+        // dispatches (the writeback frees the entry within the same tick).
+        let (mut stepped, mut stepped_mem) = build();
+        let (mut release, mut stepped_finish) = (None, 0);
+        let mut done = Vec::new();
+        for now in 0..100_000 {
+            done.clear();
+            stepped_mem.tick(now, &mut done);
+            for &(_, waiter) in &done {
+                stepped.on_mem_done(waiter).unwrap();
+            }
+            stepped.tick(now, &mut stepped_mem).unwrap();
+            if release.is_none() && stepped.rt_stats().warp_instructions == 2 {
+                release = Some(now);
+            }
+            if stepped.finished() && stepped_mem.quiescent() {
+                stepped_finish = now;
+                break;
+            }
+        }
+        let release = release.expect("second warp never dispatched");
+        assert!(
+            stepped.rt_stats().dispatch_stalls > 64,
+            "the buffer never filled"
+        );
+
+        let (mut event, mut event_mem) = build();
+        let (finish, log) = run_event(&mut event, &mut event_mem, 100_000);
+        assert_eq!(finish, stepped_finish);
+        let (slept_from, _) = log
+            .iter()
+            .find(|&&(_, next)| next == Some(release))
+            .expect("the SM never scheduled its wakeup at the release");
+        assert!(
+            release - slept_from > 64,
+            "slept only from {slept_from} to the release at {release}"
+        );
+        assert!(
+            !log.iter().any(|&(t, _)| t > *slept_from && t < release),
+            "ticked inside the drain window"
+        );
+        assert_eq!(
+            event.rt_stats(),
+            stepped.rt_stats(),
+            "dispatch stalls diverged"
+        );
+        assert_eq!(event.stats(), stepped.stats());
+        assert_eq!(event_mem.stats(), stepped_mem.stats());
+    }
+
+    #[test]
+    fn three_line_load_wakes_only_on_its_last_completion() {
+        let cfg = GpuConfig::tiny();
+        let mut sm = Sm::new(0, &cfg);
+        let mut mem = MemorySystem::new(&cfg);
+        // Three lanes, three distant lines.
+        let mut k = KernelTrace::builder("three");
+        for lane in 0..3u64 {
+            let mut t = ThreadTrace::new();
+            t.push(ThreadOp::Load {
+                addr: lane * 4096,
+                bytes: 4,
+            });
+            t.push(ThreadOp::Alu { count: 1 });
+            k.push_thread(t);
+        }
+        sm.enqueue_warp(Box::leak(Box::new(k.finish())).warp(0));
+        // Issue the load and drain the LSU queue through the L1 port; then
+        // the SM is blocked on memory alone.
+        let mut wakes = Vec::new();
+        let mut done = Vec::new();
+        let mut ticking = true;
+        let mut now = 0;
+        while wakes.len() < 3 {
+            assert!(now < 100_000, "loads never completed");
+            done.clear();
+            mem.tick(now, &mut done);
+            for &(_, waiter) in &done {
+                wakes.push(sm.completion_wakes(waiter));
+                sm.on_mem_done(waiter).unwrap();
+                if wakes.len() < 3 {
+                    assert_eq!(sm.next_event(now, &mem), None, "still blocked");
+                }
+            }
+            if ticking {
+                sm.tick(now, &mut mem).unwrap();
+                ticking = sm.next_event(now, &mem).is_some();
+            }
+            now += 1;
+        }
+        now -= 1;
+        assert_eq!(wakes, vec![false, false, true]);
+        assert_eq!(sm.next_event(now, &mem), Some(now + 1), "the warp is ready");
     }
 }

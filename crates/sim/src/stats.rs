@@ -19,8 +19,9 @@ use crate::trace::OpClass;
 /// cycles_skipped == SimReport::cycles * num_sms` and `cycles_skipped ==
 /// skipped_on_memory + skipped_on_timers`. Stepped mode ticks every SM on
 /// every cycle (`ticks_executed == cycles * num_sms`, nothing skipped);
-/// event mode lets each SM sleep independently until a completion, an L1
-/// fill, or its own self-reported wakeup cycle arrives.
+/// event mode lets each SM sleep independently until an L1 fill, a
+/// completion it can observe, or its own self-reported wakeup cycle
+/// arrives.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// SM ticks actually executed (the unit of simulation work).
@@ -31,8 +32,8 @@ pub struct SchedStats {
     /// Skipped SM-cycles spent waiting on the memory hierarchy (a
     /// completion or an L1/RT-cache fill supplied the wakeup).
     pub skipped_on_memory: u64,
-    /// Skipped SM-cycles spent waiting on fixed-latency timers (ALU/shared
-    /// latency, i.e. the SM's own `next_event` supplied the wakeup),
+    /// Skipped SM-cycles whose wakeup the SM's own `next_event` supplied:
+    /// fixed-latency timers (ALU/shared latency) and RT-unit writebacks,
     /// including each SM's idle tail after it drains but before the
     /// machine-wide finish.
     pub skipped_on_timers: u64,

@@ -7,8 +7,10 @@
 //!    (SM counts, MSHR sizes, latencies, warp-buffer depths),
 //! 2. the five golden workloads of `golden_reports.rs`, run in both modes,
 //! 3. the full app × dataset × variant suite matrix (release builds only),
-//!    both ways, which also locks the headline win: ≥ 3× fewer run-loop
-//!    ticks.
+//!    both ways, which also locks the headline win: ≥ 6× fewer run-loop
+//!    ticks (6.8× measured) — and the suite's HSU traces across the
+//!    Fig. 11 warp-buffer sizes, where full-buffer dispatch stalls
+//!    dominate.
 //!
 //! "Identical" means `SimReport::normalized()` equality — every
 //! architectural counter bit for bit; only the `sched` scheduler counters
@@ -229,7 +231,7 @@ fn golden_workloads_are_mode_equivalent() {
 
 /// The full matrix, both modes, release builds only (full suite builds are
 /// slow unoptimized). Also locks the headline: the event loop
-/// executes at least 3× fewer ticks than the oracle across the whole suite.
+/// executes at least 6× fewer ticks than the oracle across the whole suite.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -239,7 +241,7 @@ fn full_suite_matrix_is_mode_equivalent() {
     use hsu_bench::{Suite, SuiteConfig};
 
     // The scheduler-bench machine (simbench's default): event-mode skipping
-    // is per-SM, so the ≥ 3× tick lock below is a property of a realistic
+    // is per-SM, so the ≥ 6× tick lock below is a property of a realistic
     // SM count — at paper-adjacent sizes per-SM occupancy is spotty and the
     // event loop lets idle SMs sleep.
     let cfg = SuiteConfig {
@@ -269,8 +271,54 @@ fn full_suite_matrix_is_mode_equivalent() {
     let event_ticks: u64 = event.records.iter().map(|r| r.ticks_executed).sum();
     let reduction = stepped_ticks as f64 / event_ticks as f64;
     assert!(
-        reduction >= 3.0,
-        "event mode must execute >= 3x fewer ticks over the suite, got \
+        reduction >= 6.0,
+        "event mode must execute >= 6x fewer ticks over the suite, got \
          {reduction:.2}x ({stepped_ticks} -> {event_ticks})"
     );
+}
+
+/// The suite's HSU traces across the Fig. 11 warp-buffer sweep, both modes,
+/// release builds only. The matrix above runs only the default 8-entry
+/// buffer; at 1–2 entries HSU warps queue behind a full buffer, which is
+/// where the event loop sleeps through refused dispatches and replays
+/// them in bulk.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "full suite builds are slow unoptimized; run with --release"
+)]
+fn warp_buffer_sweep_is_mode_equivalent() {
+    use hsu_bench::{ArchiveCache, Suite, SuiteConfig};
+
+    let cfg = SuiteConfig {
+        sms: 32,
+        scale_divisor: 32,
+        ..SuiteConfig::default()
+    };
+    let traces = Suite::prepare_traces(&cfg, &ArchiveCache::disabled());
+    assert_eq!(traces.len(), 21, "the suite's HSU traces");
+    for entries in [1, 2, 4, 8, 16] {
+        let gpu = cfg
+            .gpu_config()
+            .with_hsu(HsuConfig::default().with_warp_buffer(entries));
+        let mut stalls = 0;
+        for at in &traces {
+            let run = |mode| {
+                Gpu::new(gpu.clone().with_sim_mode(mode))
+                    .run(&at.hsu)
+                    .expect("sweep run failed")
+            };
+            let (stepped, event) = (run(SimMode::Stepped), run(SimMode::Event));
+            assert_eq!(
+                stepped.normalized(),
+                event.normalized(),
+                "{} with a {entries}-entry buffer diverged between modes",
+                at.label
+            );
+            stalls += event.rt.dispatch_stalls;
+        }
+        if entries == 1 {
+            assert!(stalls > 0, "a 1-entry buffer must refuse dispatches");
+        }
+    }
 }
