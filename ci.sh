@@ -38,11 +38,15 @@ cargo test --release -q --test sim_equivalence warp_buffer_sweep_is_mode_equival
 
 echo "== sim modes (differential bench: stepped oracle vs event) =="
 # Runs the suite matrix under both simulation modes, asserts the
-# reports are identical, and APPENDS wall time + ticks per mode to the
-# BENCH_sim.json trajectory (use --pr to label the entry; history is never
-# overwritten). Quarter scale on the default 32-SM machine keeps this a few
-# minutes; drop --quick for the full-scale numbers quoted in EXPERIMENTS.md.
-cargo run --release -p hsu-bench --bin simbench -- --quick --jobs 0 --pr ci --out BENCH_sim.json
+# reports are identical, and appends wall time + ticks per mode to a
+# throwaway trajectory file: BENCH_sim.json is the tracked record, and a CI
+# run must not append to it. Quarter scale on the default 32-SM machine
+# keeps this a few minutes; drop --quick for the full-scale numbers quoted
+# in EXPERIMENTS.md.
+BENCH_DIR="$(mktemp -d)"
+trap 'rm -rf "$BENCH_DIR"' EXIT
+cargo run --release -p hsu-bench --bin simbench -- --quick --jobs 0 --pr ci \
+    --out "$BENCH_DIR/BENCH_sim.json"
 
 echo "== fault-injection smoke (typed errors + partial report, no aborts) =="
 # Generates one healthy and three corrupted trace files, replays them through
@@ -50,7 +54,7 @@ echo "== fault-injection smoke (typed errors + partial report, no aborts) =="
 # producing a well-formed partial report (the healthy job must succeed, the
 # corrupted ones must fail with typed errors rather than a process abort).
 FAULT_DIR="$(mktemp -d)"
-trap 'rm -rf "$FAULT_DIR"' EXIT
+trap 'rm -rf "$BENCH_DIR" "$FAULT_DIR"' EXIT
 cargo run --release -q -p hsu-bench --bin repro -- --out "$FAULT_DIR" gen-fault-traces
 if cargo run --release -q -p hsu-bench --bin repro -- --keep-going \
     --trace "$FAULT_DIR/healthy.hsut" --trace "$FAULT_DIR/truncated.hsut" \

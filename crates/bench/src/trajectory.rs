@@ -21,12 +21,13 @@ pub fn json_escape(s: &str) -> String {
 
 /// Appends one entry (a serialized JSON object, typically indented two
 /// spaces) to the trajectory array at `path`, creating the file when
-/// missing and wrapping a legacy single-object snapshot into the array
-/// on first contact. Never erases prior entries.
+/// missing. Never erases prior entries.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from reading or writing `path`.
+/// Propagates I/O errors from reading or writing `path`, and returns an
+/// [`std::io::ErrorKind::InvalidData`] error, leaving the file untouched,
+/// when it holds something other than a JSON array.
 pub fn append_entry(path: &Path, entry: &str) -> std::io::Result<()> {
     let existing = match std::fs::read_to_string(path) {
         Ok(s) => s,
@@ -36,23 +37,24 @@ pub fn append_entry(path: &Path, entry: &str) -> std::io::Result<()> {
     let trimmed = existing.trim();
     let json = if trimmed.is_empty() {
         format!("[\n{entry}\n]\n")
-    } else if let Some(body) = trimmed.strip_suffix(']') {
+    } else if let Some(body) = trimmed
+        .strip_suffix(']')
+        .filter(|body| body.starts_with('['))
+    {
         let body = body.trim_end().trim_end_matches(',');
         if body.trim() == "[" {
             format!("[\n{entry}\n]\n")
         } else {
             format!("{body},\n{entry}\n]\n")
         }
-    } else if trimmed.ends_with('}') {
-        // Legacy pre-trajectory snapshot (a single object): keep it as the
-        // first element so history survives the format change.
-        format!("[\n{trimmed},\n{entry}\n]\n")
     } else {
-        eprintln!(
-            "warning: {} is neither a JSON array nor an object; starting a fresh trajectory",
-            path.display()
-        );
-        format!("[\n{entry}\n]\n")
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "{} is not a JSON array; refusing to overwrite it",
+                path.display()
+            ),
+        ));
     };
     std::fs::write(path, json)
 }
@@ -71,7 +73,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn append_grows_an_array_and_wraps_legacy_objects() {
+    fn append_grows_an_array_and_refuses_anything_else() {
         let dir = std::env::temp_dir().join(format!("hsu-traj-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.json");
@@ -83,12 +85,13 @@ mod tests {
         assert_eq!(got.matches("\"pr\"").count(), 2);
         assert!(got.trim_start().starts_with('[') && got.trim_end().ends_with(']'));
 
-        // Legacy single-object file gets wrapped, history preserved.
-        std::fs::write(&path, "{ \"old\": 1 }\n").unwrap();
-        append_entry(&path, "  { \"pr\": \"c\" }").unwrap();
-        let got = std::fs::read_to_string(&path).unwrap();
-        assert!(got.contains("\"old\"") && got.contains("\"pr\""));
-        assert!(got.trim_start().starts_with('['));
+        // A file that is not an array is an error and keeps its bytes.
+        for malformed in ["{ \"old\": 1 }\n", "not json at all\n"] {
+            std::fs::write(&path, malformed).unwrap();
+            let err = append_entry(&path, "  { \"pr\": \"c\" }").unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), malformed);
+        }
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -7,7 +7,9 @@
 //!
 //! The tree here is bulk-built (the GPU benchmark also builds once and then
 //! serves batched lookups), with flat arena storage so the trace generators
-//! can address nodes directly.
+//! can address nodes directly. A lookup reports each node it descends
+//! through to a [`BtObserver`], which is how the B+-tree kernel records its
+//! trace.
 //!
 //! # Examples
 //!
@@ -27,7 +29,7 @@ pub mod archive_io;
 /// Maximum branch factor of the Rodinia configuration (255 separators).
 pub const RODINIA_BRANCH: usize = 256;
 
-/// Lookup-effort counters for the trace generators.
+/// Lookup-effort counters, gathered as the [`BtObserver`] of a lookup.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BtStats {
     /// Internal nodes visited.
@@ -37,6 +39,31 @@ pub struct BtStats {
     pub separators_scanned: u64,
     /// Leaf nodes visited.
     pub leaf_visits: u64,
+}
+
+/// Hooks through which [`BPlusTree::get_observed`] reports each node of
+/// its descent, root first. Both methods default to no-ops and are
+/// statically dispatched; [`BtStats`] counts the work and the B+-tree
+/// trace generator records the same steps as thread events.
+#[allow(unused_variables)]
+pub trait BtObserver {
+    /// Internal `node` routes the key by comparing it with its
+    /// `separators` separator keys.
+    fn internal(&mut self, node: u32, separators: usize) {}
+
+    /// The lookup ends at leaf `node`, which holds `keys` keys.
+    fn leaf(&mut self, node: u32, keys: usize) {}
+}
+
+impl BtObserver for BtStats {
+    fn internal(&mut self, _: u32, separators: usize) {
+        self.internal_visits += 1;
+        self.separators_scanned += separators as u64;
+    }
+
+    fn leaf(&mut self, _: u32, _: usize) {
+        self.leaf_visits += 1;
+    }
 }
 
 /// One node of the flat-arena B+-tree.
@@ -218,6 +245,13 @@ impl BPlusTree {
     /// Point lookup with effort counters.
     pub fn get_counted(&self, key: u32) -> (Option<u64>, BtStats) {
         let mut stats = BtStats::default();
+        let value = self.get_observed(key, &mut stats);
+        (value, stats)
+    }
+
+    /// Point lookup, reporting each node of the descent to `observer` (see
+    /// [`BtObserver`]).
+    pub fn get_observed<O: BtObserver>(&self, key: u32, observer: &mut O) -> Option<u64> {
         let mut node = self.root;
         loop {
             match &self.nodes[node as usize] {
@@ -225,19 +259,15 @@ impl BPlusTree {
                     separators,
                     children,
                 } => {
-                    stats.internal_visits += 1;
-                    stats.separators_scanned += separators.len() as u64;
+                    observer.internal(node, separators.len());
                     // Child index = number of separators <= key, the
                     // KEY_COMPARE popcount semantics.
                     let idx = separators.partition_point(|&s| s <= key);
                     node = children[idx];
                 }
                 BtNode::Leaf { keys, values, .. } => {
-                    stats.leaf_visits += 1;
-                    return match keys.binary_search(&key) {
-                        Ok(i) => (Some(values[i]), stats),
-                        Err(_) => (None, stats),
-                    };
+                    observer.leaf(node, keys.len());
+                    return keys.binary_search(&key).ok().map(|i| values[i]);
                 }
             }
         }

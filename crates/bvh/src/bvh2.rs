@@ -96,43 +96,6 @@ impl Bvh2 {
         }
     }
 
-    /// Refits every node's bounds bottom-up to match moved primitives,
-    /// without changing the topology — the cheap update used for dynamic
-    /// scenes (Wald et al. 2007, cited by the paper as BVH background).
-    ///
-    /// The tree quality degrades as primitives drift from their build-time
-    /// positions; rebuild when traversal statistics regress.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prims` has a different length than the build-time set.
-    pub fn refit<P: Primitive>(&mut self, prims: &[P]) {
-        assert_eq!(
-            self.prim_indices.len(),
-            prims.len(),
-            "refit requires the same primitive count as the build"
-        );
-        if self.nodes.is_empty() {
-            return;
-        }
-        // Nodes were allocated parent-before-child, so a reverse sweep sees
-        // children before parents.
-        for i in (0..self.nodes.len()).rev() {
-            let aabb = match self.nodes[i].content {
-                NodeContent::Leaf { start, count } => self.prim_indices
-                    [start as usize..(start + count) as usize]
-                    .iter()
-                    .fold(Aabb::EMPTY, |acc, &p| {
-                        acc.union(&prims[p as usize].bounds())
-                    }),
-                NodeContent::Internal { left, right } => self.nodes[left as usize]
-                    .aabb
-                    .union(&self.nodes[right as usize].aabb),
-            };
-            self.nodes[i].aabb = aabb;
-        }
-    }
-
     /// Validates the structural invariants against the source primitives:
     ///
     /// * every parent box contains its children's boxes,
@@ -291,33 +254,6 @@ mod tests {
         for p in &prims {
             assert!(bvh.root().aabb.contains_box(&p.bounds()));
         }
-    }
-
-    #[test]
-    fn refit_tracks_moved_primitives() {
-        let mut prims = grid_prims(120);
-        let mut bvh = LbvhBuilder::default().build(&prims);
-        // Drift every point and refit.
-        for p in &mut prims {
-            p.position += Vec3::new(0.5, -0.25, 0.1);
-        }
-        bvh.refit(&prims);
-        bvh.validate(&prims).expect("refit tree must stay valid");
-        // Search still exact after the drift.
-        let q = prims[60].position;
-        let mut got: Vec<u32> = bvh
-            .radius_search(&prims, q, 1.0)
-            .iter()
-            .map(|n| n.id)
-            .collect();
-        got.sort_unstable();
-        let mut expect: Vec<u32> = prims
-            .iter()
-            .filter(|p| (p.position - q).length_squared() <= 1.0)
-            .map(|p| p.id)
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(got, expect);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use crate::bvh2::{Bvh2, NodeContent};
 use crate::primitive::PointPrimitive;
-use crate::search::{Neighbor, TraversalStats};
+use crate::search::{test_points, Neighbor, TraversalObserver, TraversalStats};
 use hsu_geometry::{Aabb, Vec3};
 
 /// One child slot of a [`WideNode`].
@@ -177,17 +177,34 @@ impl Bvh4 {
         query: Vec3,
         radius: f32,
     ) -> (Vec<Neighbor>, TraversalStats) {
-        let mut out = Vec::new();
         let mut stats = TraversalStats::default();
+        let out = self.radius_search_observed(prims, query, radius, &mut stats);
+        (out, stats)
+    }
+
+    /// [`Bvh4::radius_search_counted`], reporting every step of the
+    /// traversal to `observer` (see [`TraversalObserver`]) instead of
+    /// counting it. Each node's test is reported before the leaves it
+    /// surfaced are refined, in slot order.
+    pub fn radius_search_observed<O: TraversalObserver>(
+        &self,
+        prims: &[PointPrimitive],
+        query: Vec3,
+        radius: f32,
+        observer: &mut O,
+    ) -> Vec<Neighbor> {
+        let mut out = Vec::new();
         if self.nodes.is_empty() {
-            return (out, stats);
+            return out;
         }
         let r2 = radius * radius;
         let mut stack: Vec<u32> = vec![0];
         while let Some(i) = stack.pop() {
-            stats.max_stack_depth = stats.max_stack_depth.max(stack.len() + 1);
-            stats.nodes_visited += 1;
+            observer.pop(stack.len() + 1);
             let node = &self.nodes[i as usize];
+            let mut pushed = 0;
+            let mut leaves = [(0u32, 0u32); 4];
+            let mut hit_leaves = 0;
             for slot in 0..4 {
                 // Empty slots hold Aabb::EMPTY and fail like any culled box.
                 if node.aabbs[slot].distance_squared_to(query) > r2 {
@@ -195,25 +212,31 @@ impl Bvh4 {
                 }
                 match node.children[slot] {
                     WideChild::Empty => {}
-                    WideChild::Node(index) => stack.push(index),
+                    WideChild::Node(index) => {
+                        stack.push(index);
+                        pushed += 1;
+                    }
                     WideChild::Leaf { start, count } => {
-                        stats.leaves_visited += 1;
-                        for s in start..start + count {
-                            let prim = &prims[self.prim_indices[s as usize] as usize];
-                            stats.primitive_tests += 1;
-                            let d2 = (prim.position - query).length_squared();
-                            if d2 <= r2 {
-                                out.push(Neighbor {
-                                    id: prim.id,
-                                    distance_squared: d2,
-                                });
-                            }
-                        }
+                        leaves[hit_leaves] = (start, count);
+                        hit_leaves += 1;
                     }
                 }
             }
+            observer.node(i, pushed);
+            for &(start, count) in &leaves[..hit_leaves] {
+                let range = start..start + count;
+                test_points(
+                    prims,
+                    &self.prim_indices,
+                    range,
+                    query,
+                    r2,
+                    observer,
+                    &mut out,
+                );
+            }
         }
-        (out, stats)
+        out
     }
 }
 

@@ -16,7 +16,9 @@
 //!   stored as fixed-slot 128-byte wide nodes, the stride the trace
 //!   lowering charges,
 //! * point radius / nearest-neighbour searches and ray traversal, each
-//!   reporting the traversal statistics the trace generators charge.
+//!   reporting its traversal statistics; the radius searches and the ray
+//!   traversal also report each step to a [`TraversalObserver`], which is
+//!   how the BVH-NN, RTIndeX and render kernels record their traces.
 //!
 //! # Examples
 //!
@@ -45,4 +47,4 @@ pub use builder::{LbvhBuilder, SahBuilder};
 pub use bvh2::{Bvh2, Bvh2Node, NodeContent};
 pub use bvh4::{Bvh4, WideChild, WideNode, BVH4_NODE_BYTES};
 pub use primitive::{PointPrimitive, Primitive, TrianglePrimitive};
-pub use search::{Neighbor, TraversalStats};
+pub use search::{Neighbor, TraversalObserver, TraversalStats};

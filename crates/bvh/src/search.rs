@@ -1,5 +1,5 @@
-//! Point searches and ray traversal over a [`Bvh2`], with traversal
-//! statistics for the instruction-trace generators.
+//! Point searches and ray traversal over a [`Bvh2`], reporting their
+//! stack traversal to a [`TraversalObserver`].
 
 use crate::bvh2::{Bvh2, NodeContent};
 use crate::primitive::{PointPrimitive, TrianglePrimitive};
@@ -14,8 +14,7 @@ pub struct Neighbor {
     pub distance_squared: f32,
 }
 
-/// Work counters from one traversal, used to charge HSU / baseline
-/// instructions in the trace generators.
+/// Work counters from one traversal, gathered as its [`TraversalObserver`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraversalStats {
     /// Internal nodes visited (each is one ray-box `RAY_INTERSECT`, testing
@@ -27,6 +26,74 @@ pub struct TraversalStats {
     pub primitive_tests: u64,
     /// Maximum traversal-stack occupancy observed.
     pub max_stack_depth: usize,
+}
+
+/// Hooks through which the stack traversals —
+/// [`Bvh2::radius_search_observed`], [`crate::Bvh4::radius_search_observed`]
+/// and [`Bvh2::intersect_ray_observed`] — report each step, in order. Every
+/// method defaults to a no-op and is statically dispatched;
+/// [`TraversalStats`] counts the work and the BVH-NN, RTIndeX and render
+/// trace generators record the same steps as thread events.
+#[allow(unused_variables)]
+pub trait TraversalObserver {
+    /// A node is popped off the traversal stack, which held `depth` entries
+    /// counting it.
+    fn pop(&mut self, depth: usize) {}
+
+    /// Internal `node` tested all its child boxes with one `RAY_INTERSECT`
+    /// and pushed `pushed` internal children on the stack.
+    fn node(&mut self, node: u32, pushed: u32) {}
+
+    /// A leaf is reached; its primitive tests follow.
+    fn leaf(&mut self) {}
+
+    /// One primitive test: `slot` in the primitive-index permutation, whose
+    /// primitive has dataset id `id`.
+    fn primitive(&mut self, slot: u32, id: u32) {}
+}
+
+impl TraversalObserver for TraversalStats {
+    fn pop(&mut self, depth: usize) {
+        self.max_stack_depth = self.max_stack_depth.max(depth);
+    }
+
+    fn node(&mut self, _: u32, _: u32) {
+        self.nodes_visited += 1;
+    }
+
+    fn leaf(&mut self) {
+        self.leaves_visited += 1;
+    }
+
+    fn primitive(&mut self, _: u32, _: u32) {
+        self.primitive_tests += 1;
+    }
+}
+
+/// The leaf step of both radius searches: tests the points in the leaf's
+/// `range` of the primitive permutation against the ball of squared radius
+/// `r2` around `query`, appending the hits to `out`.
+pub(crate) fn test_points<O: TraversalObserver>(
+    prims: &[PointPrimitive],
+    prim_indices: &[u32],
+    range: std::ops::Range<u32>,
+    query: Vec3,
+    r2: f32,
+    observer: &mut O,
+    out: &mut Vec<Neighbor>,
+) {
+    observer.leaf();
+    for s in range {
+        let prim = &prims[prim_indices[s as usize] as usize];
+        observer.primitive(s, prim.id);
+        let d2 = (prim.position - query).length_squared();
+        if d2 <= r2 {
+            out.push(Neighbor {
+                id: prim.id,
+                distance_squared: d2,
+            });
+        }
+    }
 }
 
 impl Bvh2 {
@@ -41,15 +108,29 @@ impl Bvh2 {
         query: Vec3,
         radius: f32,
     ) -> (Vec<Neighbor>, TraversalStats) {
-        let mut out = Vec::new();
         let mut stats = TraversalStats::default();
+        let out = self.radius_search_observed(prims, query, radius, &mut stats);
+        (out, stats)
+    }
+
+    /// [`Bvh2::radius_search_counted`], reporting every step of the
+    /// traversal to `observer` (see [`TraversalObserver`]) instead of
+    /// counting it.
+    pub fn radius_search_observed<O: TraversalObserver>(
+        &self,
+        prims: &[PointPrimitive],
+        query: Vec3,
+        radius: f32,
+        observer: &mut O,
+    ) -> Vec<Neighbor> {
+        let mut out = Vec::new();
         if self.nodes.is_empty() {
-            return (out, stats);
+            return out;
         }
         let r2 = radius * radius;
         let mut stack: Vec<u32> = vec![0];
         while let Some(i) = stack.pop() {
-            stats.max_stack_depth = stats.max_stack_depth.max(stack.len() + 1);
+            observer.pop(stack.len() + 1);
             let node = &self.nodes[i as usize];
             // The leaf boxes are already dilated by the search radius, so the
             // box test is a plain containment test of the query point —
@@ -57,33 +138,33 @@ impl Bvh2 {
             // reformulation.
             match node.content {
                 NodeContent::Internal { left, right } => {
-                    stats.nodes_visited += 1;
                     // One RAY_INTERSECT tests both children; descend into the
                     // ones whose dilated box can contain candidates.
+                    let mut pushed = 0;
                     for child in [left, right] {
                         let cb = &self.nodes[child as usize].aabb;
                         if cb.distance_squared_to(query) <= r2 {
                             stack.push(child);
+                            pushed += 1;
                         }
                     }
+                    observer.node(i, pushed);
                 }
                 NodeContent::Leaf { start, count } => {
-                    stats.leaves_visited += 1;
-                    for s in start..start + count {
-                        let prim = &prims[self.prim_indices[s as usize] as usize];
-                        stats.primitive_tests += 1;
-                        let d2 = (prim.position - query).length_squared();
-                        if d2 <= r2 {
-                            out.push(Neighbor {
-                                id: prim.id,
-                                distance_squared: d2,
-                            });
-                        }
-                    }
+                    let range = start..start + count;
+                    test_points(
+                        prims,
+                        &self.prim_indices,
+                        range,
+                        query,
+                        r2,
+                        observer,
+                        &mut out,
+                    );
                 }
             }
         }
-        (out, stats)
+        out
     }
 
     /// [`Bvh2::radius_search_counted`] without the statistics.
@@ -270,27 +351,38 @@ impl Bvh2 {
         ray: &Ray,
     ) -> (Option<(u32, TriangleHit)>, TraversalStats) {
         let mut stats = TraversalStats::default();
+        let closest = self.intersect_ray_observed(prims, ray, &mut stats);
+        (closest, stats)
+    }
+
+    /// [`Bvh2::intersect_ray`], reporting every step of the traversal to
+    /// `observer` (see [`TraversalObserver`]) instead of counting it.
+    ///
+    /// The walk starts at the root without a separate test of the root
+    /// box: the root's child boxes (or its triangles) are tested anyway, and
+    /// the root box bounds them all, so the answer is the same.
+    pub fn intersect_ray_observed<O: TraversalObserver>(
+        &self,
+        prims: &[TrianglePrimitive],
+        ray: &Ray,
+        observer: &mut O,
+    ) -> Option<(u32, TriangleHit)> {
         let mut closest: Option<(u32, TriangleHit)> = None;
         if self.nodes.is_empty() {
-            return (closest, stats);
+            return closest;
         }
         let mut t_max = f32::INFINITY;
         let mut stack: Vec<u32> = vec![0];
-        // Root box test.
-        if ray.intersect_aabb(&self.nodes[0].aabb, t_max).is_none() {
-            return (closest, stats);
-        }
         while let Some(i) = stack.pop() {
-            stats.max_stack_depth = stats.max_stack_depth.max(stack.len() + 1);
+            observer.pop(stack.len() + 1);
             let node = &self.nodes[i as usize];
             match node.content {
                 NodeContent::Internal { left, right } => {
-                    stats.nodes_visited += 1;
                     // Test both children, push far-then-near so the near child
                     // pops first (the "sort closest hit" the unit performs).
                     let lh = ray.intersect_aabb(&self.nodes[left as usize].aabb, t_max);
                     let rh = ray.intersect_aabb(&self.nodes[right as usize].aabb, t_max);
-                    match (lh, rh) {
+                    let pushed = match (lh, rh) {
                         (Some(l), Some(r)) => {
                             if l.t_near <= r.t_near {
                                 stack.push(right);
@@ -299,17 +391,25 @@ impl Bvh2 {
                                 stack.push(left);
                                 stack.push(right);
                             }
+                            2
                         }
-                        (Some(_), None) => stack.push(left),
-                        (None, Some(_)) => stack.push(right),
-                        (None, None) => {}
-                    }
+                        (Some(_), None) => {
+                            stack.push(left);
+                            1
+                        }
+                        (None, Some(_)) => {
+                            stack.push(right);
+                            1
+                        }
+                        (None, None) => 0,
+                    };
+                    observer.node(i, pushed);
                 }
                 NodeContent::Leaf { start, count } => {
-                    stats.leaves_visited += 1;
+                    observer.leaf();
                     for s in start..start + count {
                         let prim = &prims[self.prim_indices[s as usize] as usize];
-                        stats.primitive_tests += 1;
+                        observer.primitive(s, prim.id);
                         if let Some(hit) = prim.triangle.intersect(ray, t_max) {
                             t_max = hit.t();
                             closest = Some((prim.id, hit));
@@ -318,7 +418,7 @@ impl Bvh2 {
                 }
             }
         }
-        (closest, stats)
+        closest
     }
 }
 

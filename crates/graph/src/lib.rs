@@ -15,8 +15,10 @@
 //! * [`HnswGraph::search`] — greedy descent through the upper layers, then
 //!   bounded best-first search with an `ef`-sized candidate queue on the
 //!   bottom layer,
-//! * [`GraphStats`] — distance tests vs. queue operations, the split that
-//!   drives the paper's Fig. 7 offloadable-cycle analysis.
+//! * [`GraphObserver`] — the statically dispatched hooks one search reports
+//!   its work through; [`GraphStats`] (distance tests vs. queue operations,
+//!   the split that drives the paper's Fig. 7 offloadable-cycle analysis)
+//!   and the GGNN kernel's trace recorder both implement it.
 //!
 //! # Build cost
 //!
@@ -119,6 +121,81 @@ pub struct GraphStats {
     pub hops: u64,
 }
 
+/// Hooks through which [`HnswGraph::search_observed`] reports each step of
+/// its walk, in order. Every method defaults to a no-op and is statically
+/// dispatched, so an observer costs the search only the hooks it
+/// implements. [`GraphStats`] counts the work; the GGNN trace generator
+/// records the same steps as warp events.
+#[allow(unused_variables)]
+pub trait GraphObserver {
+    /// A greedy walk on an upper layer measures its start `node`.
+    fn greedy_start(&mut self, node: u32) {}
+
+    /// The greedy walk loads the non-empty adjacency list of `node` on
+    /// `layer` and measures every entry of `neighbors`.
+    fn greedy_step(&mut self, layer: usize, node: u32, neighbors: &[u32]) {}
+
+    /// The best-first search measures its entry `node` and seeds both
+    /// queues with it.
+    fn seed(&mut self, node: u32) {}
+
+    /// The closest unexpanded candidate is popped from the queue (also the
+    /// pop that ends the search).
+    fn pop(&mut self) {}
+
+    /// The best-first search expanded `node` on `layer`: it checked each of
+    /// `neighbors` against the visited set, measured the unvisited `fresh`
+    /// ones, admitted `admitted` of them into the queues and evicted the
+    /// worst result `evicted` times.
+    fn expand(
+        &mut self,
+        layer: usize,
+        node: u32,
+        neighbors: &[u32],
+        fresh: &[u32],
+        admitted: u32,
+        evicted: u32,
+    ) {
+    }
+}
+
+impl GraphObserver for GraphStats {
+    fn greedy_start(&mut self, _: u32) {
+        self.distance_tests += 1;
+    }
+
+    fn greedy_step(&mut self, _: usize, _: u32, neighbors: &[u32]) {
+        self.hops += neighbors.len() as u64;
+        self.distance_tests += neighbors.len() as u64;
+    }
+
+    fn seed(&mut self, _: u32) {
+        self.distance_tests += 1;
+        self.queue_ops += 2;
+    }
+
+    fn pop(&mut self) {
+        self.queue_ops += 1;
+    }
+
+    fn expand(
+        &mut self,
+        _: usize,
+        _: u32,
+        neighbors: &[u32],
+        fresh: &[u32],
+        admitted: u32,
+        evicted: u32,
+    ) {
+        // One cache-hit check per already-visited neighbour, two pushes per
+        // admission and one pop per eviction.
+        self.queue_ops += (neighbors.len() - fresh.len()) as u64;
+        self.queue_ops += 2 * u64::from(admitted) + u64::from(evicted);
+        self.hops += fresh.len() as u64;
+        self.distance_tests += fresh.len() as u64;
+    }
+}
+
 /// A layered navigable-small-world graph over a [`PointSet`].
 #[derive(Debug, Clone)]
 pub struct HnswGraph {
@@ -189,16 +266,34 @@ impl HnswGraph {
         k: usize,
         ef: usize,
     ) -> (Vec<(u32, f32)>, GraphStats) {
+        let mut stats = GraphStats::default();
+        let out = self.search_observed(data, query, k, ef, &mut stats);
+        (out, stats)
+    }
+
+    /// [`HnswGraph::search`], reporting every step of the walk to
+    /// `observer` (see [`GraphObserver`]) instead of counting it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero or the query dimension mismatches.
+    pub fn search_observed<O: GraphObserver>(
+        &self,
+        data: &PointSet,
+        query: &[f32],
+        k: usize,
+        ef: usize,
+        observer: &mut O,
+    ) -> Vec<(u32, f32)> {
         assert!(k > 0, "k must be positive");
         assert_eq!(query.len(), data.dim(), "query dimension mismatch");
-        let mut stats = GraphStats::default();
         let mut entry = self.entry_point;
         for l in (1..self.layers.len()).rev() {
-            entry = self.greedy_closest(data, query, entry, l, &mut stats);
+            entry = self.greedy_closest(data, query, entry, l, observer);
         }
-        let (mut out, _) = self.layer_search(data, query, entry, 0, ef.max(k), &mut stats);
+        let (mut out, _) = self.layer_search(data, query, entry, 0, ef.max(k), observer);
         out.truncate(k);
-        (out, stats)
+        out
     }
 
     /// Number of layers.
@@ -301,24 +396,23 @@ trait Adjacency {
     /// ([`batch::metric_to_rows`]) before the sequential min scan — the
     /// distance values, work counters, and chosen walk are bit-identical to
     /// the scalar one-candidate-at-a-time loop.
-    fn greedy_closest(
+    fn greedy_closest<O: GraphObserver>(
         &self,
         data: &PointSet,
         q: &[f32],
         mut current: u32,
         layer: usize,
-        stats: &mut GraphStats,
+        observer: &mut O,
     ) -> u32 {
         let mut cur_d = self.metric().distance(q, data.point(current as usize));
-        stats.distance_tests += 1;
+        observer.greedy_start(current);
         let mut scratch = DistScratch::default();
         loop {
             let neighbors = self.list(layer, current);
             if neighbors.is_empty() {
                 return current;
             }
-            stats.hops += neighbors.len() as u64;
-            stats.distance_tests += neighbors.len() as u64;
+            observer.greedy_step(layer, current, neighbors);
             let dists = scratch.distances(self.metric(), data, q, neighbors);
             let mut improved = false;
             for (&nb, &d) in neighbors.iter().zip(dists) {
@@ -336,22 +430,21 @@ trait Adjacency {
 
     /// Bounded best-first search on one layer with an `ef`-wide queue.
     /// Returns candidates sorted closest-first.
-    fn layer_search(
+    fn layer_search<O: GraphObserver>(
         &self,
         data: &PointSet,
         q: &[f32],
         entry: u32,
         layer: usize,
         ef: usize,
-        stats: &mut GraphStats,
+        observer: &mut O,
     ) -> (Vec<(u32, f32)>, u32) {
         let mut visited = vec![false; data.len()];
         let mut to_visit: BinaryHeap<Reverse<(OrdF32, u32)>> = BinaryHeap::new();
         let mut best: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new(); // max-heap
 
         let d0 = self.metric().distance(q, data.point(entry as usize));
-        stats.distance_tests += 1;
-        stats.queue_ops += 2;
+        observer.seed(entry);
         visited[entry as usize] = true;
         to_visit.push(Reverse((OrdF32(d0), entry)));
         best.push((OrdF32(d0), entry));
@@ -362,7 +455,7 @@ trait Adjacency {
         let mut scratch = DistScratch::default();
 
         while let Some(Reverse((OrdF32(d), node))) = to_visit.pop() {
-            stats.queue_ops += 1;
+            observer.pop();
             let worst = best
                 .peek()
                 .map(|&(OrdF32(w), _)| w)
@@ -376,32 +469,31 @@ trait Adjacency {
             // batch changes neither the values nor the queue decisions —
             // results and counters are bit-identical to the scalar loop.
             cand.clear();
-            for &nb in self.list(layer, node) {
-                if visited[nb as usize] {
-                    stats.queue_ops += 1; // cache hit check
-                    continue;
+            let neighbors = self.list(layer, node);
+            for &nb in neighbors {
+                if !visited[nb as usize] {
+                    visited[nb as usize] = true;
+                    cand.push(nb);
                 }
-                visited[nb as usize] = true;
-                stats.hops += 1;
-                stats.distance_tests += 1;
-                cand.push(nb);
             }
             let dists = scratch.distances(self.metric(), data, q, &cand);
+            let (mut admitted, mut evicted) = (0, 0);
             for (&nb, &dn) in cand.iter().zip(dists) {
                 let worst = best
                     .peek()
                     .map(|&(OrdF32(w), _)| w)
                     .unwrap_or(f32::INFINITY);
                 if best.len() < ef || dn < worst {
-                    stats.queue_ops += 2;
+                    admitted += 1;
                     to_visit.push(Reverse((OrdF32(dn), nb)));
                     best.push((OrdF32(dn), nb));
                     if best.len() > ef {
                         best.pop();
-                        stats.queue_ops += 1;
+                        evicted += 1;
                     }
                 }
             }
+            observer.expand(layer, node, neighbors, &cand, admitted, evicted);
         }
         let mut out: Vec<(u32, f32)> = best.into_iter().map(|(OrdF32(d), i)| (i, d)).collect();
         out.sort_by(|a, b| a.1.total_cmp(&b.1));

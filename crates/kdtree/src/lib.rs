@@ -11,8 +11,9 @@
 //! * [`KdForest`] — FLANN's randomized multi-tree index (each tree picks a
 //!   random axis among the highest-variance dimensions),
 //! * exact backtracking search and approximate *best-bin-first* search with
-//!   a bounded `checks` budget, both reporting the traversal counters the
-//!   trace generators charge.
+//!   a bounded `checks` budget, both reporting their traversal counters
+//!   ([`KdStats`]); the best-bin-first search also reports each step to a
+//!   [`KdObserver`], which is how the FLANN kernel records its trace.
 //!
 //! # Examples
 //!
@@ -37,8 +38,7 @@ use hsu_geometry::point::{Metric, PointSet};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
-/// Search-effort counters, used by the trace generators to charge traversal
-/// and distance instructions.
+/// Search-effort counters, gathered as the [`KdObserver`] of a search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KdStats {
     /// Internal-node visits (one scalar compare each — the cheap traversal
@@ -48,6 +48,35 @@ pub struct KdStats {
     pub leaves_visited: u64,
     /// Full distance computations performed (HSU-accelerable work).
     pub distance_tests: u64,
+}
+
+/// Hooks through which [`KdTree::knn_best_bin_first_observed`] reports
+/// each step of its search, in order. Every method defaults to a no-op and
+/// is statically dispatched; [`KdStats`] counts the work and the FLANN
+/// trace generator records the same steps as thread events.
+#[allow(unused_variables)]
+pub trait KdObserver {
+    /// The closest queued branch is popped from the frontier (also the pop
+    /// that finds the `checks` budget spent).
+    fn pop(&mut self) {}
+
+    /// Split `node` is visited: one scalar compare picks the near child and
+    /// the far child is pushed on the frontier.
+    fn split(&mut self, node: u32) {}
+
+    /// A leaf is reached and every point of `ids` is measured, in order.
+    fn leaf(&mut self, ids: &[u32]) {}
+}
+
+impl KdObserver for KdStats {
+    fn split(&mut self, _: u32) {
+        self.splits_visited += 1;
+    }
+
+    fn leaf(&mut self, ids: &[u32]) {
+        self.leaves_visited += 1;
+        self.distance_tests += ids.len() as u64;
+    }
 }
 
 /// One k-d tree node.
@@ -288,148 +317,6 @@ impl KdTree {
         }
     }
 
-    /// Exact k-nearest neighbours by backtracking (Euclidean only), closest
-    /// first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero, the query dimension mismatches, or the metric
-    /// is angular.
-    pub fn knn_exact(
-        &self,
-        data: &PointSet,
-        query: &[f32],
-        k: usize,
-    ) -> (Vec<KdNeighbor>, KdStats) {
-        assert!(k > 0, "k must be positive");
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        assert_eq!(
-            self.metric,
-            Metric::Euclidean,
-            "exact search requires Euclidean"
-        );
-        let mut stats = KdStats::default();
-        if self.nodes.is_empty() {
-            return (Vec::new(), stats);
-        }
-        let mut best: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new(); // max-heap
-        self.knn_descend(data, query, 0, k, &mut best, &mut stats);
-        let mut out: Vec<KdNeighbor> = best.into_iter().map(|(OrdF32(d), i)| (i, d)).collect();
-        out.sort_by(|a, b| a.1.total_cmp(&b.1));
-        (out, stats)
-    }
-
-    fn knn_descend(
-        &self,
-        data: &PointSet,
-        query: &[f32],
-        node: u32,
-        k: usize,
-        best: &mut BinaryHeap<(OrdF32, u32)>,
-        stats: &mut KdStats,
-    ) {
-        match self.nodes[node as usize] {
-            KdNode::Leaf { start, count } => {
-                stats.leaves_visited += 1;
-                for s in start..start + count {
-                    let idx = self.indices[s as usize];
-                    stats.distance_tests += 1;
-                    let d = self.metric.distance(query, data.point(idx as usize));
-                    if best.len() < k {
-                        best.push((OrdF32(d), idx));
-                    } else if let Some(&(OrdF32(w), _)) = best.peek() {
-                        if d < w {
-                            best.pop();
-                            best.push((OrdF32(d), idx));
-                        }
-                    }
-                }
-            }
-            KdNode::Split {
-                axis,
-                value,
-                left,
-                right,
-            } => {
-                stats.splits_visited += 1;
-                let diff = query[axis as usize] - value;
-                let (near, far) = if diff < 0.0 {
-                    (left, right)
-                } else {
-                    (right, left)
-                };
-                self.knn_descend(data, query, near, k, best, stats);
-                let worst = best
-                    .peek()
-                    .map(|&(OrdF32(w), _)| w)
-                    .unwrap_or(f32::INFINITY);
-                if best.len() < k || diff * diff < worst {
-                    self.knn_descend(data, query, far, k, best, stats);
-                }
-            }
-        }
-    }
-
-    /// All points within squared distance `radius_sq` of `query` (Euclidean),
-    /// with their distances, unordered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query dimension mismatches or the metric is angular.
-    pub fn range_search(
-        &self,
-        data: &PointSet,
-        query: &[f32],
-        radius_sq: f32,
-    ) -> (Vec<KdNeighbor>, KdStats) {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        assert_eq!(
-            self.metric,
-            Metric::Euclidean,
-            "range search requires Euclidean"
-        );
-        let mut out = Vec::new();
-        let mut stats = KdStats::default();
-        if self.nodes.is_empty() {
-            return (out, stats);
-        }
-        let mut stack = vec![0u32];
-        while let Some(node) = stack.pop() {
-            match self.nodes[node as usize] {
-                KdNode::Leaf { start, count } => {
-                    stats.leaves_visited += 1;
-                    for s in start..start + count {
-                        let idx = self.indices[s as usize];
-                        stats.distance_tests += 1;
-                        let d = self.metric.distance(query, data.point(idx as usize));
-                        if d <= radius_sq {
-                            out.push((idx, d));
-                        }
-                    }
-                }
-                KdNode::Split {
-                    axis,
-                    value,
-                    left,
-                    right,
-                } => {
-                    stats.splits_visited += 1;
-                    let diff = query[axis as usize] - value;
-                    let (near, far) = if diff < 0.0 {
-                        (left, right)
-                    } else {
-                        (right, left)
-                    };
-                    stack.push(near);
-                    if diff * diff <= radius_sq {
-                        stack.push(far);
-                    }
-                }
-            }
-        }
-        (out, stats)
-    }
-
     /// Approximate k-nearest-neighbour search with FLANN's best-bin-first
     /// strategy: descend greedily, queue the unexplored branches by plane
     /// distance, and stop after `checks` distance tests.
@@ -448,12 +335,30 @@ impl KdTree {
         k: usize,
         checks: usize,
     ) -> (Vec<KdNeighbor>, KdStats) {
+        let mut stats = KdStats::default();
+        let out = self.knn_best_bin_first_observed(data, query, k, checks, &mut stats);
+        (out, stats)
+    }
+
+    /// [`KdTree::knn_best_bin_first`], reporting every step of the search
+    /// to `observer` (see [`KdObserver`]) instead of counting it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query dimension mismatches or `k` is zero.
+    pub fn knn_best_bin_first_observed<O: KdObserver>(
+        &self,
+        data: &PointSet,
+        query: &[f32],
+        k: usize,
+        checks: usize,
+        observer: &mut O,
+    ) -> Vec<KdNeighbor> {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
         assert!(k > 0, "k must be positive");
-        let mut stats = KdStats::default();
         let mut results: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new(); // max-heap by distance
         if self.nodes.is_empty() {
-            return (Vec::new(), stats);
+            return Vec::new();
         }
         let mut frontier: BinaryHeap<Reverse<(OrdF32, u32)>> = BinaryHeap::new();
         frontier.push(Reverse((OrdF32(0.0), 0)));
@@ -464,6 +369,7 @@ impl KdTree {
         let mut pairs: Vec<(f32, f32)> = Vec::new();
         let mut dists: Vec<f32> = Vec::new();
         while let Some(Reverse((_, start_node))) = frontier.pop() {
+            observer.pop();
             if checked >= checks {
                 break;
             }
@@ -477,7 +383,7 @@ impl KdTree {
                         left,
                         right,
                     } => {
-                        stats.splits_visited += 1;
+                        observer.split(node);
                         let diff = query[axis as usize] - value;
                         let (near, far) = if diff < 0.0 {
                             (left, right)
@@ -488,13 +394,13 @@ impl KdTree {
                         node = near;
                     }
                     KdNode::Leaf { start, count } => {
-                        stats.leaves_visited += 1;
                         // The whole bucket's distances come from one
                         // gathered SoA batch (bit-identical to the scalar
                         // metric per candidate); the `checks` budget is
                         // only consulted between leaves, so batching the
                         // bucket changes neither results nor counters.
                         let ids = &self.indices[start as usize..(start + count) as usize];
+                        observer.leaf(ids);
                         rows.clear();
                         hsu_geometry::batch::gather_rows(data.as_flat(), self.dim, ids, &mut rows);
                         dists.clear();
@@ -505,7 +411,6 @@ impl KdTree {
                             &mut pairs,
                             &mut dists,
                         );
-                        stats.distance_tests += ids.len() as u64;
                         checked += ids.len();
                         for (&idx, &d) in ids.iter().zip(&dists) {
                             results.push((OrdF32(d), idx));
@@ -520,7 +425,7 @@ impl KdTree {
         }
         let mut out: Vec<KdNeighbor> = results.into_iter().map(|(OrdF32(d), i)| (i, d)).collect();
         out.sort_by(|a, b| a.1.total_cmp(&b.1));
-        (out, stats)
+        out
     }
 
     /// Approximate k-nearest-neighbour search for a flat batch of
@@ -738,44 +643,6 @@ mod tests {
             }
         }
         assert!(multi >= single, "forest {multi} < single tree {single}");
-    }
-
-    #[test]
-    fn knn_exact_matches_brute_force() {
-        let data = random_set(600, 5, 13);
-        let tree = KdTree::build(&data, Metric::Euclidean);
-        let mut rng = ChaCha8Rng::seed_from_u64(14);
-        for _ in 0..30 {
-            let q: Vec<f32> = (0..5).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let (got, stats) = tree.knn_exact(&data, &q, 7);
-            let expect = data.k_nearest_brute_force(&q, 7, Metric::Euclidean);
-            assert_eq!(got.len(), 7);
-            for (g, e) in got.iter().zip(&expect) {
-                assert!(
-                    (g.1 - e.1).abs() <= 1e-5 * (1.0 + e.1),
-                    "{got:?} vs {expect:?}"
-                );
-            }
-            assert!(stats.distance_tests < 600, "pruning must beat brute force");
-        }
-    }
-
-    #[test]
-    fn range_search_matches_brute_force() {
-        let data = random_set(500, 3, 15);
-        let tree = KdTree::build(&data, Metric::Euclidean);
-        let q = [0.1f32, -0.2, 0.3];
-        let r2 = 0.25f32;
-        let (mut got, _) = tree.range_search(&data, &q, r2);
-        got.sort_by_key(|&(i, _)| i);
-        let expect: Vec<u32> = data
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| hsu_geometry::point::euclidean_squared(&q, c) <= r2)
-            .map(|(i, _)| i as u32)
-            .collect();
-        let got_ids: Vec<u32> = got.iter().map(|&(i, _)| i).collect();
-        assert_eq!(got_ids, expect);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! has the smallest offloadable share (§VI-C), so its speedup is the
 //! smallest.
 
-use hsu_btree::{BPlusTree, BtNode};
+use hsu_btree::{BPlusTree, BtObserver};
 use hsu_sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
 
 use crate::layout::btree_node_addr;
@@ -96,9 +96,11 @@ impl BtreeWorkload {
     }
 
     /// Records the lookups over an already-built tree (the archive-cache
-    /// restore path). `tree` must equal `BPlusTree::bulk_build(pairs,
-    /// tree.branch())` — the caller's content key guarantees it; given
-    /// that, the result is byte-identical to [`Self::build_from_pairs`].
+    /// restore path): each lookup runs [`BPlusTree::get_observed`] with a
+    /// recorder that turns every visited node into an event. `tree` must
+    /// equal `BPlusTree::bulk_build(pairs, tree.branch())` — the caller's
+    /// content key guarantees it; given that, the result is byte-identical
+    /// to [`Self::build_from_pairs`].
     ///
     /// # Panics
     ///
@@ -120,11 +122,11 @@ impl BtreeWorkload {
         let mut events = Vec::with_capacity(lookups.len());
         let mut correct = 0usize;
         for &key in lookups {
-            let (evs, value) = record_lookup(&tree, key);
-            if value == reference.get(&key).copied() {
+            let mut rec = Recorder::default();
+            if tree.get_observed(key, &mut rec) == reference.get(&key).copied() {
                 correct += 1;
             }
-            events.push(evs);
+            events.push(rec.events);
         }
         BtreeWorkload {
             events,
@@ -242,31 +244,25 @@ impl BtreeWorkload {
     }
 }
 
-/// Descends the tree recording events; returns the lookup result.
-fn record_lookup(tree: &BPlusTree, key: u32) -> (Vec<Event>, Option<u64>) {
-    let mut events = Vec::new();
-    let mut node = tree.root();
-    loop {
-        match &tree.nodes()[node as usize] {
-            BtNode::Internal {
-                separators,
-                children,
-            } => {
-                events.push(Event::Internal {
-                    node,
-                    separators: separators.len() as u32,
-                });
-                let idx = separators.partition_point(|&s| s <= key);
-                node = children[idx];
-            }
-            BtNode::Leaf { keys, values, .. } => {
-                events.push(Event::Leaf {
-                    node,
-                    keys: keys.len() as u32,
-                });
-                return (events, keys.binary_search(&key).ok().map(|i| values[i]));
-            }
-        }
+/// Records one [`BPlusTree::get_observed`] lookup as its event stream.
+#[derive(Default)]
+struct Recorder {
+    events: Vec<Event>,
+}
+
+impl BtObserver for Recorder {
+    fn internal(&mut self, node: u32, separators: usize) {
+        self.events.push(Event::Internal {
+            node,
+            separators: separators as u32,
+        });
+    }
+
+    fn leaf(&mut self, node: u32, keys: usize) {
+        self.events.push(Event::Leaf {
+            node,
+            keys: keys as u32,
+        });
     }
 }
 

@@ -5,17 +5,15 @@
 //! shared memory. The HSU accelerates the ray-box node tests; stack
 //! maintenance and hit processing stay on the SIMT core (§VI-C).
 
-use hsu_bvh::{
-    Bvh2, Bvh4, LbvhBuilder, NodeContent, PointPrimitive, SahBuilder, WideChild, BVH4_NODE_BYTES,
-};
+use hsu_bvh::{Bvh2, Bvh4, LbvhBuilder, PointPrimitive, SahBuilder, BVH4_NODE_BYTES};
 use hsu_datasets::query_set;
-use hsu_geometry::batch;
 use hsu_geometry::point::{Metric, PointSet};
 use hsu_geometry::Vec3;
 use hsu_sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
 
-use crate::layout::{bvh2_node_addr, vector_addr};
-use crate::lowering::{emit_bvh2_node_test, emit_distance, Variant};
+use crate::layout::vector_addr;
+use crate::lowering::{emit_distance, Variant};
+use crate::traversal::{emit_node_test, emit_pop, StackEvent, StackRecorder};
 
 /// Which hierarchy BVH-NN traverses — the §VI-E ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,23 +58,12 @@ impl Default for BvhnnParams {
     }
 }
 
-/// Per-thread traversal events.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// Pop + loop control.
-    Pop,
-    /// Binary-node box test; `pushes` children were pushed.
-    NodeTest { node: u32, pushes: u32 },
-    /// 4-wide node test (one RAY_INTERSECT covering up to four boxes).
-    NodeTest4 { node: u32, pushes: u32 },
-    /// Leaf distance test against one point.
-    LeafDistance { point: u32 },
-}
-
 /// A prepared BVH-NN workload.
 #[derive(Debug)]
 pub struct BvhnnWorkload {
-    events: Vec<Vec<Event>>,
+    events: Vec<Vec<StackEvent>>,
+    /// Whether the searches ran on the 4-wide hierarchy.
+    wide: bool,
     /// Mean neighbours found per query (functional sanity signal).
     pub mean_neighbors: f64,
     /// Mean distance (leaf) tests per query — the paper reports < 200 for
@@ -135,7 +122,11 @@ impl BvhnnWorkload {
     }
 
     /// Records the searches over an already-built BVH (the archive-cache
-    /// restore path). `(bvh2, radius)` must equal [`Self::plan`]`(params,
+    /// restore path): each query runs the index's own radius search
+    /// ([`Bvh2::radius_search_observed`], or
+    /// [`Bvh4::radius_search_observed`] on the 4-wide flavor) with a
+    /// recorder that turns every step into the query thread's events.
+    /// `(bvh2, radius)` must equal [`Self::plan`]`(params,
     /// data)` — the caller's content key guarantees it; given that, the
     /// result is byte-identical to [`Self::build_from_points`].
     pub fn build_with_bvh(params: &BvhnnParams, data: &PointSet, bvh2: &Bvh2, radius: f32) -> Self {
@@ -149,18 +140,19 @@ impl BvhnnWorkload {
         let mut total_tests = 0u64;
         for q in queries.iter() {
             let query = Vec3::new(q[0], q[1], q[2]);
-            let (evs, found, tests) = if let Some(bvh4) = &bvh4 {
-                record_radius_search4(bvh4, &prims, query, radius)
-            } else {
-                record_radius_search(bvh2, &prims, query, radius)
+            let mut rec = StackRecorder::default();
+            let found = match &bvh4 {
+                Some(bvh4) => bvh4.radius_search_observed(&prims, query, radius, &mut rec),
+                None => bvh2.radius_search_observed(&prims, query, radius, &mut rec),
             };
-            total_neighbors += found;
-            total_tests += tests;
-            events.push(evs);
+            total_neighbors += found.len() as u64;
+            total_tests += rec.tests;
+            events.push(rec.events);
         }
         let nq = queries.len() as f64;
         BvhnnWorkload {
             events,
+            wide: bvh4.is_some(),
             mean_neighbors: total_neighbors as f64 / nq,
             mean_distance_tests: total_tests as f64 / nq,
             radius,
@@ -176,19 +168,11 @@ impl BvhnnWorkload {
             t.push(ThreadOp::Shared { count: 1 }); // stack init
             for ev in events {
                 match *ev {
-                    Event::Pop => {
-                        t.push(ThreadOp::Shared { count: 1 });
-                        t.push(ThreadOp::Alu { count: 2 });
+                    StackEvent::Pop => emit_pop(&mut t),
+                    StackEvent::NodeTest { node, pushes } if !self.wide => {
+                        emit_node_test(&mut t, variant, node, pushes);
                     }
-                    Event::NodeTest { node, pushes } => {
-                        emit_bvh2_node_test(&mut t, variant, bvh2_node_addr(node as usize));
-                        // Result processing + child pushes stay on the SM.
-                        t.push(ThreadOp::Alu { count: 3 });
-                        if pushes > 0 {
-                            t.push(ThreadOp::Shared { count: pushes });
-                        }
-                    }
-                    Event::NodeTest4 { node, pushes } => {
+                    StackEvent::NodeTest { node, pushes } => {
                         // A 4-wide node: one 128-byte RAY_INTERSECT on the
                         // HSU; eight LDG.128s plus four slab tests on the SM.
                         let addr = crate::layout::BVH_NODES_BASE + node as u64 * BVH4_NODE_BYTES;
@@ -216,13 +200,13 @@ impl BvhnnWorkload {
                             t.push(ThreadOp::Shared { count: pushes });
                         }
                     }
-                    Event::LeafDistance { point } => {
+                    StackEvent::Primitive { id, .. } => {
                         emit_distance(
                             &mut t,
                             variant,
                             Metric::Euclidean,
                             3,
-                            vector_addr(point as usize, 3),
+                            vector_addr(id as usize, 3),
                         );
                         t.push(ThreadOp::Alu { count: 2 }); // compare + collect
                     }
@@ -254,125 +238,6 @@ fn median_nn_distance(data: &PointSet, _seed: u64) -> f32 {
         .collect();
     ds.sort_by(f32::total_cmp);
     ds[sample / 2].sqrt().max(1e-6)
-}
-
-/// Stack traversal that records events and returns (events, neighbours
-/// found, leaf tests).
-fn record_radius_search(
-    bvh: &Bvh2,
-    prims: &[PointPrimitive],
-    query: Vec3,
-    radius: f32,
-) -> (Vec<Event>, u64, u64) {
-    let mut events = Vec::new();
-    let mut found = 0u64;
-    let mut tests = 0u64;
-    if bvh.nodes().is_empty() {
-        return (events, found, tests);
-    }
-    let r2 = radius * radius;
-    let mut stack = vec![0u32];
-    // Leaf-refine scratch, reused across pops so the batched distance pass
-    // allocates nothing in steady state.
-    let mut leaf_ids: Vec<u32> = Vec::new();
-    let mut leaf_pos: Vec<Vec3> = Vec::new();
-    let mut dists: Vec<f32> = Vec::new();
-    while let Some(i) = stack.pop() {
-        events.push(Event::Pop);
-        let node = &bvh.nodes()[i as usize];
-        match node.content {
-            NodeContent::Internal { left, right } => {
-                let mut pushes = 0;
-                for child in [left, right] {
-                    if bvh.nodes()[child as usize].aabb.distance_squared_to(query) <= r2 {
-                        stack.push(child);
-                        pushes += 1;
-                    }
-                }
-                events.push(Event::NodeTest { node: i, pushes });
-            }
-            NodeContent::Leaf { start, count } => {
-                leaf_ids.clear();
-                leaf_pos.clear();
-                for s in start..start + count {
-                    let p = &prims[bvh.prim_indices()[s as usize] as usize];
-                    leaf_ids.push(p.id);
-                    leaf_pos.push(p.position);
-                }
-                dists.clear();
-                batch::vec3_distance_squared(query, &leaf_pos, &mut dists);
-                for (&id, &d2) in leaf_ids.iter().zip(&dists) {
-                    events.push(Event::LeafDistance { point: id });
-                    tests += 1;
-                    if d2 <= r2 {
-                        found += 1;
-                    }
-                }
-            }
-        }
-    }
-    (events, found, tests)
-}
-
-/// 4-wide stack traversal that records events.
-fn record_radius_search4(
-    bvh: &Bvh4,
-    prims: &[PointPrimitive],
-    query: Vec3,
-    radius: f32,
-) -> (Vec<Event>, u64, u64) {
-    let mut events = Vec::new();
-    let mut found = 0u64;
-    let mut tests = 0u64;
-    if bvh.nodes().is_empty() {
-        return (events, found, tests);
-    }
-    let r2 = radius * radius;
-    let mut stack = vec![0u32];
-    // Scratch reused across pops: a 4-wide node can surface several leaves'
-    // worth of points, which the batched distance pass refines in one go.
-    let mut leaf_points: Vec<u32> = Vec::new();
-    let mut leaf_pos: Vec<Vec3> = Vec::new();
-    let mut dists: Vec<f32> = Vec::new();
-    while let Some(i) = stack.pop() {
-        events.push(Event::Pop);
-        let mut pushes = 0;
-        leaf_points.clear();
-        let node = &bvh.nodes()[i as usize];
-        for slot in 0..4 {
-            // Empty slots hold Aabb::EMPTY and fail like any culled box.
-            if node.aabbs[slot].distance_squared_to(query) > r2 {
-                continue;
-            }
-            match node.children[slot] {
-                WideChild::Empty => {}
-                WideChild::Node(index) => {
-                    stack.push(index);
-                    pushes += 1;
-                }
-                WideChild::Leaf { start, count } => {
-                    for s in start..start + count {
-                        leaf_points.push(bvh.prim_indices()[s as usize]);
-                    }
-                }
-            }
-        }
-        events.push(Event::NodeTest4 { node: i, pushes });
-        leaf_pos.clear();
-        leaf_pos.extend(leaf_points.iter().map(|&p| prims[p as usize].position));
-        dists.clear();
-        batch::vec3_distance_squared(query, &leaf_pos, &mut dists);
-        for (&p, &d2) in leaf_points.iter().zip(&dists) {
-            events.push(Event::LeafDistance {
-                point: prims[p as usize].id,
-            });
-            tests += 1;
-            if d2 <= r2 {
-                found += 1;
-            }
-        }
-    }
-    (events, found, tests)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use hsu_datasets::query_set;
 use hsu_geometry::point::{Metric, PointSet};
-use hsu_kdtree::{KdNode, KdTree};
+use hsu_kdtree::{KdObserver, KdTree};
 use hsu_sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
 
 use crate::layout::{kd_node_addr, vector_addr};
@@ -107,23 +107,28 @@ impl FlannWorkload {
     }
 
     /// Records the searches over an already-built tree (the archive-cache
-    /// restore path). `tree` must equal [`Self::build_tree`]`(data)` — the
-    /// caller's content key guarantees it; given that, the result is
-    /// byte-identical to [`Self::build_from_points`].
+    /// restore path): each query runs
+    /// [`KdTree::knn_best_bin_first_observed`] with a recorder that turns
+    /// every step into the query thread's events. `tree` must equal
+    /// [`Self::build_tree`]`(data)` — the caller's content key guarantees
+    /// it; given that, the result is byte-identical to
+    /// [`Self::build_from_points`].
     pub fn build_with_tree(params: &FlannParams, data: &PointSet, tree: &KdTree) -> Self {
         let queries = query_set(data, params.queries, params.seed ^ 0xf1a);
 
         let mut events = Vec::with_capacity(queries.len());
         let mut hits = 0usize;
         for q in queries.iter() {
-            let (evs, found) = record_bbf(tree, data, q, params.k, params.checks);
+            let mut rec = Recorder::default();
+            let found =
+                tree.knn_best_bin_first_observed(data, q, params.k, params.checks, &mut rec);
             let exact = data
                 .nearest_brute_force(q, Metric::Euclidean)
                 .map(|(i, _)| i);
-            if found.first().map(|&f| f as usize) == exact {
+            if found.first().map(|&(f, _)| f as usize) == exact {
                 hits += 1;
             }
-            events.push(evs);
+            events.push(rec.events);
         }
         FlannWorkload {
             events,
@@ -213,71 +218,27 @@ impl FlannWorkload {
     }
 }
 
-/// Best-bin-first search with event recording (mirrors
-/// `KdTree::knn_best_bin_first`).
-fn record_bbf(
-    tree: &KdTree,
-    data: &PointSet,
-    query: &[f32],
-    k: usize,
-    checks: usize,
-) -> (Vec<Event>, Vec<u32>) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+/// Records one [`KdTree::knn_best_bin_first_observed`] call as the query
+/// thread's event stream.
+#[derive(Default)]
+struct Recorder {
+    events: Vec<Event>,
+}
 
-    let mut events = Vec::new();
-    let mut results: BinaryHeap<(u64, u32)> = BinaryHeap::new();
-    if tree.nodes().is_empty() {
-        return (events, Vec::new());
+impl KdObserver for Recorder {
+    fn pop(&mut self) {
+        self.events.push(Event::Heap { ops: 1 });
     }
-    let key = |d: f32| d.to_bits() as u64;
-    let mut frontier: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    frontier.push(Reverse((0, 0)));
-    let mut checked = 0usize;
-    while let Some(Reverse((_, start))) = frontier.pop() {
-        events.push(Event::Heap { ops: 1 });
-        if checked >= checks {
-            break;
-        }
-        let mut node = start;
-        loop {
-            match tree.nodes()[node as usize] {
-                KdNode::Split {
-                    axis,
-                    value,
-                    left,
-                    right,
-                } => {
-                    events.push(Event::Split { node });
-                    let diff = query[axis as usize] - value;
-                    let (near, far) = if diff < 0.0 {
-                        (left, right)
-                    } else {
-                        (right, left)
-                    };
-                    frontier.push(Reverse((key(diff * diff), far)));
-                    events.push(Event::Heap { ops: 1 });
-                    node = near;
-                }
-                KdNode::Leaf { start, count } => {
-                    for s in start..start + count {
-                        let idx = tree.indices()[s as usize];
-                        events.push(Event::LeafDistance { point: idx });
-                        checked += 1;
-                        let d = Metric::Euclidean.distance(query, data.point(idx as usize));
-                        results.push((key(d), idx));
-                        if results.len() > k {
-                            results.pop();
-                        }
-                    }
-                    break;
-                }
-            }
-        }
+
+    fn split(&mut self, node: u32) {
+        self.events.push(Event::Split { node });
+        self.events.push(Event::Heap { ops: 1 }); // far-branch push
     }
-    let mut out: Vec<(u64, u32)> = results.into_iter().collect();
-    out.sort();
-    (events, out.into_iter().map(|(_, i)| i).collect())
+
+    fn leaf(&mut self, ids: &[u32]) {
+        self.events
+            .extend(ids.iter().map(|&point| Event::LeafDistance { point }));
+    }
 }
 
 #[cfg(test)]

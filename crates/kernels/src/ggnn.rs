@@ -8,7 +8,7 @@
 
 use hsu_datasets::{query_set, recall_at_k};
 use hsu_geometry::point::{Metric, PointSet};
-use hsu_graph::{GraphConfig, HnswGraph};
+use hsu_graph::{GraphConfig, GraphObserver, HnswGraph};
 use hsu_sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
 
 use crate::layout::{adjacency_addr, vector_addr};
@@ -104,19 +104,24 @@ impl GgnnWorkload {
     }
 
     /// Records the searches over an already-built graph (the archive-cache
-    /// restore path). `graph` must have been built over `data` with
-    /// [`Self::graph_config`] and `params.seed` — the caller's content key
-    /// guarantees it; given that, the result is byte-identical to
-    /// [`Self::build_from_points`].
+    /// restore path): each query runs [`HnswGraph::search_observed`], the
+    /// search the serving engine runs, with a recorder that turns every
+    /// step into GGNN's warp-level events. `graph` must have been built
+    /// over `data` with [`Self::graph_config`] and `params.seed` — the
+    /// caller's content key guarantees it; given that, the result is
+    /// byte-identical to [`Self::build_from_points`].
     pub fn build_with_graph(params: &GgnnParams, data: &PointSet, graph: &HnswGraph) -> Self {
         let queries = query_set(data, params.queries, params.seed ^ 0x5eed);
 
         let mut events = Vec::with_capacity(queries.len());
         let mut found_all = Vec::with_capacity(queries.len());
         for q in queries.iter() {
-            let (evs, found) = record_search(graph, data, q, params.k, params.ef);
-            events.push(evs);
-            found_all.push(found);
+            let mut rec = Recorder::default();
+            rec.events.push(WarpEvent::Scalar { count: 8 }); // query setup / norm precompute
+            let found = graph.search_observed(data, q, params.k, params.ef, &mut rec);
+            rec.events.push(WarpEvent::Scalar { count: 4 }); // result writeback
+            events.push(rec.events);
+            found_all.push(found.into_iter().map(|(i, _)| i).collect());
         }
         let truth: Vec<Vec<usize>> = queries
             .iter()
@@ -245,130 +250,74 @@ fn gaussian_set(n: usize, dim: usize, seed: u64) -> PointSet {
     PointSet::from_rows(dim, data)
 }
 
-/// Best-first graph search that both computes the result and records the
-/// warp-level event stream (mirrors `HnswGraph::search`).
-fn record_search(
-    graph: &HnswGraph,
-    data: &PointSet,
-    query: &[f32],
-    k: usize,
-    ef: usize,
-) -> (Vec<WarpEvent>, Vec<u32>) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+/// Records one [`HnswGraph::search_observed`] call as the warp-level event
+/// stream of GGNN's cooperative search.
+#[derive(Default)]
+struct Recorder {
+    events: Vec<WarpEvent>,
+}
 
-    let metric = graph.metric();
-    let mut events = Vec::new();
-    let mut entry = graph.entry_point();
-    events.push(WarpEvent::Scalar { count: 8 }); // query setup / norm precompute
-
-    // Greedy descent through the upper layers.
-    for layer in (1..graph.layer_count()).rev() {
-        let mut cur_d = metric.distance(query, data.point(entry as usize));
-        events.push(WarpEvent::Distances {
-            candidates: vec![entry],
+impl GraphObserver for Recorder {
+    fn greedy_start(&mut self, node: u32) {
+        self.events.push(WarpEvent::Distances {
+            candidates: vec![node],
         });
-        loop {
-            let neighbors = graph.neighbors(layer, entry);
-            if neighbors.is_empty() {
-                break;
-            }
-            events.push(WarpEvent::LoadAdjacency {
-                layer,
-                node: entry,
-                count: neighbors.len() as u32,
-            });
-            events.push(WarpEvent::Distances {
-                candidates: neighbors.to_vec(),
-            });
-            events.push(WarpEvent::Scalar { count: 4 }); // argmin select
-            let (best, best_d) = neighbors
-                .iter()
-                .map(|&n| (n, metric.distance(query, data.point(n as usize))))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("non-empty");
-            if best_d < cur_d {
-                cur_d = best_d;
-                entry = best;
-            } else {
-                break;
-            }
-        }
     }
 
-    // Bounded best-first on the base layer with the parallel cache.
-    let ef = ef.max(k);
-    let mut visited = vec![false; data.len()];
-    let mut frontier: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    let mut best: BinaryHeap<(u64, u32)> = BinaryHeap::new();
-    let key = |d: f32| d.to_bits() as u64;
+    fn greedy_step(&mut self, layer: usize, node: u32, neighbors: &[u32]) {
+        self.events.push(WarpEvent::LoadAdjacency {
+            layer,
+            node,
+            count: neighbors.len() as u32,
+        });
+        self.events.push(WarpEvent::Distances {
+            candidates: neighbors.to_vec(),
+        });
+        self.events.push(WarpEvent::Scalar { count: 4 }); // argmin select
+    }
 
-    let d0 = metric.distance(query, data.point(entry as usize));
-    events.push(WarpEvent::Distances {
-        candidates: vec![entry],
-    });
-    events.push(WarpEvent::QueueOps { count: 2 });
-    visited[entry as usize] = true;
-    frontier.push(Reverse((key(d0), entry)));
-    best.push((key(d0), entry));
+    fn seed(&mut self, node: u32) {
+        self.events.push(WarpEvent::Distances {
+            candidates: vec![node],
+        });
+        self.events.push(WarpEvent::QueueOps { count: 2 });
+    }
 
-    while let Some(Reverse((d, node))) = frontier.pop() {
-        events.push(WarpEvent::QueueOps { count: 1 });
-        let worst = best.peek().map(|&(w, _)| w).unwrap_or(u64::MAX);
-        if d > worst && best.len() >= ef {
-            break;
-        }
-        let neighbors = graph.neighbors(0, node);
+    fn pop(&mut self) {
+        self.events.push(WarpEvent::QueueOps { count: 1 });
+    }
+
+    fn expand(
+        &mut self,
+        layer: usize,
+        node: u32,
+        neighbors: &[u32],
+        fresh: &[u32],
+        admitted: u32,
+        evicted: u32,
+    ) {
         if neighbors.is_empty() {
-            continue;
+            return;
         }
-        events.push(WarpEvent::LoadAdjacency {
-            layer: 0,
+        self.events.push(WarpEvent::LoadAdjacency {
+            layer,
             node,
             count: neighbors.len() as u32,
         });
         // Visited-cache check: one shared op per neighbour.
-        events.push(WarpEvent::QueueOps {
+        self.events.push(WarpEvent::QueueOps {
             count: neighbors.len() as u32,
         });
-        let fresh: Vec<u32> = neighbors
-            .iter()
-            .copied()
-            .filter(|&n| !visited[n as usize])
-            .collect();
         if fresh.is_empty() {
-            continue;
+            return;
         }
-        for &n in &fresh {
-            visited[n as usize] = true;
-        }
-        events.push(WarpEvent::Distances {
-            candidates: fresh.clone(),
+        self.events.push(WarpEvent::Distances {
+            candidates: fresh.to_vec(),
         });
-        let mut queue_ops = 0;
-        for &n in &fresh {
-            let dn = metric.distance(query, data.point(n as usize));
-            let worst = best.peek().map(|&(w, _)| w).unwrap_or(u64::MAX);
-            if best.len() < ef || key(dn) < worst {
-                frontier.push(Reverse((key(dn), n)));
-                best.push((key(dn), n));
-                queue_ops += 2;
-                if best.len() > ef {
-                    best.pop();
-                    queue_ops += 1;
-                }
-            }
-        }
-        events.push(WarpEvent::QueueOps {
-            count: queue_ops.max(1),
+        self.events.push(WarpEvent::QueueOps {
+            count: (2 * admitted + evicted).max(1),
         });
     }
-
-    let mut out: Vec<(u64, u32)> = best.into_iter().collect();
-    out.sort();
-    out.truncate(k);
-    events.push(WarpEvent::Scalar { count: 4 }); // result writeback
-    (events, out.into_iter().map(|(_, i)| i).collect())
 }
 
 #[cfg(test)]

@@ -1,6 +1,13 @@
 //! The paper's evaluation workloads as trace-recording GPU kernels.
 //!
-//! Each workload is implemented twice over the same functional execution:
+//! No workload implements a search of its own. Each one runs its index
+//! crate's search — the same code the serving engine runs — and records a
+//! per-thread event stream through the observer trait that search reports
+//! its steps to ([`hsu_graph::GraphObserver`], [`hsu_kdtree::KdObserver`],
+//! [`hsu_bvh::TraversalObserver`], [`hsu_btree::BtObserver`]). The observer
+//! is a generic parameter, so the search pays no dynamic dispatch for it.
+//!
+//! Each recorded execution is then lowered twice:
 //!
 //! * an **HSU lowering**, where node tests, distance computations and key
 //!   comparisons become single CISC instructions on the RT/HSU unit, and
@@ -41,34 +48,11 @@ pub mod layout;
 pub mod lowering;
 pub mod render;
 pub mod rtindex;
+mod traversal;
 
 pub use lowering::Variant;
 
-use hsu_sim::config::GpuConfig;
-use hsu_sim::{Gpu, SimReport};
-
-/// Runs all three lowerings of a workload trace generator on one GPU
-/// configuration, returning `(hsu, baseline, stripped)` reports.
-///
-/// # Panics
-///
-/// Panics if any of the three simulations fails (deadlock guard, invalid
-/// config); test helpers want the loud failure. Use [`hsu_sim::Gpu::run`]
-/// directly for a `Result`.
-pub fn run_all_variants<F>(gpu: &Gpu, trace: F) -> (SimReport, SimReport, SimReport)
-where
-    F: Fn(Variant) -> hsu_sim::trace::KernelTrace,
-{
-    let run = |variant: Variant| match gpu.run(&trace(variant)) {
-        Ok(report) => report,
-        Err(e) => panic!("{variant:?} lowering failed to simulate: {e}"),
-    };
-    (
-        run(Variant::Hsu),
-        run(Variant::Baseline),
-        run(Variant::BaselineStripped),
-    )
-}
+use hsu_sim::SimReport;
 
 /// The offloadable-cycle share of Fig. 7: the fraction of baseline cycles
 /// attributable to operations the HSU could execute (arithmetic *and* their
@@ -78,13 +62,6 @@ pub fn offloadable_fraction(baseline: &SimReport, stripped: &SimReport) -> f64 {
         return 0.0;
     }
     1.0 - stripped.cycles as f64 / baseline.cycles as f64
-}
-
-/// Convenience: a baseline-RT-unit GPU config (HSU extensions off) used for
-/// the RTIndeX comparison, where both sides use ray tracing hardware.
-pub fn baseline_rt_gpu(mut cfg: GpuConfig) -> Gpu {
-    cfg.hsu = hsu_core::HsuConfig::baseline_rt();
-    Gpu::new(cfg)
 }
 
 // Workload builders run inside the parallel suite runner's worker threads;

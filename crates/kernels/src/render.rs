@@ -7,12 +7,13 @@
 //! triangle-mode tests at leaves; the baseline lowering expands both into
 //! SIMT loads + slab/Woop arithmetic.
 
-use hsu_bvh::{Bvh2, LbvhBuilder, NodeContent, TrianglePrimitive};
+use hsu_bvh::{LbvhBuilder, TrianglePrimitive};
 use hsu_geometry::{Ray, Triangle, Vec3};
 use hsu_sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
 
-use crate::layout::{bvh2_node_addr, PRIM_INDEX_BASE};
-use crate::lowering::{emit_bvh2_node_test, emit_triangle_test, Variant};
+use crate::layout::PRIM_INDEX_BASE;
+use crate::lowering::{emit_triangle_test, Variant};
+use crate::traversal::{emit_node_test, emit_pop, StackEvent, StackRecorder};
 
 /// Workload parameters.
 #[derive(Debug, Clone)]
@@ -38,18 +39,10 @@ impl Default for RenderParams {
     }
 }
 
-/// Per-ray traversal events.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Pop,
-    NodeTest { node: u32, pushes: u32 },
-    TriangleTest { slot: u32 },
-}
-
 /// A prepared render workload.
 #[derive(Debug)]
 pub struct RenderWorkload {
-    events: Vec<Vec<Event>>,
+    events: Vec<Vec<StackEvent>>,
     /// Fraction of primary rays that hit geometry.
     pub hit_rate: f64,
     /// Mean triangle tests per ray.
@@ -57,7 +50,8 @@ pub struct RenderWorkload {
 }
 
 impl RenderWorkload {
-    /// Builds the procedural scene and records every primary ray.
+    /// Builds the procedural scene and records every primary ray as the
+    /// hierarchy's own [`hsu_bvh::Bvh2::intersect_ray_observed`] walk.
     pub fn build(params: &RenderParams) -> Self {
         let scene = procedural_scene(params.grid);
         let bvh = LbvhBuilder::default().max_leaf_size(2).build(&scene);
@@ -72,12 +66,12 @@ impl RenderWorkload {
                 let v = 1.0 - py as f32 / params.height as f32 * 2.0;
                 // Tilt the camera down toward the terrain.
                 let ray = Ray::new(eye, Vec3::new(u * 1.2, v * 0.4 - 0.4, 1.0));
-                let (evs, hit, tests) = record_trace(&bvh, &scene, &ray);
-                if hit {
+                let mut rec = StackRecorder::default();
+                if bvh.intersect_ray_observed(&scene, &ray, &mut rec).is_some() {
                     hits += 1;
                 }
-                tri_tests += tests;
-                events.push(evs);
+                tri_tests += rec.tests;
+                events.push(rec.events);
             }
         }
         let rays = (params.width * params.height) as f64;
@@ -97,18 +91,11 @@ impl RenderWorkload {
             t.push(ThreadOp::Shared { count: 1 });
             for ev in events {
                 match *ev {
-                    Event::Pop => {
-                        t.push(ThreadOp::Shared { count: 1 });
-                        t.push(ThreadOp::Alu { count: 2 });
+                    StackEvent::Pop => emit_pop(&mut t),
+                    StackEvent::NodeTest { node, pushes } => {
+                        emit_node_test(&mut t, variant, node, pushes);
                     }
-                    Event::NodeTest { node, pushes } => {
-                        emit_bvh2_node_test(&mut t, variant, bvh2_node_addr(node as usize));
-                        t.push(ThreadOp::Alu { count: 3 });
-                        if pushes > 0 {
-                            t.push(ThreadOp::Shared { count: pushes });
-                        }
-                    }
-                    Event::TriangleTest { slot } => {
+                    StackEvent::Primitive { slot, .. } => {
                         emit_triangle_test(&mut t, variant, PRIM_INDEX_BASE + slot as u64 * 48);
                         t.push(ThreadOp::Alu { count: 2 }); // closest-hit update
                     }
@@ -164,63 +151,6 @@ fn procedural_scene(grid: usize) -> Vec<TrianglePrimitive> {
         id += 1;
     }
     tris
-}
-
-/// Closest-hit traversal with event recording.
-fn record_trace(bvh: &Bvh2, scene: &[TrianglePrimitive], ray: &Ray) -> (Vec<Event>, bool, u64) {
-    let mut events = Vec::new();
-    let mut t_max = f32::INFINITY;
-    let mut hit = false;
-    let mut tests = 0u64;
-    if bvh.nodes().is_empty() {
-        return (events, hit, tests);
-    }
-    let mut stack = vec![0u32];
-    while let Some(i) = stack.pop() {
-        events.push(Event::Pop);
-        let node = &bvh.nodes()[i as usize];
-        match node.content {
-            NodeContent::Internal { left, right } => {
-                let lh = ray.intersect_aabb(&bvh.nodes()[left as usize].aabb, t_max);
-                let rh = ray.intersect_aabb(&bvh.nodes()[right as usize].aabb, t_max);
-                let mut pushes = 0;
-                match (lh, rh) {
-                    (Some(l), Some(r)) => {
-                        if l.t_near <= r.t_near {
-                            stack.push(right);
-                            stack.push(left);
-                        } else {
-                            stack.push(left);
-                            stack.push(right);
-                        }
-                        pushes = 2;
-                    }
-                    (Some(_), None) => {
-                        stack.push(left);
-                        pushes = 1;
-                    }
-                    (None, Some(_)) => {
-                        stack.push(right);
-                        pushes = 1;
-                    }
-                    (None, None) => {}
-                }
-                events.push(Event::NodeTest { node: i, pushes });
-            }
-            NodeContent::Leaf { start, count } => {
-                for s in start..start + count {
-                    let prim = &scene[bvh.prim_indices()[s as usize] as usize];
-                    events.push(Event::TriangleTest { slot: s });
-                    tests += 1;
-                    if let Some(h) = prim.triangle.intersect(ray, t_max) {
-                        t_max = h.t();
-                        hit = true;
-                    }
-                }
-            }
-        }
-    }
-    (events, hit, tests)
 }
 
 #[cfg(test)]

@@ -7,12 +7,13 @@
 //! the same LBVH over the key space — the speedup comes from the 9:1 leaf
 //! memory footprint. The paper measures +36.6 % for 163 840 lookups.
 
-use hsu_bvh::{Bvh2, LbvhBuilder, NodeContent, PointPrimitive};
+use hsu_bvh::{Bvh2, LbvhBuilder, PointPrimitive};
 use hsu_geometry::Vec3;
 use hsu_sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
 
-use crate::layout::{bvh2_node_addr, PRIM_INDEX_BASE};
-use crate::lowering::{emit_bvh2_node_test, emit_key_compare, emit_triangle_test, Variant};
+use crate::layout::PRIM_INDEX_BASE;
+use crate::lowering::{emit_key_compare, emit_triangle_test, Variant};
+use crate::traversal::{emit_node_test, emit_pop, StackEvent, StackRecorder};
 
 /// Byte size of one triangle-encoded key (9 × f32 = 288 bits, padded).
 pub const TRIANGLE_KEY_BYTES: u64 = 48;
@@ -40,30 +41,22 @@ impl Default for RtIndexParams {
     }
 }
 
-/// Per-lookup traversal events (shared by both encodings; only the leaf
-/// probe differs).
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Pop,
-    NodeTest { node: u32, pushes: u32 },
-    LeafProbe { key_slot: u32 },
-}
-
 /// A prepared RTIndeX workload.
 #[derive(Debug)]
 pub struct RtIndexWorkload {
     /// Lookup traces over the native 1-D point-key index (HSU).
-    point_events: Vec<Vec<Event>>,
+    point_events: Vec<Vec<StackEvent>>,
     /// Lookup traces over the triangle-encoded index, whose 3-D key mapping
     /// "no longer aligns adjacent keys in a direct line in space" (§VI-G) —
     /// the bounding boxes overlap and traversal visits more nodes.
-    triangle_events: Vec<Vec<Event>>,
+    triangle_events: Vec<Vec<StackEvent>>,
     /// Fraction of lookups that found their key (1.0 for present keys).
     pub hit_rate: f64,
 }
 
 impl RtIndexWorkload {
-    /// Builds the key index and records the lookups.
+    /// Builds the key index and records the lookups: each one is the
+    /// index's own [`Bvh2::radius_search_observed`] at radius 0.5.
     pub fn build(params: &RtIndexParams) -> Self {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(params.seed);
@@ -108,12 +101,7 @@ impl RtIndexWorkload {
         let mut hits = 0usize;
         for _ in 0..params.lookups {
             let probe = keys[rng.gen_range(0..keys.len())];
-            let (evs, found) = record_lookup(
-                &point_bvh,
-                &point_prims,
-                Vec3::new(probe as f32, 0.0, 0.0),
-                probe,
-            );
+            let (evs, found) = lookup(&point_bvh, &point_prims, Vec3::new(probe as f32, 0.0, 0.0));
             if found {
                 hits += 1;
             }
@@ -123,7 +111,7 @@ impl RtIndexWorkload {
                 ((probe >> 8) & 0xff) as f32,
                 ((probe >> 16) & 0xff) as f32,
             );
-            let (evs, found_tri) = record_lookup(&tri_bvh, &tri_prims, probe_pos, probe);
+            let (evs, found_tri) = lookup(&tri_bvh, &tri_prims, probe_pos);
             debug_assert!(found_tri || !found, "triangle index must find present keys");
             triangle_events.push(evs);
         }
@@ -160,21 +148,13 @@ impl RtIndexWorkload {
             t.push(ThreadOp::Shared { count: 1 });
             for ev in events {
                 match *ev {
-                    Event::Pop => {
-                        t.push(ThreadOp::Shared { count: 1 });
-                        t.push(ThreadOp::Alu { count: 2 });
+                    StackEvent::Pop => emit_pop(&mut t),
+                    // Interior traversal is identical hardware for both
+                    // encodings: a box-mode RAY_INTERSECT.
+                    StackEvent::NodeTest { node, pushes } => {
+                        emit_node_test(&mut t, Variant::Hsu, node, pushes);
                     }
-                    Event::NodeTest { node, pushes } => {
-                        // Interior traversal is identical hardware for both
-                        // encodings: a box-mode RAY_INTERSECT.
-                        emit_bvh2_node_test(&mut t, Variant::Hsu, bvh2_node_addr(node as usize));
-                        let _ = variant;
-                        t.push(ThreadOp::Alu { count: 3 });
-                        if pushes > 0 {
-                            t.push(ThreadOp::Shared { count: pushes });
-                        }
-                    }
-                    Event::LeafProbe { key_slot } => match variant {
+                    StackEvent::Primitive { slot: key_slot, .. } => match variant {
                         Variant::Hsu => {
                             let addr = PRIM_INDEX_BASE + key_slot as u64 * POINT_KEY_BYTES;
                             emit_key_compare(&mut t, Variant::Hsu, addr, 1);
@@ -207,44 +187,14 @@ impl RtIndexWorkload {
     }
 }
 
-/// Traverses a key BVH toward `query`, recording events; `probe` is the key
-/// being matched at leaves.
-fn record_lookup(
-    bvh: &Bvh2,
-    prims: &[PointPrimitive],
-    query: Vec3,
-    probe: u32,
-) -> (Vec<Event>, bool) {
-    let mut events = Vec::new();
-    let mut found = false;
-    let mut stack = vec![0u32];
-    while let Some(i) = stack.pop() {
-        events.push(Event::Pop);
-        let node = &bvh.nodes()[i as usize];
-        match node.content {
-            NodeContent::Internal { left, right } => {
-                let mut pushes = 0;
-                for child in [left, right] {
-                    if bvh.nodes()[child as usize].aabb.distance_squared_to(query) <= 0.25 {
-                        stack.push(child);
-                        pushes += 1;
-                    }
-                }
-                events.push(Event::NodeTest { node: i, pushes });
-            }
-            NodeContent::Leaf { start, count } => {
-                for s in start..start + count {
-                    events.push(Event::LeafProbe { key_slot: s });
-                    let prim = &prims[bvh.prim_indices()[s as usize] as usize];
-                    if (prim.position - query).length_squared() < 0.25 {
-                        let _ = probe;
-                        found = true;
-                    }
-                }
-            }
-        }
-    }
-    (events, found)
+/// Looks `query` up in a key BVH with the index's radius search at radius
+/// 0.5, recording the traversal; returns the events and whether a key lies
+/// strictly within the radius.
+fn lookup(bvh: &Bvh2, prims: &[PointPrimitive], query: Vec3) -> (Vec<StackEvent>, bool) {
+    let mut rec = StackRecorder::default();
+    let hits = bvh.radius_search_observed(prims, query, 0.5, &mut rec);
+    let found = hits.iter().any(|n| n.distance_squared < 0.25);
+    (rec.events, found)
 }
 
 #[cfg(test)]

@@ -58,17 +58,6 @@ pub struct RtUnitStats {
     pub pipeline: PipelineStats,
 }
 
-impl RtUnitStats {
-    /// Mean warp-buffer occupancy.
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.occupancy_sum as f64 / self.cycles as f64
-        }
-    }
-}
-
 /// Per-lane bookkeeping inside a warp-buffer entry.
 #[derive(Debug, Clone, Copy, Default)]
 struct LaneState {
