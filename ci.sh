@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI: exactly what .github/workflows/ci.yml runs.
+# The one CI definition: .github/workflows/ci.yml installs the toolchain and
+# runs this script, so a local run is exactly the hosted one.
 #
 # Offline-friendly by construction: all external dependencies are vendored
 # path crates (vendor/README.md), so no step needs registry or network

@@ -83,7 +83,7 @@ impl ArchiveCache {
     /// The file a `(stem, key)` pair maps to: `<dir>/<stem>-<hash16>.hsar`.
     /// The stem keeps the directory human-readable; the key hash carries
     /// the actual identity.
-    pub fn path_for(&self, stem: &str, key: &str) -> Option<PathBuf> {
+    fn path_for(&self, stem: &str, key: &str) -> Option<PathBuf> {
         self.dir
             .as_ref()
             .map(|d| d.join(format!("{stem}-{:016x}.hsar", key_hash(key))))

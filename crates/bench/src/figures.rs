@@ -350,14 +350,15 @@ pub fn fig15() -> String {
         "{:<12} {:>12} {:>12} {:>8}",
         "class", "base um^2", "hsu um^2", "ratio"
     );
-    for ((kind, b), (_, h)) in base.classes.iter().zip(&hsu.classes) {
+    let ratios = hsu.normalized_to(&base);
+    for (((kind, b), (_, h)), (_, ratio)) in base.classes.iter().zip(&hsu.classes).zip(ratios) {
         let _ = writeln!(
             out,
             "{:<12} {:>12.0} {:>12.0} {:>8.2}",
             kind.label(),
             b,
             h,
-            h / b.max(f64::MIN_POSITIVE)
+            ratio
         );
     }
     let _ = writeln!(

@@ -410,7 +410,7 @@ pub struct RunRecord {
 
 impl RunRecord {
     /// Builds a record from a finished report.
-    pub fn from_report(key: impl Into<String>, wall: Duration, report: &SimReport) -> Self {
+    fn from_report(key: impl Into<String>, wall: Duration, report: &SimReport) -> Self {
         RunRecord {
             key: key.into(),
             wall,
@@ -421,7 +421,7 @@ impl RunRecord {
     }
 
     /// Simulation throughput in simulated cycles per host second.
-    pub fn cycles_per_sec(&self) -> f64 {
+    fn cycles_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs <= 0.0 {
             0.0

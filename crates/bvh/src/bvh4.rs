@@ -64,9 +64,6 @@ impl WideNode {
     };
 }
 
-/// Bytes one wide node occupies (the trace-lowering stride).
-pub const BVH4_NODE_BYTES: u64 = 128;
-
 /// A 4-wide bounding volume hierarchy sharing its primitive permutation with
 /// the [`Bvh2`] it was collapsed from.
 #[derive(Debug, Clone, PartialEq)]

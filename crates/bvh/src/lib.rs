@@ -45,6 +45,6 @@ mod search;
 
 pub use builder::{LbvhBuilder, SahBuilder};
 pub use bvh2::{Bvh2, Bvh2Node, NodeContent};
-pub use bvh4::{Bvh4, WideChild, WideNode, BVH4_NODE_BYTES};
+pub use bvh4::{Bvh4, WideChild, WideNode};
 pub use primitive::{PointPrimitive, Primitive, TrianglePrimitive};
 pub use search::{Neighbor, TraversalObserver, TraversalStats};

@@ -17,9 +17,10 @@ pub const PIPELINE_DEPTH: usize = 9;
 ///
 /// ```
 /// use hsu_core::HsuConfig;
+/// use hsu_geometry::point::Metric;
 /// let cfg = HsuConfig::default();
 /// assert_eq!(cfg.euclid_width, 16);
-/// assert_eq!(cfg.angular_width(), 8);
+/// assert_eq!(cfg.width_for(Metric::Angular), 8);
 /// assert_eq!(cfg.warp_buffer_entries, 8);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,8 +32,6 @@ pub struct HsuConfig {
     pub warp_buffer_entries: usize,
     /// Maximum separator values compared per `KEY_COMPARE` (36 in the paper).
     pub key_compare_width: usize,
-    /// Ray/box tests performed per `RAY_INTERSECT` on a box node (BVH4 → 4).
-    pub box_tests_per_node: usize,
     /// Whether the HSU extensions are present at all. When `false` the unit
     /// is the baseline RT unit: distance and key-compare instructions are
     /// rejected.
@@ -45,7 +44,6 @@ impl Default for HsuConfig {
             euclid_width: 16,
             warp_buffer_entries: 8,
             key_compare_width: 36,
-            box_tests_per_node: 4,
             hsu_extensions: true,
         }
     }
@@ -85,18 +83,13 @@ impl HsuConfig {
         self
     }
 
-    /// Lane width of the angular operating mode (half of Euclidean, §IV-C).
-    #[inline]
-    pub fn angular_width(&self) -> usize {
-        self.euclid_width / 2
-    }
-
-    /// Lane width of the given metric's operating mode.
+    /// Lane width of the given metric's operating mode. The angular mode is
+    /// half as wide as the Euclidean one (§IV-C).
     #[inline]
     pub fn width_for(&self, metric: Metric) -> usize {
         match metric {
             Metric::Euclidean => self.euclid_width,
-            Metric::Angular => self.angular_width(),
+            Metric::Angular => self.euclid_width / 2,
         }
     }
 
@@ -122,10 +115,9 @@ mod tests {
     fn default_matches_paper_design_point() {
         let cfg = HsuConfig::default();
         assert_eq!(cfg.euclid_width, 16);
-        assert_eq!(cfg.angular_width(), 8);
+        assert_eq!(cfg.width_for(Metric::Angular), 8);
         assert_eq!(cfg.warp_buffer_entries, 8);
         assert_eq!(cfg.key_compare_width, 36);
-        assert_eq!(cfg.box_tests_per_node, 4);
         assert!(cfg.hsu_extensions);
     }
 

@@ -96,19 +96,12 @@ pub struct DistanceAccumulator {
     dist_sum: f32,
     dot_sum: f32,
     norm_sum: f32,
-    pending: bool,
 }
 
 impl DistanceAccumulator {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Returns `true` if a partial sum is pending (an accumulate sequence is
-    /// in flight).
-    pub fn is_pending(&self) -> bool {
-        self.pending
     }
 
     /// Executes one Euclidean beat over this beat's lane slices.
@@ -125,7 +118,6 @@ impl DistanceAccumulator {
         let partial: f32 = q.iter().zip(c).map(|(a, b)| (a - b) * (a - b)).sum();
         self.dist_sum += partial;
         if accumulate {
-            self.pending = true;
             None
         } else {
             let total = self.dist_sum;
@@ -145,7 +137,6 @@ impl DistanceAccumulator {
         self.dot_sum += q.iter().zip(c).map(|(a, b)| a * b).sum::<f32>();
         self.norm_sum += c.iter().map(|x| x * x).sum::<f32>();
         if accumulate {
-            self.pending = true;
             None
         } else {
             let sums = (self.dot_sum, self.norm_sum);
@@ -159,7 +150,8 @@ impl DistanceAccumulator {
 mod tests {
     use super::*;
     use crate::node::{BoxChild, NodeKind};
-    use hsu_geometry::point;
+    use crate::HsuConfig;
+    use hsu_geometry::point::{self, Metric};
     use hsu_geometry::{Aabb, Triangle, Vec3};
 
     fn make_box_node() -> BoxNode {
@@ -277,10 +269,11 @@ mod tests {
             let c: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.3).cos()).collect();
             let mut acc = DistanceAccumulator::new();
             let mut result = None;
-            let beats = dim.div_ceil(16);
+            let width = HsuConfig::default().width_for(Metric::Euclidean);
+            let beats = dim.div_ceil(width);
             for b in 0..beats {
-                let lo = b * 16;
-                let hi = (lo + 16).min(dim);
+                let lo = b * width;
+                let hi = (lo + width).min(dim);
                 result = acc.euclid_beat(&q[lo..hi], &c[lo..hi], b + 1 < beats);
             }
             let expected = point::euclidean_squared(&q, &c);
@@ -289,7 +282,11 @@ mod tests {
                 (got - expected).abs() < 1e-3 * (1.0 + expected),
                 "dim {dim}"
             );
-            assert!(!acc.is_pending(), "accumulator must clear after final beat");
+            assert_eq!(
+                acc,
+                DistanceAccumulator::new(),
+                "accumulator must clear after final beat"
+            );
         }
     }
 
@@ -300,10 +297,11 @@ mod tests {
         let c: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.3).cos()).collect();
         let mut acc = DistanceAccumulator::new();
         let mut out = None;
-        let beats = dim.div_ceil(8);
+        let width = HsuConfig::default().width_for(Metric::Angular);
+        let beats = dim.div_ceil(width);
         for b in 0..beats {
-            let lo = b * 8;
-            let hi = (lo + 8).min(dim);
+            let lo = b * width;
+            let hi = (lo + width).min(dim);
             out = acc.angular_beat(&q[lo..hi], &c[lo..hi], b + 1 < beats);
         }
         let (dot_sum, norm_sum) = out.unwrap();
@@ -312,12 +310,11 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_pending_flag() {
+    fn accumulator_holds_partials_until_the_final_beat() {
         let mut acc = DistanceAccumulator::new();
-        assert!(!acc.is_pending());
         acc.euclid_beat(&[1.0], &[2.0], true);
-        assert!(acc.is_pending());
+        assert_ne!(acc, DistanceAccumulator::new());
         acc.euclid_beat(&[1.0], &[1.0], false);
-        assert!(!acc.is_pending());
+        assert_eq!(acc, DistanceAccumulator::new());
     }
 }

@@ -5,8 +5,6 @@
 //! buffer's FIFO access queue, performs the computation in the unified
 //! datapath, and writes up to four result registers.
 
-use std::fmt;
-
 use crate::config::HsuConfig;
 use hsu_geometry::point::Metric;
 
@@ -18,49 +16,15 @@ use hsu_geometry::point::Metric;
 pub enum HsuOpcode {
     /// Baseline RT instruction: one ray-triangle or up to four ray-box tests.
     RayIntersect,
-    /// 16-wide squared Euclidean distance beat (HSU extension).
+    /// Squared-Euclidean-distance beat over `euclid_width` lanes (HSU
+    /// extension).
     PointEuclid,
-    /// 8-wide dot-product + candidate-norm beat (HSU extension).
+    /// Dot-product + candidate-norm beat over half as many lanes (HSU
+    /// extension).
     PointAngular,
-    /// Up to 36 parallel key/separator comparisons (HSU extension).
+    /// Up to `key_compare_width` (36 by default) parallel key/separator
+    /// comparisons (HSU extension).
     KeyCompare,
-}
-
-impl HsuOpcode {
-    /// Returns `true` for the opcodes added by the HSU over the baseline RT
-    /// unit.
-    #[inline]
-    pub fn is_extension(self) -> bool {
-        !matches!(self, HsuOpcode::RayIntersect)
-    }
-
-    /// The assembler mnemonic used in traces and stat dumps.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            HsuOpcode::RayIntersect => "RAY_INTERSECT",
-            HsuOpcode::PointEuclid => "POINT_EUCLID",
-            HsuOpcode::PointAngular => "POINT_ANGULAR",
-            HsuOpcode::KeyCompare => "KEY_COMPARE",
-        }
-    }
-
-    /// Number of 32-bit result registers written per thread (paper §IV-D/E:
-    /// four for `RAY_INTERSECT`, one scalar for Euclid, two for angular, a
-    /// bit vector — up to 36 bits, so two registers — for key compare).
-    pub fn result_registers(self) -> usize {
-        match self {
-            HsuOpcode::RayIntersect => 4,
-            HsuOpcode::PointEuclid => 1,
-            HsuOpcode::PointAngular => 2,
-            HsuOpcode::KeyCompare => 2,
-        }
-    }
-}
-
-impl fmt::Display for HsuOpcode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.mnemonic())
-    }
 }
 
 /// One HSU instruction as issued by a single thread.
@@ -92,16 +56,6 @@ pub struct HsuInstruction {
 }
 
 impl HsuInstruction {
-    /// A `RAY_INTERSECT` fetching `fetch_bytes` of node data at `node_ptr`.
-    pub fn ray_intersect(node_ptr: u64, fetch_bytes: u64) -> Self {
-        HsuInstruction {
-            opcode: HsuOpcode::RayIntersect,
-            node_ptr,
-            fetch_bytes,
-            accumulate: false,
-        }
-    }
-
     /// A `POINT_EUCLID` beat.
     pub fn point_euclid(candidate_ptr: u64, fetch_bytes: u64, accumulate: bool) -> Self {
         HsuInstruction {
@@ -119,16 +73,6 @@ impl HsuInstruction {
             node_ptr: candidate_ptr,
             fetch_bytes,
             accumulate,
-        }
-    }
-
-    /// A `KEY_COMPARE` fetching up to 36 separators.
-    pub fn key_compare(node_ptr: u64, fetch_bytes: u64) -> Self {
-        HsuInstruction {
-            opcode: HsuOpcode::KeyCompare,
-            node_ptr,
-            fetch_bytes,
-            accumulate: false,
         }
     }
 
@@ -213,24 +157,6 @@ impl HsuResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mnemonics_and_registers() {
-        assert_eq!(HsuOpcode::RayIntersect.mnemonic(), "RAY_INTERSECT");
-        assert_eq!(HsuOpcode::RayIntersect.result_registers(), 4);
-        assert_eq!(HsuOpcode::PointEuclid.result_registers(), 1);
-        assert_eq!(HsuOpcode::PointAngular.result_registers(), 2);
-        assert_eq!(HsuOpcode::KeyCompare.result_registers(), 2);
-        assert_eq!(HsuOpcode::PointEuclid.to_string(), "POINT_EUCLID");
-    }
-
-    #[test]
-    fn extensions_flagged() {
-        assert!(!HsuOpcode::RayIntersect.is_extension());
-        assert!(HsuOpcode::PointEuclid.is_extension());
-        assert!(HsuOpcode::PointAngular.is_extension());
-        assert!(HsuOpcode::KeyCompare.is_extension());
-    }
 
     #[test]
     fn distance_sequence_sets_accumulate_on_all_but_last() {

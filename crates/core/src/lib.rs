@@ -7,10 +7,10 @@
 //!    three HSU extensions `POINT_EUCLID`, `POINT_ANGULAR` and `KEY_COMPARE`
 //!    (paper Table I), including each instruction's register-file operands and
 //!    CISC memory footprint.
-//! 2. **Functional semantics** ([`node`], [`exec`], [`intrinsics`]) — packed
-//!    BVH4 box / triangle / point-leaf / key node formats and the exact result
-//!    each instruction returns through the register file, validated against
-//!    the scalar references in [`hsu_geometry`].
+//! 2. **Functional semantics** ([`node`], [`exec`]) — packed BVH4 box /
+//!    triangle / key node formats and the exact result each instruction
+//!    returns through the register file, validated against the scalar
+//!    references in [`hsu_geometry`].
 //! 3. **Microarchitecture** ([`warp_buffer`], [`arbiter`], [`pipeline`]) — the
 //!    warp buffer that exposes memory-level parallelism, the sub-core
 //!    round-robin arbiter with the multi-beat *accumulate lock* (paper
@@ -23,27 +23,25 @@
 //!
 //! # Examples
 //!
-//! Computing a high-dimensional distance the way a CUDA kernel would through
-//! the HSU device library:
+//! A high-dimensional distance and the beats the HSU spends on it:
 //!
 //! ```
-//! use hsu_core::intrinsics;
+//! use hsu_core::HsuConfig;
+//! use hsu_geometry::point::Metric;
 //!
 //! let q = vec![0.5_f32; 96];
 //! let c = vec![0.25_f32; 96];
-//! let d = intrinsics::euclid_dist(&q, &c);
+//! let d = Metric::Euclidean.distance(&q, &c);
 //! assert!((d - 96.0 * 0.0625).abs() < 1e-3);
 //! // dimension 96 at the 16-wide pipeline => 6 beats, 5 with accumulate set
-//! assert_eq!(intrinsics::euclid_beats(96), 6);
+//! assert_eq!(HsuConfig::default().beats_for(Metric::Euclidean, 96), 6);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod arbiter;
 pub mod config;
-pub mod encoding;
 pub mod exec;
-pub mod intrinsics;
 pub mod isa;
 pub mod node;
 pub mod pipeline;
@@ -51,4 +49,4 @@ pub mod warp_buffer;
 
 pub use config::HsuConfig;
 pub use isa::{HsuInstruction, HsuOpcode};
-pub use node::{BoxNode, KeyNode, NodeKind, PointLeaf, TriangleNode};
+pub use node::{BoxNode, KeyNode, NodeKind, TriangleNode};

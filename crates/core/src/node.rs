@@ -2,8 +2,9 @@
 //!
 //! The type of test a `RAY_INTERSECT` performs is determined by the *node
 //! fetched from memory* (paper §IV-D), so the node encodings are part of the
-//! ISA. The HSU adds point-leaf and key nodes for the new instructions; point
-//! primitives are first-class, which is where the 9:1 memory advantage over
+//! ISA. The HSU adds key nodes for the new instructions and reads candidate
+//! points straight from the dataset's vector buffer; point primitives are
+//! first-class, which is where the 9:1 memory advantage over
 //! triangle-encoded keys (§VI-G) comes from.
 
 use hsu_geometry::{Aabb, Triangle};
@@ -55,13 +56,17 @@ pub struct BoxNode {
 }
 
 impl BoxNode {
-    /// Bytes fetched per box node: four children × (6 × f32 bounds + 8-byte
-    /// pointer/kind word) = 128 B — exactly one V100 cache sector pair and the
-    /// figure used for the roofline's operand-traffic accounting.
-    pub const BYTE_SIZE: u64 = 128;
-
     /// Maximum number of children (BVH4).
     pub const MAX_CHILDREN: usize = 4;
+
+    /// Bytes of one child slot: 6 × f32 bounds + an 8-byte pointer/kind
+    /// word. A binary (BVH2) node is two slots, 64 B.
+    pub const SLOT_BYTES: u64 = 32;
+
+    /// Bytes fetched per box node: four slots = 128 B — exactly one V100
+    /// cache sector pair and the figure used for the roofline's
+    /// operand-traffic accounting.
+    pub const BYTE_SIZE: u64 = Self::MAX_CHILDREN as u64 * Self::SLOT_BYTES;
 
     /// Creates a box node.
     ///
@@ -98,33 +103,6 @@ impl TriangleNode {
     /// This is the 288-bit primitive the RTIndeX comparison (§VI-G) charges
     /// for each triangle-encoded key.
     pub const BYTE_SIZE: u64 = 48;
-}
-
-/// A point leaf referencing one N-dimensional point (HSU extension).
-///
-/// The candidate vector itself lives in the dataset's flat buffer; the HSU
-/// fetches it beat-by-beat (64 B per Euclidean beat, 32 B per angular beat).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PointLeaf {
-    /// Index of the point in its [`hsu_geometry::point::PointSet`].
-    pub point_id: u32,
-    /// Byte address of the first coordinate.
-    pub data_ptr: u64,
-    /// Dimensionality of the point.
-    pub dim: u32,
-}
-
-impl PointLeaf {
-    /// Bytes of leaf metadata (id + pointer + dim, padded): 16 B. For a
-    /// 32-bit key store this is the "single point" fetch the paper contrasts
-    /// with a 288-bit triangle.
-    pub const BYTE_SIZE: u64 = 16;
-
-    /// Bytes of candidate data fetched by one beat of `width` lanes.
-    #[inline]
-    pub fn beat_bytes(width: usize) -> u64 {
-        (width * std::mem::size_of::<f32>()) as u64
-    }
 }
 
 /// A B-tree internal node of separator keys, the operand of `KEY_COMPARE`.
@@ -214,9 +192,8 @@ mod tests {
 
     #[test]
     fn memory_footprints_match_paper_accounting() {
-        // Euclid beat: 16 lanes x 4 B = 64 B; angular: 8 x 4 = 32 B (§VI-B).
-        assert_eq!(PointLeaf::beat_bytes(16), 64);
-        assert_eq!(PointLeaf::beat_bytes(8), 32);
+        assert_eq!(BoxNode::BYTE_SIZE, 128);
+        assert_eq!(2 * BoxNode::SLOT_BYTES, 64);
         // Triangle primitive is 288 bits = 36 B, padded to 48; the 9:1
         // key-store advantage (288-bit triangle vs 32-bit key) follows.
         const { assert!(TriangleNode::BYTE_SIZE >= 36) };

@@ -107,16 +107,6 @@ impl PipelineStats {
     pub fn total_completed(&self) -> u64 {
         self.completed.iter().sum()
     }
-
-    /// Completed operations per cycle — the paper's HSU "performance" metric
-    /// for the roofline (§VI-B). Zero if no cycles have elapsed.
-    pub fn ops_per_cycle(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.total_completed() as f64 / self.cycles as f64
-        }
-    }
 }
 
 /// Cycle-accurate model of the 9-stage single-lane pipeline.
@@ -347,7 +337,7 @@ mod tests {
         }
         let stats = pipe.stats();
         assert_eq!(stats.issued.iter().sum::<u64>(), 200);
-        assert!(stats.ops_per_cycle() > 0.9);
+        assert!(stats.total_completed() as f64 / stats.cycles as f64 > 0.9);
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! Buffering several warps at once is what gives the unit its memory-level
 //! parallelism — the Fig. 11 sensitivity study sweeps this capacity.
 
-use crate::isa::HsuInstruction;
-
 /// Number of threads per warp.
 pub const WARP_WIDTH: usize = 32;
 
@@ -34,9 +32,6 @@ pub struct WarpEntry {
     pub issued_mask: u32,
     /// Lanes whose computation has completed (result buffered).
     pub completed_mask: u32,
-    /// Per-lane instruction (node pointer differs per lane); empty for
-    /// entries from [`WarpBuffer::allocate_mask`].
-    pub lanes: Vec<Option<HsuInstruction>>,
 }
 
 impl WarpEntry {
@@ -72,17 +67,16 @@ impl WarpEntry {
     }
 }
 
-/// The warp buffer: a small fully-associative pool of [`WarpEntry`]s.
+/// The warp buffer: a small fully-associative pool of [`WarpEntry`]s. It
+/// tracks masks only; the owner keeps each lane's operation itself.
 ///
 /// # Examples
 ///
 /// ```
-/// use hsu_core::isa::HsuInstruction;
 /// use hsu_core::warp_buffer::WarpBuffer;
 ///
 /// let mut buf = WarpBuffer::new(8);
-/// let lanes = vec![Some(HsuInstruction::ray_intersect(0x100, 128)); 2];
-/// let id = buf.allocate(0, 0, 0b11, lanes).expect("space available");
+/// let id = buf.allocate(0, 0, 0b11).expect("space available");
 /// buf.mark_valid(id, 0);
 /// buf.mark_valid(id, 1);
 /// assert!(buf.entry(id).operands_ready());
@@ -127,63 +121,22 @@ impl WarpBuffer {
     }
 
     /// Allocates an entry for a dispatched warp instruction. Returns `None`
-    /// when the buffer is full (the dispatching sub-core must stall).
+    /// when the buffer is full (the dispatching sub-core must stall). Never
+    /// allocates memory.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes.len() > 32`, if `active_mask` is zero, or if an
-    /// active lane has no instruction.
+    /// Panics if `active_mask` is zero.
     pub fn allocate(
         &mut self,
         warp_id: usize,
         sub_core: usize,
         active_mask: u32,
-        mut lanes: Vec<Option<HsuInstruction>>,
-    ) -> Option<EntryId> {
-        assert!(
-            lanes.len() <= WARP_WIDTH,
-            "at most {WARP_WIDTH} lanes per warp"
-        );
-        assert!(
-            active_mask != 0,
-            "warp instruction needs at least one active lane"
-        );
-        lanes.resize(WARP_WIDTH, None);
-        for (lane, slot) in lanes.iter().enumerate() {
-            if active_mask & (1 << lane) != 0 {
-                assert!(slot.is_some(), "active lane {lane} has no instruction");
-            }
-        }
-        self.insert(warp_id, sub_core, active_mask, lanes)
-    }
-
-    /// Allocates an entry that tracks masks only, for owners that keep the
-    /// per-lane payloads themselves (its `lanes` stays empty). Returns
-    /// `None` when the buffer is full. Never allocates memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active_mask` is zero.
-    pub fn allocate_mask(
-        &mut self,
-        warp_id: usize,
-        sub_core: usize,
-        active_mask: u32,
     ) -> Option<EntryId> {
         assert!(
             active_mask != 0,
             "warp instruction needs at least one active lane"
         );
-        self.insert(warp_id, sub_core, active_mask, Vec::new())
-    }
-
-    fn insert(
-        &mut self,
-        warp_id: usize,
-        sub_core: usize,
-        active_mask: u32,
-        lanes: Vec<Option<HsuInstruction>>,
-    ) -> Option<EntryId> {
         let slot = self.entries.iter().position(|e| e.is_none())?;
         self.entries[slot] = Some(WarpEntry {
             warp_id,
@@ -192,7 +145,6 @@ impl WarpBuffer {
             valid_mask: 0,
             issued_mask: 0,
             completed_mask: 0,
-            lanes,
         });
         self.occupied += 1;
         Some(slot)
@@ -218,7 +170,7 @@ impl WarpBuffer {
     /// # Panics
     ///
     /// Panics if `id` is vacant.
-    pub fn entry_mut(&mut self, id: EntryId) -> &mut WarpEntry {
+    fn entry_mut(&mut self, id: EntryId) -> &mut WarpEntry {
         self.entries[id].as_mut().expect("vacant warp buffer entry")
     }
 
@@ -280,31 +232,15 @@ impl WarpBuffer {
 mod tests {
     use super::*;
 
-    fn lane_instr(ptr: u64) -> Option<HsuInstruction> {
-        Some(HsuInstruction::ray_intersect(ptr, 128))
-    }
-
-    fn full_lanes(mask: u32) -> Vec<Option<HsuInstruction>> {
-        (0..WARP_WIDTH)
-            .map(|l| {
-                if mask & (1 << l) != 0 {
-                    lane_instr(l as u64 * 0x10)
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
     #[test]
     fn allocate_until_full() {
         let mut buf = WarpBuffer::new(2);
         assert_eq!(buf.capacity(), 2);
-        let a = buf.allocate(0, 0, 1, full_lanes(1)).unwrap();
-        let b = buf.allocate(1, 1, 1, full_lanes(1)).unwrap();
+        let a = buf.allocate(0, 0, 1).unwrap();
+        let b = buf.allocate(1, 1, 1).unwrap();
         assert_ne!(a, b);
         assert!(buf.is_full());
-        assert!(buf.allocate(2, 2, 1, full_lanes(1)).is_none());
+        assert!(buf.allocate(2, 2, 1).is_none());
         assert_eq!(buf.occupancy(), 2);
     }
 
@@ -313,7 +249,7 @@ mod tests {
         let mut buf = WarpBuffer::new(4);
         // Lanes 3 and 17 active — a sparse active mask.
         let mask = (1 << 3) | (1 << 17);
-        let id = buf.allocate(5, 2, mask, full_lanes(mask)).unwrap();
+        let id = buf.allocate(5, 2, mask).unwrap();
         assert!(!buf.entry(id).operands_ready());
         buf.mark_valid(id, 3);
         assert!(!buf.entry(id).operands_ready());
@@ -339,13 +275,12 @@ mod tests {
     }
 
     #[test]
-    fn mask_only_entries_count_like_full_ones() {
+    fn released_entries_are_vacant_and_reusable() {
         let mut buf = WarpBuffer::new(2);
-        let a = buf.allocate_mask(0, 0, 0b101).unwrap();
-        assert!(buf.entry(a).lanes.is_empty());
-        let b = buf.allocate(1, 1, 1, full_lanes(1)).unwrap();
+        let a = buf.allocate(0, 0, 0b101).unwrap();
+        let b = buf.allocate(1, 1, 1).unwrap();
         assert!(buf.is_full());
-        assert!(buf.allocate_mask(2, 2, 1).is_none());
+        assert!(buf.allocate(2, 2, 1).is_none());
         for lane in [0, 2] {
             buf.mark_valid(a, lane);
             buf.mark_issued(a, lane);
@@ -356,6 +291,7 @@ mod tests {
         assert!(buf.get(a).is_none());
         assert_eq!(buf.get(b).map(|e| e.warp_id), Some(1));
         assert!(buf.get(7).is_none());
+        assert_eq!(buf.allocate(2, 2, 1), Some(a));
     }
 
     #[test]
@@ -363,26 +299,17 @@ mod tests {
         // The datapath can only consume lanes whose data arrived; ready
         // requires ALL active lanes valid (valid == active), per the paper.
         let mut buf = WarpBuffer::new(1);
-        let mask = 0b111;
-        let id = buf.allocate(0, 0, mask, full_lanes(mask)).unwrap();
+        let id = buf.allocate(0, 0, 0b111).unwrap();
         buf.mark_valid(id, 1);
         assert!(!buf.entry(id).operands_ready());
         assert_eq!(buf.ready_entries().count(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "no instruction")]
-    fn active_lane_without_instruction_rejected() {
-        let mut buf = WarpBuffer::new(1);
-        let lanes = vec![None; WARP_WIDTH];
-        buf.allocate(0, 0, 1, lanes);
-    }
-
-    #[test]
     #[should_panic(expected = "incomplete lanes")]
     fn early_release_rejected() {
         let mut buf = WarpBuffer::new(1);
-        let id = buf.allocate(0, 0, 1, full_lanes(1)).unwrap();
+        let id = buf.allocate(0, 0, 1).unwrap();
         buf.release(id);
     }
 
@@ -390,6 +317,6 @@ mod tests {
     #[should_panic(expected = "at least one active lane")]
     fn empty_mask_rejected() {
         let mut buf = WarpBuffer::new(1);
-        buf.allocate(0, 0, 0, full_lanes(0));
+        buf.allocate(0, 0, 0);
     }
 }

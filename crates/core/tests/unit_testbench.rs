@@ -7,7 +7,8 @@ use hsu_core::exec::{self, DistanceAccumulator};
 use hsu_core::node::{BoxChild, BoxNode, KeyNode, NodeKind, TriangleNode};
 use hsu_core::pipeline::{DatapathPipeline, OperatingMode};
 use hsu_core::warp_buffer::{WarpBuffer, WARP_WIDTH};
-use hsu_core::{HsuConfig, HsuInstruction};
+use hsu_core::HsuConfig;
+use hsu_geometry::point::Metric;
 use hsu_geometry::{Aabb, Ray, Triangle, Vec3};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -17,6 +18,7 @@ use rand_chacha::ChaCha8Rng;
 /// test.
 #[test]
 fn mixed_mode_random_stimulus() {
+    let cfg = HsuConfig::default();
     let mut rng = ChaCha8Rng::seed_from_u64(99);
     let mut pipe = DatapathPipeline::new();
 
@@ -95,23 +97,25 @@ fn mixed_mode_random_stimulus() {
                 let q: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
                 let c: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
                 let mut acc = DistanceAccumulator::new();
-                if mode == OperatingMode::Euclid {
-                    let beats = dim.div_ceil(16);
+                let metric = if mode == OperatingMode::Euclid {
+                    Metric::Euclidean
+                } else {
+                    Metric::Angular
+                };
+                let width = cfg.width_for(metric);
+                let beats = cfg.beats_for(metric, dim);
+                let lanes = |b: usize| b * width..((b + 1) * width).min(dim);
+                if metric == Metric::Euclidean {
                     let mut out = None;
                     for b in 0..beats {
-                        let lo = b * 16;
-                        let hi = (lo + 16).min(dim);
-                        out = acc.euclid_beat(&q[lo..hi], &c[lo..hi], b + 1 < beats);
+                        out = acc.euclid_beat(&q[lanes(b)], &c[lanes(b)], b + 1 < beats);
                     }
                     let expect = hsu_geometry::point::euclidean_squared(&q, &c);
                     assert!((out.unwrap() - expect).abs() < 1e-3 * (1.0 + expect));
                 } else {
-                    let beats = dim.div_ceil(8);
                     let mut out = None;
                     for b in 0..beats {
-                        let lo = b * 8;
-                        let hi = (lo + 8).min(dim);
-                        out = acc.angular_beat(&q[lo..hi], &c[lo..hi], b + 1 < beats);
+                        out = acc.angular_beat(&q[lanes(b)], &c[lanes(b)], b + 1 < beats);
                     }
                     let (dot, norm) = out.unwrap();
                     assert!((dot - hsu_geometry::point::dot(&q, &c)).abs() < 1e-3);
@@ -119,12 +123,12 @@ fn mixed_mode_random_stimulus() {
                 }
             }
             OperatingMode::KeyCompare => {
-                let n = rng.gen_range(1..=36usize);
+                let n = rng.gen_range(1..=cfg.key_compare_width);
                 let mut seps: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0..1000.0)).collect();
                 seps.sort_by(f32::total_cmp);
                 let key = rng.gen_range(-10.0..1010.0f32);
                 let node = KeyNode::new(seps.clone());
-                let result = exec::execute_key_compare(key, &node, 36);
+                let result = exec::execute_key_compare(key, &node, cfg.key_compare_width);
                 let expect = seps.iter().filter(|&&s| key >= s).count();
                 assert_eq!(result.key_child_index(), expect);
             }
@@ -169,15 +173,9 @@ fn front_end_conserves_lanes_under_contention() {
         // Dispatch: all four sub-cores contend every cycle.
         if dispatched < total_warps && !buffer.is_full() {
             let requesting = [true; 4];
-            if let Some(_sc) = arbiter.grant(&requesting, &[false; 4]) {
+            if let Some(sc) = arbiter.grant(&requesting, &[false; 4]) {
                 let mask: u32 = rng.gen_range(1..=u32::MAX);
-                let lanes: Vec<Option<HsuInstruction>> = (0..WARP_WIDTH)
-                    .map(|l| {
-                        (mask & (1 << l) != 0)
-                            .then(|| HsuInstruction::ray_intersect(l as u64 * 64, 64))
-                    })
-                    .collect();
-                let entry = buffer.allocate(next_warp, _sc, mask, lanes).expect("space");
+                let entry = buffer.allocate(next_warp, sc, mask).expect("space");
                 lanes_expected += mask.count_ones() as u64;
                 for l in 0..WARP_WIDTH {
                     if mask & (1 << l) != 0 {

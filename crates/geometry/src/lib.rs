@@ -9,8 +9,7 @@
 //! * [`Triangle`] and the watertight Woop ray/triangle intersection test,
 //! * [`morton`] — Morton (Z-order) codes used by the LBVH builder,
 //! * [`point`] — N-dimensional points with squared-Euclidean and angular
-//!   distance, including the beat-partitioned forms that mirror the 16-wide
-//!   and 8-wide HSU pipeline modes,
+//!   distance,
 //! * [`batch`] — struct-of-arrays batch variants of the distance and
 //!   intersection kernels, bit-identical to the scalar forms but laid out
 //!   so the compiler vectorizes across candidates.

@@ -1,18 +1,12 @@
 //! N-dimensional points and the distance kernels the HSU accelerates.
 //!
-//! The HSU's `POINT_EUCLID` and `POINT_ANGULAR` instructions operate on
-//! fixed-width *beats* — 16 lanes for Euclidean, 8 for angular — and aggregate
-//! partial sums across beats for higher dimensions (paper §IV-F). This module
-//! provides both the plain scalar kernels (golden references) and the
-//! beat-partitioned forms whose per-beat partials the datapath model checks
-//! against.
+//! The scalar kernels here are the golden references for the HSU's
+//! `POINT_EUCLID` and `POINT_ANGULAR` instructions. How a distance splits
+//! into datapath beats depends on the configured lane width, so the beat
+//! model lives with the configuration (`hsu_core::HsuConfig::beats_for`)
+//! and the accumulator that sums the beats (`hsu_core::exec`).
 
 use std::fmt;
-
-/// Lane width of the `POINT_EUCLID` pipeline mode (paper §IV-C).
-pub const EUCLID_BEAT_WIDTH: usize = 16;
-/// Lane width of the `POINT_ANGULAR` pipeline mode (half of Euclidean, §VI-H).
-pub const ANGULAR_BEAT_WIDTH: usize = 8;
 
 /// Distance metric attached to a dataset (paper Table II, "Dist" column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,23 +27,6 @@ impl fmt::Display for Metric {
 }
 
 impl Metric {
-    /// Pipeline beat width of the corresponding HSU operating mode.
-    #[inline]
-    pub fn beat_width(self) -> usize {
-        match self {
-            Metric::Euclidean => EUCLID_BEAT_WIDTH,
-            Metric::Angular => ANGULAR_BEAT_WIDTH,
-        }
-    }
-
-    /// Number of HSU instructions ("beats") needed for a `dim`-dimensional
-    /// point, `ceil(dim / width)` — e.g. 9 for an angular distance at
-    /// dimension 65 (paper §IV-F).
-    #[inline]
-    pub fn beats(self, dim: usize) -> usize {
-        dim.div_ceil(self.beat_width())
-    }
-
     /// Computes the metric's comparable distance value between two points.
     ///
     /// For [`Metric::Euclidean`] this is the squared distance; for
@@ -118,76 +95,6 @@ pub fn cosine_similarity(q: &[f32], c: &[f32]) -> f32 {
 #[inline]
 pub fn angular_distance(q: &[f32], c: &[f32]) -> f32 {
     1.0 - cosine_similarity(q, c)
-}
-
-/// One Euclidean beat: the partial sum over lanes `[beat*16, beat*16+16)`.
-///
-/// Out-of-range lanes contribute zero, matching the hardware's lane masking
-/// for the final (partial) beat.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn euclid_beat(q: &[f32], c: &[f32], beat: usize) -> f32 {
-    assert_eq!(q.len(), c.len(), "point dimensions must match");
-    let lo = beat * EUCLID_BEAT_WIDTH;
-    let hi = (lo + EUCLID_BEAT_WIDTH).min(q.len());
-    if lo >= q.len() {
-        return 0.0;
-    }
-    euclidean_squared(&q[lo..hi], &c[lo..hi])
-}
-
-/// One angular beat: `(partial dot, partial candidate norm)` over lanes
-/// `[beat*8, beat*8+8)`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn angular_beat(q: &[f32], c: &[f32], beat: usize) -> (f32, f32) {
-    assert_eq!(q.len(), c.len(), "point dimensions must match");
-    let lo = beat * ANGULAR_BEAT_WIDTH;
-    let hi = (lo + ANGULAR_BEAT_WIDTH).min(q.len());
-    if lo >= q.len() {
-        return (0.0, 0.0);
-    }
-    (dot(&q[lo..hi], &c[lo..hi]), norm_squared(&c[lo..hi]))
-}
-
-/// Accumulates all Euclidean beats, as the multi-beat instruction sequence
-/// does, and returns the total squared distance.
-pub fn euclid_multibeat(q: &[f32], c: &[f32]) -> f32 {
-    (0..Metric::Euclidean.beats(q.len()))
-        .map(|b| euclid_beat(q, c, b))
-        .sum()
-}
-
-/// Accumulates all angular beats and returns `(dot_sum, norm_sum)` — the two
-/// scalars `POINT_ANGULAR` returns through the register file. The division
-/// and square root of eq. 2 are left to "software", as in the paper.
-pub fn angular_multibeat(q: &[f32], c: &[f32]) -> (f32, f32) {
-    let mut dot_sum = 0.0;
-    let mut norm_sum = 0.0;
-    for b in 0..Metric::Angular.beats(q.len()) {
-        let (d, n) = angular_beat(q, c, b);
-        dot_sum += d;
-        norm_sum += n;
-    }
-    (dot_sum, norm_sum)
-}
-
-/// Completes an angular distance from the HSU's two scalars plus the
-/// precomputed query norm (the "software" part of eq. 2).
-#[inline]
-pub fn angular_from_sums(dot_sum: f32, norm_sum: f32, query_norm: f32) -> f32 {
-    let denom = query_norm * norm_sum.sqrt();
-    if denom == 0.0 {
-        1.0
-    } else {
-        1.0 - dot_sum / denom
-    }
 }
 
 /// A dense row-major matrix of N-dimensional points — the in-memory layout
@@ -406,46 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn beat_counts_match_paper_example() {
-        // "9 instructions would be generated for an angular distance test on a
-        //  point with a dimension of 65 because ceil(65/8) = 9."
-        assert_eq!(Metric::Angular.beats(65), 9);
-        assert_eq!(Metric::Euclidean.beats(65), 5);
-        assert_eq!(Metric::Euclidean.beats(16), 1);
-        assert_eq!(Metric::Euclidean.beats(17), 2);
-        assert_eq!(Metric::Angular.beats(8), 1);
-    }
-
-    #[test]
-    fn multibeat_equals_scalar_euclid() {
-        let q: Vec<f32> = (0..65).map(|i| i as f32 * 0.5).collect();
-        let c: Vec<f32> = (0..65).map(|i| (64 - i) as f32 * 0.25).collect();
-        let direct = euclidean_squared(&q, &c);
-        let beats = euclid_multibeat(&q, &c);
-        assert!((direct - beats).abs() / direct.max(1.0) < 1e-5);
-    }
-
-    #[test]
-    fn multibeat_equals_scalar_angular() {
-        let q: Vec<f32> = (0..65).map(|i| (i as f32 * 0.37).sin()).collect();
-        let c: Vec<f32> = (0..65).map(|i| (i as f32 * 0.11).cos()).collect();
-        let (dot_sum, norm_sum) = angular_multibeat(&q, &c);
-        assert!((dot_sum - dot(&q, &c)).abs() < 1e-4);
-        assert!((norm_sum - norm_squared(&c)).abs() < 1e-4);
-        let qn = norm_squared(&q).sqrt();
-        let ang = angular_from_sums(dot_sum, norm_sum, qn);
-        assert!((ang - angular_distance(&q, &c)).abs() < 1e-5);
-    }
-
-    #[test]
-    fn out_of_range_beats_contribute_zero() {
-        let q = [1.0f32; 4];
-        let c = [2.0f32; 4];
-        assert_eq!(euclid_beat(&q, &c, 1), 0.0);
-        assert_eq!(angular_beat(&q, &c, 1), (0.0, 0.0));
-    }
-
-    #[test]
     fn point_set_roundtrip() {
         let mut set = PointSet::empty(3);
         assert!(set.is_empty());
@@ -495,10 +362,8 @@ mod tests {
     }
 
     #[test]
-    fn metric_display_and_widths() {
+    fn metric_display() {
         assert_eq!(Metric::Euclidean.to_string(), "euclidean");
         assert_eq!(Metric::Angular.to_string(), "angular");
-        assert_eq!(Metric::Euclidean.beat_width(), 16);
-        assert_eq!(Metric::Angular.beat_width(), 8);
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the geometric golden references.
 
-use hsu_geometry::{morton, point, Aabb, Ray, Triangle, Vec3};
+use hsu_geometry::{morton, Aabb, Ray, Triangle, Vec3};
 use proptest::prelude::*;
 
 fn finite_f32(range: std::ops::Range<f32>) -> impl Strategy<Value = f32> {
@@ -121,30 +121,6 @@ proptest! {
                 prop_assert!(morton::encode_30(x2, y2, z2) > code);
             }
         }
-    }
-
-    #[test]
-    fn euclid_multibeat_matches_scalar(
-        dim in 1usize..200,
-        seed in 0u64..1000,
-    ) {
-        let q: Vec<f32> = (0..dim).map(|i| ((seed + i as u64) % 17) as f32 * 0.3 - 2.0).collect();
-        let c: Vec<f32> = (0..dim).map(|i| ((seed * 3 + i as u64) % 23) as f32 * 0.2 - 1.5).collect();
-        let direct = point::euclidean_squared(&q, &c);
-        let beats = point::euclid_multibeat(&q, &c);
-        prop_assert!((direct - beats).abs() <= 1e-4 * (1.0 + direct.abs()));
-    }
-
-    #[test]
-    fn angular_multibeat_matches_scalar(
-        dim in 1usize..200,
-        seed in 0u64..1000,
-    ) {
-        let q: Vec<f32> = (0..dim).map(|i| ((seed + i as u64) % 13) as f32 * 0.4 - 2.0).collect();
-        let c: Vec<f32> = (0..dim).map(|i| ((seed * 7 + i as u64) % 11) as f32 * 0.5 - 2.0).collect();
-        let (dot_sum, norm_sum) = point::angular_multibeat(&q, &c);
-        prop_assert!((dot_sum - point::dot(&q, &c)).abs() <= 1e-3 * (1.0 + dot_sum.abs()));
-        prop_assert!((norm_sum - point::norm_squared(&c)).abs() <= 1e-3 * (1.0 + norm_sum.abs()));
     }
 
     #[test]

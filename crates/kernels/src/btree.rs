@@ -10,7 +10,7 @@
 use hsu_btree::{BPlusTree, BtObserver};
 use hsu_sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
 
-use crate::layout::btree_node_addr;
+use crate::layout::{btree_node_addr, LINE_BYTES};
 use crate::lowering::{emit_key_compare, Variant};
 
 /// Workload parameters.
@@ -196,13 +196,13 @@ impl BtreeWorkload {
                         };
                         let base = btree_node_addr(node as usize, self.branch);
                         if variant == Variant::Baseline {
-                            let lines = (values as u64 * 4).div_ceil(128).max(1);
+                            let lines = (values as u64 * 4).div_ceil(LINE_BYTES).max(1);
                             for (lane, t) in lanes.iter_mut().enumerate() {
                                 // Keys array: one parallel round, lanes
                                 // fanned across the node's lines so the
                                 // coalesced access covers the whole array.
                                 t.push(ThreadOp::Load {
-                                    addr: base + (lane as u64 % lines) * 128,
+                                    addr: base + (lane as u64 % lines) * LINE_BYTES,
                                     bytes: 4,
                                 });
                                 t.push(ThreadOp::Alu { count: 6 });
@@ -210,7 +210,7 @@ impl BtreeWorkload {
                                                                        // Child-pointer fetch: the single matching
                                                                        // thread reads one indices element.
                                 t.push(ThreadOp::Load {
-                                    addr: base + lines * 128,
+                                    addr: base + lines * LINE_BYTES,
                                     bytes: 4,
                                 });
                                 t.push(ThreadOp::Shared { count: 2 }); // sync

@@ -5,7 +5,8 @@
 //! shared memory. The HSU accelerates the ray-box node tests; stack
 //! maintenance and hit processing stay on the SIMT core (§VI-C).
 
-use hsu_bvh::{Bvh2, Bvh4, LbvhBuilder, PointPrimitive, SahBuilder, BVH4_NODE_BYTES};
+use hsu_bvh::{Bvh2, Bvh4, LbvhBuilder, PointPrimitive, SahBuilder};
+use hsu_core::node::BoxNode;
 use hsu_datasets::query_set;
 use hsu_geometry::point::{Metric, PointSet};
 use hsu_geometry::Vec3;
@@ -23,8 +24,8 @@ pub enum BvhFlavor {
     Lbvh2,
     /// The LBVH collapsed to 4-wide nodes ("a BVH4 tree would likely have
     /// better performance in our unit", §VI-E). Node addresses follow the
-    /// fixed 128-byte [`Bvh4`] stride, which is exactly the fetch the
-    /// 4-wide `RAY_INTERSECT` charges.
+    /// fixed 128-byte [`BoxNode::BYTE_SIZE`] stride, which is exactly the
+    /// fetch the 4-wide `RAY_INTERSECT` charges.
     Lbvh4,
     /// A binary SAH tree (the "more optimized BVH" quality upgrade, §VI-E).
     Sah2,
@@ -175,17 +176,17 @@ impl BvhnnWorkload {
                     StackEvent::NodeTest { node, pushes } => {
                         // A 4-wide node: one 128-byte RAY_INTERSECT on the
                         // HSU; eight LDG.128s plus four slab tests on the SM.
-                        let addr = crate::layout::BVH_NODES_BASE + node as u64 * BVH4_NODE_BYTES;
+                        let addr = crate::layout::BVH_NODES_BASE + node as u64 * BoxNode::BYTE_SIZE;
                         match variant {
                             Variant::Hsu => {
                                 t.push(ThreadOp::HsuRayIntersect {
                                     node_addr: addr,
-                                    bytes: BVH4_NODE_BYTES as u32,
+                                    bytes: BoxNode::BYTE_SIZE as u32,
                                     triangle: false,
                                 });
                             }
                             Variant::Baseline => {
-                                for chunk in 0..8u64 {
+                                for chunk in 0..BoxNode::BYTE_SIZE / 16 {
                                     t.push(ThreadOp::Load {
                                         addr: addr + chunk * 16,
                                         bytes: 16,

@@ -2,7 +2,10 @@
 //!
 //! The simulator only sees addresses; these bases keep the different data
 //! structures in disjoint regions so cache behaviour is realistic (vectors
-//! stream, nodes are hot, adjacency lists are mid-sized).
+//! stream, nodes are hot, adjacency lists are mid-sized). Node strides and
+//! fetch sizes come from the HSU node formats in [`hsu_core::node`].
+
+use hsu_core::node::BoxNode;
 
 /// Base of the dataset's flat vector buffer.
 pub const VECTORS_BASE: u64 = 0x1000_0000;
@@ -19,20 +22,26 @@ pub const PRIM_INDEX_BASE: u64 = 0x6000_0000;
 /// Base of per-query result storage.
 pub const RESULTS_BASE: u64 = 0x7000_0000;
 
+/// The L1 line the baseline lowerings stripe a warp's cooperative loads
+/// across, so one coalesced warp load touches every line of the array (the
+/// V100's 128 B line, which every `GpuConfig` preset uses).
+pub const LINE_BYTES: u64 = 128;
+
 /// Address of vector `i` in a `dim`-dimensional set.
 #[inline]
 pub fn vector_addr(i: usize, dim: usize) -> u64 {
     VECTORS_BASE + (i * dim * 4) as u64
 }
 
-/// Address of a BVH2 node (64 B each: two child AABBs + pointers).
+/// Bytes of a BVH2 node, and of its internal-node test's fetch: two box
+/// slots (child AABBs + pointers), 64 B.
+pub const BVH2_NODE_BYTES: u64 = 2 * BoxNode::SLOT_BYTES;
+
+/// Address of a BVH2 node.
 #[inline]
 pub fn bvh2_node_addr(i: usize) -> u64 {
-    BVH_NODES_BASE + (i * 64) as u64
+    BVH_NODES_BASE + i as u64 * BVH2_NODE_BYTES
 }
-
-/// Bytes fetched per BVH2 internal-node test (both children).
-pub const BVH2_NODE_BYTES: u32 = 64;
 
 /// Address of a k-d tree node (16 B: axis, split, children).
 #[inline]

@@ -5,8 +5,11 @@
 //! has one CISC instruction, the baseline run has the loads, FMAs and
 //! reductions NVCC would have emitted.
 
+use hsu_core::node::TriangleNode;
 use hsu_geometry::point::Metric;
 use hsu_sim::trace::{ThreadOp, ThreadTrace};
+
+use crate::layout::{BVH2_NODE_BYTES, LINE_BYTES};
 
 /// Which lowering a trace uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,8 +111,9 @@ pub fn emit_coop_distance(
             // The warp cooperatively streams the whole vector: lanes fan out
             // across its cache lines so one coalesced warp load covers every
             // line (`ceil(dim*4/128)` L1 accesses after coalescing).
-            let lines = (dim as u64 * 4).div_ceil(128).max(1);
-            let addr = candidate_addr + (lane as u64 % lines) * 128 + (lane as u64 / lines) * 4;
+            let lines = (dim as u64 * 4).div_ceil(LINE_BYTES).max(1);
+            let addr =
+                candidate_addr + (lane as u64 % lines) * LINE_BYTES + (lane as u64 / lines) * 4;
             t.push(ThreadOp::Load { addr, bytes: 4 });
             let per_elem = match metric {
                 Metric::Euclidean => 2,
@@ -137,7 +141,7 @@ pub fn emit_bvh2_node_test(t: &mut ThreadTrace, variant: Variant, node_addr: u64
         Variant::Hsu => {
             t.push(ThreadOp::HsuRayIntersect {
                 node_addr,
-                bytes: crate::layout::BVH2_NODE_BYTES,
+                bytes: BVH2_NODE_BYTES as u32,
                 triangle: false,
             });
         }
@@ -145,7 +149,7 @@ pub fn emit_bvh2_node_test(t: &mut ThreadTrace, variant: Variant, node_addr: u64
             // SASS fetches the node as four LDG.128s (separate instructions,
             // so separate L1 accesses) — the coalescing the HSU's CISC fetch
             // wins back (Fig. 12).
-            for chunk in 0..4u64 {
+            for chunk in 0..BVH2_NODE_BYTES / 16 {
                 t.push(ThreadOp::Load {
                     addr: node_addr + chunk * 16,
                     bytes: 16,
@@ -163,13 +167,13 @@ pub fn emit_triangle_test(t: &mut ThreadTrace, variant: Variant, node_addr: u64)
         Variant::Hsu => {
             t.push(ThreadOp::HsuRayIntersect {
                 node_addr,
-                bytes: 48,
+                bytes: TriangleNode::BYTE_SIZE as u32,
                 triangle: true,
             });
         }
         Variant::Baseline => {
             // Three LDG.128s for the nine vertex floats + id.
-            for chunk in 0..3u64 {
+            for chunk in 0..TriangleNode::BYTE_SIZE / 16 {
                 t.push(ThreadOp::Load {
                     addr: node_addr + chunk * 16,
                     bytes: 16,
@@ -273,7 +277,7 @@ mod tests {
                 addr >= base && addr < base + 384,
                 "lane {lane} out of vector"
             );
-            lines.insert((addr - base) / 128);
+            lines.insert((addr - base) / LINE_BYTES);
         }
         assert_eq!(lines.len(), 3, "all three lines covered");
     }

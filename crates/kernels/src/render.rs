@@ -8,6 +8,7 @@
 //! SIMT loads + slab/Woop arithmetic.
 
 use hsu_bvh::{LbvhBuilder, TrianglePrimitive};
+use hsu_core::node::TriangleNode;
 use hsu_geometry::{Ray, Triangle, Vec3};
 use hsu_sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
 
@@ -96,7 +97,8 @@ impl RenderWorkload {
                         emit_node_test(&mut t, variant, node, pushes);
                     }
                     StackEvent::Primitive { slot, .. } => {
-                        emit_triangle_test(&mut t, variant, PRIM_INDEX_BASE + slot as u64 * 48);
+                        let addr = PRIM_INDEX_BASE + slot as u64 * TriangleNode::BYTE_SIZE;
+                        emit_triangle_test(&mut t, variant, addr);
                         t.push(ThreadOp::Alu { count: 2 }); // closest-hit update
                     }
                 }

@@ -8,6 +8,7 @@
 //! memory footprint. The paper measures +36.6 % for 163 840 lookups.
 
 use hsu_bvh::{Bvh2, LbvhBuilder, PointPrimitive};
+use hsu_core::node::TriangleNode;
 use hsu_geometry::Vec3;
 use hsu_sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
 
@@ -15,8 +16,6 @@ use crate::layout::PRIM_INDEX_BASE;
 use crate::lowering::{emit_key_compare, emit_triangle_test, Variant};
 use crate::traversal::{emit_node_test, emit_pop, StackEvent, StackRecorder};
 
-/// Byte size of one triangle-encoded key (9 × f32 = 288 bits, padded).
-pub const TRIANGLE_KEY_BYTES: u64 = 48;
 /// Byte size of one native key (32 bits).
 pub const POINT_KEY_BYTES: u64 = 4;
 
@@ -161,7 +160,7 @@ impl RtIndexWorkload {
                             t.push(ThreadOp::Alu { count: 1 });
                         }
                         Variant::Baseline => {
-                            let addr = PRIM_INDEX_BASE + key_slot as u64 * TRIANGLE_KEY_BYTES;
+                            let addr = PRIM_INDEX_BASE + key_slot as u64 * TriangleNode::BYTE_SIZE;
                             emit_triangle_test(&mut t, Variant::Hsu, addr);
                             t.push(ThreadOp::Alu { count: 1 });
                         }
@@ -182,7 +181,7 @@ impl RtIndexWorkload {
     pub fn key_store_bytes(&self, keys: usize, variant: Variant) -> u64 {
         match variant {
             Variant::Hsu => keys as u64 * POINT_KEY_BYTES,
-            _ => keys as u64 * TRIANGLE_KEY_BYTES,
+            _ => keys as u64 * TriangleNode::BYTE_SIZE,
         }
     }
 }
@@ -235,6 +234,6 @@ mod tests {
         let point = wl.key_store_bytes(100_000, Variant::Hsu);
         let triangle = wl.key_store_bytes(100_000, Variant::Baseline);
         assert_eq!(triangle / point, 12); // 48 B padded vs 4 B (9:1 unpadded)
-        assert_eq!((TRIANGLE_KEY_BYTES - 12) / POINT_KEY_BYTES, 9);
+        assert_eq!((TriangleNode::BYTE_SIZE - 12) / POINT_KEY_BYTES, 9);
     }
 }

@@ -56,7 +56,7 @@ pub fn mode_register_bits(mode: OperatingMode) -> u32 {
 /// Arithmetic counts are the element-wise maximum of the ray-box (four
 /// parallel slab tests + hit sort) and ray-triangle (watertight Woop)
 /// requirements, mirroring the unified-datapath reuse of Fig. 6.
-pub fn baseline_stages() -> [StageInventory; PIPELINE_DEPTH] {
+fn baseline_stages() -> [StageInventory; PIPELINE_DEPTH] {
     let regs =
         mode_register_bits(OperatingMode::RayBox) + mode_register_bits(OperatingMode::RayTriangle);
     let control = 600;
@@ -83,7 +83,7 @@ pub fn baseline_stages() -> [StageInventory; PIPELINE_DEPTH] {
 /// The HSU datapath's inventory: the baseline plus exactly the additions of
 /// §IV-C — two adders in stage 3, one each in stages 5, 8 and 9 — along with
 /// the three new modes' stage registers and the wider mode-control muxes.
-pub fn hsu_stages() -> [StageInventory; PIPELINE_DEPTH] {
+fn hsu_stages() -> [StageInventory; PIPELINE_DEPTH] {
     let mut stages = baseline_stages();
     let extra_regs = mode_register_bits(OperatingMode::Euclid)
         + mode_register_bits(OperatingMode::Angular)
@@ -103,7 +103,7 @@ pub fn hsu_stages() -> [StageInventory; PIPELINE_DEPTH] {
 /// The §VI-K-optimized HSU: same arithmetic, but stage registers are
 /// multiplexed across modes (sized by the widest mode plus a margin instead
 /// of summed) and the mode decode is folded into the existing control.
-pub fn hsu_optimized_stages() -> [StageInventory; PIPELINE_DEPTH] {
+fn hsu_optimized_stages() -> [StageInventory; PIPELINE_DEPTH] {
     let mut stages = hsu_stages();
     // Widest single mode (ray-box) plus 20% for mux staging.
     let widest = OperatingMode::ALL

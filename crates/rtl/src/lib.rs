@@ -11,10 +11,10 @@
 //!   HSU datapaths. The HSU adds exactly the units §IV-C calls out (two
 //!   adders in stage 3, one in stages 5, 8 and 9) plus the per-mode pipeline
 //!   registers and mode-control muxing of the unoptimized prototype,
-//! * [`power`] — per-mode dynamic power from functional-unit activity, plus
-//!   a [`power::PowerMeter`] that integrates activity over a cycle-accurate
-//!   [`hsu_core::pipeline::DatapathPipeline`] run with random stimulus, the
-//!   way the paper measures Fig. 16.
+//! * [`power`] — per-mode dynamic power from functional-unit activity. Its
+//!   tests check that estimate against activity integrated over a
+//!   cycle-accurate [`hsu_core::pipeline::DatapathPipeline`] run with random
+//!   stimulus, the way the paper measures Fig. 16.
 
 #![warn(missing_docs)]
 

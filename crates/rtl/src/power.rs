@@ -11,7 +11,7 @@
 use crate::area::{mode_register_bits, DatapathKind};
 use crate::fu::FuKind;
 use hsu_core::config::PIPELINE_DEPTH;
-use hsu_core::pipeline::{DatapathPipeline, OperatingMode};
+use hsu_core::pipeline::OperatingMode;
 
 /// Clock frequency the paper synthesizes at.
 pub const CLOCK_GHZ: f64 = 1.0;
@@ -102,7 +102,7 @@ fn routed_values(mode: OperatingMode) -> u32 {
 }
 
 /// Energy of one operation of `mode` in pJ, excluding register clocking.
-pub fn op_energy_pj(mode: OperatingMode) -> f64 {
+fn op_energy_pj(mode: OperatingMode) -> f64 {
     let mut pj = 0.0;
     for (adds, muls, cmps) in mode_activity(mode) {
         pj += adds as f64 * FuKind::FpAdd.energy_pj();
@@ -142,65 +142,67 @@ pub fn mode_power_mw(mode: OperatingMode, datapath: DatapathKind) -> f64 {
     (op_energy_pj(mode) + register_energy_pj(mode, datapath)) * CLOCK_GHZ
 }
 
-/// Integrates power over a cycle-accurate pipeline run — the "random series
-/// of input stimulus" methodology of §VI-K. Returns mean dynamic power in mW
-/// given the per-cycle stage occupancy of a [`DatapathPipeline`].
-#[derive(Debug, Default)]
-pub struct PowerMeter {
-    cycles: u64,
-    energy_pj: f64,
-}
-
-impl PowerMeter {
-    /// Creates an idle meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Samples one cycle of a pipeline on `datapath`. Each occupied stage
-    /// contributes its mode's per-stage activity; register clocking is
-    /// charged for the whole datapath width once per cycle when any stage is
-    /// occupied.
-    pub fn sample(&mut self, pipe: &DatapathPipeline, datapath: DatapathKind) {
-        self.cycles += 1;
-        let stage_modes = pipe.stage_modes();
-        let mut any = false;
-        for (stage, slot) in stage_modes.iter().enumerate() {
-            let Some(mode) = slot else { continue };
-            any = true;
-            let (adds, muls, cmps) = mode_activity(*mode)[stage];
-            self.energy_pj += adds as f64 * FuKind::FpAdd.energy_pj()
-                + muls as f64 * FuKind::FpMul.energy_pj()
-                + cmps as f64 * FuKind::Comparator.energy_pj();
-            self.energy_pj +=
-                routed_values(*mode) as f64 * ROUTING_PJ_PER_VALUE / PIPELINE_DEPTH as f64;
-        }
-        if any {
-            // One representative mode's registers clock each cycle; charge
-            // the mix-weighted mean of occupied stages.
-            let occupied: Vec<OperatingMode> = stage_modes.iter().flatten().copied().collect();
-            let mean: f64 = occupied
-                .iter()
-                .map(|&m| register_energy_pj(m, datapath))
-                .sum::<f64>()
-                / occupied.len() as f64;
-            self.energy_pj += mean;
-        }
-    }
-
-    /// Mean power over the sampled cycles, in mW at 1 GHz.
-    pub fn mean_power_mw(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.energy_pj / self.cycles as f64 * CLOCK_GHZ
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hsu_core::pipeline::DatapathPipeline;
+
+    /// Integrates power over a cycle-accurate pipeline run — the "random series
+    /// of input stimulus" methodology of §VI-K — to check the static
+    /// [`mode_power_mw`] estimate against. Returns mean dynamic power in mW
+    /// given the per-cycle stage occupancy of a [`DatapathPipeline`].
+    #[derive(Debug, Default)]
+    struct PowerMeter {
+        cycles: u64,
+        energy_pj: f64,
+    }
+
+    impl PowerMeter {
+        /// Creates an idle meter.
+        fn new() -> Self {
+            Self::default()
+        }
+
+        /// Samples one cycle of a pipeline on `datapath`. Each occupied stage
+        /// contributes its mode's per-stage activity; register clocking is
+        /// charged for the whole datapath width once per cycle when any stage is
+        /// occupied.
+        fn sample(&mut self, pipe: &DatapathPipeline, datapath: DatapathKind) {
+            self.cycles += 1;
+            let stage_modes = pipe.stage_modes();
+            let mut any = false;
+            for (stage, slot) in stage_modes.iter().enumerate() {
+                let Some(mode) = slot else { continue };
+                any = true;
+                let (adds, muls, cmps) = mode_activity(*mode)[stage];
+                self.energy_pj += adds as f64 * FuKind::FpAdd.energy_pj()
+                    + muls as f64 * FuKind::FpMul.energy_pj()
+                    + cmps as f64 * FuKind::Comparator.energy_pj();
+                self.energy_pj +=
+                    routed_values(*mode) as f64 * ROUTING_PJ_PER_VALUE / PIPELINE_DEPTH as f64;
+            }
+            if any {
+                // One representative mode's registers clock each cycle; charge
+                // the mix-weighted mean of occupied stages.
+                let occupied: Vec<OperatingMode> = stage_modes.iter().flatten().copied().collect();
+                let mean: f64 = occupied
+                    .iter()
+                    .map(|&m| register_energy_pj(m, datapath))
+                    .sum::<f64>()
+                    / occupied.len() as f64;
+                self.energy_pj += mean;
+            }
+        }
+
+        /// Mean power over the sampled cycles, in mW at 1 GHz.
+        fn mean_power_mw(&self) -> f64 {
+            if self.cycles == 0 {
+                0.0
+            } else {
+                self.energy_pj / self.cycles as f64 * CLOCK_GHZ
+            }
+        }
+    }
 
     #[test]
     fn figure_16_shape() {

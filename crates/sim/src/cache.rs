@@ -215,11 +215,6 @@ impl Cache {
         self.mshrs.len()
     }
 
-    /// Returns `true` if the MSHR file is full.
-    pub fn mshrs_full(&self) -> bool {
-        self.mshrs.len() >= self.mshr_capacity
-    }
-
     /// Lifetime statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
@@ -266,7 +261,7 @@ mod tests {
         let mut c = Cache::new(4, 2, 2);
         assert_eq!(c.access(1, 0), Lookup::Miss);
         assert_eq!(c.access(2, 0), Lookup::Miss);
-        assert!(c.mshrs_full());
+        assert_eq!(c.mshrs_in_use(), 2, "MSHR file full");
         assert_eq!(c.access(3, 0), Lookup::Stall);
         assert_eq!(c.stats().mshr_stalls, 1);
         c.fill(1);
@@ -323,7 +318,7 @@ mod tests {
         let mut c = Cache::new(4, 2, 2);
         assert_eq!(c.access(1, 10), Lookup::Miss);
         assert_eq!(c.access(2, 20), Lookup::Miss);
-        assert!(c.mshrs_full());
+        assert_eq!(c.mshrs_in_use(), 2, "MSHR file full");
         assert_eq!(c.access(1, 11), Lookup::MshrHit, "merge while full");
         assert_eq!(c.access(2, 21), Lookup::MshrHit);
         assert_eq!(c.access(3, 30), Lookup::Stall, "new miss while full");

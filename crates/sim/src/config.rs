@@ -251,6 +251,22 @@ impl GpuConfig {
                 "the RT unit needs at least one warp-buffer entry",
             ));
         }
+        // The angular mode is half as wide as the Euclidean one, so an odd
+        // or sub-2 width leaves it zero (or fractional) lanes wide.
+        if self.hsu.euclid_width < 2 || !self.hsu.euclid_width.is_multiple_of(2) {
+            return Err(bad(
+                "hsu.euclid_width",
+                self.hsu.euclid_width,
+                "the Euclidean datapath width must be an even number >= 2",
+            ));
+        }
+        if self.hsu.key_compare_width == 0 {
+            return Err(bad(
+                "hsu.key_compare_width",
+                self.hsu.key_compare_width,
+                "KEY_COMPARE needs at least one comparator",
+            ));
+        }
         if self.line_bytes == 0 {
             return Err(bad(
                 "line_bytes",

@@ -11,6 +11,7 @@
 
 use crate::config::GpuConfig;
 use crate::trace::{KernelTrace, ThreadOp, ThreadTrace, WARP_WIDTH};
+use hsu_core::HsuConfig;
 
 // Chunk-level archive corruptions (truncation, checksum bit-flips, bogus
 // chunk kinds, header version skew), re-exported so the fault harness has
@@ -124,6 +125,27 @@ pub fn pathological_configs() -> Vec<(&'static str, GpuConfig)> {
             "max_warps_per_sm",
             GpuConfig {
                 max_warps_per_sm: 0,
+                ..base()
+            },
+        ),
+        // An angular datapath half as wide as one lane has no lanes.
+        (
+            "hsu.euclid_width",
+            GpuConfig {
+                hsu: HsuConfig {
+                    euclid_width: 1,
+                    ..base().hsu
+                },
+                ..base()
+            },
+        ),
+        (
+            "hsu.key_compare_width",
+            GpuConfig {
+                hsu: HsuConfig {
+                    key_compare_width: 0,
+                    ..base().hsu
+                },
                 ..base()
             },
         ),

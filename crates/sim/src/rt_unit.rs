@@ -225,7 +225,7 @@ impl RtUnit {
                 detail: format!("active lane {lane} without an op (mask {active_mask:#x})"),
             });
         }
-        let Some(entry) = self.warp_buffer.allocate_mask(warp, sub_core, active_mask) else {
+        let Some(entry) = self.warp_buffer.allocate(warp, sub_core, active_mask) else {
             return Err(SimError::IllegalDispatch {
                 detail: "dispatch without a free warp buffer entry".to_string(),
             });
@@ -513,6 +513,8 @@ impl RtUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hsu_core::isa::{HsuInstruction, HsuOpcode};
+    use hsu_core::node::KeyNode;
     use hsu_geometry::point::Metric;
     use proptest::prelude::*;
 
@@ -582,7 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn multibeat_distance_counts_isa_instructions() {
+    fn multi_beat_distance_counts_isa_instructions() {
         let mut unit = RtUnit::new(HsuConfig::default(), 4);
         unit.dispatch(3, 1, 1, &lanes_with(euclid_op(96), 1), 128)
             .unwrap();
@@ -817,6 +819,70 @@ mod tests {
                     now
                 );
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `lane_plan` is the timing model's reading of the HSU ISA. For any
+        /// metric, dimension, separator count and datapath widths, its
+        /// beats, fetch range and mode must be the instructions the ISA
+        /// emits: `HsuInstruction::distance_sequence` for a distance, and
+        /// one `KEY_COMPARE` per `key_compare_width` separators, each
+        /// fetching what `KeyNode::fetch_bytes` says.
+        #[test]
+        fn lane_plan_charges_what_the_isa_emits(
+            angular in any::<bool>(),
+            dim in 0u32..=1024,
+            separators in 0u32..=512,
+            half_width in 1usize..=32,
+            key_compare_width in 1usize..=64,
+            addr in 0u64..1 << 40,
+        ) {
+            let metric = if angular { Metric::Angular } else { Metric::Euclidean };
+            let cfg = HsuConfig {
+                key_compare_width,
+                ..HsuConfig::default().with_euclid_width(2 * half_width)
+            };
+
+            let op = ThreadOp::HsuDistance { metric, dim, candidate_addr: addr };
+            let (mode, beats, plan_addr, bytes) = lane_plan(&cfg, &op).unwrap();
+            let seq = HsuInstruction::distance_sequence(&cfg, metric, addr, dim as usize);
+            let (opcode, isa_mode) = match metric {
+                Metric::Euclidean => (HsuOpcode::PointEuclid, OperatingMode::Euclid),
+                Metric::Angular => (HsuOpcode::PointAngular, OperatingMode::Angular),
+            };
+            prop_assert_eq!(mode, isa_mode);
+            prop_assert!(seq.iter().all(|ins| ins.opcode == opcode));
+            prop_assert_eq!(beats as usize, seq.len());
+            prop_assert_eq!(bytes, seq.iter().map(|ins| ins.fetch_bytes).sum::<u64>());
+            // The beats tile the planned fetch range [addr, addr + bytes).
+            prop_assert_eq!(plan_addr, seq[0].node_ptr);
+            for pair in seq.windows(2) {
+                prop_assert_eq!(pair[1].node_ptr, pair[0].node_ptr + pair[0].fetch_bytes);
+            }
+
+            // No ISA instruction compares zero separators (`KeyNode::new`
+            // rejects an empty node), yet `lane_plan` charges such an op one
+            // zero-byte KEY_COMPARE. No recorded trace emits one; the
+            // mismatch is reported, not modelled, so that case stops here.
+            if separators == 0 {
+                return Ok(());
+            }
+            let op = ThreadOp::HsuKeyCompare { node_addr: addr, separators };
+            let (mode, beats, plan_addr, bytes) = lane_plan(&cfg, &op).unwrap();
+            prop_assert_eq!(mode, OperatingMode::KeyCompare);
+            prop_assert_eq!(plan_addr, addr);
+            // Each KEY_COMPARE of the chain reads the node from its first
+            // separator not yet compared.
+            let seps: Vec<f32> = (0..separators).map(|s| s as f32).collect();
+            let isa_bytes: u64 = (0..seps.len())
+                .step_by(key_compare_width)
+                .map(|lo| KeyNode::new(seps[lo..].to_vec()).fetch_bytes(key_compare_width))
+                .sum();
+            prop_assert_eq!(beats as usize, seps.len().div_ceil(key_compare_width));
+            prop_assert_eq!(bytes, isa_bytes);
         }
     }
 

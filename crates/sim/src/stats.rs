@@ -39,19 +39,6 @@ pub struct SchedStats {
     pub skipped_on_timers: u64,
 }
 
-impl SchedStats {
-    /// Fraction of simulated cycles that were skipped (0 under stepped
-    /// mode; the event-mode speedup headroom).
-    pub fn skip_fraction(&self) -> f64 {
-        let total = self.ticks_executed + self.cycles_skipped;
-        if total == 0 {
-            0.0
-        } else {
-            self.cycles_skipped as f64 / total as f64
-        }
-    }
-}
-
 /// The result of simulating one kernel trace.
 ///
 /// `PartialEq`/`Eq` compare every counter bit-for-bit — the
@@ -266,9 +253,6 @@ mod tests {
         };
         assert_ne!(a, b, "sched differences are visible in full equality");
         assert_eq!(a.normalized(), b.normalized());
-        assert!((a.sched.skip_fraction() - 0.9).abs() < 1e-12);
-        assert_eq!(b.sched.skip_fraction(), 0.0);
-        assert_eq!(SchedStats::default().skip_fraction(), 0.0);
         // Normalizing must not touch architectural counters.
         b.cycles += 1;
         assert_ne!(a.normalized(), b.normalized());

@@ -67,8 +67,8 @@ pub enum ThreadOp {
         /// Byte address of the candidate vector.
         candidate_addr: u64,
     },
-    /// A `KEY_COMPARE` chain on the HSU (`ceil(separators / 36)` datapath
-    /// operations, one node fetch).
+    /// A `KEY_COMPARE` chain on the HSU (`ceil(separators /
+    /// key_compare_width)` datapath operations, one node fetch).
     HsuKeyCompare {
         /// Node byte address.
         node_addr: u64,
@@ -244,11 +244,6 @@ impl WarpInstruction {
             offset: pool_index(offset),
             class,
         }
-    }
-
-    /// Number of active lanes.
-    pub fn active_lanes(&self) -> u32 {
-        self.active_mask.count_ones()
     }
 
     /// Number of ops this instruction keeps in the pool: one per active lane,
@@ -677,10 +672,13 @@ mod tests {
         let k = kernel_of("runs", threads.to_vec());
         let w = k.warp(0);
         let alu = w.instructions()[0];
-        assert_eq!((alu.max_run, alu.weighted, alu.active_lanes()), (9, 13, 3));
+        assert_eq!(
+            (alu.max_run, alu.weighted, alu.active_mask.count_ones()),
+            (9, 13, 3)
+        );
         let load = w.instructions()[1];
         assert_eq!(
-            (load.max_run, load.weighted, load.active_lanes()),
+            (load.max_run, load.weighted, load.active_mask.count_ones()),
             (1, 3, 3)
         );
     }

@@ -8,9 +8,11 @@
 
 use hsu::kernels::btree::{BtreeParams, BtreeWorkload};
 use hsu::prelude::*;
-use hsu::unit::intrinsics;
+use hsu::unit::exec;
+use hsu::unit::node::KeyNode;
 
 fn main() {
+    let cfg = HsuConfig::default();
     // A 200k-entry store with 24-bit keys (exact in f32 for KEY_COMPARE).
     let pairs: Vec<(u32, u64)> = (0..200_000u32)
         .map(|k| (k * 83 % (1 << 24), u64::from(k)))
@@ -32,14 +34,25 @@ fn main() {
     );
     println!(
         "  -> KEY_COMPARE instructions with the HSU: {}",
-        stats.separators_scanned.div_ceil(36)
+        stats
+            .separators_scanned
+            .div_ceil(cfg.key_compare_width as u64)
     );
 
-    // The intrinsic itself: which child follows key 500?
+    // KEY_COMPARE itself: which child follows key 500? Each instruction
+    // compares up to `key_compare_width` separators and returns a bit per
+    // separator `<= key`; the chain's popcounts sum to the child index.
     let separators: Vec<f32> = (0..255).map(|i| (i * 64) as f32).collect();
+    let child: usize = separators
+        .chunks(cfg.key_compare_width)
+        .map(|chunk| {
+            let node = KeyNode::new(chunk.to_vec());
+            exec::execute_key_compare(500.0, &node, cfg.key_compare_width).key_child_index()
+        })
+        .sum();
     println!(
-        "key_compare(500.0, 255 separators) -> child {}",
-        intrinsics::key_compare(500.0, &separators)
+        "KEY_COMPARE x{} (key 500.0, 255 separators) -> child {child}",
+        cfg.key_compare_instructions(separators.len())
     );
 
     // Range scan down the leaf chain.

@@ -10,16 +10,18 @@ use hsu::kernels::ggnn::{GgnnParams, GgnnWorkload};
 use hsu::prelude::*;
 
 fn main() {
-    // 1. The device library: distances exactly as POINT_EUCLID computes them.
+    // 1. The distance POINT_EUCLID computes, and the beats it takes.
     let q = vec![0.25_f32; 96];
     let c = vec![0.75_f32; 96];
+    let cfg = HsuConfig::default();
     println!(
-        "euclid_dist(q, c)   = {:.3}",
-        intrinsics::euclid_dist(&q, &c)
+        "euclidean distance  = {:.3}",
+        Metric::Euclidean.distance(&q, &c)
     );
     println!(
-        "POINT_EUCLID beats  = {} (96 dims / 16-wide pipeline)",
-        intrinsics::euclid_beats(96)
+        "POINT_EUCLID beats  = {} (96 dims / {}-wide pipeline)",
+        cfg.beats_for(Metric::Euclidean, 96),
+        cfg.euclid_width
     );
 
     // 2. A hierarchical search structure: HNSW graph over a synthetic

@@ -9,8 +9,9 @@
 //!
 //! * [`geometry`] — vectors, rays, AABBs, watertight triangle intersection,
 //!   Morton codes, N-dimensional points and distances,
-//! * [`unit`](crate::unit) — the HSU itself: ISA, node formats, functional semantics,
-//!   warp buffer, arbiter, and the 9-stage unified datapath,
+//! * [`unit`](crate::unit) — the HSU itself: ISA and beat model, node formats
+//!   and fetch sizes, functional semantics, warp buffer, arbiter, and the
+//!   9-stage unified datapath,
 //! * [`bvh`], [`kdtree`], [`graph`], [`btree`] — the hierarchical search
 //!   structures of the paper's four workloads,
 //! * [`datasets`] — seeded synthetic stand-ins for the Table II datasets,
@@ -60,7 +61,7 @@ pub use hsu_sim as sim;
 pub mod prelude {
     pub use hsu_btree::BPlusTree;
     pub use hsu_bvh::{Bvh2, Bvh4, LbvhBuilder, PointPrimitive, SahBuilder, TrianglePrimitive};
-    pub use hsu_core::{intrinsics, HsuConfig};
+    pub use hsu_core::HsuConfig;
     pub use hsu_datasets::{Dataset, DatasetId};
     pub use hsu_geometry::point::{Metric, PointSet};
     pub use hsu_geometry::{Aabb, Ray, Triangle, Vec3};

@@ -5,7 +5,7 @@ use hsu::prelude::*;
 use hsu::unit::exec::{self, DistanceAccumulator};
 use hsu::unit::node::{BoxChild, BoxNode, KeyNode, NodeKind};
 use hsu::unit::pipeline::{DatapathPipeline, OperatingMode};
-use hsu::unit::HsuInstruction;
+use hsu::unit::{HsuInstruction, HsuOpcode};
 
 /// KEY_COMPARE must navigate a real B+-tree exactly like the software path.
 #[test]
@@ -67,46 +67,75 @@ fn ray_intersect_orders_children_front_to_back() {
     assert_eq!(order, vec![100, 101, 102, 103]);
 }
 
-/// Multi-beat distances through the cycle-accurate pipeline must equal the
-/// scalar reference: the full "compiler emits N instructions, hardware
-/// accumulates" path.
-#[test]
-fn multibeat_sequence_through_pipeline_matches_reference() {
-    let dims = [3usize, 16, 17, 65, 96, 200, 784];
-    for dim in dims {
-        let q: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.13).sin()).collect();
-        let c: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.29).cos()).collect();
+/// Euclidean lane widths of the Fig. 10 datapath-width sweep.
+const FIG10_WIDTHS: [usize; 4] = [4, 8, 16, 32];
 
-        // The compiler's lowering.
-        let cfg = HsuConfig::default();
-        let seq = HsuInstruction::distance_sequence(&cfg, Metric::Euclidean, 0x1000, dim);
-        assert_eq!(seq.len(), cfg.beats_for(Metric::Euclidean, dim));
-
-        // Drive the datapath beat by beat, accumulating like the hardware.
-        let mut pipe = DatapathPipeline::new();
-        let mut acc = DistanceAccumulator::new();
-        let mut result = None;
-        for (b, ins) in seq.iter().enumerate() {
-            assert!(pipe.issue(OperatingMode::Euclid, b as u64));
-            pipe.tick();
-            let lo = b * 16;
-            let hi = (lo + 16).min(dim);
-            result = acc.euclid_beat(&q[lo..hi], &c[lo..hi], ins.accumulate);
-        }
-        // Drain the pipeline.
-        while !pipe.is_empty() {
-            pipe.tick();
-        }
-        let got = result.expect("final beat yields the sum");
-        let expect = hsu::geometry::point::euclidean_squared(&q, &c);
-        assert!(
-            (got - expect).abs() <= 1e-3 * (1.0 + expect),
-            "dim {dim}: {got} vs {expect}"
-        );
+/// Feeds `seq`'s beats to a fresh accumulator. Each beat's lanes are the
+/// coordinates its own fetch covers (`node_ptr`, `fetch_bytes`) relative to
+/// the candidate at `base`, so the instruction sequence alone decides which
+/// coordinates each beat sums. Returns the final beat's Euclidean sum or
+/// angular `(dot_sum, norm_sum)`, as the register file receives them.
+fn accumulate(seq: &[HsuInstruction], base: u64, q: &[f32], c: &[f32]) -> (f32, f32) {
+    let mut acc = DistanceAccumulator::new();
+    let mut out = None;
+    for ins in seq {
+        let lo = ((ins.node_ptr - base) / 4) as usize;
+        let lanes = lo..lo + (ins.fetch_bytes / 4) as usize;
+        out = match ins.opcode {
+            HsuOpcode::PointEuclid => acc
+                .euclid_beat(&q[lanes.clone()], &c[lanes], ins.accumulate)
+                .map(|d| (d, 0.0)),
+            HsuOpcode::PointAngular => {
+                acc.angular_beat(&q[lanes.clone()], &c[lanes], ins.accumulate)
+            }
+            other => panic!("{other:?} is not a distance beat"),
+        };
         assert_eq!(
-            pipe.stats().completed[OperatingMode::Euclid.index()],
-            seq.len() as u64
+            out.is_some(),
+            !ins.accumulate,
+            "only the last beat writes back"
         );
+    }
+    out.expect("the final beat yields the sums")
+}
+
+/// Multi-beat distances through the cycle-accurate pipeline must equal the
+/// scalar reference at every Fig. 10 width: the full "compiler emits N
+/// instructions, hardware accumulates" path.
+#[test]
+fn multi_beat_sequence_through_pipeline_matches_reference() {
+    let dims = [3usize, 16, 17, 65, 96, 200, 784];
+    for width in FIG10_WIDTHS {
+        let cfg = HsuConfig::default().with_euclid_width(width);
+        for dim in dims {
+            let q: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.13).sin()).collect();
+            let c: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.29).cos()).collect();
+
+            // The compiler's lowering.
+            let seq = HsuInstruction::distance_sequence(&cfg, Metric::Euclidean, 0x1000, dim);
+            assert_eq!(seq.len(), cfg.beats_for(Metric::Euclidean, dim));
+
+            // Drive the datapath beat by beat, accumulating like the hardware.
+            let mut pipe = DatapathPipeline::new();
+            for b in 0..seq.len() {
+                assert!(pipe.issue(OperatingMode::Euclid, b as u64));
+                pipe.tick();
+            }
+            let (got, _) = accumulate(&seq, 0x1000, &q, &c);
+            // Drain the pipeline.
+            while !pipe.is_empty() {
+                pipe.tick();
+            }
+            let expect = hsu::geometry::point::euclidean_squared(&q, &c);
+            assert!(
+                (got - expect).abs() <= 1e-3 * (1.0 + expect),
+                "width {width} dim {dim}: {got} vs {expect}"
+            );
+            assert_eq!(
+                pipe.stats().completed[OperatingMode::Euclid.index()],
+                seq.len() as u64
+            );
+        }
     }
 }
 
@@ -143,24 +172,32 @@ fn accumulate_lock_keeps_beats_contiguous() {
     assert_eq!(arb.locked_sub_core(), None);
 }
 
-/// The intrinsics must agree with the metric used by every search structure.
+/// The accumulator, fed the beats of `distance_sequence`, must agree with
+/// the metric every search structure uses, under both metrics.
 #[test]
-fn intrinsics_match_structure_metrics() {
+fn accumulator_matches_structure_metrics() {
     let data = PointSet::from_rows(
         65,
         (0..65 * 20)
             .map(|i| ((i * 37) % 101) as f32 * 0.01)
             .collect(),
     );
+    let cfg = HsuConfig::default();
     for i in 0..19 {
         let a = data.point(i);
         let b = data.point(i + 1);
-        let d_intrinsic = intrinsics::euclid_dist(a, b);
+        let seq = HsuInstruction::distance_sequence(&cfg, Metric::Euclidean, 0, a.len());
+        let (d_hsu, _) = accumulate(&seq, 0, a, b);
         let d_metric = Metric::Euclidean.distance(a, b);
-        assert!((d_intrinsic - d_metric).abs() < 1e-3 * (1.0 + d_metric));
+        assert!((d_hsu - d_metric).abs() < 1e-3 * (1.0 + d_metric));
 
-        let ang_intrinsic = intrinsics::angular_dist(a, b);
+        // The HSU returns the two sums; the division and square root of
+        // eq. 2 run on the SIMT core.
+        let seq = HsuInstruction::distance_sequence(&cfg, Metric::Angular, 0, a.len());
+        let (dot_sum, norm_sum) = accumulate(&seq, 0, a, b);
+        let query_norm = hsu::geometry::point::norm_squared(a).sqrt();
+        let ang_hsu = 1.0 - dot_sum / (query_norm * norm_sum.sqrt());
         let ang_metric = Metric::Angular.distance(a, b);
-        assert!((ang_intrinsic - ang_metric).abs() < 1e-4);
+        assert!((ang_hsu - ang_metric).abs() < 1e-4);
     }
 }
