@@ -6,7 +6,9 @@
 
 use hsu_archive::{kind, ArchiveWriter, SliceArchive, KEY_PATH};
 use hsu_bench::{figures, ArchiveCache, Suite, SuiteConfig};
+use hsu_datasets::DatasetId;
 use hsu_geometry::point::Metric;
+use hsu_serve::{BtreeIndex, BvhIndex, GraphIndex, KdIndex};
 use hsu_sim::archive_io::TRACES_GROUP;
 use hsu_sim::trace::ThreadOp;
 use hsu_sim::trace_io::{load_trace, read_trace};
@@ -304,4 +306,118 @@ fn disabled_cache_counts_nothing() {
     assert!(!cache.enabled());
     assert_eq!(cache.hits(), 0);
     assert_eq!(cache.misses(), 0);
+}
+
+/// Sorted `.hsar` file names in `dir`.
+fn archive_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Every archive a cold phase A writes at [`small_config`]. A name is
+/// `<stem>-<hash16>.hsar`, and the hash covers the full key string, so an
+/// equal name means a byte-identical key.
+const SUITE_ARCHIVES: &[&str] = &[
+    "btree-BTree10k-14ea6bb4e7b9afc1.hsar",
+    "btree-BTree1m-67f8e33b0a58c268.hsar",
+    "bvh-Buddha-a60473d92098a0e4.hsar",
+    "bvh-Bunny-d3e442242f29d2ee.hsar",
+    "bvh-Cosmos-25a82d02b82ab09a.hsar",
+    "bvh-Dragon-b8b826a3126517f3.hsar",
+    "bvh-Random10k-75a0eaaf05c68e1a.hsar",
+    "dataset-Buddha-1d9ad14a7f4db57d.hsar",
+    "dataset-Bunny-fddf118116ce229f.hsar",
+    "dataset-Cosmos-69b6288055d90a23.hsar",
+    "dataset-Deep1b-dcdc4100937b1a2b.hsar",
+    "dataset-Dragon-a54158d2baf9bfda.hsar",
+    "dataset-FashionMnist-12520aa41e839b01.hsar",
+    "dataset-Gist-084edce449590367.hsar",
+    "dataset-Glove-e99fc0792e529730.hsar",
+    "dataset-LastFm-1bba12a9f072df97.hsar",
+    "dataset-Mnist-9debd879f4ccaf2d.hsar",
+    "dataset-Nytimes-2c879404403efd25.hsar",
+    "dataset-Random10k-f5e25c63da75c1eb.hsar",
+    "dataset-Sift10k-fb09d12008b8fbd8.hsar",
+    "dataset-Sift1m-15964ca941ddf6fa.hsar",
+    "graph-Deep1b-30f160549b2679fe.hsar",
+    "graph-FashionMnist-5c4e7158429d4132.hsar",
+    "graph-Gist-89c1fdd89d7c830c.hsar",
+    "graph-Glove-064672aaeb822ac1.hsar",
+    "graph-LastFm-e0f2ca0ce2b68ee2.hsar",
+    "graph-Mnist-7e819002f18d54d6.hsar",
+    "graph-Nytimes-f3afb9cfb47d9ef0.hsar",
+    "graph-Sift10k-64aa2105cb291eb3.hsar",
+    "graph-Sift1m-b9db9f7d32052891.hsar",
+    "kdtree-Buddha-a49950fec91864da.hsar",
+    "kdtree-Bunny-ad48f632de42dea2.hsar",
+    "kdtree-Cosmos-2b52043911f16e28.hsar",
+    "kdtree-Dragon-92e529dc3b022ad7.hsar",
+    "kdtree-Random10k-a041d19f03c338ba.hsar",
+    "traces-3d-Buddha-61f0f08c44a4e0ef.hsar",
+    "traces-3d-Bunny-a088f0233c4787ef.hsar",
+    "traces-3d-Cosmos-c3d7f52953c0f8f1.hsar",
+    "traces-3d-Dragon-443f3716f903895e.hsar",
+    "traces-3d-Random10k-46ad541a5a6c45a8.hsar",
+    "traces-btree-BTree10k-bc785c3e48e7da1b.hsar",
+    "traces-btree-BTree1m-188dc538071f924a.hsar",
+    "traces-ggnn-Deep1b-035632009789c81a.hsar",
+    "traces-ggnn-FashionMnist-438decb7d7af4b2a.hsar",
+    "traces-ggnn-Gist-355a4d7891151a90.hsar",
+    "traces-ggnn-Glove-675f5edb41ef9ae2.hsar",
+    "traces-ggnn-LastFm-4f317ee047223dc8.hsar",
+    "traces-ggnn-Mnist-5e0d372379e0d41e.hsar",
+    "traces-ggnn-Nytimes-15fac628e0204f90.hsar",
+    "traces-ggnn-Sift10k-eb0d026df0a6db11.hsar",
+    "traces-ggnn-Sift1m-e85c9c56b722df23.hsar",
+];
+
+/// Every archive a cold open of the four serving families writes at the
+/// sizes in [`archive_names_are_pinned`].
+const SERVE_ARCHIVES: &[&str] = &[
+    "btree-serve-2f0abd43e4ecd519.hsar",
+    "bvh-Bunny-3a9fc33bf5f99e33.hsar",
+    "dataset-Bunny-323a9d81349205da.hsar",
+    "dataset-Sift10k-3128486ec404375b.hsar",
+    "graph-Sift10k-fd32575fe3f4c4e3.hsar",
+    "kdtree-Bunny-d09946050b9e02e5.hsar",
+];
+
+/// The archive keys are the cache's identity: a warm run is byte-identical
+/// to a cold one only because every key names every input of its artifact.
+/// Pinning the file names pins every key, for the suite and for serving,
+/// together with the order-independent miss and hit counts.
+#[test]
+fn archive_names_are_pinned() {
+    let dir = fresh_dir("names-suite");
+    let cold = ArchiveCache::new(Some(dir.clone()));
+    Suite::prepare_traces(&small_config(), &cold);
+    assert_eq!(archive_names(&dir), SUITE_ARCHIVES);
+    // 16 trace bundles, 14 datasets, 9 graphs, 5 k-d trees, 5 BVHs and
+    // 2 B+trees; a warm run loads only the 16 trace bundles.
+    assert_eq!((cold.hits(), cold.misses()), (0, 51));
+    let warm = ArchiveCache::new(Some(dir.clone()));
+    Suite::prepare_traces(&small_config(), &warm);
+    assert_eq!((warm.hits(), warm.misses()), (16, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = fresh_dir("names-serve");
+    let open_all = |cache: &ArchiveCache| {
+        GraphIndex::open(cache, DatasetId::Sift10k, 300, 7, 5, 32).expect("open graph");
+        KdIndex::open(cache, DatasetId::Bunny, 400, 7, 5, 16).expect("open kd");
+        BvhIndex::open(cache, DatasetId::Bunny, 400, 7, 5).expect("open bvh");
+        BtreeIndex::open(cache, 2_000, 3);
+    };
+    let cold = ArchiveCache::new(Some(dir.clone()));
+    open_all(&cold);
+    assert_eq!(archive_names(&dir), SERVE_ARCHIVES);
+    // The k-d and BVH indexes share Bunny's dataset archive.
+    assert_eq!((cold.hits(), cold.misses()), (1, 6));
+    let warm = ArchiveCache::new(Some(dir.clone()));
+    open_all(&warm);
+    assert_eq!((warm.hits(), warm.misses()), (7, 0));
+    let _ = std::fs::remove_dir_all(&dir);
 }
