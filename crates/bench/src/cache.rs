@@ -1,4 +1,5 @@
-//! Content-keyed `.hsar` archive cache for the suite's build phase.
+//! Content-keyed `.hsar` archive cache for the suite's build phase and the
+//! serving indexes.
 //!
 //! The suite's phase A (dataset generation → index construction → trace
 //! lowering) dominates a cold run's wall-clock. [`ArchiveCache`] keys every
@@ -9,6 +10,15 @@
 //! the artifact in `<dir>/<stem>-<hash>.hsar`. A warm re-run with the same
 //! key loads bytes that decode to the identical artifact, so suite stdout
 //! is byte-for-byte the same as a cold run.
+//!
+//! Each cached artifact has one method here — [`ArchiveCache::dataset`],
+//! [`graph`](ArchiveCache::graph), [`kdtree`](ArchiveCache::kdtree),
+//! [`bvh`](ArchiveCache::bvh), [`btree`](ArchiveCache::btree),
+//! [`serve_btree`](ArchiveCache::serve_btree) and
+//! [`traces`](ArchiveCache::traces) — that owns the artifact's stem, its key
+//! and its load-or-build-and-store sequence. The suite and the serving
+//! indexes both call them, so an archive written by one is a hit for the
+//! other.
 //!
 //! The cache is strictly best-effort and self-healing: a missing, corrupt,
 //! truncated, or key-mismatched archive is treated as a miss (the typed
@@ -24,9 +34,53 @@ use hsu_archive::{key_hash, kind, ArchiveWriter, FileArchive};
 use hsu_btree::BPlusTree;
 use hsu_bvh::Bvh2;
 use hsu_datasets::{Dataset, DatasetId};
-use hsu_graph::HnswGraph;
+use hsu_geometry::point::{Metric, PointSet};
+use hsu_graph::{GraphConfig, HnswGraph};
 use hsu_kdtree::KdTree;
+use hsu_kernels::btree::{BtreeParams, BtreeWorkload};
+use hsu_kernels::bvhnn::{BvhnnParams, BvhnnWorkload};
+use hsu_kernels::flann::{FlannParams, FlannWorkload};
+use hsu_kernels::ggnn::GgnnParams;
 use hsu_sim::trace::KernelTrace;
+
+/// The workload parameters a bundle of lowered traces depends on: one
+/// variant per kind of suite build job.
+#[derive(Debug, Clone, Copy)]
+pub enum TraceBundle<'a> {
+    /// One GGNN workload: `hsu`, `base`, `stripped`.
+    Ggnn(&'a GgnnParams),
+    /// The FLANN and BVH-NN workloads over one 3-D point cloud: the three
+    /// FLANN variants, then the three BVH-NN variants.
+    ThreeD(&'a FlannParams, &'a BvhnnParams),
+    /// One B+tree workload: `hsu`, `base`, `stripped`.
+    Btree(&'a BtreeParams),
+}
+
+impl TraceBundle<'_> {
+    /// The archive's chunk names, in the order the traces are built.
+    pub fn names(self) -> &'static [&'static str] {
+        match self {
+            TraceBundle::Ggnn(_) | TraceBundle::Btree(_) => &["hsu", "base", "stripped"],
+            TraceBundle::ThreeD(..) => &[
+                "flann-hsu",
+                "flann-base",
+                "flann-stripped",
+                "bvhnn-hsu",
+                "bvhnn-base",
+                "bvhnn-stripped",
+            ],
+        }
+    }
+}
+
+/// The loaded artifact, or a fresh one from `build` that `store` saves.
+fn or_build<T>(loaded: Option<T>, build: impl FnOnce() -> T, store: impl FnOnce(&T)) -> T {
+    loaded.unwrap_or_else(|| {
+        let built = build();
+        store(&built);
+        built
+    })
+}
 
 /// Best-effort, content-keyed archive store shared by the suite's build
 /// jobs. `None` for the directory disables every method (all loads miss,
@@ -123,8 +177,125 @@ impl ArchiveCache {
         }
     }
 
+    /// Generated dataset `id` with `n` points. The key pins the generator
+    /// version, dataset id, seed and exact size, so a restored dataset is
+    /// bit-identical to a regenerated one.
+    pub fn dataset(&self, id: DatasetId, seed: u64, n: usize) -> Dataset {
+        let stem = format!("dataset-{id:?}");
+        let key = format!("hsar-dataset-v1|{id:?}|seed={seed}|n={n}");
+        or_build(
+            self.load_dataset(&stem, &key, id),
+            || Dataset::generate_scaled(id, seed, Some(n)),
+            |ds| self.store_dataset(&stem, &key, ds),
+        )
+    }
+
+    /// HNSW graph over `data` (dataset `id`), built with `config` and
+    /// `seed`.
+    pub fn graph(
+        &self,
+        id: DatasetId,
+        seed: u64,
+        data: &PointSet,
+        metric: Metric,
+        config: GraphConfig,
+    ) -> HnswGraph {
+        let stem = format!("graph-{id:?}");
+        let n = data.len();
+        let key = format!("hsar-graph-v1|{id:?}|seed={seed}|n={n}|metric={metric:?}|{config:?}");
+        or_build(
+            self.load_graph(&stem, &key),
+            || HnswGraph::build(data, metric, config, seed),
+            |graph| self.store_graph(&stem, &key, graph),
+        )
+    }
+
+    /// FLANN's k-d tree ([`FlannWorkload::build_tree`]) over `data`
+    /// (dataset `id`, generated with `seed`).
+    pub fn kdtree(&self, id: DatasetId, seed: u64, data: &PointSet) -> KdTree {
+        let stem = format!("kdtree-{id:?}");
+        let n = data.len();
+        let key = format!("hsar-kdtree-v1|{id:?}|seed={seed}|n={n}|leaf=4|metric=euclid");
+        or_build(
+            self.load_kdtree(&stem, &key),
+            || FlannWorkload::build_tree(data),
+            |tree| self.store_kdtree(&stem, &key, tree),
+        )
+    }
+
+    /// BVH-NN's BVH2 over `data` (dataset `id`) plus the search radius
+    /// planned with it ([`BvhnnWorkload::plan`]).
+    pub fn bvh(&self, id: DatasetId, params: &BvhnnParams, data: &PointSet) -> (Bvh2, f32) {
+        let stem = format!("bvh-{id:?}");
+        let key = format!(
+            "hsar-bvh-v1|{id:?}|seed={}|n={}|flavor={:?}|rs={}",
+            params.seed,
+            data.len(),
+            params.flavor,
+            params.radius_scale
+        );
+        or_build(
+            self.load_bvh(&stem, &key),
+            || BvhnnWorkload::plan(params, data),
+            |(bvh, radius)| self.store_bvh(&stem, &key, bvh, *radius),
+        )
+    }
+
+    /// The suite's B+tree for dataset slot `id`, bulk-built from `pairs`
+    /// (generated from `params`).
+    pub fn btree(&self, id: DatasetId, params: &BtreeParams, pairs: &[(u32, u64)]) -> BPlusTree {
+        let stem = format!("btree-{id:?}");
+        let key = format!("hsar-btree-v1|{id:?}|{params:?}");
+        or_build(
+            self.load_btree(&stem, &key),
+            || BPlusTree::bulk_build(pairs.to_vec(), params.branch),
+            |tree| self.store_btree(&stem, &key, tree),
+        )
+    }
+
+    /// The serving B+tree over `params.keys` seeded pairs. Its key leaves
+    /// out the lookup count, so every query stream shares one archive.
+    pub fn serve_btree(&self, params: &BtreeParams) -> BPlusTree {
+        let stem = "btree-serve";
+        let key = format!(
+            "hsar-btree-v1|serve|keys={}|branch={}|seed={}",
+            params.keys, params.branch, params.seed
+        );
+        or_build(
+            self.load_btree(stem, &key),
+            || {
+                let (pairs, _) = BtreeWorkload::generate_inputs(params);
+                BPlusTree::bulk_build(pairs, params.branch)
+            },
+            |tree| self.store_btree(stem, &key, tree),
+        )
+    }
+
+    /// The lowered traces of one suite build job on dataset `id`, in
+    /// [`TraceBundle::names`] order. A hit skips `lower` entirely — with
+    /// it, every dataset, index and search the bundle was recorded from.
+    pub fn traces(
+        &self,
+        id: DatasetId,
+        bundle: TraceBundle<'_>,
+        lower: impl FnOnce() -> Vec<KernelTrace>,
+    ) -> Vec<KernelTrace> {
+        let (tag, params) = match bundle {
+            TraceBundle::Ggnn(p) => ("ggnn", format!("{p:?}")),
+            TraceBundle::ThreeD(f, b) => ("3d", format!("{f:?}|{b:?}")),
+            TraceBundle::Btree(p) => ("btree", format!("{p:?}")),
+        };
+        let stem = format!("traces-{tag}-{id:?}");
+        let key = format!("hsar-traces-v1|{tag}|{id:?}|{params}");
+        let names = bundle.names();
+        or_build(self.load_traces(&stem, &key, names), lower, |traces| {
+            let named: Vec<(&str, &KernelTrace)> = names.iter().copied().zip(traces).collect();
+            self.store_traces(&stem, &key, &named);
+        })
+    }
+
     /// Loads the named traces from the trace archive for `(stem, key)`.
-    pub fn load_traces(&self, stem: &str, key: &str, names: &[&str]) -> Option<Vec<KernelTrace>> {
+    fn load_traces(&self, stem: &str, key: &str, names: &[&str]) -> Option<Vec<KernelTrace>> {
         let path = self.path_for(stem, key)?;
         self.report_load(
             &path,
@@ -144,7 +315,7 @@ impl ArchiveCache {
     }
 
     /// Loads a generated dataset.
-    pub fn load_dataset(&self, stem: &str, key: &str, id: DatasetId) -> Option<Dataset> {
+    fn load_dataset(&self, stem: &str, key: &str, id: DatasetId) -> Option<Dataset> {
         let path = self.path_for(stem, key)?;
         self.report_load(
             &path,
@@ -164,7 +335,7 @@ impl ArchiveCache {
     }
 
     /// Loads an HNSW graph index.
-    pub fn load_graph(&self, stem: &str, key: &str) -> Option<HnswGraph> {
+    fn load_graph(&self, stem: &str, key: &str) -> Option<HnswGraph> {
         self.load_index(stem, key, kind::GRAPH, "graph", |b| {
             hsu_graph::archive_io::graph_from_chunk(b, "index/graph")
         })
@@ -178,7 +349,7 @@ impl ArchiveCache {
     }
 
     /// Loads a k-d tree index.
-    pub fn load_kdtree(&self, stem: &str, key: &str) -> Option<KdTree> {
+    fn load_kdtree(&self, stem: &str, key: &str) -> Option<KdTree> {
         self.load_index(stem, key, kind::KDTREE, "kdtree", |b| {
             hsu_kdtree::archive_io::kdtree_from_chunk(b, "index/kdtree")
         })
@@ -194,7 +365,7 @@ impl ArchiveCache {
     /// Loads a BVH2 index plus the search radius planned with it (stored as
     /// a `SCALAR` side chunk so the planner's O(n²) median pass is skipped
     /// on warm runs too).
-    pub fn load_bvh(&self, stem: &str, key: &str) -> Option<(Bvh2, f32)> {
+    fn load_bvh(&self, stem: &str, key: &str) -> Option<(Bvh2, f32)> {
         let path = self.path_for(stem, key)?;
         let result = (|| {
             let mut archive = FileArchive::open(&path)?;
@@ -227,7 +398,7 @@ impl ArchiveCache {
     }
 
     /// Loads a B+-tree index.
-    pub fn load_btree(&self, stem: &str, key: &str) -> Option<BPlusTree> {
+    fn load_btree(&self, stem: &str, key: &str) -> Option<BPlusTree> {
         self.load_index(stem, key, kind::BTREE, "btree", |b| {
             hsu_btree::archive_io::btree_from_chunk(b, "index/btree")
         })

@@ -1,8 +1,9 @@
 //! Workload construction and the cached simulation runs.
 
-use crate::cache::ArchiveCache;
+use crate::cache::{ArchiveCache, TraceBundle};
 use crate::runner::{FaultPolicy, JobOutcome, RunRecord};
 use hsu_datasets::{Dataset, DatasetId};
+use hsu_geometry::point::PointSet;
 use hsu_kernels::btree::{BtreeParams, BtreeWorkload};
 use hsu_kernels::bvhnn::{BvhnnParams, BvhnnWorkload};
 use hsu_kernels::flann::{FlannParams, FlannWorkload};
@@ -461,29 +462,21 @@ pub fn geomean(xs: &[f64]) -> f64 {
 
 /// The three variant traces of one workload, in the fixed (hsu, base,
 /// stripped) order the trace archives use.
-fn lower_all(wl: &impl Lowerable) -> [KernelTrace; 3] {
-    [
-        wl.trace(Variant::Hsu),
-        wl.trace(Variant::Baseline),
-        wl.trace(Variant::BaselineStripped),
+fn lower_all(trace: impl Fn(Variant) -> KernelTrace) -> Vec<KernelTrace> {
+    vec![
+        trace(Variant::Hsu),
+        trace(Variant::Baseline),
+        trace(Variant::BaselineStripped),
     ]
 }
 
-/// The one method every workload shares that phase A needs.
-trait Lowerable {
-    fn trace(&self, v: Variant) -> KernelTrace;
+/// The point cloud of a generated ANN dataset.
+fn point_set(id: DatasetId, dataset: &Dataset) -> &PointSet {
+    match dataset.points() {
+        Some(p) => p,
+        None => panic!("dataset {id:?} is not a point dataset"),
+    }
 }
-
-macro_rules! impl_lowerable {
-    ($($ty:ty),*) => {$(
-        impl Lowerable for $ty {
-            fn trace(&self, v: Variant) -> KernelTrace {
-                <$ty>::trace(self, v)
-            }
-        }
-    )*};
-}
-impl_lowerable!(GgnnWorkload, FlannWorkload, BvhnnWorkload, BtreeWorkload);
 
 fn app_traces(app: App, id: DatasetId, traces: Vec<KernelTrace>) -> AppTraces {
     let mut it = traces.into_iter();
@@ -498,20 +491,6 @@ fn app_traces(app: App, id: DatasetId, traces: Vec<KernelTrace>) -> AppTraces {
         base,
         stripped,
     }
-}
-
-/// The generated dataset for one suite slot, via the cache when possible.
-/// The key pins the generator version, dataset id, seed, and exact size, so
-/// a restored dataset is bit-identical to a regenerated one.
-fn cached_dataset(cache: &ArchiveCache, id: DatasetId, seed: u64, n: usize) -> Dataset {
-    let dkey = format!("hsar-dataset-v1|{id:?}|seed={seed}|n={n}");
-    let stem = format!("dataset-{id:?}");
-    if let Some(ds) = cache.load_dataset(&stem, &dkey, id) {
-        return ds;
-    }
-    let ds = Dataset::generate_scaled(id, seed, Some(n));
-    cache.store_dataset(&stem, &dkey, &ds);
-    ds
 }
 
 /// Executes one phase-A construction job. Pure function of the config: the
@@ -543,32 +522,15 @@ fn build_one(config: &SuiteConfig, cache: &ArchiveCache, job: BuildJob) -> Vec<A
                 m: 16,
                 seed,
             };
-            let tkey = format!("hsar-traces-v1|ggnn|{id:?}|{params:?}");
-            let tstem = format!("traces-ggnn-{id:?}");
-            let names = ["hsu", "base", "stripped"];
-            if let Some(traces) = cache.load_traces(&tstem, &tkey, &names) {
-                return vec![app_traces(App::Ggnn, id, traces)];
-            }
-            let data = cached_dataset(cache, id, seed, n);
-            let Some(data) = data.points().cloned() else {
-                panic!("GGNN dataset {id:?} is not a point dataset");
-            };
-            let gcfg = GgnnWorkload::graph_config(&params);
-            let gkey = format!("hsar-graph-v1|{id:?}|seed={seed}|n={n}|metric={metric:?}|{gcfg:?}");
-            let gstem = format!("graph-{id:?}");
-            let graph = cache.load_graph(&gstem, &gkey).unwrap_or_else(|| {
-                let graph = hsu_graph::HnswGraph::build(&data, metric, gcfg, seed);
-                cache.store_graph(&gstem, &gkey, &graph);
-                graph
+            let traces = cache.traces(id, TraceBundle::Ggnn(&params), || {
+                let dataset = cache.dataset(id, seed, n);
+                let data = point_set(id, &dataset);
+                let gcfg = GgnnWorkload::graph_config(&params);
+                let graph = cache.graph(id, seed, data, metric, gcfg);
+                let wl = GgnnWorkload::build_with_graph(&params, data, &graph);
+                lower_all(|v| wl.trace(v))
             });
-            let wl = GgnnWorkload::build_with_graph(&params, &data, &graph);
-            let traces = lower_all(&wl);
-            cache.store_traces(
-                &tstem,
-                &tkey,
-                &names.iter().copied().zip(traces.iter()).collect::<Vec<_>>(),
-            );
-            vec![app_traces(App::Ggnn, id, traces.into())]
+            vec![app_traces(App::Ggnn, id, traces)]
         }
         BuildJob::ThreeD(id) => {
             let spec = hsu_datasets::spec(id);
@@ -588,57 +550,21 @@ fn build_one(config: &SuiteConfig, cache: &ArchiveCache, job: BuildJob) -> Vec<A
                 flavor: Default::default(),
                 seed,
             };
-            let tkey = format!("hsar-traces-v1|3d|{id:?}|{fparams:?}|{bparams:?}");
-            let tstem = format!("traces-3d-{id:?}");
-            let names = [
-                "flann-hsu",
-                "flann-base",
-                "flann-stripped",
-                "bvhnn-hsu",
-                "bvhnn-base",
-                "bvhnn-stripped",
-            ];
-            if let Some(mut traces) = cache.load_traces(&tstem, &tkey, &names) {
-                let bvhnn = traces.split_off(3);
-                return vec![
-                    app_traces(App::Flann, id, traces),
-                    app_traces(App::Bvhnn, id, bvhnn),
-                ];
-            }
-            let data = cached_dataset(cache, id, seed, n);
-            let Some(data) = data.points().cloned() else {
-                panic!("3-D dataset {id:?} is not a point dataset");
-            };
-            let kkey = format!("hsar-kdtree-v1|{id:?}|seed={seed}|n={n}|leaf=4|metric=euclid");
-            let kstem = format!("kdtree-{id:?}");
-            let tree = cache.load_kdtree(&kstem, &kkey).unwrap_or_else(|| {
-                let tree = FlannWorkload::build_tree(&data);
-                cache.store_kdtree(&kstem, &kkey, &tree);
-                tree
+            let mut traces = cache.traces(id, TraceBundle::ThreeD(&fparams, &bparams), || {
+                let dataset = cache.dataset(id, seed, n);
+                let data = point_set(id, &dataset);
+                let tree = cache.kdtree(id, seed, data);
+                let fw = FlannWorkload::build_with_tree(&fparams, data, &tree);
+                let (bvh2, radius) = cache.bvh(id, &bparams, data);
+                let bw = BvhnnWorkload::build_with_bvh(&bparams, data, &bvh2, radius);
+                let mut traces = lower_all(|v| fw.trace(v));
+                traces.extend(lower_all(|v| bw.trace(v)));
+                traces
             });
-            let fw = FlannWorkload::build_with_tree(&fparams, &data, &tree);
-            let bkey = format!(
-                "hsar-bvh-v1|{id:?}|seed={seed}|n={n}|flavor={:?}|rs={}",
-                bparams.flavor, bparams.radius_scale
-            );
-            let bstem = format!("bvh-{id:?}");
-            let (bvh2, radius) = cache.load_bvh(&bstem, &bkey).unwrap_or_else(|| {
-                let (bvh2, radius) = BvhnnWorkload::plan(&bparams, &data);
-                cache.store_bvh(&bstem, &bkey, &bvh2, radius);
-                (bvh2, radius)
-            });
-            let bw = BvhnnWorkload::build_with_bvh(&bparams, &data, &bvh2, radius);
-            let ftr = lower_all(&fw);
-            let btr = lower_all(&bw);
-            let all: Vec<(&str, &KernelTrace)> = names
-                .iter()
-                .copied()
-                .zip(ftr.iter().chain(btr.iter()))
-                .collect();
-            cache.store_traces(&tstem, &tkey, &all);
+            let bvhnn = traces.split_off(3);
             vec![
-                app_traces(App::Flann, id, ftr.into()),
-                app_traces(App::Bvhnn, id, btr.into()),
+                app_traces(App::Flann, id, traces),
+                app_traces(App::Bvhnn, id, bvhnn),
             ]
         }
         BuildJob::Btree(id) => {
@@ -649,28 +575,13 @@ fn build_one(config: &SuiteConfig, cache: &ArchiveCache, job: BuildJob) -> Vec<A
                 branch: 256,
                 seed,
             };
-            let tkey = format!("hsar-traces-v1|btree|{id:?}|{params:?}");
-            let tstem = format!("traces-btree-{id:?}");
-            let names = ["hsu", "base", "stripped"];
-            if let Some(traces) = cache.load_traces(&tstem, &tkey, &names) {
-                return vec![app_traces(App::Btree, id, traces)];
-            }
-            let (pairs, lookups) = BtreeWorkload::generate_inputs(&params);
-            let ikey = format!("hsar-btree-v1|{id:?}|{params:?}");
-            let istem = format!("btree-{id:?}");
-            let tree = cache.load_btree(&istem, &ikey).unwrap_or_else(|| {
-                let tree = hsu_btree::BPlusTree::bulk_build(pairs.clone(), params.branch);
-                cache.store_btree(&istem, &ikey, &tree);
-                tree
+            let traces = cache.traces(id, TraceBundle::Btree(&params), || {
+                let (pairs, lookups) = BtreeWorkload::generate_inputs(&params);
+                let tree = cache.btree(id, &params, &pairs);
+                let wl = BtreeWorkload::build_with_tree(&pairs, &lookups, tree);
+                lower_all(|v| wl.trace(v))
             });
-            let wl = BtreeWorkload::build_with_tree(&pairs, &lookups, tree);
-            let traces = lower_all(&wl);
-            cache.store_traces(
-                &tstem,
-                &tkey,
-                &names.iter().copied().zip(traces.iter()).collect::<Vec<_>>(),
-            );
-            vec![app_traces(App::Btree, id, traces.into())]
+            vec![app_traces(App::Btree, id, traces)]
         }
     }
 }

@@ -8,21 +8,21 @@
 //! engine shards, batches, or schedules the stream — which is what makes
 //! the service replay-testable.
 //!
-//! Construction goes through the PR-7 [`ArchiveCache`]: indexes are
-//! loaded from `.hsar` archives when a content key matches and rebuilt
-//! (then stored back) when not. Graph/k-d/BVH keys reuse the suite's
-//! exact key grammar, so `servebench` and `repro` share one archive
-//! directory.
+//! Construction goes through [`ArchiveCache`]'s per-artifact methods:
+//! indexes are loaded from `.hsar` archives when a content key matches and
+//! rebuilt (then stored back) when not. The suite builds its datasets and
+//! indexes through the same methods, so `servebench` and `repro` share one
+//! archive directory.
 
 use hsu_bench::ArchiveCache;
 use hsu_bvh::{Bvh2, PointPrimitive};
-use hsu_datasets::{Dataset, DatasetId};
+use hsu_datasets::DatasetId;
 use hsu_geometry::point::PointSet;
 use hsu_geometry::Vec3;
 use hsu_graph::{GraphConfig, HnswGraph};
 use hsu_kdtree::KdTree;
-use hsu_kernels::btree::{BtreeParams, BtreeWorkload};
-use hsu_kernels::bvhnn::{BvhnnParams, BvhnnWorkload};
+use hsu_kernels::btree::BtreeParams;
+use hsu_kernels::bvhnn::BvhnnParams;
 
 use crate::batch::QueryBatch;
 use crate::error::ServeError;
@@ -135,25 +135,16 @@ pub trait SearchIndex: Send + Sync {
     fn query_batch(&self, batch: &QueryBatch) -> Vec<QueryOutput>;
 }
 
-/// The generated dataset for a served index, via the cache when
-/// possible — same key grammar as the suite, so archives are shared.
-///
-/// A non-point dataset is a typed [`ServeError::BadIndex`], never an
-/// abort: index opening is a service-startup path.
-fn cached_dataset(
+/// The point cloud of dataset `id`, via the cache. A non-point dataset is
+/// a typed [`ServeError::BadIndex`], never an abort: index opening is a
+/// service-startup path.
+fn cached_points(
     cache: &ArchiveCache,
     id: DatasetId,
     seed: u64,
     n: usize,
 ) -> Result<PointSet, ServeError> {
-    let dkey = format!("hsar-dataset-v1|{id:?}|seed={seed}|n={n}");
-    let stem = format!("dataset-{id:?}");
-    let ds = cache.load_dataset(&stem, &dkey, id).unwrap_or_else(|| {
-        let ds = Dataset::generate_scaled(id, seed, Some(n));
-        cache.store_dataset(&stem, &dkey, &ds);
-        ds
-    });
-    match ds.points() {
+    match cache.dataset(id, seed, n).points() {
         Some(p) => Ok(p.clone()),
         None => Err(ServeError::BadIndex(format!(
             "dataset {id:?} is not a point dataset"
@@ -171,8 +162,8 @@ pub struct GraphIndex {
 
 impl GraphIndex {
     /// Loads (or builds and caches) a graph index over `n` points of
-    /// dataset `id`, using the suite's graph cache key so `servebench`
-    /// and `repro` share archives.
+    /// dataset `id` through [`ArchiveCache::graph`], so `servebench` and
+    /// `repro` share archives.
     ///
     /// # Errors
     ///
@@ -192,19 +183,13 @@ impl GraphIndex {
                 "ANN dataset {id:?} has no metric"
             )));
         };
-        let data = cached_dataset(cache, id, seed, n)?;
+        let data = cached_points(cache, id, seed, n)?;
         let gcfg = GraphConfig {
             m: 16,
             ef_construction: ef.max(32),
             ..Default::default()
         };
-        let gkey = format!("hsar-graph-v1|{id:?}|seed={seed}|n={n}|metric={metric:?}|{gcfg:?}");
-        let gstem = format!("graph-{id:?}");
-        let graph = cache.load_graph(&gstem, &gkey).unwrap_or_else(|| {
-            let graph = HnswGraph::build(&data, metric, gcfg, seed);
-            cache.store_graph(&gstem, &gkey, &graph);
-            graph
-        });
+        let graph = cache.graph(id, seed, &data, metric, gcfg);
         Ok(Self { data, graph, k, ef })
     }
 
@@ -242,7 +227,7 @@ pub struct KdIndex {
 
 impl KdIndex {
     /// Loads (or builds and caches) a k-d index over `n` points of the
-    /// 3-D dataset `id`, using the suite's k-d cache key.
+    /// 3-D dataset `id` through [`ArchiveCache::kdtree`].
     ///
     /// # Errors
     ///
@@ -255,14 +240,8 @@ impl KdIndex {
         k: usize,
         checks: usize,
     ) -> Result<Self, ServeError> {
-        let data = cached_dataset(cache, id, seed, n)?;
-        let kkey = format!("hsar-kdtree-v1|{id:?}|seed={seed}|n={n}|leaf=4|metric=euclid");
-        let kstem = format!("kdtree-{id:?}");
-        let tree = cache.load_kdtree(&kstem, &kkey).unwrap_or_else(|| {
-            let tree = hsu_kernels::flann::FlannWorkload::build_tree(&data);
-            cache.store_kdtree(&kstem, &kkey, &tree);
-            tree
-        });
+        let data = cached_points(cache, id, seed, n)?;
+        let tree = cache.kdtree(id, seed, &data);
         Ok(Self {
             data,
             tree,
@@ -306,8 +285,8 @@ pub struct BvhIndex {
 
 impl BvhIndex {
     /// Loads (or builds and caches) a BVH index over `n` points of the
-    /// 3-D dataset `id`, using the suite's BVH cache key (LBVH flavor,
-    /// radius 1.5× the median-NN heuristic).
+    /// 3-D dataset `id` through [`ArchiveCache::bvh`] (LBVH flavor, radius
+    /// 1.5× the median-NN heuristic).
     ///
     /// # Errors
     ///
@@ -319,7 +298,7 @@ impl BvhIndex {
         seed: u64,
         k: usize,
     ) -> Result<Self, ServeError> {
-        let data = cached_dataset(cache, id, seed, n)?;
+        let data = cached_points(cache, id, seed, n)?;
         if data.dim() != 3 {
             return Err(ServeError::BadIndex(format!(
                 "BVH family serves 3-D points, dataset {id:?} has dimension {}",
@@ -333,16 +312,7 @@ impl BvhIndex {
             flavor: Default::default(),
             seed,
         };
-        let bkey = format!(
-            "hsar-bvh-v1|{id:?}|seed={seed}|n={n}|flavor={:?}|rs={}",
-            bparams.flavor, bparams.radius_scale
-        );
-        let bstem = format!("bvh-{id:?}");
-        let (bvh, radius) = cache.load_bvh(&bstem, &bkey).unwrap_or_else(|| {
-            let (bvh, radius) = BvhnnWorkload::plan(&bparams, &data);
-            cache.store_bvh(&bstem, &bkey, &bvh, radius);
-            (bvh, radius)
-        });
+        let (bvh, radius) = cache.bvh(id, &bparams, &data);
         let prims = data
             .iter()
             .enumerate()
@@ -404,19 +374,11 @@ impl BtreeIndex {
     /// Loads (or builds and caches) a B+tree over `keys` seeded
     /// Rodinia-style pairs (uniform 24-bit keys).
     pub fn open(cache: &ArchiveCache, keys: usize, seed: u64) -> Self {
-        let params = BtreeParams {
+        let tree = cache.serve_btree(&BtreeParams {
             keys,
             queries: 0,
             branch: 256,
             seed,
-        };
-        let ikey = format!("hsar-btree-v1|serve|keys={keys}|branch=256|seed={seed}");
-        let istem = "btree-serve".to_string();
-        let tree = cache.load_btree(&istem, &ikey).unwrap_or_else(|| {
-            let (pairs, _) = BtreeWorkload::generate_inputs(&params);
-            let tree = hsu_btree::BPlusTree::bulk_build(pairs, params.branch);
-            cache.store_btree(&istem, &ikey, &tree);
-            tree
         });
         Self {
             tree,
