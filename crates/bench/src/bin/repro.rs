@@ -22,11 +22,11 @@
 //! Failure semantics: the default is fail-fast — the first failing
 //! simulation cancels the not-yet-started jobs and `repro` exits nonzero
 //! with a per-job status table. `--keep-going` runs everything anyway and
-//! reports a partial result set (statuses `ok`, `retried`, `failed`,
-//! `timeout`, `skipped`); `--job-timeout SECS` bounds each simulation's
-//! wall-clock, enforced cooperatively inside the run loop. Failed or
-//! timed-out jobs are retried once with backoff before they count as
-//! failures. The `traces` item replays `.hsut` trace files through the same
+//! reports a partial result set (statuses `ok`, `failed`, `timeout`,
+//! `skipped`); `--job-timeout SECS` bounds each simulation's wall-clock,
+//! enforced cooperatively inside the run loop. Jobs are not retried: a
+//! simulation is a pure function of its trace, so it would fail again.
+//! The `traces` item replays `.hsut` trace files through the same
 //! fault-tolerant pool, and `gen-fault-traces` emits one healthy and three
 //! deliberately corrupted trace files for exercising that path (CI does
 //! exactly this).

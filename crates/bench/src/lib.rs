@@ -28,9 +28,9 @@
 //! # Failure semantics
 //!
 //! Simulation jobs run on a fault-tolerant work-stealing pool
-//! ([`runner::run_jobs_ft`]): panics are isolated per job, each attempt can
-//! carry a wall-clock watchdog, and failed or timed-out jobs are retried
-//! once with backoff. [`suite::Suite::build_with_policy`] exposes the
+//! ([`runner::run_jobs_ft`]): panics are isolated per job and each job can
+//! carry a wall-clock watchdog. A failed job is not retried, since every
+//! job is a pure function of its input. [`suite::Suite::build_with_policy`] exposes the
 //! per-job outcomes so callers (the `repro` binary's `--keep-going` and
 //! `--job-timeout` flags) can report partial results instead of aborting.
 

@@ -156,15 +156,10 @@ pub struct FaultPolicy {
     /// has not started yet (fail-fast). `true`: keep running the remaining
     /// jobs and report a partial result set.
     pub keep_going: bool,
-    /// Wall-clock budget per job attempt; enforced cooperatively inside
+    /// Wall-clock budget per job; enforced cooperatively inside
     /// `Gpu::run_guarded`, so a stuck simulation stops at its next loop
     /// iteration, not mid-instruction.
     pub job_timeout: Option<Duration>,
-    /// Extra attempts after the first failure/timeout (cancelled jobs are
-    /// never retried — the batch is already shutting down).
-    pub retries: u32,
-    /// Pause before each retry, scaled linearly by the attempt number.
-    pub retry_backoff: Duration,
 }
 
 impl Default for FaultPolicy {
@@ -172,8 +167,6 @@ impl Default for FaultPolicy {
         FaultPolicy {
             keep_going: false,
             job_timeout: None,
-            retries: 1,
-            retry_backoff: Duration::from_millis(50),
         }
     }
 }
@@ -181,13 +174,11 @@ impl Default for FaultPolicy {
 /// Final per-job disposition in a fault-tolerant batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
-    /// Succeeded on the first attempt.
+    /// Succeeded.
     Ok,
-    /// Succeeded, but only after at least one retry.
-    Retried,
-    /// Every attempt failed (typed error or panic).
+    /// Failed with a typed error or a panic.
     Failed,
-    /// The last attempt exceeded the per-job wall-clock timeout.
+    /// Exceeded the per-job wall-clock timeout.
     Timeout,
     /// Never attempted: an earlier failure cancelled the batch (fail-fast).
     Skipped,
@@ -198,7 +189,6 @@ impl JobStatus {
     pub fn label(self) -> &'static str {
         match self {
             JobStatus::Ok => "ok",
-            JobStatus::Retried => "retried",
             JobStatus::Failed => "failed",
             JobStatus::Timeout => "timeout",
             JobStatus::Skipped => "skipped",
@@ -206,7 +196,7 @@ impl JobStatus {
     }
 }
 
-/// Why a job's final attempt did not produce a result.
+/// Why a job did not produce a result.
 #[derive(Debug)]
 pub enum JobError {
     /// The job returned a typed simulator error.
@@ -231,11 +221,9 @@ impl std::fmt::Display for JobError {
 pub struct JobOutcome<T> {
     /// The job's stable key.
     pub key: String,
-    /// Attempts actually started (0 for skipped jobs).
-    pub attempts: u32,
     /// Final disposition.
     pub status: JobStatus,
-    /// The value, or the last attempt's error.
+    /// The value, or the job's error.
     pub result: Result<T, JobError>,
 }
 
@@ -256,13 +244,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Fault-tolerant variant of [`run_jobs`]: each keyed job runs under
-/// `catch_unwind` with an optional per-attempt wall-clock deadline, failures
-/// are retried per the [`FaultPolicy`], and under the fail-fast default the
-/// first exhausted failure cancels all not-yet-started jobs through a shared
-/// [`CancelToken`]. Every submitted job gets a [`JobOutcome`] in submission
-/// order — a poisoned job never takes down the batch, it just shows up as
-/// `failed` (or `timeout`) in the partial report.
+/// Fault-tolerant variant of [`run_jobs`]: each keyed job runs once under
+/// `catch_unwind` with an optional wall-clock deadline, and under the
+/// fail-fast default the first failure cancels all not-yet-started jobs
+/// through a shared [`CancelToken`]. Every submitted job gets a
+/// [`JobOutcome`] in submission order — a poisoned job never takes down the
+/// batch, it just shows up as `failed` (or `timeout`) in the partial report.
+/// Failed jobs are not retried: a job is a pure function of its input, so a
+/// second attempt would fail the same way.
 ///
 /// The closure receives `(stable_index, &job, &RunLimits)` and must thread
 /// the limits into `Gpu::run_guarded` (or honour them itself) for timeouts
@@ -279,80 +268,49 @@ where
     F: Fn(usize, &J, &RunLimits) -> Result<T, SimError> + Sync,
 {
     let cancel = CancelToken::new();
-    let cancel_ref = &cancel;
-    let policy_ref = policy;
+    let cancel = &cancel;
     let f = &f;
     run_jobs(workers, jobs, move |i, (key, job)| {
-        let mut attempts = 0u32;
-        loop {
-            if cancel_ref.is_cancelled() {
-                let status = if attempts == 0 {
-                    JobStatus::Skipped
-                } else {
-                    JobStatus::Failed
-                };
-                return JobOutcome {
-                    key,
-                    attempts,
-                    status,
-                    result: Err(JobError::Sim(SimError::Watchdog {
-                        kernel: String::new(),
-                        cycles_simulated: 0,
-                        cause: WatchdogCause::Cancelled,
-                    })),
-                };
-            }
-            attempts += 1;
-            let mut limits = RunLimits::none().with_cancel(cancel_ref.clone());
-            if let Some(budget) = policy_ref.job_timeout {
-                limits = limits.with_deadline(Instant::now() + budget);
-            }
-            let attempt = catch_unwind(AssertUnwindSafe(|| f(i, &job, &limits)));
-            let error = match attempt {
-                Ok(Ok(value)) => {
-                    let status = if attempts > 1 {
-                        JobStatus::Retried
-                    } else {
-                        JobStatus::Ok
-                    };
-                    return JobOutcome {
-                        key,
-                        attempts,
-                        status,
-                        result: Ok(value),
-                    };
-                }
-                Ok(Err(e)) => JobError::Sim(e),
-                Err(payload) => JobError::Panic(panic_message(payload)),
-            };
-            let cancelled = matches!(
-                &error,
-                JobError::Sim(SimError::Watchdog {
-                    cause: WatchdogCause::Cancelled,
-                    ..
-                })
-            );
-            if !cancelled && attempts <= policy_ref.retries {
-                std::thread::sleep(policy_ref.retry_backoff * attempts);
-                continue;
-            }
-            let status = match &error {
-                _ if cancelled => JobStatus::Failed,
-                JobError::Sim(SimError::Watchdog {
-                    cause: WatchdogCause::Deadline,
-                    ..
-                }) => JobStatus::Timeout,
-                _ => JobStatus::Failed,
-            };
-            if !policy_ref.keep_going {
-                cancel_ref.cancel();
-            }
+        if cancel.is_cancelled() {
             return JobOutcome {
                 key,
-                attempts,
-                status,
-                result: Err(error),
+                status: JobStatus::Skipped,
+                result: Err(JobError::Sim(SimError::Watchdog {
+                    kernel: String::new(),
+                    cycles_simulated: 0,
+                    cause: WatchdogCause::Cancelled,
+                })),
             };
+        }
+        let mut limits = RunLimits::none().with_cancel(cancel.clone());
+        if let Some(budget) = policy.job_timeout {
+            limits = limits.with_deadline(Instant::now() + budget);
+        }
+        let error = match catch_unwind(AssertUnwindSafe(|| f(i, &job, &limits))) {
+            Ok(Ok(value)) => {
+                return JobOutcome {
+                    key,
+                    status: JobStatus::Ok,
+                    result: Ok(value),
+                }
+            }
+            Ok(Err(e)) => JobError::Sim(e),
+            Err(payload) => JobError::Panic(panic_message(payload)),
+        };
+        let status = match &error {
+            JobError::Sim(SimError::Watchdog {
+                cause: WatchdogCause::Deadline,
+                ..
+            }) => JobStatus::Timeout,
+            _ => JobStatus::Failed,
+        };
+        if !policy.keep_going {
+            cancel.cancel();
+        }
+        JobOutcome {
+            key,
+            status,
+            result: Err(error),
         }
     })
 }
@@ -368,24 +326,13 @@ pub fn outcomes_table<T>(outcomes: &[JobOutcome<T>]) -> String {
         outcomes.len() - failed,
         failed
     );
-    let _ = writeln!(
-        out,
-        "{:<28} {:>8} {:>9}  detail",
-        "job", "status", "attempts"
-    );
+    let _ = writeln!(out, "{:<28} {:>8}  detail", "job", "status");
     for o in outcomes {
         let detail = match &o.result {
             Ok(_) => String::new(),
             Err(e) => e.to_string().lines().next().unwrap_or("").to_string(),
         };
-        let _ = writeln!(
-            out,
-            "{:<28} {:>8} {:>9}  {}",
-            o.key,
-            o.status.label(),
-            o.attempts,
-            detail
-        );
+        let _ = writeln!(out, "{:<28} {:>8}  {}", o.key, o.status.label(), detail);
     }
     out
 }
@@ -560,8 +507,6 @@ mod tests {
     fn keep_going_isolates_a_panicking_job() {
         let policy = FaultPolicy {
             keep_going: true,
-            retries: 1,
-            retry_backoff: Duration::from_millis(1),
             ..FaultPolicy::default()
         };
         let jobs: Vec<(String, u64)> = (0..8).map(|i| (format!("job{i}"), i)).collect();
@@ -576,7 +521,6 @@ mod tests {
             for o in &outcomes {
                 if o.key == "job3" {
                     assert_eq!(o.status, JobStatus::Failed);
-                    assert_eq!(o.attempts, 2, "failed job must be retried once");
                     let Err(JobError::Panic(msg)) = &o.result else {
                         panic!("expected a panic outcome, got {:?}", o.result);
                     };
@@ -593,11 +537,7 @@ mod tests {
     fn fail_fast_cancels_pending_jobs() {
         // One worker serializes the batch, so everything queued after the
         // poisoned job must come back skipped (never attempted).
-        let policy = FaultPolicy {
-            keep_going: false,
-            retries: 0,
-            ..FaultPolicy::default()
-        };
+        let policy = FaultPolicy::default();
         let jobs: Vec<(String, u64)> = (0..6).map(|i| (format!("job{i}"), i)).collect();
         let outcomes = run_jobs_ft(1, &policy, jobs, |_, j, _| {
             if *j == 1 {
@@ -611,30 +551,7 @@ mod tests {
         assert_eq!(outcomes[1].status, JobStatus::Failed);
         for o in &outcomes[2..] {
             assert_eq!(o.status, JobStatus::Skipped, "{} ran after cancel", o.key);
-            assert_eq!(o.attempts, 0);
         }
-    }
-
-    #[test]
-    fn retried_jobs_report_retried_status() {
-        let policy = FaultPolicy {
-            keep_going: true,
-            retries: 1,
-            retry_backoff: Duration::from_millis(1),
-            ..FaultPolicy::default()
-        };
-        let flaky_done = AtomicUsize::new(0);
-        let outcomes = run_jobs_ft(1, &policy, vec![("flaky".to_string(), ())], |_, (), _| {
-            if flaky_done.fetch_add(1, Ordering::SeqCst) == 0 {
-                return Err(SimError::TraceDecode {
-                    detail: "transient".into(),
-                });
-            }
-            Ok(42u64)
-        });
-        assert_eq!(outcomes[0].status, JobStatus::Retried);
-        assert_eq!(outcomes[0].attempts, 2);
-        assert!(matches!(outcomes[0].result, Ok(42)));
     }
 
     #[test]
@@ -642,13 +559,11 @@ mod tests {
         let outcomes = vec![
             JobOutcome {
                 key: "a".into(),
-                attempts: 1,
                 status: JobStatus::Ok,
                 result: Ok(1u32),
             },
             JobOutcome {
                 key: "b".into(),
-                attempts: 2,
                 status: JobStatus::Failed,
                 result: Err(JobError::Panic("boom".into())),
             },

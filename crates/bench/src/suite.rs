@@ -289,7 +289,7 @@ impl Suite {
 
     /// Fault-tolerant variant of [`Suite::build`]: the simulation matrix
     /// runs under [`crate::runner::run_jobs_ft`], so a panicking, failing,
-    /// or timed-out simulation is isolated, retried per `policy`, and — when
+    /// or timed-out simulation is isolated and — when
     /// `policy.keep_going` is set — reported while the remaining jobs still
     /// run to completion.
     ///
@@ -375,7 +375,6 @@ impl Suite {
                 };
                 outcomes.push(JobOutcome {
                     key: o.key,
-                    attempts: o.attempts,
                     status: o.status,
                     result,
                 });
