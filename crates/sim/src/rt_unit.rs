@@ -75,7 +75,10 @@ struct LaneState {
 /// bytes)` of a lane's op.
 ///
 /// Non-HSU ops are a dispatch-routing violation (a malformed trace or a
-/// scheduler bug) and surface as [`SimError::IllegalDispatch`].
+/// scheduler bug) and surface as [`SimError::IllegalDispatch`], as does a
+/// `KEY_COMPARE` over zero separators: the ISA has no such instruction
+/// (`KeyNode::new` rejects an empty node), so a decoded trace that carries
+/// one is malformed.
 fn lane_plan(cfg: &HsuConfig, op: &ThreadOp) -> Result<(OperatingMode, u32, u64, u64), SimError> {
     match *op {
         ThreadOp::HsuRayIntersect {
@@ -102,6 +105,9 @@ fn lane_plan(cfg: &HsuConfig, op: &ThreadOp) -> Result<(OperatingMode, u32, u64,
             };
             Ok((mode, beats, candidate_addr, dim as u64 * 4))
         }
+        ThreadOp::HsuKeyCompare { separators: 0, .. } => Err(SimError::IllegalDispatch {
+            detail: "KEY_COMPARE over zero separators: the ISA has no empty key node".to_string(),
+        }),
         ThreadOp::HsuKeyCompare {
             node_addr,
             separators,
@@ -864,25 +870,29 @@ mod tests {
             }
 
             // No ISA instruction compares zero separators (`KeyNode::new`
-            // rejects an empty node), yet `lane_plan` charges such an op one
-            // zero-byte KEY_COMPARE. No recorded trace emits one; the
-            // mismatch is reported, not modelled, so that case stops here.
-            if separators == 0 {
-                return Ok(());
-            }
+            // rejects an empty node), so `lane_plan` refuses that op.
             let op = ThreadOp::HsuKeyCompare { node_addr: addr, separators };
-            let (mode, beats, plan_addr, bytes) = lane_plan(&cfg, &op).unwrap();
-            prop_assert_eq!(mode, OperatingMode::KeyCompare);
-            prop_assert_eq!(plan_addr, addr);
-            // Each KEY_COMPARE of the chain reads the node from its first
-            // separator not yet compared.
-            let seps: Vec<f32> = (0..separators).map(|s| s as f32).collect();
-            let isa_bytes: u64 = (0..seps.len())
-                .step_by(key_compare_width)
-                .map(|lo| KeyNode::new(seps[lo..].to_vec()).fetch_bytes(key_compare_width))
-                .sum();
-            prop_assert_eq!(beats as usize, seps.len().div_ceil(key_compare_width));
-            prop_assert_eq!(bytes, isa_bytes);
+            let plan = lane_plan(&cfg, &op);
+            if separators == 0 {
+                prop_assert!(
+                    matches!(plan, Err(SimError::IllegalDispatch { .. })),
+                    "{:?}",
+                    plan
+                );
+            } else {
+                let (mode, beats, plan_addr, bytes) = plan.unwrap();
+                prop_assert_eq!(mode, OperatingMode::KeyCompare);
+                prop_assert_eq!(plan_addr, addr);
+                // Each KEY_COMPARE of the chain reads the node from its
+                // first separator not yet compared.
+                let seps: Vec<f32> = (0..separators).map(|s| s as f32).collect();
+                let isa_bytes: u64 = (0..seps.len())
+                    .step_by(key_compare_width)
+                    .map(|lo| KeyNode::new(seps[lo..].to_vec()).fetch_bytes(key_compare_width))
+                    .sum();
+                prop_assert_eq!(beats as usize, seps.len().div_ceil(key_compare_width));
+                prop_assert_eq!(bytes, isa_bytes);
+            }
         }
     }
 

@@ -259,6 +259,37 @@ fn hsu_ops_without_extensions_are_rejected_with_illegal_dispatch() {
     }
 }
 
+/// A `KEY_COMPARE` over zero separators decodes (the trace stream has no
+/// reason to refuse it), but no HSU instruction compares an empty key node.
+/// A whole [`Gpu::run`] over such a decoded trace must stop with a typed
+/// [`SimError::IllegalDispatch`] at dispatch, before any datapath beat, in
+/// every simulation mode.
+#[test]
+fn empty_key_compare_is_an_illegal_dispatch() {
+    let mut kernel = KernelTrace::builder("empty-key-compare");
+    let mut thread = ThreadTrace::new();
+    thread.push(ThreadOp::HsuKeyCompare {
+        node_addr: 0x1000,
+        separators: 0,
+    });
+    kernel.push_thread(thread);
+    let mut buf = Vec::new();
+    write_trace(&kernel.finish(), &mut buf).expect("in-memory write");
+    let kernel = read_trace(buf.as_slice()).expect("the stream itself is well-formed");
+    for mode in SimMode::ALL {
+        let cfg = GpuConfig {
+            sim_mode: mode,
+            ..GpuConfig::tiny()
+        };
+        match Gpu::new(cfg).run(&kernel) {
+            Err(SimError::IllegalDispatch { detail }) => {
+                assert!(detail.contains("zero separators"), "{mode:?}: {detail}");
+            }
+            other => panic!("{mode:?}: expected IllegalDispatch, got {other:?}"),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Archive-level faults: chunk corruptions surfacing through the simulator's
 // typed error taxonomy
