@@ -89,7 +89,7 @@ pub struct SubmitOptions {
     /// Absolute deadline. A worker that dequeues the query at or past
     /// this instant drops it with `ServeError::DeadlineExceeded`
     /// (delivered through the ticket, never silent), and the ticket's
-    /// `wait`/`wait_timed`/`poll` stop blocking once it passes.
+    /// `wait`/`wait_timed` stop blocking once it passes.
     pub deadline: Option<Instant>,
 }
 

@@ -1,22 +1,16 @@
 //! Completion handles for submitted queries.
 //!
-//! A [`Ticket`] is both a blocking handle ([`Ticket::wait`]) and a
-//! pollable `std::future::Future`, with no async runtime required:
-//! [`block_on`] drives any future on the calling thread via
-//! `std::task::Wake` + park/unpark. The engine fulfills the ticket from
-//! a shard worker; whichever consumer is attached (a parked waiter, a
-//! stored waker, or a later poll) observes the same single result.
+//! A [`Ticket`] is redeemed by blocking on it ([`Ticket::wait`], or
+//! [`Ticket::wait_timed`] to learn when the worker finished). The engine
+//! fulfills the ticket from a shard worker and wakes the parked waiter,
+//! which observes the single result.
 //!
 //! Tickets carry their submission's deadline: `wait`/`wait_timed` stop
-//! blocking once it passes (returning `ServeError::DeadlineExceeded`),
-//! and a `poll` past the deadline resolves the same way — a caller is
-//! never parked beyond the latency budget it declared.
+//! blocking once it passes (returning `ServeError::DeadlineExceeded`), so
+//! a caller is never parked beyond the latency budget it declared.
 
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::task::{Context, Poll, Waker};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::error::ServeError;
 use crate::index::QueryOutput;
@@ -40,7 +34,6 @@ struct Slot {
     /// redeems tickets in submission order still measure true per-query
     /// completion times, free of head-of-line waiting skew.
     completed: Option<Instant>,
-    waker: Option<Waker>,
 }
 
 /// Shared completion state between the engine and the ticket holder.
@@ -66,26 +59,22 @@ impl TicketState {
         self.deadline
     }
 
-    /// Stores the result and wakes every kind of waiter — first write
-    /// wins, later writes are dropped. Returns whether this call won.
+    /// Stores the result and wakes the waiter — first write wins, later
+    /// writes are dropped. Returns whether this call won.
     ///
     /// Idempotency matters for crash recovery: a panicking worker fails
     /// its whole in-flight batch, and must not clobber entries it had
     /// already answered.
     pub(crate) fn try_fulfill(&self, result: Result<QueryOutput, ServeError>) -> bool {
-        let waker = {
+        {
             let mut slot = lock_recover(&self.slot);
             if slot.result.is_some() {
                 return false;
             }
             slot.result = Some(result);
             slot.completed = Some(Instant::now());
-            slot.waker.take()
-        };
-        self.done.notify_all();
-        if let Some(w) = waker {
-            w.wake();
         }
+        self.done.notify_all();
         true
     }
 
@@ -98,9 +87,8 @@ impl TicketState {
 
 /// A claim on one submitted query's eventual result.
 ///
-/// Obtain one from `Engine::submit`/`Engine::try_submit`; redeem it by
-/// blocking ([`Ticket::wait`]), polling ([`Ticket::try_take`]), or
-/// awaiting it as a future (e.g. under [`block_on`]).
+/// Obtain one from `Engine::submit`/`Engine::try_submit`; redeem it with
+/// [`Ticket::wait`] or [`Ticket::wait_timed`].
 #[derive(Debug)]
 pub struct Ticket {
     id: u64,
@@ -131,12 +119,6 @@ impl Ticket {
     /// the deadline.
     pub fn wait(self) -> Result<QueryOutput, ServeError> {
         self.wait_timed().0
-    }
-
-    /// Takes the result if the query already completed, without blocking.
-    pub fn try_take(&self) -> Option<Result<QueryOutput, ServeError>> {
-        let mut slot = lock_recover(&self.state.slot);
-        slot.result.take()
     }
 
     /// Like [`Ticket::wait`], but also returns the instant the worker
@@ -176,54 +158,10 @@ impl Ticket {
     }
 }
 
-impl Future for Ticket {
-    type Output = Result<QueryOutput, ServeError>;
-
-    /// Resolves with the result, or with
-    /// [`ServeError::DeadlineExceeded`] once the deadline has passed at
-    /// poll time. There is no embedded timer: an executor learns of the
-    /// expiry at its next poll (a present result still wins that race).
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut slot = lock_recover(&self.state.slot);
-        match slot.result.take() {
-            Some(r) => Poll::Ready(r),
-            None => {
-                if let Some(deadline) = self.state.deadline {
-                    if Instant::now() >= deadline {
-                        return Poll::Ready(Err(ServeError::DeadlineExceeded));
-                    }
-                }
-                slot.waker = Some(cx.waker().clone());
-                Poll::Pending
-            }
-        }
-    }
-}
-
-/// Drives a future to completion on the calling thread — the minimal
-/// executor the pollable handle needs, built on `std::task::Wake` and
-/// thread park/unpark (no external async runtime).
-pub fn block_on<F: Future>(fut: F) -> F::Output {
-    struct ThreadWaker(std::thread::Thread);
-    impl std::task::Wake for ThreadWaker {
-        fn wake(self: Arc<Self>) {
-            self.0.unpark();
-        }
-    }
-    let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
-    let mut cx = Context::from_waker(&waker);
-    let mut fut = std::pin::pin!(fut);
-    loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(v) => return v,
-            Poll::Pending => std::thread::park_timeout(Duration::from_millis(5)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn wait_returns_a_prior_fulfillment() {
@@ -234,25 +172,15 @@ mod tests {
     }
 
     #[test]
-    fn future_polls_ready_after_cross_thread_fulfillment() {
+    fn wait_wakes_on_a_cross_thread_fulfillment() {
         let state = Arc::new(TicketState::default());
         let t = Ticket::new(1, Arc::clone(&state));
         let worker = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             state.fulfill(Ok(QueryOutput::Value(None)));
         });
-        assert_eq!(block_on(t), Ok(QueryOutput::Value(None)));
+        assert_eq!(t.wait(), Ok(QueryOutput::Value(None)));
         worker.join().expect("fulfiller panicked");
-    }
-
-    #[test]
-    fn try_take_is_non_blocking() {
-        let state = Arc::new(TicketState::default());
-        let t = Ticket::new(2, Arc::clone(&state));
-        assert!(t.try_take().is_none());
-        state.fulfill(Err(ServeError::ShuttingDown));
-        assert_eq!(t.try_take(), Some(Err(ServeError::ShuttingDown)));
-        assert!(t.try_take().is_none(), "result is taken exactly once");
     }
 
     #[test]
@@ -281,12 +209,12 @@ mod tests {
     }
 
     #[test]
-    fn poll_past_the_deadline_resolves_deadline_exceeded() {
+    fn wait_past_the_deadline_resolves_deadline_exceeded() {
         let state = Arc::new(TicketState::with_deadline(Some(
             Instant::now() - Duration::from_millis(1),
         )));
         let t = Ticket::new(5, state);
-        assert_eq!(block_on(t), Err(ServeError::DeadlineExceeded));
+        assert_eq!(t.wait(), Err(ServeError::DeadlineExceeded));
     }
 
     #[test]

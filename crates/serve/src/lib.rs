@@ -28,9 +28,9 @@
 //!   serving and [`engine::Engine::stats`] counts every panic, restart,
 //!   shed, and deadline drop. The [`chaos`] harness injects each fault
 //!   class deterministically.
-//! - **Sync and async handles**: a [`handle::Ticket`] both blocks
-//!   ([`handle::Ticket::wait`]) and implements `Future`
-//!   ([`handle::block_on`] drives it with no runtime dependency).
+//! - **Completion handles**: a [`handle::Ticket`] is redeemed by
+//!   blocking on it ([`handle::Ticket::wait`]), bounded by the
+//!   submission's deadline.
 //! - **Deterministic replay**: per-query answers are pure, and
 //!   [`replay`] folds result hashes in submission order, so seeded
 //!   streams hash byte-identically across shard/batch/worker configs.
@@ -66,7 +66,7 @@ pub use admission::{Priority, SloPolicy, SubmitOptions};
 pub use batch::QueryBatch;
 pub use engine::{Engine, EngineConfig, EngineStats};
 pub use error::ServeError;
-pub use handle::{block_on, Ticket};
+pub use handle::Ticket;
 pub use hsu_bench::ArchiveCache;
 pub use index::{
     BtreeIndex, BvhIndex, GraphIndex, IndexFamily, KdIndex, Query, QueryOutput, SearchIndex,
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::admission::{Priority, SloPolicy, SubmitOptions};
     pub use crate::engine::{Engine, EngineConfig, EngineStats};
     pub use crate::error::ServeError;
-    pub use crate::handle::{block_on, Ticket};
+    pub use crate::handle::Ticket;
     pub use crate::index::{
         BtreeIndex, BvhIndex, GraphIndex, IndexFamily, KdIndex, Query, QueryOutput, SearchIndex,
     };

@@ -48,12 +48,12 @@ fn sync_round_trip_answers_queries() {
 }
 
 #[test]
-fn async_handle_is_pollable_without_a_runtime() {
+fn a_non_blocking_submission_redeems_with_wait() {
     let cache = ArchiveCache::disabled();
     let index = BtreeIndex::open(&cache, 2_000, 3);
     let engine = Engine::new(Arc::new(index), EngineConfig::default());
     let ticket = engine.try_submit(Query::Key(42)).expect("admission failed");
-    let out = block_on(ticket).expect("query failed");
+    let out = ticket.wait().expect("query failed");
     assert!(matches!(out, QueryOutput::Value(_)));
 }
 
