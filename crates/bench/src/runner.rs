@@ -150,7 +150,7 @@ where
 }
 
 /// How the fault-tolerant pool reacts to failing jobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPolicy {
     /// `false` (the default): the first job failure cancels every job that
     /// has not started yet (fail-fast). `true`: keep running the remaining
@@ -160,15 +160,6 @@ pub struct FaultPolicy {
     /// `Gpu::run_guarded`, so a stuck simulation stops at its next loop
     /// iteration, not mid-instruction.
     pub job_timeout: Option<Duration>,
-}
-
-impl Default for FaultPolicy {
-    fn default() -> Self {
-        FaultPolicy {
-            keep_going: false,
-            job_timeout: None,
-        }
-    }
 }
 
 /// Final per-job disposition in a fault-tolerant batch.

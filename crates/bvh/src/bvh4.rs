@@ -70,7 +70,6 @@ impl WideNode {
 pub struct Bvh4 {
     nodes: Vec<WideNode>,
     prim_indices: Vec<u32>,
-    root_aabb: Aabb,
 }
 
 impl Bvh4 {
@@ -83,13 +82,11 @@ impl Bvh4 {
             return Bvh4 {
                 nodes: Vec::new(),
                 prim_indices: Vec::new(),
-                root_aabb: Aabb::EMPTY,
             };
         }
         let mut out = Bvh4 {
             nodes: Vec::new(),
             prim_indices: bvh2.prim_indices().to_vec(),
-            root_aabb: bvh2.root().aabb,
         };
         // Root: if the BVH2 root is a leaf, wrap it in a single-slot node.
         match bvh2.root().content {
@@ -157,12 +154,6 @@ impl Bvh4 {
     #[inline]
     pub fn prim_indices(&self) -> &[u32] {
         &self.prim_indices
-    }
-
-    /// Bounds of the whole hierarchy.
-    #[inline]
-    pub fn root_aabb(&self) -> &Aabb {
-        &self.root_aabb
     }
 
     /// Radius search equivalent to [`Bvh2::radius_search_counted`] (same

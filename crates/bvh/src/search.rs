@@ -186,7 +186,7 @@ impl Bvh2 {
     /// # Panics
     ///
     /// Panics if `k` is zero.
-    pub fn radius_knn(
+    fn radius_knn(
         &self,
         prims: &[PointPrimitive],
         query: Vec3,
@@ -262,9 +262,11 @@ impl Bvh2 {
         (out, stats)
     }
 
-    /// [`Bvh2::radius_knn`] over a batch of queries. Each query is
-    /// answered exactly as a standalone call would answer it, so batch
-    /// results are bit-identical to per-query results in any order.
+    /// The `k` nearest neighbours within `radius` of each query, closest
+    /// first — RTNN's truncated-K formulation (KNN as a radius search that
+    /// keeps the K best hits); fewer than `k` when the ball holds fewer
+    /// points. Each query is answered on its own, so batch results are
+    /// bit-identical to per-query results in any order.
     ///
     /// # Panics
     ///

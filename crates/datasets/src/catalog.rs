@@ -109,13 +109,6 @@ pub struct DatasetSpec {
     pub family: DataFamily,
 }
 
-impl DatasetSpec {
-    /// Scale factor applied to the paper's cardinality.
-    pub fn scale_factor(&self) -> f64 {
-        self.paper_points as f64 / self.scaled_points as f64
-    }
-}
-
 /// The full catalog (Table II order).
 pub fn catalog() -> Vec<DatasetSpec> {
     DatasetId::ALL.iter().map(|&id| spec(id)).collect()
@@ -249,7 +242,6 @@ mod tests {
     fn scaled_sizes_never_exceed_paper_sizes() {
         for s in catalog() {
             assert!(s.scaled_points <= s.paper_points, "{:?}", s.id);
-            assert!(s.scale_factor() >= 1.0);
         }
     }
 

@@ -97,24 +97,18 @@ impl QueryStream {
         self.dim
     }
 
-    /// Appends the `i`-th query (exactly `dim` floats) to `out`.
-    /// `data` must be the point set the stream was created from.
-    pub fn append_nth(&self, data: &PointSet, i: u64, out: &mut Vec<f32>) {
+    /// The `i`-th query (exactly `dim` floats). `data` must be the point
+    /// set the stream was created from.
+    pub fn nth(&self, data: &PointSet, i: u64) -> Vec<f32> {
         let mut rng = ChaCha8Rng::seed_from_u64(stream_mix(self.seed, i));
         let src = data.point(rng.gen_range(0..self.n_points));
-        out.reserve(self.dim);
+        let mut out = Vec::with_capacity(self.dim);
         for &s in src {
             let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
             let u2: f32 = rng.gen_range(0.0..1.0);
             let g = (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos();
             out.push(s + g * self.sigma);
         }
-    }
-
-    /// The `i`-th query as an owned row.
-    pub fn nth(&self, data: &PointSet, i: u64) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.dim);
-        self.append_nth(data, i, &mut out);
         out
     }
 }

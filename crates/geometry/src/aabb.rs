@@ -25,7 +25,6 @@ pub struct BoxHit {
 /// use hsu_geometry::{Aabb, Vec3};
 /// let a = Aabb::new(Vec3::ZERO, Vec3::splat(1.0));
 /// let b = Aabb::new(Vec3::splat(0.5), Vec3::splat(2.0));
-/// assert!(a.overlaps(&b));
 /// assert_eq!(a.union(&b).max, Vec3::splat(2.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,9 +72,10 @@ impl Aabb {
     ///
     /// Returns [`Aabb::EMPTY`] for an empty iterator.
     pub fn from_points<I: IntoIterator<Item = Vec3>>(points: I) -> Self {
-        points
-            .into_iter()
-            .fold(Aabb::EMPTY, |acc, p| acc.expanded_to(p))
+        points.into_iter().fold(Aabb::EMPTY, |acc, p| Aabb {
+            min: acc.min.min(p),
+            max: acc.max.max(p),
+        })
     }
 
     /// Returns `true` if this is the empty box.
@@ -115,15 +115,6 @@ impl Aabb {
         }
     }
 
-    /// Smallest box containing `self` and the point `p`.
-    #[inline]
-    pub fn expanded_to(&self, p: Vec3) -> Aabb {
-        Aabb {
-            min: self.min.min(p),
-            max: self.max.max(p),
-        }
-    }
-
     /// Returns `true` if `p` lies inside or on the boundary.
     #[inline]
     pub fn contains(&self, p: Vec3) -> bool {
@@ -139,19 +130,6 @@ impl Aabb {
     #[inline]
     pub fn contains_box(&self, other: &Aabb) -> bool {
         other.is_empty() || (self.contains(other.min) && self.contains(other.max))
-    }
-
-    /// Returns `true` if the two boxes share any volume (boundaries count).
-    #[inline]
-    pub fn overlaps(&self, other: &Aabb) -> bool {
-        !self.is_empty()
-            && !other.is_empty()
-            && self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
-            && self.min.z <= other.max.z
-            && self.max.z >= other.min.z
     }
 
     /// Squared Euclidean distance from `p` to the closest point of the box
@@ -222,7 +200,6 @@ mod tests {
     fn empty_box_properties() {
         assert!(Aabb::EMPTY.is_empty());
         assert_eq!(Aabb::EMPTY.surface_area(), 0.0);
-        assert!(!Aabb::EMPTY.overlaps(&unit_box()));
         let u = Aabb::EMPTY.union(&unit_box());
         assert_eq!(u, unit_box());
     }
@@ -259,12 +236,6 @@ mod tests {
         let inner = Aabb::new(Vec3::splat(0.25), Vec3::splat(0.75));
         assert!(b.contains_box(&inner));
         assert!(!inner.contains_box(&b));
-        assert!(b.overlaps(&inner));
-        let far = Aabb::new(Vec3::splat(2.0), Vec3::splat(3.0));
-        assert!(!b.overlaps(&far));
-        // Touching faces overlap.
-        let touching = Aabb::new(Vec3::new(1.0, 0.0, 0.0), Vec3::new(2.0, 1.0, 1.0));
-        assert!(b.overlaps(&touching));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The BVH-NN workload constructs its hierarchy with the Karras 2012 parallel
 //! LBVH algorithm, which sorts primitives by the Morton code of their
-//! (quantized) centroid. This module provides 30-bit (10 bits/axis) and 63-bit
-//! (21 bits/axis) codes plus the quantization helpers.
+//! (quantized) centroid. The builder takes 63-bit (21 bits/axis) codes from
+//! [`code_63`]; the 30-bit (10 bits/axis) interleave and its inverse are
+//! kept for the ordering property tests.
 
 use crate::{Aabb, Vec3};
 
@@ -46,7 +47,7 @@ pub fn encode_30(x: u32, y: u32, z: u32) -> u32 {
 
 /// Interleaves three 21-bit coordinates into a 63-bit Morton code.
 #[inline]
-pub fn encode_63(x: u32, y: u32, z: u32) -> u64 {
+fn encode_63(x: u32, y: u32, z: u32) -> u64 {
     expand_bits_21(x as u64) | (expand_bits_21(y as u64) << 1) | (expand_bits_21(z as u64) << 2)
 }
 
@@ -55,7 +56,7 @@ pub fn encode_63(x: u32, y: u32, z: u32) -> u64 {
 /// Coordinates are clamped, so points on (or slightly outside, from rounding)
 /// the boundary still produce valid codes.
 #[inline]
-pub fn quantize(p: Vec3, bounds: &Aabb, bits: u32) -> (u32, u32, u32) {
+fn quantize(p: Vec3, bounds: &Aabb, bits: u32) -> (u32, u32, u32) {
     debug_assert!(bits <= 21, "at most 21 bits per axis are supported");
     let scale = (1u32 << bits) as f32;
     let max_coord = (1u32 << bits) - 1;
@@ -75,8 +76,8 @@ pub fn quantize(p: Vec3, bounds: &Aabb, bits: u32) -> (u32, u32, u32) {
 }
 
 /// 30-bit Morton code of `p` quantized within `bounds`.
-#[inline]
-pub fn code_30(p: Vec3, bounds: &Aabb) -> u32 {
+#[cfg(test)]
+fn code_30(p: Vec3, bounds: &Aabb) -> u32 {
     let (x, y, z) = quantize(p, bounds, 10);
     encode_30(x, y, z)
 }

@@ -82,7 +82,7 @@ pub fn norm_squared(c: &[f32]) -> f32 {
 
 /// Cosine similarity (paper eq. 2). Zero-norm inputs yield similarity 0.
 #[inline]
-pub fn cosine_similarity(q: &[f32], c: &[f32]) -> f32 {
+fn cosine_similarity(q: &[f32], c: &[f32]) -> f32 {
     let denom = (norm_squared(q) * norm_squared(c)).sqrt();
     if denom == 0.0 {
         0.0
@@ -187,13 +187,6 @@ impl PointSet {
     #[inline]
     pub fn as_flat(&self) -> &[f32] {
         &self.data
-    }
-
-    /// Byte address of point `i` within a virtual buffer starting at `base` —
-    /// the address the simulator charges loads of this point to.
-    #[inline]
-    pub fn address_of(&self, base: u64, i: usize) -> u64 {
-        base + (i * self.dim * std::mem::size_of::<f32>()) as u64
     }
 
     /// Distances from `q` to every point in index order, computed through
@@ -322,13 +315,6 @@ mod tests {
         assert_eq!(set.point(0), &[1.0, 2.0, 3.0]);
         assert_eq!(set.iter().count(), 2);
         assert_eq!(set.as_flat().len(), 6);
-    }
-
-    #[test]
-    fn point_set_addresses_are_row_strided() {
-        let set = PointSet::from_rows(4, vec![0.0; 16]);
-        assert_eq!(set.address_of(0x1000, 0), 0x1000);
-        assert_eq!(set.address_of(0x1000, 2), 0x1000 + 32);
     }
 
     #[test]

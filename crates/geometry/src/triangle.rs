@@ -29,13 +29,6 @@ impl TriangleHit {
     pub fn t(&self) -> f32 {
         self.t_num / self.t_denom
     }
-
-    /// Normalized barycentric coordinates `(u, v, w)` summing to 1.
-    #[inline]
-    pub fn barycentrics(&self) -> (f32, f32, f32) {
-        let det = self.u + self.v + self.w;
-        (self.u / det, self.v / det, self.w / det)
-    }
 }
 
 /// A triangle primitive.
@@ -168,8 +161,6 @@ mod tests {
         let ray = Ray::new(Vec3::new(0.2, 0.2, 0.0), Vec3::new(0.0, 0.0, 1.0));
         let hit = unit_tri().intersect(&ray, f32::INFINITY).unwrap();
         assert!((hit.t() - 1.0).abs() < 1e-6);
-        let (u, v, w) = hit.barycentrics();
-        assert!((u + v + w - 1.0).abs() < 1e-6);
     }
 
     #[test]

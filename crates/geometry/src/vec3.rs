@@ -166,12 +166,6 @@ impl Vec3 {
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
-
-    /// Returns the components as an array `[x, y, z]`.
-    #[inline]
-    pub fn to_array(self) -> [f32; 3] {
-        [self.x, self.y, self.z]
-    }
 }
 
 impl From<[f32; 3]> for Vec3 {
@@ -184,7 +178,7 @@ impl From<[f32; 3]> for Vec3 {
 impl From<Vec3> for [f32; 3] {
     #[inline]
     fn from(v: Vec3) -> Self {
-        v.to_array()
+        [v.x, v.y, v.z]
     }
 }
 
@@ -383,7 +377,6 @@ mod tests {
         let v = Vec3::from([1.0, 2.0, 3.0]);
         let a: [f32; 3] = v.into();
         assert_eq!(a, [1.0, 2.0, 3.0]);
-        assert_eq!(v.to_array(), a);
     }
 
     #[test]

@@ -325,7 +325,8 @@ impl HnswGraph {
     }
 
     /// Average out-degree on the base layer.
-    pub fn average_degree(&self) -> f64 {
+    #[cfg(test)]
+    fn average_degree(&self) -> f64 {
         self.layers[0].targets.len() as f64 / self.node_levels.len() as f64
     }
 

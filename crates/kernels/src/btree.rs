@@ -57,9 +57,15 @@ pub struct BtreeWorkload {
 
 impl BtreeWorkload {
     /// Builds the tree from uniform random keys and records the lookups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.branch < 3`.
     pub fn build(params: &BtreeParams) -> Self {
         let (pairs, lookups) = Self::generate_inputs(params);
-        Self::build_from_pairs(pairs, &lookups, params.branch)
+        let reference: std::collections::BTreeMap<u32, u64> = pairs.iter().copied().collect();
+        let tree = BPlusTree::bulk_build(pairs, params.branch);
+        Self::record_lookups(reference, &lookups, tree)
     }
 
     /// The seeded input streams `build` draws: uniform random 24-bit keyed
@@ -84,23 +90,12 @@ impl BtreeWorkload {
         (pairs, lookups)
     }
 
-    /// Builds from explicit pairs and lookup keys.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `branch < 3`.
-    pub fn build_from_pairs(pairs: Vec<(u32, u64)>, lookups: &[u32], branch: usize) -> Self {
-        let reference: std::collections::BTreeMap<u32, u64> = pairs.iter().copied().collect();
-        let tree = BPlusTree::bulk_build(pairs, branch);
-        Self::record_lookups(reference, lookups, tree)
-    }
-
     /// Records the lookups over an already-built tree (the archive-cache
     /// restore path): each lookup runs [`BPlusTree::get_observed`] with a
     /// recorder that turns every visited node into an event. `tree` must
     /// equal `BPlusTree::bulk_build(pairs, tree.branch())` — the caller's
     /// content key guarantees it; given that, the result is byte-identical
-    /// to [`Self::build_from_pairs`].
+    /// to [`Self::build`].
     ///
     /// # Panics
     ///

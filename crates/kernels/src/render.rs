@@ -111,11 +111,6 @@ impl RenderWorkload {
         }
         kernel.finish()
     }
-
-    /// Number of primary rays.
-    pub fn ray_count(&self) -> usize {
-        self.events.len()
-    }
 }
 
 /// A heightfield terrain plus a floating pyramid.
@@ -166,7 +161,7 @@ mod tests {
         let wl = RenderWorkload::build(&RenderParams::default());
         assert!(wl.hit_rate > 0.4, "hit rate {}", wl.hit_rate);
         assert!(wl.mean_triangle_tests > 0.5);
-        assert_eq!(wl.ray_count(), 64 * 32);
+        assert_eq!(wl.events.len(), 64 * 32, "one event log per primary ray");
     }
 
     #[test]

@@ -49,14 +49,6 @@ pub struct ChaosPlan {
 }
 
 impl ChaosPlan {
-    /// A plan that panics the batch containing served query `n` (1-based).
-    pub fn panic_on_nth(n: u64) -> Self {
-        ChaosPlan {
-            panic_on: vec![n],
-            ..Default::default()
-        }
-    }
-
     /// A plan that stalls every batch served by shard `s` workers.
     pub fn slow_on_shard(s: usize, delay: Duration) -> Self {
         ChaosPlan {
@@ -131,7 +123,7 @@ impl SearchIndex for ChaosIndex {
 /// The home shard of the calling engine worker, parsed from the
 /// `serve-{shard}-{worker}` thread name. `None` off the worker pool (or
 /// for the supervisor and submitters).
-pub fn worker_home_shard() -> Option<usize> {
+fn worker_home_shard() -> Option<usize> {
     let thread = std::thread::current();
     let name = thread.name()?;
     let rest = name.strip_prefix("serve-")?;
@@ -192,7 +184,13 @@ mod tests {
     #[test]
     fn panic_fires_once_on_the_covering_batch() {
         install_quiet_panic_hook();
-        let chaos = ChaosIndex::new(Arc::new(PureIndex), ChaosPlan::panic_on_nth(3));
+        let chaos = ChaosIndex::new(
+            Arc::new(PureIndex),
+            ChaosPlan {
+                panic_on: vec![3],
+                ..Default::default()
+            },
+        );
         let mut batch = QueryBatch::new();
         batch.push(&Query::Key(1));
         batch.push(&Query::Key(2));
