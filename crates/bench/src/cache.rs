@@ -58,7 +58,7 @@ pub enum TraceBundle<'a> {
 
 impl TraceBundle<'_> {
     /// The archive's chunk names, in the order the traces are built.
-    pub fn names(self) -> &'static [&'static str] {
+    fn names(self) -> &'static [&'static str] {
         match self {
             TraceBundle::Ggnn(_) | TraceBundle::Btree(_) => &["hsu", "base", "stripped"],
             TraceBundle::ThreeD(..) => &[
@@ -271,9 +271,10 @@ impl ArchiveCache {
         )
     }
 
-    /// The lowered traces of one suite build job on dataset `id`, in
-    /// [`TraceBundle::names`] order. A hit skips `lower` entirely — with
-    /// it, every dataset, index and search the bundle was recorded from.
+    /// The lowered traces of one suite build job on dataset `id`, in the
+    /// order its [`TraceBundle`] variant lists. A hit skips `lower`
+    /// entirely — with it, every dataset, index and search the bundle was
+    /// recorded from.
     pub fn traces(
         &self,
         id: DatasetId,
