@@ -154,7 +154,12 @@ impl BtreeWorkload {
                                 Event::Leaf { node, keys } => (node, keys.max(1)),
                             };
                             let base = btree_node_addr(node as usize, self.branch);
-                            emit_key_compare(&mut t, Variant::Hsu, base, values);
+                            // A one-child internal node (a lone trailing
+                            // chunk of `bulk_build`) has no separator to
+                            // compare: the ISA has no empty KEY_COMPARE.
+                            if values > 0 {
+                                emit_key_compare(&mut t, Variant::Hsu, base, values);
+                            }
                             t.push(ThreadOp::Alu { count: 2 });
                             if matches!(*ev, Event::Leaf { .. }) {
                                 t.push(ThreadOp::Load {
@@ -314,6 +319,31 @@ mod tests {
         let stripped = gpu.run(&wl.trace(Variant::BaselineStripped)).unwrap();
         let frac = crate::offloadable_fraction(&base, &stripped);
         assert!(frac > 0.05 && frac < 0.9, "fraction {frac}");
+    }
+
+    #[test]
+    fn one_child_internal_node_simulates_in_both_modes() {
+        // Branch 3 over these keys leaves a lone trailing chunk, so one
+        // internal node has a single child and zero separators.
+        let wl = BtreeWorkload::build(&BtreeParams {
+            keys: 100,
+            queries: 256,
+            branch: 3,
+            seed: 1,
+        });
+        assert_eq!(wl.correctness, 1.0);
+        assert!(wl
+            .events
+            .iter()
+            .flatten()
+            .any(|ev| matches!(ev, Event::Internal { separators: 0, .. })));
+        for mode in hsu_sim::config::SimMode::ALL {
+            let gpu = Gpu::new(GpuConfig::tiny().with_sim_mode(mode));
+            for variant in [Variant::Hsu, Variant::Baseline] {
+                gpu.run(&wl.trace(variant))
+                    .unwrap_or_else(|e| panic!("{variant:?} in {mode:?}: {e}"));
+            }
+        }
     }
 
     #[test]
