@@ -37,9 +37,14 @@ pub enum HsuOpcode {
 ///
 /// ```
 /// use hsu_core::isa::{HsuInstruction, HsuOpcode};
-/// let beat = HsuInstruction::point_euclid(0x4000, 64, true);
-/// assert_eq!(beat.opcode, HsuOpcode::PointEuclid);
-/// assert!(beat.accumulate);
+/// use hsu_core::HsuConfig;
+/// use hsu_geometry::point::Metric;
+/// // A 32-D Euclidean distance is two 16-lane beats; the first accumulates.
+/// let cfg = HsuConfig::default();
+/// let beats = HsuInstruction::distance_sequence(&cfg, Metric::Euclidean, 0x4000, 32);
+/// assert_eq!(beats.len(), 2);
+/// assert_eq!(beats[0].opcode, HsuOpcode::PointEuclid);
+/// assert!(beats[0].accumulate && !beats[1].accumulate);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HsuInstruction {
@@ -56,26 +61,6 @@ pub struct HsuInstruction {
 }
 
 impl HsuInstruction {
-    /// A `POINT_EUCLID` beat.
-    pub fn point_euclid(candidate_ptr: u64, fetch_bytes: u64, accumulate: bool) -> Self {
-        HsuInstruction {
-            opcode: HsuOpcode::PointEuclid,
-            node_ptr: candidate_ptr,
-            fetch_bytes,
-            accumulate,
-        }
-    }
-
-    /// A `POINT_ANGULAR` beat.
-    pub fn point_angular(candidate_ptr: u64, fetch_bytes: u64, accumulate: bool) -> Self {
-        HsuInstruction {
-            opcode: HsuOpcode::PointAngular,
-            node_ptr: candidate_ptr,
-            fetch_bytes,
-            accumulate,
-        }
-    }
-
     /// Expands a full `dim`-dimensional distance computation into its beat
     /// sequence, exactly as the compiler does (§III-B/IV-F): every beat but
     /// the last carries `accumulate = 1`; candidate data advances by the beat
@@ -86,19 +71,21 @@ impl HsuInstruction {
         candidate_ptr: u64,
         dim: usize,
     ) -> Vec<HsuInstruction> {
+        let opcode = match metric {
+            Metric::Euclidean => HsuOpcode::PointEuclid,
+            Metric::Angular => HsuOpcode::PointAngular,
+        };
         let width = cfg.width_for(metric);
         let beats = cfg.beats_for(metric, dim);
         let beat_bytes = (width * std::mem::size_of::<f32>()) as u64;
         (0..beats)
             .map(|b| {
-                let remaining = dim - b * width;
-                let lanes = remaining.min(width);
-                let bytes = (lanes * std::mem::size_of::<f32>()) as u64;
-                let ptr = candidate_ptr + b as u64 * beat_bytes;
-                let accumulate = b + 1 < beats;
-                match metric {
-                    Metric::Euclidean => HsuInstruction::point_euclid(ptr, bytes, accumulate),
-                    Metric::Angular => HsuInstruction::point_angular(ptr, bytes, accumulate),
+                let lanes = (dim - b * width).min(width);
+                HsuInstruction {
+                    opcode,
+                    node_ptr: candidate_ptr + b as u64 * beat_bytes,
+                    fetch_bytes: (lanes * std::mem::size_of::<f32>()) as u64,
+                    accumulate: b + 1 < beats,
                 }
             })
             .collect()

@@ -32,7 +32,8 @@
 //! disciplines change only timing — the answer stream (and therefore the
 //! replay hash) is identical, which a unit test in this file pins.
 //!
-//! **Resilience drivers** exercise the PR-10 overload/failure layer:
+//! **Resilience drivers** exercise the engine's overload and failure
+//! handling:
 //!
 //! - `--priority-mix PCT` submits PCT% of the stream as `Interactive`
 //!   and the rest as `Batch` via non-blocking admission; per-class
@@ -44,12 +45,13 @@
 //!   resolves `DeadlineExceeded`, never a silent late answer.
 //! - `--chaos` wraps the index in the `hsu_serve::chaos` harness (one
 //!   injected worker panic + one slow shard) and asserts the engine
-//!   kept serving: the run fails unless the supervisor restarted the
-//!   dead worker.
+//!   kept serving: the run fails unless the panic was counted, every
+//!   query was served or failed `worker-crashed`, and the crashed
+//!   queries fit in one batch.
 //!
 //! Per-query failures are **counted by typed class, never panicked on**:
 //! the exit code is non-zero only for unexpected classes (`bad-query`,
-//! `shutting-down`, `bad-index`) or a chaos run with no restart.
+//! `bad-index`) or a chaos run that lost more than the panicked batch.
 //!
 //! Unless `--smoke` is set, one entry is appended to the trajectory JSON
 //! (`BENCH_sim.json` by default) with the per-family numbers, failure
@@ -93,7 +95,7 @@ struct LoadResult {
     p99_us: f64,
     p999_us: f64,
     replay_hash: u64,
-    // Typed per-query failure classes (satellite: counted, not panicked).
+    // Typed per-query failure classes, counted rather than panicked on.
     shed: u64,
     deadline_exceeded: u64,
     worker_crashed: u64,
@@ -103,8 +105,8 @@ struct LoadResult {
 }
 
 /// How the measured run drives the resilience layer. The zero value
-/// (`LoadPlan::plain()`) is the PR-9 behavior: blocking admission, no
-/// deadlines, no faults — any per-query failure is then *unexpected*.
+/// (`LoadPlan::plain()`) is blocking admission, no deadlines, no
+/// faults — any per-query failure is then *unexpected*.
 #[derive(Clone, Default)]
 struct LoadPlan {
     /// Percent of the stream submitted as `Interactive` (rest `Batch`).
@@ -250,7 +252,6 @@ fn main() {
             Some(us) => SloPolicy::uniform(us),
             None => SloPolicy::none(),
         },
-        ..Default::default()
     };
     let plan = LoadPlan {
         mix_interactive_pct: opts.priority_mix,
@@ -294,15 +295,13 @@ fn main() {
             );
             println!(
                 "       engine: admitted {} completed {} queue-sheds {} slo-sheds {} \
-                 deadline-drops {} panics {} restarts {} restarts-denied {}",
+                 deadline-drops {} panics {}",
                 r.stats.admitted,
                 r.stats.completed,
                 r.stats.queue_full_sheds,
                 r.stats.slo_sheds,
                 r.stats.deadline_drops,
-                r.stats.worker_panics,
-                r.stats.worker_restarts,
-                r.stats.restarts_denied
+                r.stats.worker_panics
             );
         }
         if r.unexpected > 0 {
@@ -312,13 +311,11 @@ fn main() {
             );
             failed = true;
         }
-        if plan.chaos && r.stats.worker_panics > 0 && r.stats.worker_restarts == 0 {
-            eprintln!(
-                "error[{}]: chaos injected {} worker panic(s) but the supervisor never \
-                 restarted a worker",
-                s.family, r.stats.worker_panics
-            );
-            failed = true;
+        if plan.chaos {
+            if let Err(why) = chaos_kept_serving(&r, cfg.batch) {
+                eprintln!("error[{}]: {why}", s.family);
+                failed = true;
+            }
         }
         results.push((s.family, r));
     }
@@ -499,19 +496,8 @@ fn run_load(s: &Served, cfg: EngineConfig, n: u64, window: usize, plan: &LoadPla
             &mut counts,
         );
     }
-    if plan.chaos {
-        // Panic/restart counters are bumped after the doomed batch's
-        // tickets are failed (and restarts happen on the supervisor's
-        // clock), so let them quiesce before snapshotting.
-        let t_poll = Instant::now();
-        while t_poll.elapsed() < Duration::from_secs(5) {
-            let st = engine.stats();
-            if st.worker_panics > 0 && st.worker_restarts + st.restarts_denied >= st.worker_panics {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
+    // Every counter is bumped before its ticket is fulfilled, so with all
+    // tickets redeemed the snapshot is exact.
     let stats = engine.stats();
     drop(engine);
     let wall_s = last_done.saturating_duration_since(t0).as_secs_f64();
@@ -551,6 +537,30 @@ fn run_load(s: &Served, cfg: EngineConfig, n: u64, window: usize, plan: &LoadPla
         classes,
         stats,
     }
+}
+
+/// The `--chaos` gate: the one injected panic was counted, every query
+/// was either served or failed `worker-crashed`, and the casualties fit
+/// in one batch — the panic ended its batch and the shard served the
+/// rest.
+fn chaos_kept_serving(r: &LoadResult, batch: usize) -> Result<(), String> {
+    if r.stats.worker_panics == 0 {
+        return Err("chaos injected a worker panic but the engine never counted it".into());
+    }
+    if r.completed + r.worker_crashed != r.queries {
+        return Err(format!(
+            "{} of {} queries were neither served nor failed worker-crashed",
+            r.queries - r.completed - r.worker_crashed,
+            r.queries
+        ));
+    }
+    if r.worker_crashed > batch as u64 {
+        return Err(format!(
+            "the panic cost {} queries, more than one {batch}-query batch",
+            r.worker_crashed
+        ));
+    }
+    Ok(())
 }
 
 /// Typed per-query failure tallies of one measured run.
@@ -630,7 +640,6 @@ fn json_entry(
                  \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"p999_us\": {:.3}, \
                  \"shed\": {}, \"deadline_exceeded\": {}, \"worker_crashed\": {}, \
                  \"slo_sheds\": {}, \"deadline_drops\": {}, \"worker_panics\": {}, \
-                 \"worker_restarts\": {}, \
                  \"classes\": {{ {} }}, \
                  \"replay_hash\": \"{:#018x}\" }}",
                 f,
@@ -647,7 +656,6 @@ fn json_entry(
                 r.stats.slo_sheds,
                 r.stats.deadline_drops,
                 r.stats.worker_panics,
-                r.stats.worker_restarts,
                 classes,
                 r.replay_hash
             )
@@ -828,7 +836,7 @@ fn usage(err: &str) -> ! {
          Batch through non-blocking admission (per-class percentiles and shed counts\n\
          are reported); --slo-us sets the adaptive-shedding p99 target; --deadline-us\n\
          attaches a latency budget to every query; --chaos injects one worker panic\n\
-         and one slow shard and requires the supervisor to restart the dead worker.\n\
+         and one slow shard and requires that the panic cost at most one batch.\n\
          Per-query failures are counted by typed class; the exit code is non-zero\n\
          only for unexpected classes. Appends a JSON entry to the trajectory file\n\
          unless --smoke (small counts, no append) is set. --queries is per family."
@@ -879,9 +887,9 @@ mod tests {
     }
 
     /// A chaos run counts its casualties typed instead of panicking the
-    /// driver, and the supervisor restart shows up in the engine stats.
+    /// driver, and the panic costs one batch, not the shard.
     #[test]
-    fn chaos_load_counts_typed_failures_and_restarts() {
+    fn chaos_load_counts_typed_failures_and_keeps_serving() {
         install_quiet_panic_hook();
         let s = btree_served(2_000, 7);
         let cfg = EngineConfig {
@@ -904,7 +912,7 @@ mod tests {
             "every query resolved served-or-crashed"
         );
         assert_eq!(r.stats.worker_panics, 1);
-        assert!(r.stats.worker_restarts > 0, "supervisor never respawned");
+        assert_eq!(chaos_kept_serving(&r, 8), Ok(()));
     }
 
     /// The deterministic mix splitter roughly honors the requested

@@ -5,8 +5,8 @@
 //!
 //! - **worker-panic-on-nth-query** ([`ChaosPlan::panic_on`]): the batch
 //!   containing the n-th served query panics inside the index — the
-//!   engine must fail that batch with `ServeError::WorkerCrashed`,
-//!   respawn the worker, and keep serving;
+//!   engine must fail that batch with `ServeError::WorkerCrashed` and
+//!   keep serving;
 //! - **per-shard slow queries** ([`ChaosPlan::slow_shard`]): batches
 //!   executed by a given shard's workers stall for a fixed delay —
 //!   the latency inflation that deadlines and SLO shedding must bound.
@@ -38,7 +38,7 @@ pub const CHAOS_PANIC_PREFIX: &str = "chaos: injected worker panic";
 pub struct ChaosPlan {
     /// 1-based global served-query ordinals whose batch panics. Each
     /// ordinal fires at most once (the counter advances past the doomed
-    /// batch, so the respawned worker is not re-killed by it).
+    /// batch, so the worker's next batch is not killed by it).
     pub panic_on: Vec<u64>,
     /// Inject `slow_delay` into every batch executed by a worker whose
     /// home shard is this one (worker identity comes from the
@@ -121,8 +121,8 @@ impl SearchIndex for ChaosIndex {
 }
 
 /// The home shard of the calling engine worker, parsed from the
-/// `serve-{shard}-{worker}` thread name. `None` off the worker pool (or
-/// for the supervisor and submitters).
+/// `serve-{shard}-{worker}` thread name. `None` off the worker pool
+/// (submitters, tests).
 fn worker_home_shard() -> Option<usize> {
     let thread = std::thread::current();
     let name = thread.name()?;

@@ -25,20 +25,19 @@
 //!
 //! Failure: a query whose deadline has passed at dequeue is dropped with
 //! [`ServeError::DeadlineExceeded`] through its ticket, never silently.
-//! A worker panic fails its in-flight batch with
-//! [`ServeError::WorkerCrashed`], and a supervisor thread respawns the
-//! worker (bounded restarts per sliding window) so the shard keeps
-//! serving — a poisoned queue mutex is recovered, not propagated.
+//! A panic inside [`SearchIndex::query_batch`] ends its batch, not its
+//! worker: the batch fails with [`ServeError::WorkerCrashed`] and the
+//! worker takes its next batch. The indexes are immutable and
+//! `query_batch` takes `&self`, so a panicked batch leaves nothing a
+//! later batch reads in a broken state.
 //!
-//! Shutdown: dropping the engine stops admission ([`ServeError::ShuttingDown`]),
-//! lets the workers drain every admitted query, then joins them and the
-//! supervisor. Any query left unserved because every worker died with
-//! the restart budget exhausted is failed with `WorkerCrashed` — no
-//! ticket is ever dropped unfulfilled.
+//! Shutdown: dropping the engine lets the workers drain every admitted
+//! query, then joins them. A query still queued after the join (only
+//! possible if a worker died of an engine bug outside `query_batch`) is
+//! failed with `WorkerCrashed` — no ticket is ever dropped unfulfilled.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -50,7 +49,7 @@ use crate::error::ServeError;
 use crate::handle::{lock_recover, Ticket, TicketState};
 use crate::index::{Query, QueryOutput, SearchIndex};
 
-/// Engine topology, admission, and supervision knobs.
+/// Engine topology and admission knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Admission queues (and worker pools) to run. Floored at 1.
@@ -68,13 +67,6 @@ pub struct EngineConfig {
     /// Per-family p99 targets for adaptive shedding. The default
     /// ([`SloPolicy::none`]) disables SLO shedding.
     pub slo: SloPolicy,
-    /// Most worker respawns allowed within one `restart_window` before
-    /// the supervisor stops restarting (counted in
-    /// [`EngineStats::restarts_denied`]). Crash loops stay bounded; the
-    /// shard keeps serving through siblings.
-    pub restart_limit: usize,
-    /// The sliding window `restart_limit` applies to.
-    pub restart_window: Duration,
 }
 
 impl Default for EngineConfig {
@@ -85,15 +77,15 @@ impl Default for EngineConfig {
             batch: 32,
             queue_capacity: 1024,
             slo: SloPolicy::none(),
-            restart_limit: 8,
-            restart_window: Duration::from_secs(1),
         }
     }
 }
 
 /// A point-in-time snapshot of the engine's resilience counters
 /// (monotonic since engine start), taken cheaply from atomics by
-/// [`Engine::stats`].
+/// [`Engine::stats`]. Every counter is bumped before the ticket it
+/// concerns is fulfilled, so once a waiter sees its result the snapshot
+/// already counts it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Queries admitted into some shard queue.
@@ -107,13 +99,9 @@ pub struct EngineStats {
     /// Admitted queries dropped at dequeue because their deadline had
     /// already passed (each failed its ticket with `DeadlineExceeded`).
     pub deadline_drops: u64,
-    /// Worker threads that panicked.
+    /// Batches whose `query_batch` panicked (each failed its queries
+    /// with `WorkerCrashed`).
     pub worker_panics: u64,
-    /// Worker threads respawned by the supervisor.
-    pub worker_restarts: u64,
-    /// Respawns refused because `restart_limit` was exhausted inside
-    /// `restart_window` (or the OS refused the thread).
-    pub restarts_denied: u64,
 }
 
 /// The atomic counters behind [`EngineStats`].
@@ -125,8 +113,6 @@ struct Counters {
     slo_sheds: AtomicU64,
     deadline_drops: AtomicU64,
     worker_panics: AtomicU64,
-    worker_restarts: AtomicU64,
-    restarts_denied: AtomicU64,
 }
 
 /// One admitted query waiting for a worker.
@@ -157,27 +143,19 @@ struct Inner {
     shutdown: AtomicBool,
     cfg: EngineConfig,
     stats: Counters,
-    /// Workers currently running (spawned minus exited) — the
-    /// supervisor's teardown condition.
-    live_workers: AtomicUsize,
     /// The SLO p99 target for the served family, resolved once.
     slo_target_us: Option<u64>,
 }
-
-/// A crash notification: which worker slot died.
-type CrashReport = (usize, usize);
 
 /// A running sharded query service over one [`SearchIndex`].
 pub struct Engine {
     inner: Arc<Inner>,
     next_id: AtomicU64,
     workers: Vec<std::thread::JoinHandle<()>>,
-    supervisor: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Engine {
-    /// Starts the shard workers (plus their supervisor) and returns the
-    /// serving handle.
+    /// Starts the shard workers and returns the serving handle.
     pub fn new(index: Arc<dyn SearchIndex>, cfg: EngineConfig) -> Self {
         let cfg = EngineConfig {
             shards: cfg.shards.max(1),
@@ -193,29 +171,24 @@ impl Engine {
             shutdown: AtomicBool::new(false),
             cfg: cfg.clone(),
             stats: Counters::default(),
-            live_workers: AtomicUsize::new(0),
             slo_target_us,
         });
-        let (tx, rx) = std::sync::mpsc::channel::<CrashReport>();
         let workers = (0..cfg.shards)
             .flat_map(|s| (0..cfg.workers_per_shard).map(move |w| (s, w)))
             .map(|(s, w)| {
-                spawn_worker(&inner, s, w, &tx)
+                let inner = Arc::clone(&inner);
+                // The name is load-bearing: `chaos::worker_home_shard`
+                // parses the home shard back out of it.
+                std::thread::Builder::new()
+                    .name(format!("serve-{s}-{w}"))
+                    .spawn(move || worker_loop(&inner, s))
                     .unwrap_or_else(|e| panic!("spawn shard {s} worker {w}: {e}"))
             })
             .collect();
-        let supervisor = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("serve-supervisor".into())
-                .spawn(move || supervisor_loop(&inner, rx, tx))
-                .unwrap_or_else(|e| panic!("spawn serve supervisor: {e}"))
-        };
         Engine {
             inner,
             next_id: AtomicU64::new(0),
             workers,
-            supervisor: Some(supervisor),
         }
     }
 
@@ -234,15 +207,13 @@ impl Engine {
             slo_sheds: c.slo_sheds.load(Ordering::Relaxed),
             deadline_drops: c.deadline_drops.load(Ordering::Relaxed),
             worker_panics: c.worker_panics.load(Ordering::Relaxed),
-            worker_restarts: c.worker_restarts.load(Ordering::Relaxed),
-            restarts_denied: c.restarts_denied.load(Ordering::Relaxed),
         }
     }
 
     /// Submits a query at [`Priority::Normal`] with no deadline, without
     /// blocking. Returns [`ServeError::Overloaded`] when the target
-    /// shard sheds it, [`ServeError::BadQuery`] /
-    /// [`ServeError::ShuttingDown`] when the query can never be served.
+    /// shard sheds it, [`ServeError::BadQuery`] when the query can never
+    /// be served.
     pub fn try_submit(&self, query: Query) -> Result<Ticket, ServeError> {
         self.admit(query, SubmitOptions::default(), false)
     }
@@ -258,8 +229,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadQuery`] or [`ServeError::ShuttingDown`];
-    /// `Overloaded` only when adaptive SLO shedding is configured and
+    /// Returns [`ServeError::BadQuery`]; `Overloaded` only when adaptive SLO shedding is configured and
     /// rejects the class outright (blocking cannot help a shed).
     pub fn submit(&self, query: Query) -> Result<Ticket, ServeError> {
         self.admit(query, SubmitOptions::default(), true)
@@ -276,9 +246,6 @@ impl Engine {
     }
 
     fn admit(&self, query: Query, opts: SubmitOptions, block: bool) -> Result<Ticket, ServeError> {
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
         self.inner.index.validate(&query)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let shard_ix = (id % self.inner.cfg.shards as u64) as usize;
@@ -318,14 +285,9 @@ impl Engine {
                     capacity,
                 });
             }
-            if self.inner.shutdown.load(Ordering::Acquire) {
-                return Err(ServeError::ShuttingDown);
-            }
-            queue = shard
-                .space
-                .wait_timeout(queue, Duration::from_millis(5))
-                .unwrap_or_else(|p| p.into_inner())
-                .0;
+            // `drain` notifies after popping under this same lock, so the
+            // wakeup cannot be lost between the check and the wait.
+            queue = shard.space.wait(queue).unwrap_or_else(|p| p.into_inner());
         }
         queue.push(opts.priority, pending);
         self.inner.stats.admitted.fetch_add(1, Ordering::Relaxed);
@@ -336,26 +298,21 @@ impl Engine {
 }
 
 impl Drop for Engine {
-    /// Stops admission, drains every admitted query, joins workers and
-    /// supervisor, and fails anything left unserved (possible only when
-    /// every worker died with the restart budget exhausted) — no ticket
-    /// is ever dropped unfulfilled.
+    /// Drains every admitted query, joins the workers, and fails
+    /// anything left unserved — no ticket is ever dropped unfulfilled.
+    /// (`Drop` takes `&mut self`, so no `submit` can be running.)
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         for shard in &self.inner.shards {
             shard.work.notify_all();
-            shard.space.notify_all();
         }
         for w in self.workers.drain(..) {
-            // A crashed worker's join reports the panic it already paid
-            // for: counted in `worker_panics`, batch failed typed.
             let _ = w.join();
         }
-        if let Some(sup) = self.supervisor.take() {
-            let _ = sup.join();
-        }
-        // Final sweep: with all workers gone, anything still queued can
-        // never be served — fail it typed rather than leak the ticket.
+        // Final sweep, the safety net for a worker that died of an
+        // engine bug outside `query_batch`: with all workers gone,
+        // anything still queued can never be served — fail it typed
+        // rather than leak the ticket.
         for (s, shard) in self.inner.shards.iter().enumerate() {
             let mut queue = lock_recover(&shard.queue);
             for p in queue.drain_all() {
@@ -363,96 +320,6 @@ impl Drop for Engine {
                     .try_fulfill(Err(ServeError::WorkerCrashed { shard: s }));
             }
         }
-    }
-}
-
-/// Spawns one shard worker under supervision: the thread runs the serve
-/// loop under `catch_unwind` and reports a crash (after counting it) so
-/// the supervisor can respawn the slot.
-fn spawn_worker(
-    inner: &Arc<Inner>,
-    s: usize,
-    w: usize,
-    tx: &Sender<CrashReport>,
-) -> std::io::Result<std::thread::JoinHandle<()>> {
-    let worker_inner = Arc::clone(inner);
-    let tx = tx.clone();
-    inner.live_workers.fetch_add(1, Ordering::AcqRel);
-    let spawned = std::thread::Builder::new()
-        .name(format!("serve-{s}-{w}"))
-        .spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(|| worker_loop(&worker_inner, s)));
-            worker_inner.live_workers.fetch_sub(1, Ordering::AcqRel);
-            if outcome.is_err() {
-                worker_inner
-                    .stats
-                    .worker_panics
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send((s, w));
-            }
-        });
-    if spawned.is_err() {
-        inner.live_workers.fetch_sub(1, Ordering::AcqRel);
-    }
-    spawned
-}
-
-/// The supervisor: respawns crashed workers (bounded restarts within
-/// `restart_window`), keeps supervising through shutdown so a mid-drain
-/// crash still gets a replacement to finish the drain, and exits once
-/// the engine is shutting down with no worker left alive.
-fn supervisor_loop(inner: &Arc<Inner>, rx: Receiver<CrashReport>, tx: Sender<CrashReport>) {
-    let mut respawned: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let mut restart_times: std::collections::VecDeque<Instant> = std::collections::VecDeque::new();
-    let handle_crash =
-        |(s, w): CrashReport,
-         respawned: &mut Vec<std::thread::JoinHandle<()>>,
-         restart_times: &mut std::collections::VecDeque<Instant>| {
-            let now = Instant::now();
-            while restart_times
-                .front()
-                .is_some_and(|&t| now.saturating_duration_since(t) > inner.cfg.restart_window)
-            {
-                restart_times.pop_front();
-            }
-            if restart_times.len() >= inner.cfg.restart_limit {
-                inner.stats.restarts_denied.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            match spawn_worker(inner, s, w, &tx) {
-                Ok(h) => {
-                    restart_times.push_back(now);
-                    inner.stats.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                    // The replacement may need waking: work queued while the
-                    // slot was empty saw no notify.
-                    inner.shards[s].work.notify_all();
-                    respawned.push(h);
-                }
-                Err(_) => {
-                    inner.stats.restarts_denied.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        };
-    loop {
-        match rx.recv_timeout(Duration::from_millis(10)) {
-            Ok(report) => handle_crash(report, &mut respawned, &mut restart_times),
-            Err(RecvTimeoutError::Timeout) => {
-                if inner.shutdown.load(Ordering::Acquire) {
-                    // Absorb any crash reports racing with teardown
-                    // before concluding nobody is left to respawn.
-                    while let Ok(report) = rx.try_recv() {
-                        handle_crash(report, &mut respawned, &mut restart_times);
-                    }
-                    if inner.live_workers.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    for h in respawned {
-        let _ = h.join();
     }
 }
 
@@ -473,7 +340,7 @@ fn drain(inner: &Inner, s: usize, limit: usize, out: &mut Vec<Pending>) -> usize
 /// siblings when idle, sleep when everything is empty, exit once the
 /// engine is shutting down and every queue has drained. Expired-deadline
 /// queries are dropped typed at dequeue; a panic inside the index fails
-/// the whole in-flight batch typed before propagating to supervision.
+/// the whole in-flight batch typed, and the worker takes its next batch.
 fn worker_loop(inner: &Inner, home: usize) {
     let shards = inner.cfg.shards;
     let mut taken: Vec<Pending> = Vec::new();
@@ -538,19 +405,16 @@ fn worker_loop(inner: &Inner, home: usize) {
                     inner.shards[source]
                         .latency
                         .record(done.saturating_duration_since(p.admitted));
-                    p.ticket.fulfill(Ok(out));
                     inner.stats.completed.fetch_add(1, Ordering::Relaxed);
+                    p.ticket.fulfill(Ok(out));
                 }
             }
-            Err(payload) => {
-                // Fail the whole in-flight batch typed, then let the
-                // panic reach the supervision wrapper so the crash is
-                // counted and the slot respawned.
+            Err(_) => {
+                inner.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
                 for p in taken.drain(..) {
                     p.ticket
                         .try_fulfill(Err(ServeError::WorkerCrashed { shard: home }));
                 }
-                resume_unwind(payload);
             }
         }
     }

@@ -19,8 +19,6 @@ pub enum ServeError {
         /// The per-shard admission-queue bound in force.
         capacity: usize,
     },
-    /// The engine is draining and no longer admits new queries.
-    ShuttingDown,
     /// The query does not fit the served index (wrong variant for the
     /// family, or wrong vector dimension).
     BadQuery(String),
@@ -28,9 +26,9 @@ pub enum ServeError {
     /// before the caller's `wait` saw a result). The query was dropped,
     /// never silently served late.
     DeadlineExceeded,
-    /// The worker serving this query's batch panicked. The query was
-    /// admitted but not answered; the engine respawned the worker (or
-    /// exhausted its restart budget) and kept the shard serving.
+    /// The index panicked while serving this query's batch. The query
+    /// was admitted but not answered; the worker went on to its next
+    /// batch, so the shard keeps serving.
     WorkerCrashed {
         /// The home shard of the worker that crashed.
         shard: usize,
@@ -46,7 +44,6 @@ impl ServeError {
     pub fn kind(&self) -> &'static str {
         match self {
             ServeError::Overloaded { .. } => "overloaded",
-            ServeError::ShuttingDown => "shutting-down",
             ServeError::BadQuery(_) => "bad-query",
             ServeError::DeadlineExceeded => "deadline-exceeded",
             ServeError::WorkerCrashed { .. } => "worker-crashed",
@@ -61,7 +58,6 @@ impl fmt::Display for ServeError {
             ServeError::Overloaded { shard, capacity } => {
                 write!(f, "shard {shard} shed the query (queue bound {capacity})")
             }
-            ServeError::ShuttingDown => write!(f, "engine is shutting down"),
             ServeError::BadQuery(why) => write!(f, "bad query: {why}"),
             ServeError::DeadlineExceeded => write!(f, "deadline exceeded before service"),
             ServeError::WorkerCrashed { shard } => {
@@ -88,7 +84,6 @@ mod tests {
                 shard: 0,
                 capacity: 1,
             },
-            ServeError::ShuttingDown,
             ServeError::BadQuery("x".into()),
             ServeError::DeadlineExceeded,
             ServeError::WorkerCrashed { shard: 0 },
@@ -100,7 +95,7 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), all.len(), "kind tags must be distinct");
         assert_eq!(kinds[0], "overloaded");
-        assert_eq!(kinds[3], "deadline-exceeded");
-        assert_eq!(kinds[4], "worker-crashed");
+        assert_eq!(kinds[2], "deadline-exceeded");
+        assert_eq!(kinds[3], "worker-crashed");
     }
 }

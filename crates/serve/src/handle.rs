@@ -17,11 +17,12 @@ use crate::index::QueryOutput;
 
 /// Locks a mutex, recovering the guard from a poisoned lock.
 ///
-/// A poisoned serve mutex means some worker panicked while holding it;
-/// the protected state (queues, result slots) is push/pop-consistent at
-/// every instant, so the data is still valid — supervision handles the
-/// crashed worker, and the lock keeps serving instead of cascading the
-/// panic into every submitter.
+/// A poisoned serve mutex means some thread panicked while holding it.
+/// Index panics are caught outside every engine lock, so this takes an
+/// engine bug; even then the protected state (queues, result slots) is
+/// push/pop-consistent at every instant, so the data is still valid and
+/// the lock keeps serving instead of cascading the panic into every
+/// submitter.
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

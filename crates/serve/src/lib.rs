@@ -5,7 +5,7 @@
 //! generators into a long-running query service — the ROADMAP's
 //! "millions of users" story:
 //!
-//! - **Persistent indexes** load from `.hsar` archives through the PR-7
+//! - **Persistent indexes** load from `.hsar` archives through the
 //!   [`hsu_bench::ArchiveCache`] (see [`index`]); cold opens build and
 //!   store, warm opens are archive reads.
 //! - **Batched submission**: the [`engine::Engine`] coalesces queries
@@ -22,12 +22,12 @@
 //!   target rejects low-class work before its queue fills), and
 //!   per-query deadlines (expired work dropped typed at dequeue and at
 //!   `wait`).
-//! - **Failure resilience**: a panicking worker fails its in-flight
-//!   batch with [`error::ServeError::WorkerCrashed`] and is respawned by
-//!   a supervisor under a bounded restart budget; the shard keeps
-//!   serving and [`engine::Engine::stats`] counts every panic, restart,
-//!   shed, and deadline drop. The [`chaos`] harness injects each fault
-//!   class deterministically.
+//! - **Failure resilience**: a panic inside the index fails only its
+//!   batch, with [`error::ServeError::WorkerCrashed`]; the worker takes
+//!   its next batch, so the shard keeps serving.
+//!   [`engine::Engine::stats`] counts every panic, shed, and deadline
+//!   drop. The [`chaos`] harness injects each fault class
+//!   deterministically.
 //! - **Completion handles**: a [`handle::Ticket`] is redeemed by
 //!   blocking on it ([`handle::Ticket::wait`]), bounded by the
 //!   submission's deadline.
