@@ -32,7 +32,10 @@ echo "== sim-mode matrix (stepped / event) =="
 # Fast equivalence leg: the scaled-down suite must produce byte-identical
 # reports in both simulation modes. Catches event-schedule bugs that the
 # unit proptests' small machines might miss.
+# It also pins the digest of the 32-SM suite's normalized reports.
 cargo test --release -q --test sim_equivalence full_suite_matrix_is_mode_equivalent
+# The figures' 8-SM machine at 1/32 scale: its normalized-report digest.
+cargo test --release -q --test sim_equivalence figure_machine_reports_are_pinned
 # Small warp buffers: the suite's HSU traces at buffer sizes 1/2/4/8/16,
 # where the event loop sleeps through refused dispatches into a full buffer.
 cargo test --release -q --test sim_equivalence warp_buffer_sweep_is_mode_equivalent

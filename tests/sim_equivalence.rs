@@ -14,11 +14,28 @@
 //!
 //! "Identical" means `SimReport::normalized()` equality — every
 //! architectural counter bit for bit; only the `sched` scheduler counters
-//! may (and should) differ between the modes.
+//! may (and should) differ between the modes. The release-only suite
+//! tests also pin a digest of every normalized report, so a change to how
+//! the simulator schedules its own work cannot move what it reports.
 
 use hsu::prelude::*;
 use hsu::sim::trace::{KernelTrace, ThreadOp, ThreadTrace};
+use hsu_archive::fnv1a64;
+use hsu_bench::Suite;
 use proptest::prelude::*;
+use std::fmt::Write;
+
+/// FNV-1a 64 over the `Debug` text of every normalized report of `suite`,
+/// in matrix order (each run's HSU, baseline and stripped variants).
+fn reports_digest(suite: &Suite) -> u64 {
+    let mut text = String::new();
+    for run in &suite.runs {
+        for report in [&run.hsu, &run.base, &run.stripped] {
+            write!(text, "{:?}", report.normalized()).expect("writing to a String");
+        }
+    }
+    fnv1a64(text.as_bytes())
+}
 
 /// Runs one kernel under both modes and checks full equivalence plus the
 /// scheduler-accounting invariants.
@@ -238,7 +255,7 @@ fn golden_workloads_are_mode_equivalent() {
     ignore = "full suite builds are slow unoptimized; run with --release"
 )]
 fn full_suite_matrix_is_mode_equivalent() {
-    use hsu_bench::{Suite, SuiteConfig};
+    use hsu_bench::SuiteConfig;
 
     // The scheduler-bench machine (simbench's default): event-mode skipping
     // is per-SM, so the ≥ 6× tick lock below is a property of a realistic
@@ -267,6 +284,12 @@ fn full_suite_matrix_is_mode_equivalent() {
             );
         }
     }
+    assert_eq!(stepped.runs.len(), 21);
+    assert_eq!(
+        format!("{:#018x}", reports_digest(&event)),
+        "0x032c6647bf1c78f2",
+        "the 32-SM suite's normalized reports moved"
+    );
     let stepped_ticks: u64 = stepped.records.iter().map(|r| r.ticks_executed).sum();
     let event_ticks: u64 = event.records.iter().map(|r| r.ticks_executed).sum();
     let reduction = stepped_ticks as f64 / event_ticks as f64;
@@ -274,6 +297,28 @@ fn full_suite_matrix_is_mode_equivalent() {
         reduction >= 6.0,
         "event mode must execute >= 6x fewer ticks over the suite, got \
          {reduction:.2}x ({stepped_ticks} -> {event_ticks})"
+    );
+}
+
+/// The figures' own 8-SM machine at 1/32 scale, event mode, release builds
+/// only: the digest of its 63 normalized reports is pinned.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "full suite builds are slow unoptimized; run with --release"
+)]
+fn figure_machine_reports_are_pinned() {
+    use hsu_bench::SuiteConfig;
+
+    let suite = Suite::build(SuiteConfig {
+        scale_divisor: 32,
+        ..SuiteConfig::default()
+    });
+    assert_eq!(suite.runs.len(), 21);
+    assert_eq!(
+        format!("{:#018x}", reports_digest(&suite)),
+        "0xe843f50ad368f777",
+        "the 8-SM suite's normalized reports moved"
     );
 }
 
@@ -288,7 +333,7 @@ fn full_suite_matrix_is_mode_equivalent() {
     ignore = "full suite builds are slow unoptimized; run with --release"
 )]
 fn warp_buffer_sweep_is_mode_equivalent() {
-    use hsu_bench::{ArchiveCache, Suite, SuiteConfig};
+    use hsu_bench::{ArchiveCache, SuiteConfig};
 
     let cfg = SuiteConfig {
         sms: 32,
