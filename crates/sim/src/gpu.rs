@@ -56,18 +56,17 @@ impl Gpu {
     /// oracle loop). Under [`SimMode::Event`] the loop asks each component
     /// for the earliest cycle its state can change and jumps straight there
     /// — and within each visited cycle it ticks only the SMs that can
-    /// observe it. An SM sleeps until one of three wakeups: its L1 (or
-    /// private RT cache) receives a fill (which frees an MSHR and can flip
-    /// what the port accepts), a completion it can observe is delivered to
-    /// it ([`Sm::completion_wakes`]; the others are applied on delivery),
-    /// or its own self-reported [`Sm::next_event`] cycle arrives. Every
-    /// cycle an SM sleeps through is provably a no-op for what it can
-    /// observe in the stepped machine — its warps are blocked on timers,
-    /// busy issue slots, memory (including L1 queues whose head the cache
-    /// would reject), or an RT unit that is draining its datapath or
+    /// observe it. The memory system ticks at every visited cycle and
+    /// presents the L1 ports itself, so an SM sleeps until one of two
+    /// wakeups: a completion it can observe is delivered to it
+    /// ([`Sm::completion_wakes`]; the others are applied on delivery), or
+    /// its own self-reported [`Sm::next_event`] cycle arrives. Every cycle
+    /// an SM sleeps through is provably a no-op for what it can observe in
+    /// the stepped machine — its warps are blocked on timers, busy issue
+    /// slots, memory, or an RT unit that is draining its datapath or
     /// refusing dispatches into a full warp buffer — and is bulk-accounted
-    /// on wakeup via [`Sm::fast_forward`], down to the stall statistics,
-    /// the datapath's beats and the L1 port's round-robin state.
+    /// on wakeup via [`Sm::fast_forward`], down to the dispatch stalls and
+    /// the datapath's beats.
     ///
     /// # Errors
     ///
@@ -115,8 +114,8 @@ impl Gpu {
         let mut sched = SchedStats::default();
         // Per-SM sleep state (event mode): the cycle each SM last ticked
         // (`u64::MAX` = never), its self-reported wakeup cycle, whether it
-        // must tick at the cycle being visited, and whether the memory
-        // system (rather than its own timer) supplied that wakeup.
+        // must tick at the cycle being visited, and whether a completion
+        // (rather than its own timer) supplied that wakeup.
         let mut last_ticked: Vec<u64> = vec![u64::MAX; num_sms];
         let mut wake: Vec<Option<u64>> = vec![Some(0); num_sms];
         let mut active: Vec<bool> = vec![true; num_sms];
@@ -141,16 +140,11 @@ impl Gpu {
             mem.tick(now, &mut done);
             if event_mode {
                 // An SM must tick at `now` iff it can observe the cycle:
-                // its own wakeup arrived, its L1 received a fill (freeing
-                // an MSHR, which can flip what its port would accept), or
-                // a completion it can observe is delivered to it.
+                // its own wakeup arrived, or a completion it can observe
+                // is delivered to it.
                 for i in 0..num_sms {
                     woken_by_mem[i] = false;
                     active[i] = wake[i].is_some_and(|t| t <= now);
-                }
-                for &sm in mem.l1_touched() {
-                    active[sm] = true;
-                    woken_by_mem[sm] = true;
                 }
             }
             // A completion a sleeping SM cannot observe yet commutes with
@@ -177,7 +171,7 @@ impl Gpu {
                 let start = last_ticked[i].wrapping_add(1);
                 let slept = now - start;
                 if slept > 0 {
-                    sm.fast_forward(start, slept, &mut mem);
+                    sm.fast_forward(start, slept);
                     sched.cycles_skipped += slept;
                     if woken_by_mem[i] {
                         sched.skipped_on_memory += slept;
@@ -197,7 +191,7 @@ impl Gpu {
                 sched.ticks_executed += 1;
                 last_ticked[i] = now;
                 if event_mode {
-                    wake[i] = sm.next_event(now, &mem);
+                    wake[i] = sm.next_event(now);
                 }
             }
             if sms.iter().all(|sm| sm.finished()) && mem.quiescent() {
@@ -240,7 +234,7 @@ impl Gpu {
             let start = last_ticked[i].wrapping_add(1);
             let slept = cycles - start;
             if slept > 0 {
-                sm.fast_forward(start, slept, &mut mem);
+                sm.fast_forward(start, slept);
                 sched.cycles_skipped += slept;
                 sched.skipped_on_timers += slept;
             }
@@ -277,8 +271,7 @@ impl Gpu {
             mem_quiescent: mem.quiescent(),
             per_sm: sms
                 .iter()
-                .enumerate()
-                .map(|(i, sm)| sm.deadlock_state(self.cfg.max_cycles, mem.l1_mshrs_in_use(i)))
+                .map(|sm| sm.deadlock_state(self.cfg.max_cycles, mem))
                 .collect(),
         }))
     }

@@ -1,4 +1,5 @@
-//! The memory hierarchy: per-SM L1s, banked shared L2, HBM channels.
+//! The memory hierarchy: per-SM L1s and their ports, banked shared L2, HBM
+//! channels.
 //!
 //! Requests flow L1 → L2 → DRAM and responses flow back, with fixed
 //! interconnect latencies, per-bank L2 lookup throughput, and FR-FCFS DRAM
@@ -9,13 +10,30 @@
 //!
 //! The run loop owns the whole hierarchy and drives it from one thread:
 //! each visited cycle it ticks the hierarchy (DRAM service, then every
-//! event due), then lets each SM present its accesses through
-//! [`MemorySystem::access`]. Per-SM state lives in a plain vector of
-//! `L1Shard`s (L1 tags and MSHRs, the private RT cache if the policy has
-//! one, requester counters); everything an access schedules goes into one
-//! cycle-bucketed event queue whose drain order is exactly a binary
+//! event due, then every L1 port), then lets each SM that can observe the
+//! cycle tick. Per-SM state lives in a plain vector of `L1Shard`s (L1 tags
+//! and MSHRs, the private RT cache if the policy has one, requester
+//! counters, and the L1 port); everything an access schedules goes into
+//! one cycle-bucketed event queue whose drain order is exactly a binary
 //! min-heap's over `(cycle, event)`. That order is what makes every
 //! [`crate::config::SimMode`] produce bit-identical reports.
+//!
+//! # The L1 port
+//!
+//! An SM hands each load line and each RT-unit CISC fetch to its shard's
+//! port with [`MemorySystem::enqueue`] and never sees it again until the
+//! completion arrives. The port holds the load-store unit's line queue and
+//! the RT unit's FIFO memory-access queue, which time-share the L1 (§VI-H):
+//! under [`RtCachePolicy::SharedWithLsu`] one head is presented per cycle,
+//! round-robin when both queues wait; under the private and bypass
+//! policies the RT side presents to its own cache first, then the LSU side.
+//! A rejected head (MSHR file full) stays at the front. A line queued at
+//! cycle `t` is first presented at `t + 1`. Cycles the event-driven loop
+//! skips while a port waits are replayed in bulk as rejected presentations
+//! at the port's next visit, so the stall statistics, the caches' use
+//! counters and the round-robin token match the stepped oracle's.
+
+use std::collections::VecDeque;
 
 use crate::cache::{Cache, CacheStats, Lookup};
 use crate::config::{GpuConfig, RtCachePolicy};
@@ -74,13 +92,23 @@ pub struct MemoryStats {
 }
 
 /// One SM's slice of the hierarchy: L1 + optional private RT cache +
-/// requester counters.
+/// requester counters + the L1 port.
 #[derive(Debug)]
 struct L1Shard {
     l1: Cache,
     rt_cache: Option<Cache>,
     lsu_accesses: u64,
     rt_accesses: u64,
+    /// Load lines waiting for the port: `(line, waiter)`.
+    lsu_queue: VecDeque<(u64, u64)>,
+    /// The RT unit's fetches waiting for the port: `(line, waiter)`.
+    rt_fifo: VecDeque<(u64, u64)>,
+    /// Round-robin token of the shared port.
+    port_prefers_rt: bool,
+    /// Last cycle the port was presented, or the cycle a line was queued
+    /// into the empty port: every cycle after it up to the next
+    /// presentation was a rejected one.
+    port_settled: u64,
 }
 
 impl L1Shard {
@@ -104,6 +132,57 @@ impl L1Shard {
     fn mshrs_in_use(&self) -> usize {
         self.l1.mshrs_in_use() + self.rt_cache.as_ref().map_or(0, Cache::mshrs_in_use)
     }
+
+    fn queue(&mut self, requester: Requester) -> &mut VecDeque<(u64, u64)> {
+        match requester {
+            Requester::Lsu => &mut self.lsu_queue,
+            Requester::RtUnit => &mut self.rt_fifo,
+        }
+    }
+
+    fn port_idle(&self) -> bool {
+        self.lsu_queue.is_empty() && self.rt_fifo.is_empty()
+    }
+
+    /// Whether the next presentation of either queue head could be
+    /// accepted. Conservative under the shared policy, where the
+    /// round-robin may present the other (rejected) head first.
+    fn port_may_accept(&self) -> bool {
+        let rt_cache = self.rt_cache.as_ref().unwrap_or(&self.l1);
+        self.lsu_queue
+            .front()
+            .is_some_and(|&(line, _)| self.l1.can_accept(line))
+            || self
+                .rt_fifo
+                .front()
+                .is_some_and(|&(line, _)| rt_cache.can_accept(line))
+    }
+
+    /// Accounts `cycles` presentations that the cache rejected, exactly as
+    /// that many per-cycle presentations ending in [`AccessOutcome::Rejected`]
+    /// would: one stall probe per waiting side and cycle with a private RT
+    /// path, otherwise one per cycle, with the round-robin token toggling
+    /// when both sides wait.
+    fn note_rejected_presentations(&mut self, cycles: u64) {
+        let lsu = !self.lsu_queue.is_empty();
+        let rt = !self.rt_fifo.is_empty();
+        if let Some(rt_cache) = &mut self.rt_cache {
+            if lsu {
+                self.l1.note_stalled_probes(cycles);
+            }
+            if rt {
+                rt_cache.note_stalled_probes(cycles);
+            }
+            return;
+        }
+        match (lsu, rt) {
+            (false, false) => return,
+            (true, false) => self.port_prefers_rt = true,
+            (false, true) => self.port_prefers_rt = false,
+            (true, true) => self.port_prefers_rt ^= cycles % 2 == 1,
+        }
+        self.l1.note_stalled_probes(cycles);
+    }
 }
 
 /// The full hierarchy.
@@ -111,7 +190,6 @@ impl L1Shard {
 pub struct MemorySystem {
     l1_latency: u64,
     half_l2_latency: u64,
-    rt_private: bool,
     shards: Vec<L1Shard>,
     l2_banks: Vec<Cache>,
     l2_bank_busy: Vec<u64>,
@@ -120,9 +198,6 @@ pub struct MemorySystem {
     lines_per_row: u64,
     events: EventQueue<Event>,
     dram_completions: Vec<(u64, u64)>,
-    /// SMs whose L1 (or private RT cache) received a fill during the most
-    /// recent tick; see [`MemorySystem::l1_touched`].
-    l1_touched: Vec<usize>,
 }
 
 impl MemorySystem {
@@ -143,13 +218,16 @@ impl MemorySystem {
         MemorySystem {
             l1_latency: cfg.l1_latency,
             half_l2_latency: cfg.l2_latency / 2,
-            rt_private: !matches!(cfg.rt_cache, RtCachePolicy::SharedWithLsu),
             shards: (0..cfg.num_sms)
                 .map(|_| L1Shard {
                     l1: Cache::new(cfg.l1_sets(), cfg.l1_ways, cfg.l1_mshrs),
                     rt_cache: rt_cache(),
                     lsu_accesses: 0,
                     rt_accesses: 0,
+                    lsu_queue: VecDeque::new(),
+                    rt_fifo: VecDeque::new(),
+                    port_prefers_rt: false,
+                    port_settled: 0,
                 })
                 .collect(),
             l2_banks: (0..cfg.l2_banks)
@@ -170,13 +248,23 @@ impl MemorySystem {
             lines_per_row: cfg.lines_per_row(),
             events: EventQueue::new(),
             dram_completions: Vec::new(),
-            l1_touched: Vec::new(),
         }
     }
 
-    /// Presents one access to `sm`'s L1 port (the caller enforces the
-    /// one-access-per-cycle port sharing between LSU and RT FIFO when the
-    /// shared policy is active).
+    /// Queues `line` on `requester`'s side of `sm`'s L1 port at cycle
+    /// `now`. The port first presents it at `now + 1`; once the cache
+    /// accepts it, `waiter` completes like any access's.
+    pub fn enqueue(&mut self, sm: usize, line: u64, waiter: u64, requester: Requester, now: u64) {
+        let shard = &mut self.shards[sm];
+        if shard.port_idle() {
+            shard.port_settled = now;
+        }
+        shard.queue(requester).push_back((line, waiter));
+    }
+
+    /// Presents one access straight to the cache `requester` uses on `sm`,
+    /// bypassing the port's queues and arbitration (the port calls this for
+    /// each head it presents).
     pub fn access(
         &mut self,
         sm: usize,
@@ -231,44 +319,69 @@ impl MemorySystem {
         self.shards[sm].mshrs_in_use()
     }
 
-    /// Returns `true` when the RT unit has a private path to memory (the
-    /// shared L1 port need not be arbitrated).
-    pub fn rt_has_private_path(&self) -> bool {
-        self.rt_private
+    /// Lines waiting at `sm`'s L1 port: `(LSU queue, RT fetch FIFO)`
+    /// (deadlock diagnostics).
+    pub fn port_depths(&self, sm: usize) -> (usize, usize) {
+        let shard = &self.shards[sm];
+        (shard.lsu_queue.len(), shard.rt_fifo.len())
     }
 
-    /// Whether presenting `line` on `sm`'s port for `requester` would be
-    /// accepted this cycle (i.e. [`MemorySystem::access`] would not return
-    /// [`AccessOutcome::Rejected`]). Non-mutating; used by `Sm::next_event`
-    /// to distinguish a queue that can make progress next cycle from one
-    /// blocked until a fill frees an MSHR — the latter's wakeup is already
-    /// owned by this system's event queue.
-    pub fn can_accept(&self, sm: usize, line: u64, requester: Requester) -> bool {
-        let shard = &self.shards[sm];
-        match (requester, &shard.rt_cache) {
-            (Requester::RtUnit, Some(cache)) => cache.can_accept(line),
-            _ => shard.l1.can_accept(line),
+    /// Presents `sm`'s port for cycle `now`: first replays the cycles since
+    /// it was last settled as rejected presentations (the run loop skips
+    /// a cycle only while no head can be accepted), then presents this
+    /// cycle's heads. A port already presented at `now` is left alone.
+    fn present_port(&mut self, sm: usize, now: u64) {
+        let shard = &mut self.shards[sm];
+        if shard.port_settled >= now {
+            return;
+        }
+        let skipped = now - shard.port_settled - 1;
+        if skipped > 0 {
+            shard.note_rejected_presentations(skipped);
+        }
+        shard.port_settled = now;
+        let lsu = !shard.lsu_queue.is_empty();
+        let rt = !shard.rt_fifo.is_empty();
+        if shard.rt_cache.is_some() {
+            if rt {
+                self.present_head(sm, Requester::RtUnit, now);
+            }
+            if lsu {
+                self.present_head(sm, Requester::Lsu, now);
+            }
+            return;
+        }
+        let pick_rt = match (lsu, rt) {
+            (false, false) => return,
+            (true, false) => false,
+            (false, true) => true,
+            (true, true) => shard.port_prefers_rt,
+        };
+        shard.port_prefers_rt = !pick_rt;
+        let requester = if pick_rt {
+            Requester::RtUnit
+        } else {
+            Requester::Lsu
+        };
+        self.present_head(sm, requester, now);
+    }
+
+    /// Presents the head of `requester`'s queue on `sm`'s port, popping it
+    /// if the cache accepts it.
+    fn present_head(&mut self, sm: usize, requester: Requester, now: u64) {
+        let Some(&(line, waiter)) = self.shards[sm].queue(requester).front() else {
+            return;
+        };
+        if self.access(sm, line, waiter, requester, now) == AccessOutcome::Accepted {
+            self.shards[sm].queue(requester).pop_front();
         }
     }
 
-    /// Bulk-accounts `count` rejected port presentations by `requester` on
-    /// `sm`, exactly as `count` per-cycle retries ending in
-    /// [`AccessOutcome::Rejected`] would have (stall statistics only — a
-    /// rejected access never reaches the requester counters). Called by
-    /// `Sm::fast_forward` so the stepped oracle and the event-driven loop
-    /// report identical stall streams.
-    pub fn note_stalled_probes(&mut self, sm: usize, requester: Requester, count: u64) {
-        self.shards[sm]
-            .cache_for(requester)
-            .1
-            .note_stalled_probes(count);
-    }
-
-    /// Advances one cycle; appends `(sm, waiter)` completions to `done`.
+    /// Advances one cycle: DRAM service, every event due, then every
+    /// waiting L1 port. Appends `(sm, waiter)` completions to `done`.
     pub fn tick(&mut self, now: u64, done: &mut Vec<(usize, u64)>) {
         // DRAM channels progress independently.
         self.dram_completions.clear();
-        self.l1_touched.clear();
         let channels = self.dram.len() as u64;
         for (ch, dram) in self.dram.iter_mut().enumerate() {
             let before = self.dram_completions.len();
@@ -329,7 +442,6 @@ impl MemorySystem {
                 Event::L1Fill { sm, line } => {
                     let is_rt = sm & RT_FILL != 0;
                     let sm_idx = (sm & !RT_FILL) as usize;
-                    self.l1_touched.push(sm_idx);
                     let shard = &mut self.shards[sm_idx];
                     let waiters = match (is_rt, &mut shard.rt_cache) {
                         (true, Some(cache)) => cache.fill(line),
@@ -353,25 +465,43 @@ impl MemorySystem {
                 }
             }
         }
+
+        // Ports present after the drain, so this cycle's fills count. What
+        // they schedule lands in later cycles (or, at zero latency, is
+        // drained late by the next tick, as an SM's own access would be).
+        for sm in 0..self.shards.len() {
+            if !self.shards[sm].port_idle() {
+                self.present_port(sm, now);
+            }
+        }
     }
 
-    /// Returns `true` when no request is in flight anywhere.
+    /// Returns `true` when no request is in flight or waiting anywhere.
     pub fn quiescent(&self) -> bool {
-        self.events.is_empty() && self.dram.iter().all(|d| d.queue_len() == 0)
+        self.events.is_empty()
+            && self.dram.iter().all(|d| d.queue_len() == 0)
+            && self.shards.iter().all(L1Shard::port_idle)
     }
 
     /// The earliest future cycle at which [`MemorySystem::tick`] can do any
     /// work, or `None` when the hierarchy is quiescent.
     ///
-    /// Two sources of future activity exist, both expressed as absolute
-    /// cycles: the event queue (interconnect hops, fills, completions, L2
-    /// retries) and each DRAM channel's next possible FR-FCFS service
-    /// ([`DramChannel::next_service_cycle`]). Ticking strictly between `now`
-    /// and the returned cycle is provably a no-op, which is what licenses
-    /// the event-driven loop to skip those cycles. Call only after `tick
-    /// (now)` has drained everything due at `now`; the result is clamped to
-    /// `now + 1` so the caller always advances.
+    /// Three sources of future activity exist, all expressed as absolute
+    /// cycles: an L1 port whose head the cache could accept (`now + 1`),
+    /// the event queue (interconnect hops, fills, completions, L2 retries)
+    /// and each DRAM channel's next possible FR-FCFS service
+    /// ([`DramChannel::next_service_cycle`]). A port whose heads the cache
+    /// rejects waits for a fill, which the event queue already schedules.
+    /// Ticking strictly between `now` and the returned cycle changes
+    /// nothing but the rejected presentations the port replays in bulk,
+    /// which is what licenses the event-driven loop to skip those cycles.
+    /// Call only after `tick(now)` and after the SMs have queued this
+    /// cycle's lines; the result is clamped to `now + 1` so the caller
+    /// always advances.
     pub fn next_event(&self, now: u64) -> Option<u64> {
+        if self.shards.iter().any(L1Shard::port_may_accept) {
+            return Some(now + 1);
+        }
         let mut next = self.events.next_cycle();
         for d in &self.dram {
             next = match (next, d.next_service_cycle()) {
@@ -380,14 +510,6 @@ impl MemorySystem {
             };
         }
         next.map(|t| t.max(now + 1))
-    }
-
-    /// SMs whose L1 (or private RT cache) received a fill during the most
-    /// recent [`MemorySystem::tick`] — the set of SMs whose
-    /// [`MemorySystem::can_accept`] answers may just have flipped. May
-    /// contain duplicates; order follows event-drain order.
-    pub fn l1_touched(&self) -> &[usize] {
-        &self.l1_touched
     }
 
     fn bank_of(&self, line: u64) -> usize {

@@ -3,9 +3,11 @@
 //! One unit serves the SM's four sub-cores. A dispatched HSU warp instruction
 //! occupies a warp-buffer entry while each active lane's CISC fetch drains
 //! through the FIFO memory-access queue (which time-shares the L1 port with
-//! the load-store unit); once every lane's operands arrive, the single-lane
-//! datapath consumes one lane-beat per cycle. When all lanes complete, the
-//! result buffer writes back and the owning warp resumes.
+//! the load-store unit, and so lives with that port in
+//! [`crate::memory::MemorySystem`]: `dispatch` hands the entry's fetches to
+//! the SM, which queues them there); once every lane's operands arrive, the
+//! single-lane datapath consumes one lane-beat per cycle. When all lanes
+//! complete, the result buffer writes back and the owning warp resumes.
 //!
 //! Multi-beat distance sequences are dispatched as one buffered instruction
 //! whose lanes carry `ceil(dim / width)` beats each — the timing-equivalent
@@ -13,8 +15,6 @@
 //! ordering rule (the arbiter lock simply means no other warp's beats may
 //! interleave, which holding the warp-buffer entry through all beats
 //! enforces).
-
-use std::collections::VecDeque;
 
 use hsu_core::arbiter::SubCoreArbiter;
 use hsu_core::config::PIPELINE_DEPTH;
@@ -24,19 +24,6 @@ use hsu_core::HsuConfig;
 
 use crate::error::SimError;
 use crate::trace::{lanes_of, ThreadOp};
-
-/// A pending CISC fetch: one unique cache line needed by one or more lanes
-/// of a warp-buffer entry. Identical lane fetches are coalesced at dispatch
-/// (the CISC analogue of LSU coalescing, §VI-J).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FifoRequest {
-    /// Warp-buffer entry.
-    pub entry: EntryId,
-    /// Index into the entry's coalesced-request table.
-    pub req: usize,
-    /// Cache line to fetch.
-    pub line: u64,
-}
 
 /// Statistics of one RT/HSU unit.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -140,7 +127,6 @@ pub struct RtUnit {
     /// All-false accumulate bits for the arbiter (sized once).
     no_accumulate: Vec<bool>,
     pipeline: DatapathPipeline,
-    fifo: VecDeque<FifoRequest>,
     /// Per-entry coalesced fetch table: `(line, lane mask)`.
     entry_requests: Vec<Vec<(u64, u32)>>,
     /// Entry currently being drained into the datapath (sticky, so beat
@@ -163,7 +149,6 @@ impl RtUnit {
             arbiter: SubCoreArbiter::new(sub_cores),
             no_accumulate: vec![false; sub_cores],
             pipeline: DatapathPipeline::new(),
-            fifo: VecDeque::new(),
             entry_requests: vec![Vec::new(); entries],
             draining: None,
             completed_warps: Vec::new(),
@@ -202,10 +187,15 @@ impl RtUnit {
         self.arbiter.grant(requesting, &self.no_accumulate)
     }
 
-    /// Dispatches a warp instruction into the warp buffer, enqueueing each
-    /// active lane's line fetches. `ops` holds one op per set bit of
-    /// `active_mask`, lowest lane first; `line_bytes` is the cache-line
-    /// size.
+    /// Dispatches a warp instruction into the warp buffer. `ops` holds one
+    /// op per set bit of `active_mask`, lowest lane first; `line_bytes` is
+    /// the cache-line size.
+    ///
+    /// Returns the entry and its fetches: one cache line per request, in
+    /// request order, with identical lane fetches coalesced into one (the
+    /// CISC analogue of LSU coalescing, §VI-J). The SM queues request `req`
+    /// at its L1 port, and its response comes back through
+    /// [`RtUnit::on_mem_response`]`(entry, req)`.
     ///
     /// # Errors
     ///
@@ -220,7 +210,7 @@ impl RtUnit {
         active_mask: u32,
         ops: &[ThreadOp],
         line_bytes: u64,
-    ) -> Result<EntryId, SimError> {
+    ) -> Result<(EntryId, impl Iterator<Item = u64> + '_), SimError> {
         // Check every active lane before committing any state, so a
         // malformed instruction cannot leave a half-dispatched entry.
         for op in ops.iter().take(active_mask.count_ones() as usize) {
@@ -263,39 +253,12 @@ impl RtUnit {
                 }
             }
         }
-        for (req, &(line, _)) in table.iter().enumerate() {
-            self.fifo.push_back(FifoRequest { entry, req, line });
-        }
-        Ok(entry)
-    }
-
-    /// The next CISC fetch awaiting the L1 port, if any (the SM pops it when
-    /// the RT unit wins the port this cycle).
-    pub fn peek_fifo(&self) -> Option<FifoRequest> {
-        self.fifo.front().copied()
-    }
-
-    /// Removes the request returned by [`RtUnit::peek_fifo`], or `None` when
-    /// the FIFO is empty.
-    pub fn pop_fifo(&mut self) -> Option<FifoRequest> {
-        self.fifo.pop_front()
-    }
-
-    /// Memory requests currently queued in the fetch FIFO (deadlock
-    /// diagnostics).
-    pub fn fifo_len(&self) -> usize {
-        self.fifo.len()
+        Ok((entry, table.iter().map(|&(line, _)| line)))
     }
 
     /// Occupied warp-buffer entries (deadlock diagnostics).
     pub fn warp_buffer_occupancy(&self) -> usize {
         self.warp_buffer.occupancy()
-    }
-
-    /// Re-inserts a request that the L1 rejected (MSHR full) at the FIFO
-    /// head, preserving order.
-    pub fn push_back_front(&mut self, req: FifoRequest) {
-        self.fifo.push_front(req);
     }
 
     /// A memory response for `(entry, req)` arrived; decrements every lane
@@ -404,10 +367,8 @@ impl RtUnit {
 
     /// Returns `true` when the next [`RtUnit::tick`] itself can change
     /// internal state: beats in the datapath, an undelivered writeback, or
-    /// a warp-buffer entry with issuable lanes. Pending fetches in the FIFO
-    /// are deliberately *excluded* — `tick` never consumes the FIFO (the
-    /// SM's L1-port arbiter does), so whether a queued fetch can make
-    /// progress is the SM's question, answered against the cache state.
+    /// a warp-buffer entry with issuable lanes. Fetches still waiting at
+    /// the L1 port are the memory system's to present.
     fn advances_on_tick(&self) -> bool {
         !self.pipeline.is_empty()
             || !self.completed_warps.is_empty()
@@ -463,9 +424,8 @@ impl RtUnit {
     /// to issue, then the remaining idle span is integrated in one step
     /// (elapsed cycles, occupancy of entries parked on memory, the empty
     /// pipeline's age). The caller guarantees that no writeback falls
-    /// inside the span ([`RtUnit::next_release`]) and that any queued FIFO
-    /// fetch cannot be accepted by the cache during it (the SM accounts the
-    /// rejected probes).
+    /// inside the span ([`RtUnit::next_release`]); a fetch the L1 port
+    /// accepts during it changes nothing here until its response arrives.
     pub fn advance(&mut self, cycles: u64) {
         let mut left = cycles;
         while left > 0 && self.advances_on_tick() {
@@ -505,7 +465,7 @@ impl RtUnit {
 
     /// Returns `true` when the unit holds no work.
     pub fn idle(&self) -> bool {
-        self.warp_buffer.occupancy() == 0 && self.fifo.is_empty() && self.pipeline.is_empty()
+        self.warp_buffer.occupancy() == 0 && self.pipeline.is_empty()
     }
 
     /// Statistics snapshot (pipeline stats copied in).
@@ -523,6 +483,7 @@ mod tests {
     use hsu_core::node::KeyNode;
     use hsu_geometry::point::Metric;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn euclid_op(dim: u32) -> ThreadOp {
         ThreadOp::HsuDistance {
@@ -542,16 +503,39 @@ mod tests {
         out
     }
 
-    /// Drives the unit until `warp` completes, answering all memory requests
-    /// after `mem_latency` ticks.
-    fn run_to_completion(unit: &mut RtUnit, mem_latency: u64, max: u64) -> (u64, Vec<usize>) {
+    /// The RT side of an L1 port as these tests model it: each dispatched
+    /// request's `(entry, req)`, in dispatch order.
+    type Fifo = VecDeque<(EntryId, usize)>;
+
+    /// Dispatches `op` on every lane of `mask` and queues its fetches.
+    fn dispatch_into(
+        unit: &mut RtUnit,
+        fifo: &mut Fifo,
+        warp: usize,
+        sub_core: usize,
+        mask: u32,
+        op: ThreadOp,
+    ) {
+        let (entry, lines) = unit
+            .dispatch(warp, sub_core, mask, &lanes_with(op, mask), 128)
+            .unwrap();
+        fifo.extend((0..lines.count()).map(|req| (entry, req)));
+    }
+
+    /// Drives the unit until it goes idle, taking one queued fetch per
+    /// cycle and answering it after `mem_latency` ticks.
+    fn run_to_completion(
+        unit: &mut RtUnit,
+        fifo: &mut Fifo,
+        mem_latency: u64,
+        max: u64,
+    ) -> (u64, Vec<usize>) {
         let mut responses: Vec<(u64, EntryId, usize)> = Vec::new();
         let mut all_done = Vec::new();
         for now in 0..max {
             // Model a perfect-bandwidth memory of fixed latency.
-            if let Some(req) = unit.peek_fifo() {
-                let _ = unit.pop_fifo();
-                responses.push((now + mem_latency, req.entry, req.req));
+            if let Some((entry, req)) = fifo.pop_front() {
+                responses.push((now + mem_latency, entry, req));
             }
             responses.retain(|&(at, entry, req)| {
                 if at == now {
@@ -578,8 +562,9 @@ mod tests {
             bytes: 128,
             triangle: false,
         };
-        unit.dispatch(7, 0, 1, &lanes_with(op, 1), 128).unwrap();
-        let (cycles, done) = run_to_completion(&mut unit, 20, 1000);
+        let mut fifo = Fifo::new();
+        dispatch_into(&mut unit, &mut fifo, 7, 0, 1, op);
+        let (cycles, done) = run_to_completion(&mut unit, &mut fifo, 20, 1000);
         assert_eq!(done, vec![7]);
         // 20 (mem) + 9 (pipe) + small bookkeeping.
         assert!((25..40).contains(&cycles), "took {cycles} cycles");
@@ -592,9 +577,9 @@ mod tests {
     #[test]
     fn multi_beat_distance_counts_isa_instructions() {
         let mut unit = RtUnit::new(HsuConfig::default(), 4);
-        unit.dispatch(3, 1, 1, &lanes_with(euclid_op(96), 1), 128)
-            .unwrap();
-        let (_, done) = run_to_completion(&mut unit, 10, 1000);
+        let mut fifo = Fifo::new();
+        dispatch_into(&mut unit, &mut fifo, 3, 1, 1, euclid_op(96));
+        let (_, done) = run_to_completion(&mut unit, &mut fifo, 10, 1000);
         assert_eq!(done, vec![3]);
         let s = unit.stats();
         assert_eq!(s.isa_instructions, 6, "96 dims / 16 lanes = 6 beats");
@@ -605,9 +590,9 @@ mod tests {
     fn sparse_mask_issues_only_active_lanes() {
         let mut unit = RtUnit::new(HsuConfig::default(), 4);
         let mask = (1 << 3) | (1 << 30);
-        unit.dispatch(1, 0, mask, &lanes_with(euclid_op(16), mask), 128)
-            .unwrap();
-        let (_, _) = run_to_completion(&mut unit, 5, 1000);
+        let mut fifo = Fifo::new();
+        dispatch_into(&mut unit, &mut fifo, 1, 0, mask, euclid_op(16));
+        run_to_completion(&mut unit, &mut fifo, 5, 1000);
         let s = unit.stats();
         assert_eq!(s.isa_instructions, 2, "one beat per active lane");
     }
@@ -617,9 +602,9 @@ mod tests {
         for (width, beats) in [(4usize, 24u64), (8, 12), (16, 6), (32, 3)] {
             let cfg = HsuConfig::default().with_euclid_width(width);
             let mut unit = RtUnit::new(cfg, 4);
-            unit.dispatch(0, 0, 1, &lanes_with(euclid_op(96), 1), 128)
-                .unwrap();
-            run_to_completion(&mut unit, 5, 2000);
+            let mut fifo = Fifo::new();
+            dispatch_into(&mut unit, &mut fifo, 0, 0, 1, euclid_op(96));
+            run_to_completion(&mut unit, &mut fifo, 5, 2000);
             assert_eq!(unit.stats().isa_instructions, beats, "width {width}");
         }
     }
@@ -631,8 +616,9 @@ mod tests {
             node_addr: 0x2000,
             separators: 255,
         };
-        unit.dispatch(0, 0, 1, &lanes_with(op, 1), 128).unwrap();
-        run_to_completion(&mut unit, 5, 1000);
+        let mut fifo = Fifo::new();
+        dispatch_into(&mut unit, &mut fifo, 0, 0, 1, op);
+        run_to_completion(&mut unit, &mut fifo, 5, 1000);
         let s = unit.stats();
         assert_eq!(s.isa_instructions, 8, "ceil(255/36) = 8");
         assert_eq!(s.pipeline.completed[OperatingMode::KeyCompare.index()], 8);
@@ -644,9 +630,9 @@ mod tests {
         let mut unit = RtUnit::new(cfg, 4);
         let op = euclid_op(16);
         assert!(unit.grant(&[true, false, false, false]).is_some());
-        unit.dispatch(0, 0, 1, &lanes_with(op, 1), 128).unwrap();
+        dispatch_into(&mut unit, &mut Fifo::new(), 0, 0, 1, op);
         assert!(unit.grant(&[false, true, false, false]).is_some());
-        unit.dispatch(1, 1, 1, &lanes_with(op, 1), 128).unwrap();
+        dispatch_into(&mut unit, &mut Fifo::new(), 1, 1, 1, op);
         // Buffer full: grant refuses and counts a stall.
         assert!(unit.grant(&[false, false, true, false]).is_none());
         assert_eq!(unit.stats().dispatch_stalls, 1);
@@ -670,11 +656,10 @@ mod tests {
     #[test]
     fn two_entries_overlap_memory_but_serialize_datapath() {
         let mut unit = RtUnit::new(HsuConfig::default(), 4);
-        unit.dispatch(0, 0, 1, &lanes_with(euclid_op(64), 1), 128)
-            .unwrap();
-        unit.dispatch(1, 1, 1, &lanes_with(euclid_op(64), 1), 128)
-            .unwrap();
-        let (cycles, mut done) = run_to_completion(&mut unit, 50, 5000);
+        let mut fifo = Fifo::new();
+        dispatch_into(&mut unit, &mut fifo, 0, 0, 1, euclid_op(64));
+        dispatch_into(&mut unit, &mut fifo, 1, 1, 1, euclid_op(64));
+        let (cycles, mut done) = run_to_completion(&mut unit, &mut fifo, 50, 5000);
         done.sort_unstable();
         assert_eq!(done, vec![0, 1]);
         // Two 256-byte fetches (2+2 lines over the 1/cycle FIFO) under a
@@ -689,12 +674,10 @@ mod tests {
         // including occupancy integration for the parked entry.
         let build = || {
             let mut u = RtUnit::new(HsuConfig::default(), 4);
-            u.dispatch(0, 0, 1, &lanes_with(euclid_op(32), 1), 128)
-                .unwrap();
-            while u.pop_fifo().is_some() {}
-            // A skip never starts un-ticked: dispatch leaves the FIFO
-            // non-empty, so the run loop always executes at least one tick
-            // (sampling occupancy/peak) before the unit can report idle.
+            // The fetches are taken by the port and never answered.
+            dispatch_into(&mut u, &mut Fifo::new(), 0, 0, 1, euclid_op(32));
+            // A skip never starts un-ticked: the dispatching SM ticks, and
+            // so does its unit, sampling occupancy/peak.
             u.tick();
             u
         };
@@ -711,8 +694,8 @@ mod tests {
     }
 
     /// One cycle of a random unit workout: a dispatch attempt (`(mask,
-    /// op)`, skipped while the buffer is full) and an optional FIFO pop
-    /// whose response lands after the given latency.
+    /// op)`, skipped while the buffer is full) and an optional fetch taken
+    /// from the FIFO, whose response lands after the given latency.
     #[derive(Debug, Clone)]
     struct Cycle {
         dispatch: Option<(u32, ThreadOp)>,
@@ -745,11 +728,12 @@ mod tests {
     }
 
     /// Plays `schedule` on a fresh unit in the SM's per-cycle order
-    /// (responses, tick, FIFO pop, dispatch) and returns it with the cycle
+    /// (responses, tick, fetch, dispatch) and returns it with the cycle
     /// of its last tick. Checks on the way that
     /// `response_completes_operands` predicts every response.
     fn replay(entries: usize, schedule: &[Cycle]) -> (RtUnit, u64) {
         let mut unit = RtUnit::new(HsuConfig::default().with_warp_buffer(entries), 4);
+        let mut fifo = Fifo::new();
         let mut in_flight: Vec<(u64, EntryId, usize)> = Vec::new();
         for (now, cycle) in schedule.iter().enumerate() {
             let now = now as u64;
@@ -765,14 +749,13 @@ mod tests {
             unit.tick();
             completed(&mut unit);
             if let Some(latency) = cycle.fetch_latency {
-                if let Some(req) = unit.pop_fifo() {
-                    in_flight.push((now + latency, req.entry, req.req));
+                if let Some((entry, req)) = fifo.pop_front() {
+                    in_flight.push((now + latency, entry, req));
                 }
             }
             if let Some((mask, op)) = cycle.dispatch {
                 if !unit.buffer_full() {
-                    unit.dispatch(now as usize, 0, mask, &lanes_with(op, mask), 128)
-                        .unwrap();
+                    dispatch_into(&mut unit, &mut fifo, now as usize, 0, mask, op);
                 }
             }
         }
@@ -900,10 +883,10 @@ mod tests {
     fn dispatch_into_full_buffer_is_a_typed_error() {
         let cfg = HsuConfig::default().with_warp_buffer(1);
         let mut unit = RtUnit::new(cfg, 4);
-        unit.dispatch(0, 0, 1, &lanes_with(euclid_op(16), 1), 128)
-            .unwrap();
+        dispatch_into(&mut unit, &mut Fifo::new(), 0, 0, 1, euclid_op(16));
         let err = unit
             .dispatch(1, 1, 1, &lanes_with(euclid_op(16), 1), 128)
+            .map(|(entry, _)| entry)
             .expect_err("full buffer must reject");
         assert!(matches!(err, SimError::IllegalDispatch { .. }));
         // The failed dispatch left no trace: one entry, one instruction.
@@ -916,24 +899,35 @@ mod tests {
         let mut unit = RtUnit::new(HsuConfig::default(), 4);
         let err = unit
             .dispatch(0, 0, 1, &lanes_with(ThreadOp::Alu { count: 4 }, 1), 128)
+            .map(|(entry, _)| entry)
             .expect_err("ALU op must not reach the RT unit");
         assert!(matches!(err, SimError::IllegalDispatch { .. }));
         assert!(err.to_string().contains("non-HSU op"));
         // Plan-before-commit: nothing was allocated or counted.
         assert!(unit.idle());
         assert_eq!(unit.stats().warp_instructions, 0);
-        assert_eq!(unit.fifo_len(), 0);
     }
 
     #[test]
-    fn fifo_order_is_preserved_on_rejection() {
+    fn dispatch_hands_over_coalesced_fetches_in_request_order() {
         let mut unit = RtUnit::new(HsuConfig::default(), 4);
-        unit.dispatch(0, 0, 1, &lanes_with(euclid_op(64), 1), 128)
-            .unwrap();
-        let first = unit.peek_fifo().unwrap();
-        let popped = unit.pop_fifo().unwrap();
-        assert_eq!(first, popped);
-        unit.push_back_front(popped);
-        assert_eq!(unit.peek_fifo().unwrap(), first);
+        // Three lanes reading 256 bytes (two lines) each: two share a
+        // candidate, the third starts one line later. Coalesced: lines 32,
+        // 33, 34.
+        let op = |addr| ThreadOp::HsuDistance {
+            metric: Metric::Euclidean,
+            dim: 64,
+            candidate_addr: addr,
+        };
+        let ops = [op(0x1000), op(0x1000), op(0x1080)];
+        let (entry, lines) = unit.dispatch(5, 2, 0b111, &ops, 128).unwrap();
+        assert_eq!(lines.collect::<Vec<_>>(), vec![32, 33, 34]);
+        // Request 1 (line 33) is shared by all three lanes; request 2 only
+        // by the third, so answering 0 and 1 leaves the entry short.
+        assert!(!unit.response_completes_operands(entry, 0));
+        unit.on_mem_response(entry, 0);
+        assert!(!unit.response_completes_operands(entry, 1));
+        unit.on_mem_response(entry, 1);
+        assert!(unit.response_completes_operands(entry, 2));
     }
 }

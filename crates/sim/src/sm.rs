@@ -1,11 +1,13 @@
 //! The streaming multiprocessor: resident warps, GTO scheduling per
-//! sub-core, the load-store path, and the shared RT/HSU unit.
+//! sub-core, the load-store path, and the shared RT/HSU unit. The L1 port
+//! that the load-store unit and the RT unit's fetch FIFO share belongs to
+//! the memory system ([`MemorySystem::enqueue`]).
 
 use std::collections::VecDeque;
 
 use crate::config::GpuConfig;
 use crate::error::{SimError, SmDeadlockState};
-use crate::memory::{AccessOutcome, MemorySystem, Requester};
+use crate::memory::{MemorySystem, Requester};
 use crate::rt_unit::{RtUnit, RtUnitStats};
 use crate::trace::{OpClass, ThreadOp, WarpTrace};
 
@@ -71,10 +73,6 @@ pub struct Sm<'k> {
     /// Issue-slot occupancy: a sub-core executing an N-instruction ALU or
     /// shared-memory run cannot issue anything else until it drains.
     sub_core_busy_until: Vec<u64>,
-    /// Per-line load requests awaiting the L1 port: `(line, warp slot)`.
-    lsu_queue: VecDeque<(u64, usize)>,
-    /// Round-robin token for the shared L1 port (LSU vs RT FIFO, §VI-H).
-    port_prefers_rt: bool,
     rt: RtUnit,
     next_age: u64,
     /// Last cycle any sub-core issued an instruction (deadlock diagnostics'
@@ -113,8 +111,6 @@ impl<'k> Sm<'k> {
             warps: Vec::new(),
             last_issued: vec![None; cfg.sub_cores],
             sub_core_busy_until: vec![0; cfg.sub_cores],
-            lsu_queue: VecDeque::new(),
-            port_prefers_rt: false,
             rt: RtUnit::new(cfg.hsu.clone(), cfg.sub_cores),
             next_age: 0,
             last_issue_cycle: None,
@@ -133,31 +129,28 @@ impl<'k> Sm<'k> {
         self.launch_queue.push_back(trace);
     }
 
-    /// Returns `true` when every warp has retired and all queues are empty.
+    /// Returns `true` when every warp has retired and the RT unit is idle.
+    /// Lines still waiting at the L1 port are the memory system's
+    /// ([`MemorySystem::quiescent`]).
     pub fn finished(&self) -> bool {
         self.launch_queue.is_empty()
             && self.warps.iter().all(|w| w.status == WarpStatus::Finished)
-            && self.lsu_queue.is_empty()
             && self.rt.idle()
     }
 
     /// The earliest future cycle at which this SM's state can *observably*
     /// change without memory-side help, or `None` when it is entirely
     /// blocked on the memory system (or finished). The run loop additionally
-    /// wakes a sleeping SM when its L1 receives a fill
-    /// ([`MemorySystem::l1_touched`]) or when a completion that
-    /// [`Sm::completion_wakes`] is delivered to it — the only memory-side
-    /// events that change what this SM can observe.
+    /// wakes a sleeping SM when a completion that [`Sm::completion_wakes`]
+    /// is delivered to it — the only memory-side event that changes what
+    /// this SM can observe. The lines it has queued at the L1 port are the
+    /// memory system's to present ([`MemorySystem::next_event`]).
     ///
     /// The contract required by the event-driven run loop is soundness, not
     /// tightness: the returned cycle must never be *later* than the true
-    /// next state change. Five refinements keep memory-, compute- and
+    /// next state change. Four refinements keep memory-, compute- and
     /// RT-bound phases skippable without breaking it:
     ///
-    /// * a queued L1 access (LSU or RT fetch) only forces `now + 1` if the
-    ///   cache would actually *accept* it ([`MemorySystem::can_accept`]);
-    ///   a rejected retry is a no-op whose eventual acceptance is caused by
-    ///   a fill the memory event heap already schedules,
     /// * a `Ready` warp's next issue opportunity is its sub-core's
     ///   `busy_until` (Alu/Shared runs occupy the issue slot for their full
     ///   run length), not the next cycle,
@@ -171,21 +164,13 @@ impl<'k> Sm<'k> {
     ///   full is blocked until that writeback, and so are the ready warps
     ///   behind its pick; each cycle it only counts a refused dispatch,
     ///   which [`Sm::fast_forward`] replays in bulk.
-    pub fn next_event(&self, now: u64, mem: &MemorySystem) -> Option<u64> {
+    pub fn next_event(&self, now: u64) -> Option<u64> {
         // Launching needs a free or finished slot; if none exists the launch
         // queue only drains after a retirement, which another event causes.
         let can_launch = !self.launch_queue.is_empty()
             && (self.warps.len() < self.max_warps
                 || self.warps.iter().any(|w| w.status == WarpStatus::Finished));
-        let lsu_can_issue = self
-            .lsu_queue
-            .front()
-            .is_some_and(|&(line, _)| mem.can_accept(self.index, line, Requester::Lsu));
-        let rt_can_fetch = self
-            .rt
-            .peek_fifo()
-            .is_some_and(|req| mem.can_accept(self.index, req.line, Requester::RtUnit));
-        if can_launch || lsu_can_issue || rt_can_fetch {
+        if can_launch {
             return Some(now + 1);
         }
         let free = |sc: usize| self.sub_core_busy_until[sc].max(now + 1);
@@ -216,16 +201,13 @@ impl<'k> Sm<'k> {
     /// [`Sm::tick`] in a state where no queue, warp, or unit can make
     /// progress the SM can observe.
     ///
-    /// Three pieces of per-cycle work from the stepped oracle are replayed
+    /// Two pieces of per-cycle work from the stepped oracle are replayed
     /// so both modes stay bit-identical: the RT unit advances its datapath
-    /// ([`RtUnit::advance`]; no writeback falls inside the window), a
+    /// ([`RtUnit::advance`]; no writeback falls inside the window), and a
     /// sub-core blocked on the full warp buffer counts one refused dispatch
-    /// per cycle from the earliest cycle such a sub-core is free, and
-    /// blocked L1 presentations record one rejected probe per cycle
-    /// (MSHR-stall statistics and the cache's port-use counter) while the
-    /// shared L1 port's round-robin bit keeps toggling when both requesters
-    /// are waiting.
-    pub fn fast_forward(&mut self, start: u64, cycles: u64, mem: &mut MemorySystem) {
+    /// per cycle from the earliest cycle such a sub-core is free. The L1
+    /// port replays its own rejected presentations.
+    pub fn fast_forward(&mut self, start: u64, cycles: u64) {
         if self.rt.buffer_full() {
             // A free sub-core whose pick wants the HSU requests a dispatch
             // every cycle; `grant` refuses it, counting at most one stall
@@ -238,38 +220,6 @@ impl<'k> Sm<'k> {
             if let Some(from) = first_stall {
                 self.rt
                     .note_dispatch_stalls((start + cycles).saturating_sub(from));
-            }
-        }
-        let lsu_pending = !self.lsu_queue.is_empty();
-        let rt_pending = self.rt.peek_fifo().is_some();
-        if mem.rt_has_private_path() {
-            // Each side has its own port and retries independently.
-            if lsu_pending {
-                mem.note_stalled_probes(self.index, Requester::Lsu, cycles);
-            }
-            if rt_pending {
-                mem.note_stalled_probes(self.index, Requester::RtUnit, cycles);
-            }
-        } else {
-            // Shared port: one presentation per cycle, alternating between
-            // the requesters when both wait (both target the same L1, so
-            // the stall accounting is one probe per cycle either way).
-            match (lsu_pending, rt_pending) {
-                (false, false) => {}
-                (true, false) => {
-                    self.port_prefers_rt = true;
-                    mem.note_stalled_probes(self.index, Requester::Lsu, cycles);
-                }
-                (false, true) => {
-                    self.port_prefers_rt = false;
-                    mem.note_stalled_probes(self.index, Requester::RtUnit, cycles);
-                }
-                (true, true) => {
-                    if cycles % 2 == 1 {
-                        self.port_prefers_rt = !self.port_prefers_rt;
-                    }
-                    mem.note_stalled_probes(self.index, Requester::Lsu, cycles);
-                }
             }
         }
         self.rt.advance(cycles);
@@ -354,7 +304,6 @@ impl<'k> Sm<'k> {
             self.ready_hint[self.warps[slot].sub_core] = true;
         }
 
-        self.arbitrate_l1_port(now, mem);
         self.issue(now, mem)
     }
 
@@ -412,59 +361,6 @@ impl<'k> Sm<'k> {
             }
         }
         self.earliest_timer = earliest;
-    }
-
-    /// One L1 access per cycle, round-robin between the LSU queue and the RT
-    /// unit's FIFO (they time-share the cache, §VI-H). Under a private or
-    /// bypass RT-cache policy (§VI-I) the RT FIFO gets its own port and both
-    /// sides proceed each cycle.
-    fn arbitrate_l1_port(&mut self, now: u64, mem: &mut MemorySystem) {
-        let lsu_pending = !self.lsu_queue.is_empty();
-        let rt_pending = self.rt.peek_fifo().is_some();
-        if mem.rt_has_private_path() {
-            if rt_pending {
-                self.issue_rt_fetch(now, mem);
-            }
-            if lsu_pending {
-                self.issue_lsu_access(now, mem);
-            }
-            return;
-        }
-        let pick_rt = match (lsu_pending, rt_pending) {
-            (false, false) => return,
-            (true, false) => false,
-            (false, true) => true,
-            (true, true) => self.port_prefers_rt,
-        };
-        self.port_prefers_rt = !pick_rt;
-        if pick_rt {
-            self.issue_rt_fetch(now, mem);
-        } else {
-            self.issue_lsu_access(now, mem);
-        }
-    }
-
-    fn issue_rt_fetch(&mut self, now: u64, mem: &mut MemorySystem) {
-        let Some(req) = self.rt.pop_fifo() else {
-            return;
-        };
-        let waiter = RT_FLAG | ((req.entry as u64) << 16) | req.req as u64;
-        match mem.access(self.index, req.line, waiter, Requester::RtUnit, now) {
-            AccessOutcome::Accepted => {}
-            AccessOutcome::Rejected => self.rt.push_back_front(req),
-        }
-    }
-
-    fn issue_lsu_access(&mut self, now: u64, mem: &mut MemorySystem) {
-        let Some(&(line, slot)) = self.lsu_queue.front() else {
-            return;
-        };
-        match mem.access(self.index, line, slot as u64, Requester::Lsu, now) {
-            AccessOutcome::Accepted => {
-                self.lsu_queue.pop_front();
-            }
-            AccessOutcome::Rejected => {}
-        }
     }
 
     /// GTO pick for one sub-core: the last-issued warp if still ready,
@@ -593,7 +489,7 @@ impl<'k> Sm<'k> {
                     }
                     debug_assert!(!lines.is_empty());
                     for &line in &lines {
-                        self.lsu_queue.push_back((line, slot));
+                        mem.enqueue(self.index, line, slot as u64, Requester::Lsu, now);
                     }
                     let outstanding = lines.len() as u32;
                     self.coalesce_buf = lines;
@@ -629,8 +525,13 @@ impl<'k> Sm<'k> {
                             ),
                         });
                     }
-                    self.rt
-                        .dispatch(slot, sc, instr.active_mask, ops, self.line_bytes)?;
+                    let (entry, lines) =
+                        self.rt
+                            .dispatch(slot, sc, instr.active_mask, ops, self.line_bytes)?;
+                    for (req, line) in lines.enumerate() {
+                        let waiter = RT_FLAG | (entry as u64) << 16 | req as u64;
+                        mem.enqueue(self.index, line, waiter, Requester::RtUnit, now);
+                    }
                     WarpStatus::WaitHsu
                 }
             };
@@ -670,15 +571,15 @@ impl<'k> Sm<'k> {
     /// Snapshot of this SM's stall state for a [`DeadlockReport`]
     /// (see [`crate::error::DeadlockReport`]).
     ///
-    /// `guard_cycles` is the run's cycle guard and `mshrs_in_flight` the
-    /// SM's current L1 MSHR occupancy (owned by the memory system). Timer
+    /// `guard_cycles` is the run's cycle guard; the L1 port's queue depths
+    /// and MSHR occupancy come from `mem`, which owns them. Timer
     /// waits are normalized against the guard: a `WaitUntil(t)` with `t`
     /// inside the guard window counts as *ready*, because the stepped
     /// oracle flips such timers to `Ready` on its way to the boundary even
     /// when a busy issue slot makes the flip unobservable — the event loop
     /// may detect the deadlock before visiting those cycles, and the
     /// snapshot must not depend on which mode found it.
-    pub fn deadlock_state(&self, guard_cycles: u64, mshrs_in_flight: usize) -> SmDeadlockState {
+    pub fn deadlock_state(&self, guard_cycles: u64, mem: &MemorySystem) -> SmDeadlockState {
         let (mut ready, mut waiting_timer, mut waiting_mem, mut waiting_hsu, mut finished) =
             (0, 0, 0, 0, 0);
         for warp in &self.warps {
@@ -691,6 +592,7 @@ impl<'k> Sm<'k> {
                 WarpStatus::Finished => finished += 1,
             }
         }
+        let (lsu_queue, rt_fifo) = mem.port_depths(self.index);
         SmDeadlockState {
             sm: self.index,
             resident: self.warps.len() - finished,
@@ -700,10 +602,10 @@ impl<'k> Sm<'k> {
             waiting_hsu,
             finished,
             launch_queue: self.launch_queue.len(),
-            lsu_queue: self.lsu_queue.len(),
-            rt_fifo: self.rt.fifo_len(),
+            lsu_queue,
+            rt_fifo,
             warp_buffer_occupancy: self.rt.warp_buffer_occupancy(),
-            mshrs_in_flight,
+            mshrs_in_flight: mem.l1_mshrs_in_use(self.index),
             warps_retired: self.stats.warps_retired,
             last_issue_cycle: self.last_issue_cycle,
         }
@@ -786,7 +688,7 @@ mod tests {
         // instead of a bare message.
         panic!(
             "SM never finished within {max} cycles; stuck state: {}",
-            sm.deadlock_state(max, mem.l1_mshrs_in_use(0))
+            sm.deadlock_state(max, mem)
         );
     }
 
@@ -913,21 +815,21 @@ mod tests {
             32,
         ));
         // A launchable warp is imminent work: conservative `now + 1`.
-        assert_eq!(sm.next_event(0, &mem), Some(1));
+        assert_eq!(sm.next_event(0), Some(1));
         sm.tick(0, &mut mem).unwrap();
         // Issued at 0 with count 1: the warp waits until 1 + alu_latency,
         // and nothing else can change state before then.
         let wake = 1 + cfg.alu_latency;
-        assert_eq!(sm.next_event(0, &mem), Some(wake));
+        assert_eq!(sm.next_event(0), Some(wake));
         assert_eq!(
-            sm.next_event(wake - 1, &mem),
+            sm.next_event(wake - 1),
             Some(wake),
             "wakeup cycle is absolute, not relative"
         );
         sm.tick(wake, &mut mem).unwrap();
         // Second (final) instruction issued; trace end retires on the spot.
         assert_eq!(sm.stats().warps_retired, 1);
-        assert_eq!(sm.next_event(wake, &mem), None, "finished SM has no events");
+        assert_eq!(sm.next_event(wake), None, "finished SM has no events");
         assert!(sm.finished());
     }
 
@@ -947,13 +849,17 @@ mod tests {
             32,
         ));
         sm.tick(0, &mut mem).unwrap();
-        // The load sits in the LSU queue awaiting the L1 port.
-        assert_eq!(sm.next_event(0, &mem), Some(1));
-        sm.tick(1, &mut mem).unwrap();
-        // Access accepted: the SM is now purely memory-blocked — the wakeup
-        // belongs to the memory system's event heap, not to the SM.
-        assert_eq!(sm.next_event(1, &mem), None);
+        // The load sits at the L1 port, which belongs to the memory system:
+        // the SM is purely memory-blocked at once, and the memory system
+        // owns the next cycle, when the port presents the line.
+        assert_eq!(sm.next_event(0), None);
+        assert!(!sm.finished());
+        assert_eq!(mem.port_depths(0), (1, 0));
+        assert_eq!(mem.next_event(0), Some(1));
         let mut done = Vec::new();
+        mem.tick(1, &mut done);
+        assert_eq!(mem.port_depths(0), (0, 0), "the line was accepted");
+        assert_eq!(mem.stats().l1_lsu_accesses, 1);
         let mut woke_at = None;
         for now in 2..100_000 {
             done.clear();
@@ -963,11 +869,11 @@ mod tests {
                 woke_at = Some(now);
                 break;
             }
-            assert_eq!(sm.next_event(now, &mem), None, "no self-wakeup at {now}");
+            assert_eq!(sm.next_event(now), None, "no self-wakeup at {now}");
         }
         let now = woke_at.expect("load never completed");
         assert_eq!(
-            sm.next_event(now, &mem),
+            sm.next_event(now),
             Some(now + 1),
             "a Ready warp must run next cycle"
         );
@@ -994,17 +900,13 @@ mod tests {
         let alu_wake = 2 + cfg.alu_latency; // run of 2 + dependent latency
         let shared_wake = 1 + cfg.shared_latency;
         assert!(alu_wake < shared_wake);
-        assert_eq!(
-            sm.next_event(0, &mem),
-            Some(alu_wake),
-            "earliest wakeup wins"
-        );
+        assert_eq!(sm.next_event(0), Some(alu_wake), "earliest wakeup wins");
         sm.tick(alu_wake, &mut mem).unwrap();
         assert_eq!(sm.stats().warps_retired, 1, "ALU warp finishes first");
-        assert_eq!(sm.next_event(alu_wake, &mem), Some(shared_wake));
+        assert_eq!(sm.next_event(alu_wake), Some(shared_wake));
         sm.tick(shared_wake, &mut mem).unwrap();
         assert_eq!(sm.stats().warps_retired, 2);
-        assert_eq!(sm.next_event(shared_wake, &mem), None);
+        assert_eq!(sm.next_event(shared_wake), None);
     }
 
     #[test]
@@ -1058,17 +960,17 @@ mod tests {
         // that it counts as ready (the stepped oracle would have flipped it);
         // with a guard before it, it is a genuine timer wait.
         let wake = 100 + cfg.alu_latency;
-        let wide = sm.deadlock_state(wake + 1, 0);
+        let wide = sm.deadlock_state(wake + 1, &mem);
         assert_eq!((wide.ready, wide.waiting_timer), (1, 0));
-        let tight = sm.deadlock_state(wake, 0);
+        let tight = sm.deadlock_state(wake, &mem);
         assert_eq!((tight.ready, tight.waiting_timer), (0, 1));
         assert_eq!(tight.last_issue_cycle, Some(0));
         assert_eq!(tight.resident, 1);
     }
 
     /// Single-SM counterpart of the event-mode loop in `Gpu::run`: the SM
-    /// ticks only at its own wakeup, on an L1 fill, or on a completion it
-    /// can observe; it replays each sleep window with `fast_forward`.
+    /// ticks only at its own wakeup or on a completion it can observe; it
+    /// replays each sleep window with `fast_forward`.
     /// Returns the finishing cycle and every `(tick cycle, next_event)`.
     fn run_event(sm: &mut Sm, mem: &mut MemorySystem, max: u64) -> (u64, Vec<(u64, Option<u64>)>) {
         let mut done = Vec::new();
@@ -1079,7 +981,7 @@ mod tests {
             done.clear();
             deliver.clear();
             mem.tick(now, &mut done);
-            let mut active = wake.is_some_and(|t| t <= now) || !mem.l1_touched().is_empty();
+            let mut active = wake.is_some_and(|t| t <= now);
             for &(_, waiter) in &done {
                 if !active && !sm.completion_wakes(waiter) {
                     sm.on_mem_done(waiter).expect("completion routing");
@@ -1090,14 +992,14 @@ mod tests {
             }
             if active {
                 if now > next_start {
-                    sm.fast_forward(next_start, now - next_start, mem);
+                    sm.fast_forward(next_start, now - next_start);
                 }
                 for &waiter in &deliver {
                     sm.on_mem_done(waiter).expect("completion routing");
                 }
                 sm.tick(now, mem).expect("tick failed");
                 next_start = now + 1;
-                wake = sm.next_event(now, mem);
+                wake = sm.next_event(now);
                 log.push((now, wake));
             }
             if sm.finished() && mem.quiescent() {
@@ -1200,8 +1102,8 @@ mod tests {
             k.push_thread(t);
         }
         sm.enqueue_warp(Box::leak(Box::new(k.finish())).warp(0));
-        // Issue the load and drain the LSU queue through the L1 port; then
-        // the SM is blocked on memory alone.
+        // Issue the load; the memory system presents its three lines at the
+        // L1 port, and the SM is blocked on memory alone.
         let mut wakes = Vec::new();
         let mut done = Vec::new();
         let mut ticking = true;
@@ -1214,17 +1116,17 @@ mod tests {
                 wakes.push(sm.completion_wakes(waiter));
                 sm.on_mem_done(waiter).unwrap();
                 if wakes.len() < 3 {
-                    assert_eq!(sm.next_event(now, &mem), None, "still blocked");
+                    assert_eq!(sm.next_event(now), None, "still blocked");
                 }
             }
             if ticking {
                 sm.tick(now, &mut mem).unwrap();
-                ticking = sm.next_event(now, &mem).is_some();
+                ticking = sm.next_event(now).is_some();
             }
             now += 1;
         }
         now -= 1;
         assert_eq!(wakes, vec![false, false, true]);
-        assert_eq!(sm.next_event(now, &mem), Some(now + 1), "the warp is ready");
+        assert_eq!(sm.next_event(now), Some(now + 1), "the warp is ready");
     }
 }

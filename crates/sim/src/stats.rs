@@ -19,9 +19,8 @@ use crate::trace::OpClass;
 /// cycles_skipped == SimReport::cycles * num_sms` and `cycles_skipped ==
 /// skipped_on_memory + skipped_on_timers`. Stepped mode ticks every SM on
 /// every cycle (`ticks_executed == cycles * num_sms`, nothing skipped);
-/// event mode lets each SM sleep independently until an L1 fill, a
-/// completion it can observe, or its own self-reported wakeup cycle
-/// arrives.
+/// event mode lets each SM sleep independently until a completion it can
+/// observe or its own self-reported wakeup cycle arrives.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// SM ticks actually executed (the unit of simulation work).
@@ -30,7 +29,7 @@ pub struct SchedStats {
     /// state.
     pub cycles_skipped: u64,
     /// Skipped SM-cycles spent waiting on the memory hierarchy (a
-    /// completion or an L1/RT-cache fill supplied the wakeup).
+    /// completion the SM can observe supplied the wakeup).
     pub skipped_on_memory: u64,
     /// Skipped SM-cycles whose wakeup the SM's own `next_event` supplied:
     /// fixed-latency timers (ALU/shared latency) and RT-unit writebacks,
