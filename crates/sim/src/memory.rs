@@ -105,9 +105,11 @@ struct L1Shard {
     rt_fifo: VecDeque<(u64, u64)>,
     /// Round-robin token of the shared port.
     port_prefers_rt: bool,
-    /// Last cycle the port was presented, or the cycle a line was queued
-    /// into the empty port: every cycle after it up to the next
-    /// presentation was a rejected one.
+    /// Whether the cache rejected this cycle's presentation and would
+    /// reject every other head too: the port then waits for a fill.
+    port_blocked: bool,
+    /// The last cycle whose presentation is accounted: every later cycle
+    /// up to the port's next presentation was one the run loop skipped.
     port_settled: u64,
 }
 
@@ -227,6 +229,7 @@ impl MemorySystem {
                     lsu_queue: VecDeque::new(),
                     rt_fifo: VecDeque::new(),
                     port_prefers_rt: false,
+                    port_blocked: false,
                     port_settled: 0,
                 })
                 .collect(),
@@ -252,12 +255,18 @@ impl MemorySystem {
     }
 
     /// Queues `line` on `requester`'s side of `sm`'s L1 port at cycle
-    /// `now`. The port first presents it at `now + 1`; once the cache
-    /// accepts it, `waiter` completes like any access's.
+    /// `now`, after [`MemorySystem::tick`]`(now)`. The port first presents
+    /// it at `now + 1`; once the cache accepts it, `waiter` completes like
+    /// any access's.
     pub fn enqueue(&mut self, sm: usize, line: u64, waiter: u64, requester: Requester, now: u64) {
         let shard = &mut self.shards[sm];
         if shard.port_idle() {
             shard.port_settled = now;
+        }
+        let queue = shard.queue(requester);
+        if queue.is_empty() {
+            // A new head, which the cache may accept.
+            shard.port_blocked = false;
         }
         shard.queue(requester).push_back((line, waiter));
     }
@@ -332,7 +341,7 @@ impl MemorySystem {
     /// cycle's heads. A port already presented at `now` is left alone.
     fn present_port(&mut self, sm: usize, now: u64) {
         let shard = &mut self.shards[sm];
-        if shard.port_settled >= now {
+        if shard.port_idle() || shard.port_settled >= now {
             return;
         }
         let skipped = now - shard.port_settled - 1;
@@ -342,39 +351,41 @@ impl MemorySystem {
         shard.port_settled = now;
         let lsu = !shard.lsu_queue.is_empty();
         let rt = !shard.rt_fifo.is_empty();
-        if shard.rt_cache.is_some() {
-            if rt {
-                self.present_head(sm, Requester::RtUnit, now);
-            }
-            if lsu {
-                self.present_head(sm, Requester::Lsu, now);
-            }
-            return;
-        }
-        let pick_rt = match (lsu, rt) {
-            (false, false) => return,
-            (true, false) => false,
-            (false, true) => true,
-            (true, true) => shard.port_prefers_rt,
-        };
-        shard.port_prefers_rt = !pick_rt;
-        let requester = if pick_rt {
-            Requester::RtUnit
+        let accepted = if shard.rt_cache.is_some() {
+            let rt_accepted = rt && self.present_head(sm, Requester::RtUnit, now);
+            let lsu_accepted = lsu && self.present_head(sm, Requester::Lsu, now);
+            rt_accepted || lsu_accepted
         } else {
-            Requester::Lsu
+            let pick_rt = match (lsu, rt) {
+                (true, true) => shard.port_prefers_rt,
+                _ => rt,
+            };
+            shard.port_prefers_rt = !pick_rt;
+            let requester = if pick_rt {
+                Requester::RtUnit
+            } else {
+                Requester::Lsu
+            };
+            self.present_head(sm, requester, now)
         };
-        self.present_head(sm, requester, now);
+        // After a rejection, check whether any head can still be accepted
+        // (a waiting port is presented again only at a visited cycle);
+        // after an acceptance, the next head is presented next cycle.
+        let shard = &mut self.shards[sm];
+        shard.port_blocked = !accepted && !shard.port_may_accept();
     }
 
     /// Presents the head of `requester`'s queue on `sm`'s port, popping it
-    /// if the cache accepts it.
-    fn present_head(&mut self, sm: usize, requester: Requester, now: u64) {
+    /// if the cache accepts it. Returns whether it did.
+    fn present_head(&mut self, sm: usize, requester: Requester, now: u64) -> bool {
         let Some(&(line, waiter)) = self.shards[sm].queue(requester).front() else {
-            return;
+            return false;
         };
-        if self.access(sm, line, waiter, requester, now) == AccessOutcome::Accepted {
+        let accepted = self.access(sm, line, waiter, requester, now) == AccessOutcome::Accepted;
+        if accepted {
             self.shards[sm].queue(requester).pop_front();
         }
+        accepted
     }
 
     /// Advances one cycle: DRAM service, every event due, then every
@@ -470,9 +481,7 @@ impl MemorySystem {
         // they schedule lands in later cycles (or, at zero latency, is
         // drained late by the next tick, as an SM's own access would be).
         for sm in 0..self.shards.len() {
-            if !self.shards[sm].port_idle() {
-                self.present_port(sm, now);
-            }
+            self.present_port(sm, now);
         }
     }
 
@@ -499,7 +508,11 @@ impl MemorySystem {
     /// cycle's lines; the result is clamped to `now + 1` so the caller
     /// always advances.
     pub fn next_event(&self, now: u64) -> Option<u64> {
-        if self.shards.iter().any(L1Shard::port_may_accept) {
+        if self
+            .shards
+            .iter()
+            .any(|s| !s.port_idle() && !s.port_blocked)
+        {
             return Some(now + 1);
         }
         let mut next = self.events.next_cycle();
@@ -836,5 +849,130 @@ mod tests {
             prop_assert_eq!(got, want);
             prop_assert!(queue.is_empty());
         }
+    }
+
+    /// One line queued at the port: `(gap in cycles since the previous
+    /// one, SM, RT side, line)`.
+    type Enqueue = (u64, usize, bool, u64);
+
+    fn arb_stream() -> impl Strategy<Value = Vec<Enqueue>> {
+        // Mostly back to back, sometimes a long idle gap.
+        let gap = (0u8..10, 0u64..400).prop_map(|(roll, gap)| if roll < 8 { gap % 3 } else { gap });
+        prop::collection::vec((gap, 0usize..2, any::<bool>(), 0u64..48), 1..120)
+    }
+
+    /// Plays `stream` on a two-SM machine with two MSHRs per cache. The
+    /// stepped run visits every cycle; the other visits only the cycles
+    /// `next_event` names (and those lines are queued at, as an SM ticks
+    /// there). Returns every completion `(cycle, sm, waiter)`, the
+    /// statistics and each port's round-robin token.
+    fn play_port(
+        policy: RtCachePolicy,
+        stream: &[Enqueue],
+        stepped: bool,
+    ) -> (Vec<(u64, usize, u64)>, MemoryStats, Vec<bool>) {
+        let cfg = GpuConfig {
+            num_sms: 2,
+            l1_mshrs: 2,
+            rt_cache: policy,
+            ..GpuConfig::tiny()
+        };
+        let mut mem = MemorySystem::new(&cfg);
+        let mut at = 0;
+        let queued: Vec<(u64, usize, Requester, u64)> = stream
+            .iter()
+            .map(|&(gap, sm, rt, line)| {
+                at += gap;
+                let requester = if rt {
+                    Requester::RtUnit
+                } else {
+                    Requester::Lsu
+                };
+                (at, sm, requester, line)
+            })
+            .collect();
+        let (mut done, mut completions) = (Vec::new(), Vec::new());
+        let (mut now, mut next) = (0, 0);
+        loop {
+            done.clear();
+            mem.tick(now, &mut done);
+            completions.extend(done.iter().map(|&(sm, waiter)| (now, sm, waiter)));
+            while let Some(&(cycle, sm, requester, line)) = queued.get(next) {
+                if cycle != now {
+                    break;
+                }
+                mem.enqueue(sm, line, next as u64, requester, now);
+                next += 1;
+            }
+            if next == queued.len() && mem.quiescent() {
+                break;
+            }
+            let upcoming = queued.get(next).map(|q| q.0);
+            now = if stepped {
+                now + 1
+            } else {
+                mem.next_event(now)
+                    .into_iter()
+                    .chain(upcoming)
+                    .min()
+                    .expect("a waiting line with no future event")
+            };
+            assert!(now < 10_000_000, "the port never drained");
+        }
+        let tokens = mem.shards.iter().map(|s| s.port_prefers_rt).collect();
+        (completions, mem.stats(), tokens)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A port presented every cycle and one presented only on the
+        /// cycles `next_event` visits, with the skipped cycles replayed as
+        /// rejected presentations, agree on every completion and its cycle,
+        /// every statistic and the round-robin token, under each policy.
+        #[test]
+        fn port_skipping_cycles_matches_the_stepped_port(stream in arb_stream()) {
+            for policy in [
+                RtCachePolicy::SharedWithLsu,
+                RtCachePolicy::Private { bytes: 4096 },
+                RtCachePolicy::Bypass,
+            ] {
+                let stepped = play_port(policy, &stream, true);
+                let skipping = play_port(policy, &stream, false);
+                prop_assert_eq!(&skipping, &stepped, "{:?}", policy);
+                prop_assert_eq!(stepped.0.len(), stream.len());
+            }
+        }
+    }
+
+    #[test]
+    fn rejected_head_stays_at_the_front() {
+        // One MSHR: line 1 misses, then line 2 (queued first) is rejected
+        // until the fill, and line 3 waits behind it.
+        let cfg = GpuConfig {
+            l1_mshrs: 1,
+            ..GpuConfig::tiny()
+        };
+        let mut mem = MemorySystem::new(&cfg);
+        assert_eq!(
+            mem.access(0, 1, 10, Requester::Lsu, 0),
+            AccessOutcome::Accepted
+        );
+        mem.enqueue(0, 2, 20, Requester::RtUnit, 0);
+        mem.enqueue(0, 3, 30, Requester::RtUnit, 0);
+        let mut done = Vec::new();
+        let mut order = Vec::new();
+        let mut now = 1;
+        while order.len() < 3 {
+            done.clear();
+            mem.tick(now, &mut done);
+            order.extend(done.iter().map(|&(_, w)| w));
+            if mem.stats().l1.misses == 1 {
+                assert_eq!(mem.port_depths(0), (0, 2), "rejected head left the FIFO");
+            }
+            now += 1;
+        }
+        assert_eq!(order, vec![10, 20, 30]);
+        assert!(mem.stats().l1.mshr_stalls > 0);
     }
 }
