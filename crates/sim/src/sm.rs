@@ -3,7 +3,8 @@
 //! that the load-store unit and the RT unit's fetch FIFO share belongs to
 //! the memory system ([`MemorySystem::enqueue`]).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::config::GpuConfig;
 use crate::error::{SimError, SmDeadlockState};
@@ -78,16 +79,17 @@ pub struct Sm<'k> {
     /// Last cycle any sub-core issued an instruction (deadlock diagnostics'
     /// "last progress" marker; `None` until the first issue).
     last_issue_cycle: Option<u64>,
-    /// Conservative lower bound on every resident `WaitUntil` target
-    /// (`u64::MAX` when none are pending): lets the per-tick timer scan
-    /// exit without walking the warp array. May be stale-low (a retired
-    /// warp's target lingers), never stale-high.
-    earliest_timer: u64,
-    /// Per-sub-core "this stripe may hold an issuable warp" hint: set on
-    /// every transition to `Ready`, cleared only when a full stripe scan
-    /// proves the stripe empty. Purely an accelerator for `gto_pick` —
-    /// conservatively true is always safe.
-    ready_hint: Vec<bool>,
+    /// Per sub-core, its issuable warps (`Ready`, trace not exhausted) as
+    /// `(age, slot)`, oldest first: GTO's fallback pick is the head.
+    ready: Vec<Vec<(u64, usize)>>,
+    /// Per sub-core, its `WaitUntil` warps as `(wakeup, slot)`, earliest on
+    /// top. A timer wait ends only by expiring, so nothing else is removed.
+    timers: Vec<BinaryHeap<Reverse<(u64, usize)>>>,
+    /// `Ready` warps whose trace is exhausted: they retire at the end of
+    /// this tick's issue.
+    retiring: Vec<usize>,
+    /// Resident slots whose warp has retired (reusable by a launch).
+    finished_warps: usize,
     /// Scratch buffers reused across ticks so the per-tick hot path
     /// allocates nothing.
     scratch_picks: Vec<Option<usize>>,
@@ -114,8 +116,10 @@ impl<'k> Sm<'k> {
             rt: RtUnit::new(cfg.hsu.clone(), cfg.sub_cores),
             next_age: 0,
             last_issue_cycle: None,
-            earliest_timer: u64::MAX,
-            ready_hint: vec![false; cfg.sub_cores],
+            ready: vec![Vec::new(); cfg.sub_cores],
+            timers: vec![BinaryHeap::new(); cfg.sub_cores],
+            retiring: Vec::new(),
+            finished_warps: 0,
             scratch_picks: Vec::new(),
             scratch_hsu: Vec::new(),
             scratch_completed: Vec::new(),
@@ -133,9 +137,7 @@ impl<'k> Sm<'k> {
     /// Lines still waiting at the L1 port are the memory system's
     /// ([`MemorySystem::quiescent`]).
     pub fn finished(&self) -> bool {
-        self.launch_queue.is_empty()
-            && self.warps.iter().all(|w| w.status == WarpStatus::Finished)
-            && self.rt.idle()
+        self.launch_queue.is_empty() && self.finished_warps == self.warps.len() && self.rt.idle()
     }
 
     /// The earliest future cycle at which this SM's state can *observably*
@@ -168,8 +170,7 @@ impl<'k> Sm<'k> {
         // Launching needs a free or finished slot; if none exists the launch
         // queue only drains after a retirement, which another event causes.
         let can_launch = !self.launch_queue.is_empty()
-            && (self.warps.len() < self.max_warps
-                || self.warps.iter().any(|w| w.status == WarpStatus::Finished));
+            && (self.warps.len() < self.max_warps || self.finished_warps > 0);
         if can_launch {
             return Some(now + 1);
         }
@@ -185,12 +186,8 @@ impl<'k> Sm<'k> {
                     earliest(free(sc));
                 }
             }
-        }
-        if self.earliest_timer != u64::MAX {
-            for warp in &self.warps {
-                if let WarpStatus::WaitUntil(t) = warp.status {
-                    earliest(t.max(free(warp.sub_core)));
-                }
+            if let Some(&Reverse((t, _))) = self.timers[sc].peek() {
+                earliest(t.max(free(sc)));
             }
         }
         next
@@ -266,8 +263,7 @@ impl<'k> Sm<'k> {
             if let WarpStatus::WaitMem(outstanding) = warp.status {
                 let left = outstanding - 1;
                 if left == 0 {
-                    warp.status = WarpStatus::Ready;
-                    self.ready_hint[warp.sub_core] = true;
+                    self.make_ready(slot);
                 } else {
                     warp.status = WarpStatus::WaitMem(left);
                 }
@@ -297,12 +293,13 @@ impl<'k> Sm<'k> {
 
         // RT unit writebacks resume their warps.
         self.rt.tick();
-        self.rt.take_completed(&mut self.scratch_completed);
-        for &slot in &self.scratch_completed {
+        let mut completed = std::mem::take(&mut self.scratch_completed);
+        self.rt.take_completed(&mut completed);
+        for &slot in &completed {
             debug_assert_eq!(self.warps[slot].status, WarpStatus::WaitHsu);
-            self.warps[slot].status = WarpStatus::Ready;
-            self.ready_hint[self.warps[slot].sub_core] = true;
+            self.make_ready(slot);
         }
+        self.scratch_completed = completed;
 
         self.issue(now, mem)
     }
@@ -311,97 +308,83 @@ impl<'k> Sm<'k> {
         if self.launch_queue.is_empty() {
             return;
         }
-        // Reuse finished slots first, then grow up to the residency limit.
-        for i in 0..self.warps.len() {
-            if self.warps[i].status == WarpStatus::Finished {
-                if let Some(trace) = self.launch_queue.pop_front() {
-                    let sub_core = i % self.sub_cores;
-                    self.warps[i] = WarpSlot {
-                        trace,
-                        pc: 0,
-                        status: WarpStatus::Ready,
-                        sub_core,
-                        age: self.next_age,
-                    };
-                    self.next_age += 1;
-                    self.ready_hint[sub_core] = true;
-                }
+        // Reuse finished slots first, lowest first, then grow up to the
+        // residency limit.
+        let mut slot = 0;
+        while self.finished_warps > 0 {
+            if self.warps[slot].status == WarpStatus::Finished {
+                let Some(trace) = self.launch_queue.pop_front() else {
+                    return;
+                };
+                self.finished_warps -= 1;
+                self.launch(slot, trace);
             }
+            slot += 1;
         }
         while self.warps.len() < self.max_warps {
             let Some(trace) = self.launch_queue.pop_front() else {
                 break;
             };
-            let sub_core = self.warps.len() % self.sub_cores;
-            self.warps.push(WarpSlot {
-                trace,
-                pc: 0,
-                status: WarpStatus::Ready,
-                sub_core,
-                age: self.next_age,
-            });
-            self.next_age += 1;
-            self.ready_hint[sub_core] = true;
+            self.launch(self.warps.len(), trace);
+        }
+    }
+
+    /// Makes `trace` resident in `slot`: a finished slot, or the next new
+    /// one. Warps are statically assigned sub-core `slot % sub_cores`.
+    fn launch(&mut self, slot: usize, trace: WarpTrace<'k>) {
+        let warp = WarpSlot {
+            trace,
+            pc: 0,
+            status: WarpStatus::Ready,
+            sub_core: slot % self.sub_cores,
+            age: self.next_age,
+        };
+        self.next_age += 1;
+        if slot == self.warps.len() {
+            self.warps.push(warp);
+        } else {
+            self.warps[slot] = warp;
+        }
+        self.make_ready(slot);
+    }
+
+    /// Sets `slot` `Ready`: it joins its sub-core's ready set, or, with its
+    /// trace exhausted, retires at the end of this tick's issue.
+    fn make_ready(&mut self, slot: usize) {
+        let warp = &mut self.warps[slot];
+        warp.status = WarpStatus::Ready;
+        if warp.pc < warp.trace.len() {
+            let set = &mut self.ready[warp.sub_core];
+            let at = set.partition_point(|&(age, _)| age < warp.age);
+            set.insert(at, (warp.age, slot));
+        } else {
+            self.retiring.push(slot);
         }
     }
 
     fn unblock_timed_warps(&mut self, now: u64) {
-        if now < self.earliest_timer {
-            return; // no resident timer can have expired yet
-        }
-        let mut earliest = u64::MAX;
-        for warp in &mut self.warps {
-            if let WarpStatus::WaitUntil(t) = warp.status {
-                if t <= now {
-                    warp.status = WarpStatus::Ready;
-                    self.ready_hint[warp.sub_core] = true;
-                } else {
-                    earliest = earliest.min(t);
+        for sc in 0..self.sub_cores {
+            while let Some(&Reverse((t, slot))) = self.timers[sc].peek() {
+                if t > now {
+                    break;
                 }
+                self.timers[sc].pop();
+                debug_assert_eq!(self.warps[slot].status, WarpStatus::WaitUntil(t));
+                self.make_ready(slot);
             }
         }
-        self.earliest_timer = earliest;
     }
 
     /// GTO pick for one sub-core: the last-issued warp if still ready,
-    /// otherwise the oldest ready warp. Clears the sub-core's ready hint
-    /// when it finds none.
-    fn gto_pick(&mut self, sub_core: usize) -> Option<usize> {
-        let pick = self.gto_peek(sub_core);
-        if pick.is_none() {
-            self.ready_hint[sub_core] = false;
-        }
-        pick
-    }
-
-    /// The warp [`Sm::gto_pick`] would choose, without touching the hint.
+    /// otherwise the oldest ready warp.
     fn gto_peek(&self, sub_core: usize) -> Option<usize> {
-        let issuable = |w: &WarpSlot| {
-            w.sub_core == sub_core && w.status == WarpStatus::Ready && w.pc < w.trace.len()
-        };
         if let Some(last) = self.last_issued[sub_core] {
-            if last < self.warps.len() && issuable(&self.warps[last]) {
+            let w = &self.warps[last];
+            if w.status == WarpStatus::Ready && w.pc < w.trace.len() {
                 return Some(last);
             }
         }
-        // A cleared hint means the last full scan proved the stripe empty
-        // and no warp on it has become Ready since — skip the scan.
-        if !self.ready_hint[sub_core] {
-            return None;
-        }
-        // Warps are statically assigned sub-core = slot % sub_cores, so only
-        // scan this sub-core's stripe.
-        let mut best: Option<(u64, usize)> = None;
-        let mut i = sub_core;
-        while i < self.warps.len() {
-            let w = &self.warps[i];
-            debug_assert_eq!(w.sub_core, sub_core);
-            if issuable(w) && best.is_none_or(|(age, _)| w.age < age) {
-                best = Some((w.age, i));
-            }
-            i += self.sub_cores;
-        }
-        best.map(|(_, i)| i)
+        self.ready[sub_core].first().map(|&(_, slot)| slot)
     }
 
     /// Whether `slot`'s next instruction goes to the RT unit.
@@ -437,7 +420,7 @@ impl<'k> Sm<'k> {
             let pick = if self.sub_core_busy_until[sc] > now {
                 None
             } else {
-                self.gto_pick(sc)
+                self.gto_peek(sc)
             };
             picks.push(pick);
             hsu_requests.push(pick.is_some_and(|slot| self.wants_hsu(slot)));
@@ -466,6 +449,11 @@ impl<'k> Sm<'k> {
             self.stats.issued_weighted[class.index()] += instr.weighted;
             any_issued = true;
             self.last_issued[sc] = Some(slot);
+            // Issuing always leaves `Ready`.
+            let set = &mut self.ready[sc];
+            let at = set.partition_point(|&(age, _)| age < warp.age);
+            debug_assert_eq!(set[at].1, slot);
+            set.remove(at);
 
             let new_status = match class {
                 OpClass::Alu | OpClass::Shared => {
@@ -536,21 +524,18 @@ impl<'k> Sm<'k> {
                 }
             };
 
-            // Advance the program counter; retire at trace end.
+            // Advance the program counter; retire at trace end. A warp
+            // that waits on memory or the HSU drains that work first and
+            // retires when it turns `Ready`; a timed wait retires at once.
             let warp = &mut self.warps[slot];
             warp.status = new_status;
             warp.pc += 1;
-            if warp.pc == warp.trace.len()
-                && matches!(warp.status, WarpStatus::Ready | WarpStatus::WaitUntil(_))
-            {
-                // The warp drains its outstanding work, then is finished. We
-                // conservatively let in-flight memory/HSU complete before
-                // retirement by only marking Finished when Ready or timed.
-                warp.status = WarpStatus::Finished;
-                self.stats.warps_retired += 1;
-            }
-            if let WarpStatus::WaitUntil(t) = warp.status {
-                self.earliest_timer = self.earliest_timer.min(t);
+            if let WarpStatus::WaitUntil(t) = new_status {
+                if warp.pc == warp.trace.len() {
+                    self.retire(slot);
+                } else {
+                    self.timers[sc].push(Reverse((t, slot)));
+                }
             }
         }
         if any_issued {
@@ -558,14 +543,17 @@ impl<'k> Sm<'k> {
             self.last_issue_cycle = Some(now);
         }
 
-        // Retire warps whose last instruction's stall has resolved.
-        for warp in &mut self.warps {
-            if warp.pc == warp.trace.len() && warp.status == WarpStatus::Ready {
-                warp.status = WarpStatus::Finished;
-                self.stats.warps_retired += 1;
-            }
+        // Retire warps whose last instruction's stall resolved this tick.
+        while let Some(slot) = self.retiring.pop() {
+            self.retire(slot);
         }
         Ok(())
+    }
+
+    fn retire(&mut self, slot: usize) {
+        self.warps[slot].status = WarpStatus::Finished;
+        self.finished_warps += 1;
+        self.stats.warps_retired += 1;
     }
 
     /// Snapshot of this SM's stall state for a [`DeadlockReport`]
@@ -655,6 +643,7 @@ mod tests {
     use super::*;
     use crate::memory::MemorySystem;
     use crate::trace::{KernelTrace, ThreadTrace};
+    use proptest::prelude::*;
 
     /// A one-warp kernel, leaked so a test's SM can borrow the warp for as
     /// long as it likes.
@@ -1128,5 +1117,198 @@ mod tests {
         now -= 1;
         assert_eq!(wakes, vec![false, false, true]);
         assert_eq!(sm.next_event(now), Some(now + 1), "the warp is ready");
+    }
+
+    /// The scans the incremental scheduling state replaced, kept as
+    /// oracles.
+    impl Sm<'_> {
+        /// GTO pick by a scan of the sub-core's stripe.
+        fn scan_gto(&self, sub_core: usize) -> Option<usize> {
+            let issuable = |w: &WarpSlot| w.status == WarpStatus::Ready && w.pc < w.trace.len();
+            if let Some(last) = self.last_issued[sub_core] {
+                if issuable(&self.warps[last]) {
+                    return Some(last);
+                }
+            }
+            (sub_core..self.warps.len())
+                .step_by(self.sub_cores)
+                .filter(|&i| issuable(&self.warps[i]))
+                .min_by_key(|&i| self.warps[i].age)
+        }
+
+        /// The earliest `WaitUntil` target on `sub_core`, by a warp scan.
+        fn scan_timer(&self, sub_core: usize) -> Option<u64> {
+            self.warps
+                .iter()
+                .filter(|w| w.sub_core == sub_core)
+                .filter_map(|w| match w.status {
+                    WarpStatus::WaitUntil(t) => Some(t),
+                    _ => None,
+                })
+                .min()
+        }
+
+        fn scan_finished(&self) -> usize {
+            self.warps
+                .iter()
+                .filter(|w| w.status == WarpStatus::Finished)
+                .count()
+        }
+    }
+
+    /// Up to 40 warps on a 16-slot SM, so retired slots are reused. The
+    /// lanes of a warp run the same ops, each at an address of its own,
+    /// over a few lines, so completions arrive together; some warps run
+    /// nothing and retire together.
+    fn arb_kernel() -> impl Strategy<Value = KernelTrace> {
+        let op = prop_oneof![
+            (1u32..12).prop_map(|count| ThreadOp::Alu { count }),
+            (1u32..6).prop_map(|count| ThreadOp::Shared { count }),
+            (0u64..64, 1u32..64).prop_map(|(a, bytes)| ThreadOp::Load {
+                addr: a * 64,
+                bytes
+            }),
+            (0u64..64).prop_map(|a| ThreadOp::Store {
+                addr: a * 64,
+                bytes: 4
+            }),
+            (0u64..16, 1u32..96).prop_map(|(a, dim)| ThreadOp::HsuDistance {
+                metric: hsu_geometry::point::Metric::Euclidean,
+                dim,
+                candidate_addr: a * 512,
+            }),
+        ];
+        let at_lane = |op: ThreadOp, lane: u64| match op {
+            ThreadOp::Load { addr, bytes } => ThreadOp::Load {
+                addr: addr + lane * 4,
+                bytes,
+            },
+            ThreadOp::Store { addr, bytes } => ThreadOp::Store {
+                addr: addr + lane * 4,
+                bytes,
+            },
+            ThreadOp::HsuDistance {
+                metric,
+                dim,
+                candidate_addr,
+            } => ThreadOp::HsuDistance {
+                metric,
+                dim,
+                candidate_addr: candidate_addr + lane % 4 * 128,
+            },
+            other => other,
+        };
+        prop::collection::vec(prop::collection::vec(op, 0..6), 1..40).prop_map(move |warps| {
+            let mut k = KernelTrace::builder("oracle");
+            for ops in warps {
+                for lane in 0..32 {
+                    let mut t = ThreadTrace::new();
+                    for &op in &ops {
+                        t.push(at_lane(op, lane));
+                    }
+                    k.push_thread(t);
+                }
+            }
+            k.finish()
+        })
+    }
+
+    /// Runs `kernel` on one stepped SM with a one-entry warp buffer,
+    /// calling `check(sm, now, ticked)` after every completion and every
+    /// tick (`ticked`).
+    fn drive_checked(kernel: &KernelTrace, mut check: impl FnMut(&Sm, u64, bool)) {
+        let cfg = GpuConfig::tiny().with_hsu(hsu_core::HsuConfig::default().with_warp_buffer(1));
+        let mut sm = Sm::new(0, &cfg);
+        let mut mem = MemorySystem::new(&cfg);
+        for warp in kernel.warps() {
+            sm.enqueue_warp(warp);
+        }
+        let mut done = Vec::new();
+        for now in 0..2_000_000 {
+            done.clear();
+            mem.tick(now, &mut done);
+            for &(_, waiter) in &done {
+                sm.on_mem_done(waiter).expect("completion routing");
+                check(&sm, now, false);
+            }
+            sm.tick(now, &mut mem).expect("tick failed");
+            check(&sm, now, true);
+            if sm.finished() && mem.quiescent() {
+                return;
+            }
+        }
+        panic!("the kernel never finished");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The per-sub-core ready sets pick what a scan of each stripe for
+        /// the last-issued or else the oldest issuable warp picks.
+        #[test]
+        fn ready_sets_match_a_stripe_scan(kernel in arb_kernel()) {
+            drive_checked(&kernel, |sm, now, _| {
+                for sc in 0..sm.sub_cores {
+                    assert_eq!(sm.gto_peek(sc), sm.scan_gto(sc), "sub-core {sc} at {now}");
+                }
+            });
+        }
+
+        /// The warps `Ready` at their trace end are exactly the queued
+        /// ones, and after every tick there are none (the old scan over
+        /// every slot at the end of each tick would retire none); the
+        /// finished-warp count is the count a scan finds.
+        #[test]
+        fn retirement_matches_a_scan_over_every_slot(kernel in arb_kernel()) {
+            let mut retired = 0;
+            drive_checked(&kernel, |sm, now, ticked| {
+                assert_eq!(sm.finished_warps, sm.scan_finished(), "at {now}");
+                let resident = sm.warps.len() - sm.finished_warps;
+                assert_eq!(sm.stats.warps_retired, sm.next_age - resident as u64);
+                retired = sm.stats.warps_retired;
+                let mut at_end: Vec<usize> = (0..sm.warps.len())
+                    .filter(|&i| {
+                        let w = &sm.warps[i];
+                        w.status == WarpStatus::Ready && w.pc == w.trace.len()
+                    })
+                    .collect();
+                let mut queued = sm.retiring.clone();
+                queued.sort_unstable();
+                at_end.sort_unstable();
+                assert_eq!(queued, at_end, "at {now}");
+                assert!(!ticked || queued.is_empty(), "left unretired at {now}");
+            });
+            prop_assert_eq!(retired, kernel.warps().count() as u64);
+        }
+
+        /// The timer heaps hold each sub-core's earliest `WaitUntil`, and
+        /// `next_event` equals the answer of a walk over every warp.
+        #[test]
+        fn timer_heaps_match_a_warp_scan(kernel in arb_kernel()) {
+            drive_checked(&kernel, |sm, now, _| {
+                for sc in 0..sm.sub_cores {
+                    let top = sm.timers[sc].peek().map(|&Reverse((t, _))| t);
+                    assert_eq!(top, sm.scan_timer(sc), "sub-core {sc} at {now}");
+                }
+                let free = |sc: usize| sm.sub_core_busy_until[sc].max(now + 1);
+                let can_launch = !sm.launch_queue.is_empty()
+                    && (sm.warps.len() < sm.max_warps || sm.scan_finished() > 0);
+                let walked = if can_launch {
+                    Some(now + 1)
+                } else {
+                    let picks = (0..sm.sub_cores).filter_map(|sc| {
+                        sm.scan_gto(sc)
+                            .filter(|&slot| !(sm.rt.buffer_full() && sm.wants_hsu(slot)))
+                            .map(|_| free(sc))
+                    });
+                    let timers = sm.warps.iter().filter_map(|w| match w.status {
+                        WarpStatus::WaitUntil(t) => Some(t.max(free(w.sub_core))),
+                        _ => None,
+                    });
+                    sm.rt.next_release(now).into_iter().chain(picks).chain(timers).min()
+                };
+                assert_eq!(sm.next_event(now), walked, "at {now}");
+            });
+        }
     }
 }
