@@ -47,7 +47,9 @@
 //!   injected worker panic + one slow shard) and asserts the engine
 //!   kept serving: the run fails unless the panic was counted, every
 //!   query was served or failed `worker-crashed`, and the crashed
-//!   queries fit in one batch.
+//!   queries fit in one batch. Shed or expired queries would fail that
+//!   gate by construction, so `--chaos` with `--priority-mix`, `--slo-us`
+//!   or `--deadline-us` is a usage error.
 //!
 //! Per-query failures are **counted by typed class, never panicked on**:
 //! the exit code is non-zero only for unexpected classes (`bad-query`,
@@ -799,7 +801,30 @@ fn parse_args() -> Options {
             other => usage(&format!("unknown argument '{other}'")),
         }
     }
+    if let Some(flag) = chaos_conflict(&opts) {
+        usage(&format!(
+            "--chaos cannot be combined with {flag}: its gate requires every query \
+             to be served or to fail worker-crashed"
+        ));
+    }
     opts
+}
+
+/// The resilience flag that makes a `--chaos` run unreadable, if any: a
+/// query shed by priority or SLO, or expired by its deadline, is neither
+/// served nor crashed, so [`chaos_kept_serving`] would fail it.
+fn chaos_conflict(opts: &Options) -> Option<&'static str> {
+    if !opts.chaos {
+        None
+    } else if opts.priority_mix.is_some() {
+        Some("--priority-mix")
+    } else if opts.slo_us.is_some() {
+        Some("--slo-us")
+    } else if opts.deadline_us.is_some() {
+        Some("--deadline-us")
+    } else {
+        None
+    }
 }
 
 /// The next argument as a nonzero count, or a usage error naming `flag`:
@@ -836,7 +861,8 @@ fn usage(err: &str) -> ! {
          Batch through non-blocking admission (per-class percentiles and shed counts\n\
          are reported); --slo-us sets the adaptive-shedding p99 target; --deadline-us\n\
          attaches a latency budget to every query; --chaos injects one worker panic\n\
-         and one slow shard and requires that the panic cost at most one batch.\n\
+         and one slow shard and requires that the panic cost at most one batch (it\n\
+         cannot be combined with the three flags before it).\n\
          Per-query failures are counted by typed class; the exit code is non-zero\n\
          only for unexpected classes. Appends a JSON entry to the trajectory file\n\
          unless --smoke (small counts, no append) is set. --queries is per family."

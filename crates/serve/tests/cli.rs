@@ -2,7 +2,8 @@
 //! shard, worker, batch or queue size exits with status 2 and a usage
 //! message before any index is opened, and never panics. The engine would
 //! otherwise run a zero topology as 1 while the report printed 0, and zero
-//! queries would report "0 qps".
+//! queries would report "0 qps". So does `--chaos` with a flag that sheds
+//! or expires queries, which its gate would fail by construction.
 
 use std::process::{Command, Output};
 
@@ -67,4 +68,20 @@ fn an_all_zero_topology_is_a_usage_error() {
 fn non_numeric_counts_are_usage_errors() {
     assert_usage_error(&["--batch", "many"], "--batch needs a number >= 1");
     assert_usage_error(&["--window", "0"], "--window needs a number >= 1");
+}
+
+#[test]
+fn chaos_with_a_shedding_or_expiring_flag_is_a_usage_error() {
+    for (flag, value) in [
+        ("--deadline-us", "300"),
+        ("--priority-mix", "50"),
+        ("--slo-us", "1000"),
+    ] {
+        for args in [
+            ["--smoke", "--chaos", flag, value],
+            ["--smoke", flag, value, "--chaos"],
+        ] {
+            assert_usage_error(&args, &format!("--chaos cannot be combined with {flag}"));
+        }
+    }
 }
