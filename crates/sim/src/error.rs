@@ -231,9 +231,9 @@ pub struct SmDeadlockState {
     pub finished: usize,
     /// Warps still queued for a resident slot.
     pub launch_queue: usize,
-    /// Pending LSU accesses not yet accepted by L1.
+    /// Load lines waiting at the SM's L1 port, not yet accepted.
     pub lsu_queue: usize,
-    /// Memory requests sitting in the RT unit's fetch FIFO.
+    /// RT-unit fetches waiting in the port's fetch FIFO.
     pub rt_fifo: usize,
     /// Occupied RT warp-buffer entries.
     pub warp_buffer_occupancy: usize,

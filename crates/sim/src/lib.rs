@@ -12,7 +12,8 @@
 //!   `hsu-core`. Like RDNA3's `IMAGE_BVH_INTERSECT_RAY`, each instruction
 //!   is one node test: the traversal stack stays in software on the SM,
 //! * **L1D caches with MSHRs** (128 KB, 128-B lines) time-shared between the
-//!   load-store unit and the RT unit's fetch FIFO (§VI-H),
+//!   load-store unit and the RT unit's fetch FIFO (§VI-H), through a port
+//!   the memory system owns and presents,
 //! * a shared, banked **L2** (6 MB, 24-way) and **HBM channels with FR-FCFS**
 //!   row-buffer scheduling whose locality statistics feed Fig. 14,
 //! * a **trace format** ([`trace`]) the workload kernels emit: per-thread
@@ -30,10 +31,10 @@
 //! state can change ([`memory::MemorySystem::next_event`],
 //! [`sm::Sm::next_event`]), the run loop jumps straight to the minimum, and
 //! within a visited cycle only the SMs that can observe it tick — the rest
-//! sleep until an L1 fill, a completion they can observe, or their own
-//! wakeup cycle arrives (an SM sleeps through its RT datapath draining and
-//! through dispatches refused by a full warp buffer), and bulk-account the
-//! skipped window via `fast_forward`. Both modes
+//! sleep until a completion they can observe or their own wakeup cycle
+//! arrives (an SM sleeps through its RT datapath draining, through
+//! dispatches refused by a full warp buffer, and while its lines wait at
+//! the L1 port), and bulk-account the skipped window via `fast_forward`. Both modes
 //! produce bit-identical [`SimReport`]s (only the [`stats::SchedStats`]
 //! scheduler counters differ); `tests/sim_equivalence.rs` proves this
 //! differentially over random kernels, random machine geometries, and the
@@ -42,9 +43,9 @@
 //! # One owner, flat data
 //!
 //! One run is one thread: the run loop owns every SM and the whole memory
-//! hierarchy, and an SM presents its accesses straight to the
-//! [`memory::MemorySystem`], which keeps its per-SM L1 state in a plain
-//! vector and its pending events in a cycle-bucketed queue. A
+//! hierarchy, and an SM queues its accesses at its port in the
+//! [`memory::MemorySystem`], which keeps its per-SM L1 state and port in a
+//! plain vector and its pending events in a cycle-bucketed queue. A
 //! [`trace::KernelTrace`] exists only in its warp-packed form, built once
 //! when it is recorded or decoded: one kernel-wide pool of instruction
 //! headers (class, lane mask, issue summaries) and one pool of the per-lane

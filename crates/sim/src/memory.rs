@@ -278,11 +278,12 @@ impl MemorySystem {
             shard.port_settled = now;
         }
         let queue = shard.queue(requester);
-        if queue.is_empty() {
-            // A new head, which the cache may accept.
+        let new_head = queue.is_empty();
+        queue.push_back((line, waiter));
+        if new_head {
+            // The cache may accept it.
             shard.port_blocked = false;
         }
-        shard.queue(requester).push_back((line, waiter));
     }
 
     /// Presents one access straight to the cache `requester` uses on `sm`,
