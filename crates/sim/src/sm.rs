@@ -556,8 +556,8 @@ impl<'k> Sm<'k> {
         self.stats.warps_retired += 1;
     }
 
-    /// Snapshot of this SM's stall state for a [`DeadlockReport`]
-    /// (see [`crate::error::DeadlockReport`]).
+    /// Snapshot of this SM's stall state for a
+    /// [`DeadlockReport`](crate::error::DeadlockReport).
     ///
     /// `guard_cycles` is the run's cycle guard; the L1 port's queue depths
     /// and MSHR occupancy come from `mem`, which owns them. Timer
