@@ -28,19 +28,15 @@
 //! round-robin when both queues wait; under the private and bypass
 //! policies the RT side presents to its own cache first, then the LSU side.
 //! A rejected head (MSHR file full) stays at the front. A line queued at
-//! cycle `t` is first presented at `t + 1`. Under [`SimMode::Stepped`]
-//! every waiting port is presented every cycle. Under [`SimMode::Event`] a
-//! port the cache rejected, and would reject for every head, waits
-//! unpresented until a fill lands in its shard or a new head arrives; the
-//! cycles it waited, and those the loop skipped, are replayed in bulk as
-//! rejected presentations when it is next presented (or queued to), so the
-//! stall statistics, the caches' use counters and the round-robin token
-//! match the stepped oracle's.
+//! cycle `t` is first presented at `t + 1`. Cycles the event-driven loop
+//! skips while a port waits are replayed in bulk as rejected presentations
+//! at the port's next visit, so the stall statistics, the caches' use
+//! counters and the round-robin token match the stepped oracle's.
 
 use std::collections::VecDeque;
 
 use crate::cache::{Cache, CacheStats, Lookup};
-use crate::config::{GpuConfig, RtCachePolicy, SimMode};
+use crate::config::{GpuConfig, RtCachePolicy};
 use crate::dram::{DramChannel, DramStats};
 use crate::event_queue::EventQueue;
 
@@ -109,12 +105,11 @@ struct L1Shard {
     rt_fifo: VecDeque<(u64, u64)>,
     /// Round-robin token of the shared port.
     port_prefers_rt: bool,
-    /// Whether the cache rejected the port's last presentation and would
-    /// reject every other head too: the port then waits for a fill or a
-    /// new head.
+    /// Whether the cache rejected this cycle's presentation and would
+    /// reject every other head too: the port then waits for a fill.
     port_blocked: bool,
     /// The last cycle whose presentation is accounted: every later cycle
-    /// up to the port's next presentation was a rejected one.
+    /// up to the port's next presentation was one the run loop skipped.
     port_settled: u64,
 }
 
@@ -195,9 +190,6 @@ impl L1Shard {
 /// The full hierarchy.
 #[derive(Debug)]
 pub struct MemorySystem {
-    /// Whether a blocked port skips its presentations (event mode) rather
-    /// than being presented every cycle (the stepped oracle).
-    skip_blocked: bool,
     l1_latency: u64,
     half_l2_latency: u64,
     shards: Vec<L1Shard>,
@@ -226,7 +218,6 @@ impl MemorySystem {
             RtCachePolicy::Bypass => Some(Cache::new(1, 1, cfg.l1_mshrs)),
         };
         MemorySystem {
-            skip_blocked: cfg.sim_mode == SimMode::Event,
             l1_latency: cfg.l1_latency,
             half_l2_latency: cfg.l2_latency / 2,
             shards: (0..cfg.num_sms)
@@ -270,11 +261,6 @@ impl MemorySystem {
     pub fn enqueue(&mut self, sm: usize, line: u64, waiter: u64, requester: Requester, now: u64) {
         let shard = &mut self.shards[sm];
         if shard.port_idle() {
-            shard.port_settled = now;
-        } else if shard.port_settled < now {
-            // A blocked port skipped its presentations up to this cycle's:
-            // account them with the queues as they stood.
-            shard.note_rejected_presentations(now - shard.port_settled);
             shard.port_settled = now;
         }
         let queue = shard.queue(requester);
@@ -351,16 +337,18 @@ impl MemorySystem {
     }
 
     /// Presents `sm`'s port for cycle `now`: first replays the cycles since
-    /// it was last settled as rejected presentations (the run loop skips a
-    /// cycle, and an event-mode port a presentation, only while no head can
-    /// be accepted), then presents this cycle's heads. A port already
-    /// presented at `now` is left alone.
+    /// it was last settled as rejected presentations (the run loop skips
+    /// a cycle only while no head can be accepted), then presents this
+    /// cycle's heads.
     fn present_port(&mut self, sm: usize, now: u64) {
         let shard = &mut self.shards[sm];
-        if shard.port_idle() || shard.port_settled >= now || shard.port_blocked && self.skip_blocked
-        {
+        if shard.port_idle() {
             return;
         }
+        debug_assert!(
+            shard.port_settled < now,
+            "port presented twice at one cycle"
+        );
         let skipped = now - shard.port_settled - 1;
         if skipped > 0 {
             shard.note_rejected_presentations(skipped);
@@ -385,7 +373,8 @@ impl MemorySystem {
             };
             self.present_head(sm, requester, now)
         };
-        // After a rejection, check whether any head can still be accepted;
+        // After a rejection, check whether any head can still be accepted
+        // (a waiting port is presented again only at a visited cycle);
         // after an acceptance, the next head is presented next cycle.
         let shard = &mut self.shards[sm];
         shard.port_blocked = !accepted && !shard.port_may_accept();
@@ -470,9 +459,6 @@ impl MemorySystem {
                     let is_rt = sm & RT_FILL != 0;
                     let sm_idx = (sm & !RT_FILL) as usize;
                     let shard = &mut self.shards[sm_idx];
-                    // The fill frees an MSHR: a blocked head may now be
-                    // accepted.
-                    shard.port_blocked = false;
                     let waiters = match (is_rt, &mut shard.rt_cache) {
                         (true, Some(cache)) => cache.fill(line),
                         // An RT-tagged fill can only originate from an
@@ -881,10 +867,9 @@ mod tests {
     }
 
     /// Plays `stream` on a two-SM machine with two MSHRs per cache. The
-    /// stepped run visits every cycle and presents every waiting port; the
-    /// event-mode run visits only the cycles `next_event` names (and those
-    /// lines are queued at, as an SM ticks there) and leaves blocked ports
-    /// unpresented. Returns every completion `(cycle, sm, waiter)`, the
+    /// stepped run visits every cycle; the other visits only the cycles
+    /// `next_event` names (and those lines are queued at, as an SM ticks
+    /// there). Returns every completion `(cycle, sm, waiter)`, the
     /// statistics and each port's round-robin token.
     fn play_port(
         policy: RtCachePolicy,
@@ -896,12 +881,7 @@ mod tests {
             l1_mshrs: 2,
             rt_cache: policy,
             ..GpuConfig::tiny()
-        }
-        .with_sim_mode(if stepped {
-            SimMode::Stepped
-        } else {
-            SimMode::Event
-        });
+        };
         let mut mem = MemorySystem::new(&cfg);
         let mut at = 0;
         let queued: Vec<(u64, usize, Requester, u64)> = stream
@@ -952,10 +932,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// A port presented every cycle and one presented only on the
-        /// cycles `next_event` visits and only when not blocked, with the
-        /// skipped presentations replayed as rejected ones, agree on every
-        /// completion and its cycle, every statistic and the round-robin
-        /// token, under each policy.
+        /// cycles `next_event` visits, with the skipped cycles replayed as
+        /// rejected presentations, agree on every completion and its cycle,
+        /// every statistic and the round-robin token, under each policy.
         #[test]
         fn port_skipping_cycles_matches_the_stepped_port(stream in arb_stream()) {
             for policy in [
