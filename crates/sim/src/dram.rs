@@ -46,10 +46,6 @@ pub struct DramChannel {
     queue: VecDeque<DramRequest>,
     bus_free_at: u64,
     bank_free_at: Vec<u64>,
-    /// The earliest cycle any queued request's bank is free (`u64::MAX`
-    /// while the queue is empty). Bank times move only when a request is
-    /// served, so this is kept on enqueue and rescanned after a service.
-    bank_ready: u64,
     row_hit_cycles: u64,
     row_miss_cycles: u64,
     transfer_cycles: u64,
@@ -74,7 +70,6 @@ impl DramChannel {
             queue: VecDeque::new(),
             bus_free_at: 0,
             bank_free_at: vec![0; banks],
-            bank_ready: u64::MAX,
             row_hit_cycles,
             row_miss_cycles,
             transfer_cycles,
@@ -85,7 +80,6 @@ impl DramChannel {
     /// Enqueues a line fetch. `token` is returned on completion.
     pub fn enqueue(&mut self, token: u64, bank: usize, row: u64, now: u64) {
         debug_assert!(bank < self.open_rows.len(), "bank {bank} out of range");
-        self.bank_ready = self.bank_ready.min(self.bank_free_at[bank]);
         self.queue.push_back(DramRequest {
             token,
             bank,
@@ -111,16 +105,8 @@ impl DramChannel {
     /// flight are not represented here — they were returned by `tick` as
     /// absolute `(finish, token)` pairs and live in the caller's event heap.
     pub fn next_service_cycle(&self) -> Option<u64> {
-        debug_assert_eq!(
-            self.bank_ready,
-            self.queue
-                .iter()
-                .map(|r| self.bank_free_at[r.bank])
-                .min()
-                .unwrap_or(u64::MAX),
-            "stale earliest bank time"
-        );
-        (!self.queue.is_empty()).then(|| self.bank_ready.max(self.bus_free_at))
+        let bank_ready = self.queue.iter().map(|r| self.bank_free_at[r.bank]).min()?;
+        Some(bank_ready.max(self.bus_free_at))
     }
 
     /// Advances one cycle; returns completed tokens.
@@ -129,9 +115,8 @@ impl DramChannel {
     /// completion is scheduled `service + transfer` cycles later.
     pub fn tick(&mut self, now: u64, completed: &mut Vec<(u64, u64)>) {
         // Completions are tracked externally via the (finish_cycle, token)
-        // pairs this function emits; nothing to poll here. Before the next
-        // service cycle no request can start.
-        if self.next_service_cycle().is_none_or(|t| t > now) {
+        // pairs this function emits; nothing to poll here.
+        if self.queue.is_empty() || self.bus_free_at > now {
             return;
         }
         // FR-FCFS pick: oldest row hit on a free bank, else oldest on a free
@@ -168,12 +153,6 @@ impl DramChannel {
         let finish = now + service + self.transfer_cycles;
         self.bank_free_at[req.bank] = now + service;
         self.bus_free_at = now + self.transfer_cycles; // bus occupancy per line
-        self.bank_ready = self
-            .queue
-            .iter()
-            .map(|r| self.bank_free_at[r.bank])
-            .min()
-            .unwrap_or(u64::MAX);
         completed.push((finish, req.token));
     }
 
