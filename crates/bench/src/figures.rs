@@ -172,7 +172,7 @@ pub fn fig9(suite: &Suite) -> String {
 /// Fig. 10: datapath-width sensitivity on GGNN (Euclid width 4/8/16/32;
 /// angular is half).
 ///
-/// The 9 × 4 (dataset × width) sweep grid runs on the work-stealing pool
+/// The 9 × 4 (dataset × width) sweep grid runs on the job pool
 /// ([`crate::runner`], `suite.config.jobs` workers); the table is formatted
 /// from results merged in grid order, so output is identical for any worker
 /// count.
@@ -225,8 +225,8 @@ pub fn fig10(suite: &Suite) -> Result<String, SimError> {
 
 /// Fig. 11: warp-buffer-size sensitivity for GGNN (a), BVH-NN (b), FLANN (c).
 ///
-/// The (9 + 5 + 5) × 5 (dataset × buffer-size) grid runs on the
-/// work-stealing pool, merged in grid order for determinism.
+/// The (9 + 5 + 5) × 5 (dataset × buffer-size) grid runs on the job
+/// pool, merged in grid order for determinism.
 ///
 /// # Errors
 ///
@@ -445,8 +445,8 @@ pub fn rtindex(sms: usize, scale_divisor: usize, sim_mode: SimMode) -> Result<St
 
 /// Design-space ablations the paper calls out but does not evaluate:
 /// BVH4 and SAH hierarchies for BVH-NN (§VI-E) and private/bypass RT-unit
-/// caches (§VI-I). Both ablation grids run on the work-stealing pool with
-/// `jobs` workers; rows are merged in grid order.
+/// caches (§VI-I). Both ablation grids run on the job pool with `jobs`
+/// workers; rows are merged in grid order.
 ///
 /// # Errors
 ///

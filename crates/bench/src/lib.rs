@@ -27,7 +27,7 @@
 //!
 //! # Failure semantics
 //!
-//! Simulation jobs run on a fault-tolerant work-stealing pool
+//! Simulation jobs run on a fault-tolerant job pool
 //! ([`runner::run_jobs_ft`]): panics are isolated per job and each job can
 //! carry a wall-clock watchdog. A failed job is not retried, since every
 //! job is a pure function of its input. [`suite::Suite::build_with_policy`] exposes the

@@ -1,4 +1,4 @@
-//! Work-stealing parallel execution for the simulation suite.
+//! Parallel execution for the simulation suite.
 //!
 //! The run matrix (application × dataset × lowering variant × GPU
 //! configuration) is embarrassingly parallel: every simulation is a pure
@@ -6,10 +6,9 @@
 //! small pool of scoped worker threads, using only `std` (no external
 //! dependencies):
 //!
-//! * each worker owns a deque of jobs; it pops from the back of its own
-//!   deque (LIFO, cache-warm) and **steals from the front** of a sibling's
-//!   deque when its own runs dry (FIFO, oldest-first — the classic
-//!   Arora/Blumofe/Plays split),
+//! * the job list is fixed before any worker starts, so the workers share
+//!   one locked queue of it and each takes its next job when it finishes
+//!   one,
 //! * every job carries a **stable key** (its submission index); results are
 //!   merged in key order, never completion order, so output is
 //!   byte-identical for any worker count,
@@ -21,37 +20,18 @@
 //! warp-buffer occupancy) and the suite prints them with [`records_table`].
 //! Records go to stderr so stdout stays deterministic across `--jobs`.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use hsu_sim::error::{CancelToken, RunLimits, WatchdogCause};
 use hsu_sim::{SimError, SimReport};
-
-/// Locks a mutex, recovering the data if a panicking job poisoned it. Every
-/// lock in this module guards plain job/result storage whose invariants hold
-/// between operations, so the poison flag carries no information the
-/// fault-tolerant pool doesn't already track via job outcomes.
-fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// A sensible default worker count: the machine's available parallelism.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// The serving threads (total across all engine shards) that `machine`
-/// hardware threads can give a service asking for `serve_workers`: the
-/// request, capped at the machine, and never zero when serving was asked
-/// for. Serving is latency-sensitive foreground work, so a co-resident
-/// suite runs its jobs (one whole simulation per thread) on what is left.
-pub fn serve_share(machine: usize, serve_workers: usize) -> usize {
-    serve_workers.min(machine.max(1))
 }
 
 /// Derives an independent RNG seed for one job from the suite seed and the
@@ -78,7 +58,8 @@ pub fn job_seed(base_seed: u64, key: &str) -> u64 {
 /// job) everything runs inline on the caller's thread — the sequential and
 /// parallel paths produce identical results by construction.
 ///
-/// Panics in a job propagate to the caller once the scope joins.
+/// A panic in a job reaches the caller with the job's own payload, for any
+/// worker count, once every worker has finished.
 pub fn run_jobs<J, T, F>(workers: usize, jobs: Vec<J>, f: F) -> Vec<T>
 where
     J: Send,
@@ -89,64 +70,44 @@ where
     if workers <= 1 || n <= 1 {
         return jobs.into_iter().enumerate().map(|(i, j)| f(i, j)).collect();
     }
-    let workers = workers.min(n);
 
-    // Per-worker deques, seeded round-robin so every worker starts busy.
-    let queues: Vec<Mutex<VecDeque<(usize, J)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        lock_or_recover(&queues[i % workers]).push_back((i, job));
-    }
-
-    let remaining = AtomicUsize::new(n);
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let queues = &queues;
-            let results = &results;
-            let remaining = &remaining;
-            let f = &f;
-            scope.spawn(move || loop {
-                // Own work first (back = most recently queued, cache-warm)...
-                let mut next = lock_or_recover(&queues[me]).pop_back();
-                // ...then steal the *oldest* job from the first busy sibling.
-                if next.is_none() {
-                    for victim in (0..queues.len()).filter(|v| *v != me) {
-                        next = lock_or_recover(&queues[victim]).pop_front();
-                        if next.is_some() {
-                            break;
-                        }
+    // Jobs are taken from the back, so they start in descending key order.
+    // The suite's phase-A peak memory depends on which build jobs run at
+    // the same time, and its recorded `peak_rss_mb` history uses this order.
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(n))
+            .map(|_| {
+                let (queue, f) = (&queue, &f);
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        // Its own statement, so the guard is dropped before
+                        // the job runs: a `while let` over the lock would
+                        // hold it through the loop body. No job runs under
+                        // the lock, so a poisoned one still holds a valid
+                        // iterator.
+                        let next = queue
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .next_back();
+                        let Some((key, job)) = next else { break done };
+                        done.push((key, f(key, job)));
                     }
-                }
-                match next {
-                    Some((key, job)) => {
-                        let out = f(key, job);
-                        *lock_or_recover(&results[key]) = Some(out);
-                        remaining.fetch_sub(1, Ordering::Release);
-                    }
-                    None => {
-                        // All queues drained; in-flight jobs may still add
-                        // nothing, so exit once the counter hits zero.
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                }
-            });
+                })
+            })
+            .collect();
+        let mut done = Vec::with_capacity(n);
+        for handle in handles {
+            match handle.join() {
+                Ok(mine) => done.extend(mine),
+                Err(payload) => resume_unwind(payload),
+            }
         }
+        done
     });
-
-    results
-        .into_iter()
-        .map(|slot| {
-            let Some(out) = slot.into_inner().unwrap_or_else(|p| p.into_inner()) else {
-                unreachable!("pool ran every job");
-            };
-            out
-        })
-        .collect()
+    done.sort_unstable_by_key(|&(key, _)| key);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 /// How the fault-tolerant pool reacts to failing jobs.
@@ -475,16 +436,55 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// Runs `body` on its own thread and fails if it has not finished
+    /// within a minute, so a hung pool fails the test instead of stalling
+    /// the suite.
+    fn with_watchdog<R: Send + 'static>(body: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(body)));
+        });
+        let Ok(result) = rx.recv_timeout(Duration::from_secs(60)) else {
+            panic!("run_jobs hung");
+        };
+        runner.join().expect("the body's panic was caught");
+        result.unwrap_or_else(|payload| resume_unwind(payload))
+    }
+
     #[test]
-    fn serve_share_is_capped_at_the_machine() {
-        assert_eq!(serve_share(16, 4), 4);
-        assert_eq!(serve_share(8, 8), 8);
-        assert_eq!(serve_share(4, 64), 4);
-        // No service running: no share.
-        assert_eq!(serve_share(16, 0), 0);
-        // A zero-core report still gives a requested service one thread.
-        assert_eq!(serve_share(0, 2), 1);
-        assert_eq!(serve_share(1, 2), 1);
+    fn a_panicking_job_reaches_the_caller_for_any_worker_count() {
+        for workers in [1, 2, 3, 8] {
+            let payload = with_watchdog(move || {
+                catch_unwind(|| {
+                    run_jobs(workers, (0..8u64).collect(), |_, j| {
+                        if j == 3 {
+                            panic!("job 3 failed");
+                        }
+                        j
+                    })
+                })
+                .expect_err("the job's panic must reach the caller")
+            });
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"job 3 failed"),
+                "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn jobs_run_outside_the_queue_lock() {
+        // Both jobs wait for each other, so they finish only if two workers
+        // run them at the same time.
+        let out = with_watchdog(|| {
+            let barrier = std::sync::Barrier::new(2);
+            run_jobs(2, vec![10, 20], |_, j| {
+                barrier.wait();
+                j + 1
+            })
+        });
+        assert_eq!(out, vec![11, 21]);
     }
 
     #[test]

@@ -50,6 +50,17 @@ fn simbench_rejects_the_removed_sim_threads_flag() {
     );
 }
 
+/// The cold/warm build-phase probe always uses a fresh temp directory, so
+/// there is no directory to pin.
+#[test]
+fn simbench_rejects_the_removed_archive_dir_flag() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_simbench"),
+        &["--archive-dir", "/nonexistent"],
+        "unknown argument '--archive-dir'",
+    );
+}
+
 /// An invalid machine is a usage error for every item, caught right after
 /// parsing: `table3` used to print "# SMs 0" and exit 0, and `fig7` to exit
 /// 1 only after starting the suite build.

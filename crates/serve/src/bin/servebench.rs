@@ -1,7 +1,7 @@
 //! `servebench` — open-loop load driver for the sharded serving engine.
 //!
 //! ```text
-//! servebench [--smoke] [--closed-loop] [--family graph|kd|bvh|btree|all]
+//! servebench [--smoke] [--family graph|kd|bvh|btree|all]
 //!            [--queries N] [--shards N] [--workers N] [--batch N]
 //!            [--queue-capacity N] [--window N] [--seed S]
 //!            [--priority-mix PCT] [--deadline-us N] [--slo-us N] [--chaos]
@@ -26,11 +26,12 @@
 //! The default discipline is **open-loop**: up to `--window` (default
 //! 4096) tickets ride in flight, so at saturation the reported latency is
 //! dominated by time-in-queue, not service time — the classic open-loop
-//! caveat. `--closed-loop` switches the measured run to one outstanding
-//! query at a time (submit, redeem, repeat): the queue is empty at every
-//! admission, so the percentiles are pure *service* latency. The two
-//! disciplines change only timing — the answer stream (and therefore the
-//! replay hash) is identical, which a unit test in this file pins.
+//! caveat. `--window 1` is the closed loop: one outstanding query at a
+//! time (submit, redeem, repeat), so the queue is empty at every
+//! admission and the percentiles are pure *service* latency; the entry
+//! records it as mode `closed-loop`. The two disciplines change only
+//! timing — the answer stream (and therefore the replay hash) is
+//! identical, which a unit test in this file pins.
 //!
 //! **Resilience drivers** exercise the engine's overload and failure
 //! handling:
@@ -65,8 +66,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hsu_bench::trajectory::{append_entry, json_escape};
-use hsu_bench::{runner, ArchiveCache};
+use hsu_bench::trajectory::{append_entry, Json};
+use hsu_bench::{obj, runner, ArchiveCache};
 use hsu_datasets::{key_stream_nth, DatasetId, QueryStream};
 use hsu_serve::chaos::{install_quiet_panic_hook, ChaosIndex, ChaosPlan};
 use hsu_serve::prelude::*;
@@ -142,10 +143,9 @@ struct Options {
     workers: usize,
     batch: usize,
     queue_capacity: usize,
-    window: Option<usize>,
+    window: usize,
     seed: u64,
     smoke: bool,
-    closed_loop: bool,
     priority_mix: Option<u32>,
     deadline_us: Option<u64>,
     slo_us: Option<u64>,
@@ -155,9 +155,9 @@ struct Options {
     out_path: std::path::PathBuf,
 }
 
-/// Default outstanding-ticket window of the open-loop discipline.
-/// Closed-loop runs use a window of 1: the queue is empty at every
-/// admission, so measured latency is service time alone.
+/// Default outstanding-ticket window of the open-loop discipline. A
+/// window of 1 is the closed loop: the queue is empty at every admission,
+/// so measured latency is service time alone.
 const OPEN_WINDOW: usize = 4096;
 
 fn main() {
@@ -166,11 +166,8 @@ fn main() {
         install_quiet_panic_hook();
     }
     let host_cores = runner::default_jobs();
-    // Serving owns the whole machine here (no co-resident suite), so its
-    // share is the request capped at the host.
-    let serve_share = runner::serve_share(host_cores, opts.shards * opts.workers);
     eprintln!(
-        "servebench: host_cores={host_cores} shards={} workers={} (serve share {serve_share}) \
+        "servebench: host_cores={host_cores} shards={} workers={} \
          batch={} capacity={} seed={} queries/family={}",
         opts.shards, opts.workers, opts.batch, opts.queue_capacity, opts.seed, opts.queries
     );
@@ -261,16 +258,11 @@ fn main() {
         shed_on_overload: opts.slo_us.is_some(),
         chaos: opts.chaos,
     };
-    let window = if opts.closed_loop {
-        1
-    } else {
-        opts.window.unwrap_or(OPEN_WINDOW)
-    };
-    let mode = if opts.closed_loop { "closed" } else { "open" };
+    let mode = if opts.window == 1 { "closed" } else { "open" };
     let mut results: Vec<(IndexFamily, LoadResult)> = Vec::new();
     let mut failed = false;
     for s in &served {
-        let r = run_load(s, cfg.clone(), opts.queries, window, &plan);
+        let r = run_load(s, cfg.clone(), opts.queries, opts.window, &plan);
         println!(
             "{:<6} [{mode}-loop] {:>9} queries in {:>7.2}s | {:>10.0} qps | p50 {:>8.1}us \
              p99 {:>8.1}us p999 {:>8.1}us | hash {:#018x}",
@@ -341,7 +333,7 @@ fn main() {
 }
 
 /// Opens every requested family through the cache, in parallel on the
-/// bench runner's work-stealing pool (1-core hosts run inline).
+/// bench runner's job pool (1-core hosts run inline).
 fn open_families(cache: &ArchiveCache, seed: u64, families: &[IndexFamily]) -> Vec<Served> {
     runner::run_jobs(
         families.len().min(runner::default_jobs()),
@@ -620,85 +612,43 @@ fn json_entry(
     host_cores: usize,
     dcheck_n: u64,
     results: &[(IndexFamily, LoadResult)],
-) -> String {
-    let families = results
-        .iter()
-        .map(|(f, r)| {
-            let classes = r
-                .classes
-                .iter()
-                .map(|c| {
-                    format!(
-                        "\"{}\": {{ \"served\": {}, \"shed\": {}, \"p50_us\": {:.3}, \
-                         \"p99_us\": {:.3} }}",
-                        c.name, c.served, c.shed, c.p50_us, c.p99_us
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "      \"{}\": {{ \"queries\": {}, \"completed\": {}, \"wall_s\": {:.6}, \
-                 \"qps\": {:.1}, \
-                 \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"p999_us\": {:.3}, \
-                 \"shed\": {}, \"deadline_exceeded\": {}, \"worker_crashed\": {}, \
-                 \"slo_sheds\": {}, \"deadline_drops\": {}, \"worker_panics\": {}, \
-                 \"classes\": {{ {} }}, \
-                 \"replay_hash\": \"{:#018x}\" }}",
-                f,
-                r.queries,
-                r.completed,
-                r.wall_s,
-                r.qps,
-                r.p50_us,
-                r.p99_us,
-                r.p999_us,
-                r.shed,
-                r.deadline_exceeded,
-                r.worker_crashed,
-                r.stats.slo_sheds,
-                r.stats.deadline_drops,
-                r.stats.worker_panics,
-                classes,
-                r.replay_hash
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "  {{\n    \"pr\": \"{}\",\n    \"bench\": \"servebench\",\n    \
-         \"config\": {{ \"host_cores\": {}, \"shards\": {}, \"workers_per_shard\": {}, \
-         \"batch\": {}, \"queue_capacity\": {}, \"window\": {}, \"seed\": {}, \
-         \"queries_per_family\": {}, \"mode\": \"{}\", \
-         \"priority_mix_pct\": {}, \"slo_us\": {}, \"deadline_us\": {}, \"chaos\": {} }},\n    \
-         \"determinism\": {{ \"queries\": {}, \"configs\": 8, \"identical\": true }},\n    \
-         \"families\": {{\n{}\n    }}\n  }}",
-        json_escape(&opts.pr_label),
-        host_cores,
-        opts.shards,
-        opts.workers,
-        opts.batch,
-        opts.queue_capacity,
-        if opts.closed_loop {
-            1
-        } else {
-            opts.window.unwrap_or(OPEN_WINDOW)
+) -> Json {
+    let fixed = Json::fixed;
+    let families = results.iter().map(|(family, r)| {
+        let classes = r.classes.iter().map(|c| {
+            let class = obj! {
+                "served" => c.served, "shed" => c.shed,
+                "p50_us" => fixed(c.p50_us, 3), "p99_us" => fixed(c.p99_us, 3),
+            };
+            (c.name.to_string(), class)
+        });
+        let row = obj! {
+            "queries" => r.queries, "completed" => r.completed, "wall_s" => fixed(r.wall_s, 6),
+            "qps" => fixed(r.qps, 1), "p50_us" => fixed(r.p50_us, 3),
+            "p99_us" => fixed(r.p99_us, 3), "p999_us" => fixed(r.p999_us, 3),
+            "shed" => r.shed, "deadline_exceeded" => r.deadline_exceeded,
+            "worker_crashed" => r.worker_crashed, "slo_sheds" => r.stats.slo_sheds,
+            "deadline_drops" => r.stats.deadline_drops, "worker_panics" => r.stats.worker_panics,
+            "classes" => Json::object(classes.collect()),
+            "replay_hash" => format!("{:#018x}", r.replay_hash).as_str(),
+        };
+        (family.to_string(), row)
+    });
+    obj! {
+        "pr" => opts.pr_label.as_str(),
+        "bench" => "servebench",
+        "config" => obj! {
+            "host_cores" => host_cores, "shards" => opts.shards,
+            "workers_per_shard" => opts.workers, "batch" => opts.batch,
+            "queue_capacity" => opts.queue_capacity, "window" => opts.window,
+            "seed" => opts.seed, "queries_per_family" => opts.queries,
+            "mode" => if opts.window == 1 { "closed-loop" } else { "open-loop" },
+            "priority_mix_pct" => opts.priority_mix, "slo_us" => opts.slo_us,
+            "deadline_us" => opts.deadline_us, "chaos" => opts.chaos,
         },
-        opts.seed,
-        opts.queries,
-        if opts.closed_loop {
-            "closed-loop"
-        } else {
-            "open-loop"
-        },
-        opts.priority_mix
-            .map_or_else(|| "null".into(), |v| v.to_string()),
-        opts.slo_us.map_or_else(|| "null".into(), |v| v.to_string()),
-        opts.deadline_us
-            .map_or_else(|| "null".into(), |v| v.to_string()),
-        opts.chaos,
-        dcheck_n,
-        families
-    )
+        "determinism" => obj! { "queries" => dcheck_n, "configs" => 8u64, "identical" => true },
+        "families" => Json::object(families.collect()),
+    }
 }
 
 fn parse_args() -> Options {
@@ -709,10 +659,9 @@ fn parse_args() -> Options {
         workers: 1,
         batch: 64,
         queue_capacity: 1024,
-        window: None,
+        window: OPEN_WINDOW,
         seed: 1,
         smoke: false,
-        closed_loop: false,
         priority_mix: None,
         deadline_us: None,
         slo_us: None,
@@ -727,9 +676,6 @@ fn parse_args() -> Options {
             "--smoke" => {
                 opts.smoke = true;
                 opts.queries = 2_000;
-            }
-            "--closed-loop" => {
-                opts.closed_loop = true;
             }
             "--chaos" => {
                 opts.chaos = true;
@@ -752,7 +698,7 @@ fn parse_args() -> Options {
             "--workers" => opts.workers = count_arg(&mut args, "--workers"),
             "--batch" => opts.batch = count_arg(&mut args, "--batch"),
             "--queue-capacity" => opts.queue_capacity = count_arg(&mut args, "--queue-capacity"),
-            "--window" => opts.window = Some(count_arg(&mut args, "--window")),
+            "--window" => opts.window = count_arg(&mut args, "--window"),
             "--priority-mix" => {
                 opts.priority_mix = Some(
                     args.next()
@@ -845,7 +791,7 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: servebench [--smoke] [--closed-loop] [--family graph|kd|bvh|btree|all]\n\
+        "usage: servebench [--smoke] [--family graph|kd|bvh|btree|all]\n\
          \x20                 [--queries N] [--shards N] [--workers N] [--batch N]\n\
          \x20                 [--queue-capacity N] [--window N] [--seed S]\n\
          \x20                 [--priority-mix PCT] [--deadline-us N] [--slo-us N] [--chaos]\n\
@@ -855,8 +801,8 @@ fn usage(err: &str) -> ! {
          across shards {{1,4}} x batch {{1,64}} x workers {{1,2}}), then a measured\n\
          run at the requested topology reporting sustained QPS and p50/p99/p999\n\
          latency. The default discipline is open-loop (--window tickets in flight,\n\
-         default 4096: latency at saturation is queue time); --closed-loop keeps one\n\
-         query outstanding so the percentiles are pure service latency.\n\
+         default 4096: latency at saturation is queue time); --window 1 is the closed\n\
+         loop, one query outstanding, so the percentiles are pure service latency.\n\
          --priority-mix PCT submits PCT% of queries as Interactive and the rest as\n\
          Batch through non-blocking admission (per-class percentiles and shed counts\n\
          are reported); --slo-us sets the adaptive-shedding p99 target; --deadline-us\n\
@@ -886,10 +832,120 @@ mod tests {
         }
     }
 
+    fn squeeze(s: &str) -> String {
+        s.split_whitespace().collect()
+    }
+
+    fn fixture_result(classes: Vec<ClassLat>, stats: EngineStats) -> LoadResult {
+        LoadResult {
+            queries: 2000,
+            completed: 1990,
+            wall_s: 0.123456789,
+            qps: 16119.44,
+            p50_us: 10.5,
+            p99_us: 4400.1234,
+            p999_us: 7600.0,
+            replay_hash: 0x0123_4567_89ab_cdef,
+            shed: 7,
+            deadline_exceeded: 3,
+            worker_crashed: 0,
+            unexpected: 0,
+            classes,
+            stats,
+        }
+    }
+
+    /// The entry's text, whitespace aside, is what the hand-written
+    /// `format!` template this writer replaced produced for these inputs
+    /// (that template's `--closed-loop` run is a `--window 1` run here).
+    #[test]
+    fn json_entry_keeps_the_trajectory_format() {
+        let class = |name, served, shed, p50_us, p99_us| ClassLat {
+            name,
+            served,
+            shed,
+            p50_us,
+            p99_us,
+        };
+        let btree = fixture_result(
+            vec![
+                class("interactive", 600, 0, 1.5, 12.25),
+                class("batch", 1390, 7, 2.0625, 99.9999),
+            ],
+            EngineStats {
+                deadline_drops: 3,
+                ..EngineStats::default()
+            },
+        );
+        let graph = LoadResult {
+            completed: 2000,
+            wall_s: 1.5,
+            qps: 1333.3333,
+            p50_us: 220.0,
+            p99_us: 7600.5,
+            p999_us: 9000.25,
+            replay_hash: 0xfeed,
+            shed: 0,
+            deadline_exceeded: 0,
+            ..fixture_result(Vec::new(), EngineStats::default())
+        };
+        let results = [(IndexFamily::Btree, btree), (IndexFamily::Graph, graph)];
+        let open = Options {
+            families: IndexFamily::ALL.to_vec(),
+            queries: 2000,
+            shards: 2,
+            workers: 1,
+            batch: 64,
+            queue_capacity: 1024,
+            window: OPEN_WINDOW,
+            seed: 1,
+            smoke: false,
+            priority_mix: Some(30),
+            deadline_us: Some(500),
+            slo_us: None,
+            chaos: false,
+            archive_dir: None,
+            pr_label: "fixture".into(),
+            out_path: "unused.json".into(),
+        };
+        let expected = r#"  {
+    "pr": "fixture",
+    "bench": "servebench",
+    "config": { "host_cores": 2, "shards": 2, "workers_per_shard": 1, "batch": 64, "queue_capacity": 1024, "window": 4096, "seed": 1, "queries_per_family": 2000, "mode": "open-loop", "priority_mix_pct": 30, "slo_us": null, "deadline_us": 500, "chaos": false },
+    "determinism": { "queries": 10000, "configs": 8, "identical": true },
+    "families": {
+      "btree": { "queries": 2000, "completed": 1990, "wall_s": 0.123457, "qps": 16119.4, "p50_us": 10.500, "p99_us": 4400.123, "p999_us": 7600.000, "shed": 7, "deadline_exceeded": 3, "worker_crashed": 0, "slo_sheds": 0, "deadline_drops": 3, "worker_panics": 0, "classes": { "interactive": { "served": 600, "shed": 0, "p50_us": 1.500, "p99_us": 12.250 }, "batch": { "served": 1390, "shed": 7, "p50_us": 2.062, "p99_us": 100.000 } }, "replay_hash": "0x0123456789abcdef" },
+      "graph": { "queries": 2000, "completed": 2000, "wall_s": 1.500000, "qps": 1333.3, "p50_us": 220.000, "p99_us": 7600.500, "p999_us": 9000.250, "shed": 0, "deadline_exceeded": 0, "worker_crashed": 0, "slo_sheds": 0, "deadline_drops": 0, "worker_panics": 0, "classes": {  }, "replay_hash": "0x000000000000feed" }
+    }
+  }"#;
+        let got = json_entry(&open, 2, 10_000, &results).to_string();
+        assert_eq!(squeeze(&got), squeeze(expected));
+
+        let closed = Options {
+            window: 1,
+            priority_mix: None,
+            deadline_us: None,
+            slo_us: Some(800),
+            chaos: true,
+            ..open
+        };
+        let expected = r#"  {
+    "pr": "fixture",
+    "bench": "servebench",
+    "config": { "host_cores": 4, "shards": 2, "workers_per_shard": 1, "batch": 64, "queue_capacity": 1024, "window": 1, "seed": 1, "queries_per_family": 2000, "mode": "closed-loop", "priority_mix_pct": null, "slo_us": 800, "deadline_us": null, "chaos": true },
+    "determinism": { "queries": 400, "configs": 8, "identical": true },
+    "families": {
+      "graph": { "queries": 2000, "completed": 2000, "wall_s": 1.500000, "qps": 1333.3, "p50_us": 220.000, "p99_us": 7600.500, "p999_us": 9000.250, "shed": 0, "deadline_exceeded": 0, "worker_crashed": 0, "slo_sheds": 0, "deadline_drops": 0, "worker_panics": 0, "classes": {  }, "replay_hash": "0x000000000000feed" }
+    }
+  }"#;
+        let got = json_entry(&closed, 4, 400, &results[1..]).to_string();
+        assert_eq!(squeeze(&got), squeeze(expected));
+    }
+
     /// The load discipline is a *measurement* choice, not a semantic one:
     /// open-loop (windowed) and closed-loop (one outstanding) runs over
     /// the same seeded stream must fold to the same replay hash. This is
-    /// the pin that makes the `--closed-loop` percentiles comparable with
+    /// the pin that makes the `--window 1` percentiles comparable with
     /// the open-loop history in BENCH_sim.json.
     #[test]
     fn open_and_closed_loop_replay_hashes_are_identical() {

@@ -6,9 +6,8 @@
 //! its own shard's queue (highest priority class first, FIFO within a
 //! class), coalesces them into one SoA [`QueryBatch`], and answers them
 //! through the index's batch kernels. An idle worker steals from sibling
-//! shards' queue fronts before sleeping — the same steal-siblings-FIFO
-//! discipline as `hsu_bench::runner::run_jobs` — so a hot shard cannot
-//! strand idle capacity.
+//! shards' queue fronts before sleeping, so a hot shard cannot strand
+//! idle capacity.
 //!
 //! Determinism: every per-query answer is a pure function of
 //! `(index, query)` (see [`SearchIndex`]), and tickets carry globally
@@ -54,8 +53,7 @@ use crate::index::{Query, QueryOutput, SearchIndex};
 pub struct EngineConfig {
     /// Admission queues (and worker pools) to run. Floored at 1.
     pub shards: usize,
-    /// Worker threads per shard. Floored at 1. Size the product with
-    /// `hsu_bench::runner::serve_share` when a suite shares the host.
+    /// Worker threads per shard. Floored at 1.
     pub workers_per_shard: usize,
     /// Most queries one worker coalesces into a single SoA batch.
     /// Floored at 1.
@@ -132,8 +130,9 @@ struct Shard {
     work: Condvar,
     /// Blocking submitters sleep here when this queue is full.
     space: Condvar,
-    /// Sliding window of recent completion latencies (drives SLO sheds).
-    latency: LatencyWindow,
+    /// Sliding window of recent completion latencies (drives SLO sheds);
+    /// `None`, and nothing recorded, when the family has no SLO target.
+    latency: Option<LatencyWindow>,
 }
 
 /// Everything the worker threads share with the handle.
@@ -167,7 +166,12 @@ impl Engine {
         let slo_target_us = cfg.slo.target_p99_us(index.family());
         let inner = Arc::new(Inner {
             index,
-            shards: (0..cfg.shards).map(|_| Shard::default()).collect(),
+            shards: (0..cfg.shards)
+                .map(|_| Shard {
+                    latency: slo_target_us.map(|_| LatencyWindow::default()),
+                    ..Shard::default()
+                })
+                .collect(),
             shutdown: AtomicBool::new(false),
             cfg: cfg.clone(),
             stats: Counters::default(),
@@ -264,7 +268,8 @@ impl Engine {
         // while the queue is non-empty — an idle shard always admits, so
         // the window keeps refreshing and the shed can clear.
         if !queue.is_empty() {
-            if let (Some(target), Some(p99)) = (self.inner.slo_target_us, shard.latency.p99_us()) {
+            let p99 = shard.latency.as_ref().and_then(LatencyWindow::p99_us);
+            if let (Some(target), Some(p99)) = (self.inner.slo_target_us, p99) {
                 if slo_sheds(opts.priority, p99, target) {
                     self.inner.stats.slo_sheds.fetch_add(1, Ordering::Relaxed);
                     return Err(ServeError::Overloaded {
@@ -401,10 +406,11 @@ fn worker_loop(inner: &Inner, home: usize) {
             Ok(outputs) => {
                 debug_assert_eq!(outputs.len(), taken.len(), "index answered wrong count");
                 let done = Instant::now();
+                let latency = inner.shards[source].latency.as_ref();
                 for (p, out) in taken.drain(..).zip(outputs) {
-                    inner.shards[source]
-                        .latency
-                        .record(done.saturating_duration_since(p.admitted));
+                    if let Some(window) = latency {
+                        window.record(done.saturating_duration_since(p.admitted));
+                    }
                     inner.stats.completed.fetch_add(1, Ordering::Relaxed);
                     p.ticket.fulfill(Ok(out));
                 }
@@ -417,5 +423,53 @@ fn worker_loop(inner: &Inner, home: usize) {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::index::IndexFamily;
+
+    /// A key index that answers every key with itself.
+    struct EchoIndex;
+
+    impl SearchIndex for EchoIndex {
+        fn family(&self) -> IndexFamily {
+            IndexFamily::Btree
+        }
+
+        fn dim(&self) -> usize {
+            0
+        }
+
+        fn query_batch(&self, batch: &QueryBatch) -> Vec<QueryOutput> {
+            let keys = batch.keys().iter();
+            keys.map(|&k| QueryOutput::Value(Some(u64::from(k))))
+                .collect()
+        }
+    }
+
+    /// Whether any shard's SLO window holds a p99 after 300 completions.
+    fn window_filled(cfg: EngineConfig) -> bool {
+        let engine = Engine::new(Arc::new(EchoIndex), cfg);
+        for k in 0..300 {
+            let ticket = engine.submit(Query::Key(k)).expect("admitted");
+            assert_eq!(ticket.wait(), Ok(QueryOutput::Value(Some(u64::from(k)))));
+        }
+        let shards = &engine.inner.shards;
+        shards
+            .iter()
+            .any(|s| s.latency.as_ref().and_then(LatencyWindow::p99_us).is_some())
+    }
+
+    #[test]
+    fn a_default_engine_records_no_slo_samples() {
+        assert!(!window_filled(EngineConfig::default()));
+        let with_target = EngineConfig {
+            slo: SloPolicy::uniform(1_000_000),
+            ..EngineConfig::default()
+        };
+        assert!(window_filled(with_target), "a set target keeps its window");
     }
 }

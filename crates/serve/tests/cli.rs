@@ -3,7 +3,8 @@
 //! message before any index is opened, and never panics. The engine would
 //! otherwise run a zero topology as 1 while the report printed 0, and zero
 //! queries would report "0 qps". So does `--chaos` with a flag that sheds
-//! or expires queries, which its gate would fail by construction.
+//! or expires queries, which its gate would fail by construction, and the
+//! removed `--closed-loop` flag.
 
 use std::process::{Command, Output};
 
@@ -84,4 +85,14 @@ fn chaos_with_a_shedding_or_expiring_flag_is_a_usage_error() {
             assert_usage_error(&args, &format!("--chaos cannot be combined with {flag}"));
         }
     }
+}
+
+/// The closed loop is `--window 1`; the flag that only forced that window
+/// is gone.
+#[test]
+fn the_removed_closed_loop_flag_is_an_unknown_argument() {
+    assert_usage_error(
+        &["--smoke", "--closed-loop"],
+        "unknown argument '--closed-loop'",
+    );
 }
