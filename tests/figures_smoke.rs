@@ -4,7 +4,9 @@
 use hsu::rtl::area::{AreaBreakdown, DatapathKind};
 use hsu::rtl::power::mode_power_mw;
 use hsu::unit::pipeline::OperatingMode;
-use hsu_bench::figures;
+use hsu_bench::suite::App;
+use hsu_bench::{figures, Suite, SuiteConfig};
+use hsu_datasets::DatasetId;
 
 #[test]
 fn table2_lists_all_sixteen_datasets() {
@@ -14,6 +16,30 @@ fn table2_lists_all_sixteen_datasets() {
         "BUD", "COS", "B+1M", "B+10K",
     ] {
         assert!(t.contains(abbr), "missing {abbr}\n{t}");
+    }
+}
+
+/// Fig. 9's signs at the figure's own scale (8 SMs, standard sizes,
+/// seed 7), as EXPERIMENTS.md states them: 20 of the 21 runs gain, and
+/// GGNN on GST loses.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a standard-size suite build is slow unoptimized; run with --release"
+)]
+fn fig9_signs_hold_at_the_figure_scale() {
+    let suite = Suite::build(SuiteConfig::default());
+    assert_eq!(suite.runs.len(), 21);
+    for run in &suite.runs {
+        let loses = run.app == App::Ggnn && run.dataset == DatasetId::Gist;
+        let speedup = run.speedup();
+        assert_eq!(
+            speedup < 1.0,
+            loses,
+            "{} {}: speedup {speedup:.3}",
+            run.app.name(),
+            run.label
+        );
     }
 }
 
