@@ -15,6 +15,19 @@ echo "== test (debug) =="
 cargo test --workspace -q
 
 echo "== test (release, includes the slow double-build determinism tests) =="
+# The tests ignored under debug_assertions run here, among them the
+# sim-mode matrix of tests/sim_equivalence.rs:
+# - full_suite_matrix_is_mode_equivalent: the scaled-down suite must produce
+#   byte-identical reports in both simulation modes, which catches
+#   event-schedule bugs that the unit proptests' small machines might miss;
+#   it also pins the digest of the 32-SM suite's normalized reports.
+# - figure_machine_reports_are_pinned: the figures' 8-SM machine at 1/32
+#   scale, the digest of its normalized reports.
+# - warp_buffer_sweep_is_mode_equivalent: the suite's HSU traces at buffer
+#   sizes 1/2/4/8/16, where the event loop sleeps through refused dispatches
+#   into a full buffer.
+# And tests/figures_smoke.rs pins Fig. 9's per-run speedup signs on the
+# figure's own 8-SM machine at standard sizes.
 cargo test --workspace -q --release
 
 echo "== repository benchmark tests (breakdown + smoke) =="
@@ -27,18 +40,6 @@ echo "== geometry bench smoke (compile only) =="
 # The criterion hot-path benches (point distance batch, aabb ray-slab,
 # triangle intersect) must keep building; timing runs stay local.
 cargo bench -p hsu-geometry --no-run
-
-echo "== sim-mode matrix (stepped / event) =="
-# Fast equivalence leg: the scaled-down suite must produce byte-identical
-# reports in both simulation modes. Catches event-schedule bugs that the
-# unit proptests' small machines might miss.
-# It also pins the digest of the 32-SM suite's normalized reports.
-cargo test --release -q --test sim_equivalence full_suite_matrix_is_mode_equivalent
-# The figures' 8-SM machine at 1/32 scale: its normalized-report digest.
-cargo test --release -q --test sim_equivalence figure_machine_reports_are_pinned
-# Small warp buffers: the suite's HSU traces at buffer sizes 1/2/4/8/16,
-# where the event loop sleeps through refused dispatches into a full buffer.
-cargo test --release -q --test sim_equivalence warp_buffer_sweep_is_mode_equivalent
 
 echo "== sim modes (differential bench: stepped oracle vs event) =="
 # Runs the suite matrix under both simulation modes, asserts the
@@ -96,14 +97,14 @@ echo "warm-cache smoke OK"
 
 echo "== servebench smoke (serving engine determinism cross-check) =="
 # Opens all four index families, replays a small seeded stream across the
-# shards x batch x workers grid, and exits nonzero if any per-family replay
+# batch x workers grid, and exits nonzero if any per-family replay
 # hash diverges. --smoke keeps the query count small and skips the
 # BENCH_sim.json append; the full open-loop numbers live under the pr8
 # entry (see EXPERIMENTS.md "Serving").
 cargo run --release -q -p hsu-serve --bin servebench -- --smoke
 
 echo "== servebench chaos smoke (one batch lost, typed failure counts) =="
-# Injects one worker panic and one persistently slow shard into a smoke-scale
+# Injects one worker panic and a stall on every batch into a smoke-scale
 # btree run. servebench itself exits nonzero if any query fails with an
 # unexpected error class, or if the panic went uncounted or cost more than
 # its one batch; on top of that, assert the report shows exactly the one

@@ -4,16 +4,16 @@
 //!
 //! The overload story has three rungs, from cheapest to last-resort:
 //!
-//! 1. **Class shares.** Each shard's bounded queue admits a class only
+//! 1. **Class shares.** The engine's bounded queue admits a class only
 //!    while the *total* queue depth is below that class's share of the
 //!    capacity ([`Priority::admit_share_percent`]): `Batch` fills at
 //!    most half the queue, `Normal` nine tenths, `Interactive` all of
 //!    it. Under a flood the lowest class sheds first while higher
 //!    classes still admit — a strict-threshold version of the priority
 //!    admission the ROADMAP's serving rung calls for.
-//! 2. **SLO shedding.** When a shard's sliding-window p99 completion
+//! 2. **SLO shedding.** When the engine's sliding-window p99 completion
 //!    latency exceeds the served family's [`SloPolicy`] target, the
-//!    shard rejects `Batch` work (and `Normal` work past 2× the target)
+//!    engine rejects `Batch` work (and `Normal` work past 2× the target)
 //!    with `Overloaded` *before* the queue is actually full, pulling the
 //!    queue back toward the latency target instead of the space bound.
 //! 3. **Hard bound.** The capacity itself — `Interactive` backpressure.
@@ -55,7 +55,7 @@ impl Priority {
         }
     }
 
-    /// The share of a shard's queue capacity this class may fill, in
+    /// The share of the queue capacity this class may fill, in
     /// percent. A class is admitted only while the total queue depth is
     /// under `capacity * share / 100` (floored at one slot), so lower
     /// classes hit backpressure while higher classes still admit.
@@ -229,9 +229,9 @@ pub(crate) fn class_admit_limit(priority: Priority, capacity: usize) -> usize {
     (capacity * priority.admit_share_percent() / 100).max(1)
 }
 
-/// Number of completion samples a shard's window must hold before SLO
+/// Number of completion samples the window must hold before SLO
 /// shedding activates — prevents one slow cold-start query from shedding
-/// a healthy shard.
+/// a healthy engine.
 pub(crate) const SLO_MIN_SAMPLES: usize = 64;
 
 /// Sliding window of recent completion latencies with a cheap cached
@@ -300,7 +300,7 @@ impl LatencyWindow {
     }
 }
 
-/// Whether a shard whose window p99 is `p99_us` should shed work of
+/// Whether an engine whose window p99 is `p99_us` should shed work of
 /// `priority` under `target_us`: `Batch` sheds past the target,
 /// `Normal` past twice the target, `Interactive` never (it only hits
 /// the hard capacity bound).

@@ -1,4 +1,4 @@
-//! SoA query batches — the unit of work a shard worker executes.
+//! SoA query batches — the unit of work an engine worker executes.
 //!
 //! The engine coalesces individually-submitted queries into one
 //! [`QueryBatch`]: vector queries land in a dense row-major coordinate

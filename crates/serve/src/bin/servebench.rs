@@ -1,8 +1,8 @@
-//! `servebench` — open-loop load driver for the sharded serving engine.
+//! `servebench` — open-loop load driver for the serving engine.
 //!
 //! ```text
 //! servebench [--smoke] [--family graph|kd|bvh|btree|all]
-//!            [--queries N] [--shards N] [--workers N] [--batch N]
+//!            [--queries N] [--workers N] [--batch N]
 //!            [--queue-capacity N] [--window N] [--seed S]
 //!            [--priority-mix PCT] [--deadline-us N] [--slo-us N] [--chaos]
 //!            [--archive-dir DIR] [--pr LABEL] [--out PATH]
@@ -13,10 +13,9 @@
 //! 1. opens the pre-built index through the `.hsar` archive cache (cold
 //!    open builds and stores, warm open is an archive read),
 //! 2. **determinism cross-check** — replays a seeded query-stream prefix
-//!    under every `--shards {1,4} × --batch {1,64} × workers {1,2}`
-//!    combination and asserts the submission-order replay hash is
-//!    byte-identical across all eight configurations (exits non-zero on
-//!    any mismatch),
+//!    under every `--batch {1,64} × --workers {1,2,4}` combination and
+//!    asserts the submission-order replay hash is byte-identical across
+//!    all six configurations (exits non-zero on any mismatch),
 //! 3. drives `--queries` queries through the engine at the requested
 //!    topology, measuring sustained QPS and p50/p99/p999 latency (latency
 //!    = admission request to worker fulfillment, taken from the ticket's
@@ -39,13 +38,13 @@
 //! - `--priority-mix PCT` submits PCT% of the stream as `Interactive`
 //!   and the rest as `Batch` via non-blocking admission; per-class
 //!   latency percentiles and shed counts are reported separately.
-//! - `--slo-us N` sets a uniform per-family p99 target: shards over
-//!   target shed `Batch` (typed `Overloaded`) while `Interactive`
+//! - `--slo-us N` sets a uniform per-family p99 target: an engine over
+//!   target sheds `Batch` (typed `Overloaded`) while `Interactive`
 //!   keeps admitting.
 //! - `--deadline-us N` attaches a deadline to every query; expired work
 //!   resolves `DeadlineExceeded`, never a silent late answer.
 //! - `--chaos` wraps the index in the `hsu_serve::chaos` harness (one
-//!   injected worker panic + one slow shard) and asserts the engine
+//!   injected worker panic + a stall on every batch) and asserts the engine
 //!   kept serving: the run fails unless the panic was counted, every
 //!   query was served or failed `worker-crashed`, and the crashed
 //!   queries fit in one batch. Shed or expired queries would fail that
@@ -122,7 +121,7 @@ struct LoadPlan {
     /// shed submissions).
     shed_on_overload: bool,
     /// Wrap the index in the chaos harness: one worker panic mid-run,
-    /// one slow shard.
+    /// a stall on every batch.
     chaos: bool,
 }
 
@@ -139,7 +138,6 @@ impl LoadPlan {
 struct Options {
     families: Vec<IndexFamily>,
     queries: u64,
-    shards: usize,
     workers: usize,
     batch: usize,
     queue_capacity: usize,
@@ -167,9 +165,9 @@ fn main() {
     }
     let host_cores = runner::default_jobs();
     eprintln!(
-        "servebench: host_cores={host_cores} shards={} workers={} \
-         batch={} capacity={} seed={} queries/family={}",
-        opts.shards, opts.workers, opts.batch, opts.queue_capacity, opts.seed, opts.queries
+        "servebench: host_cores={host_cores} workers={} batch={} capacity={} seed={} \
+         queries/family={}",
+        opts.workers, opts.batch, opts.queue_capacity, opts.seed, opts.queries
     );
     if opts.priority_mix.is_some() || opts.slo_us.is_some() || opts.deadline_us.is_some() {
         eprintln!(
@@ -205,19 +203,16 @@ fn main() {
     let mut mismatches = 0usize;
     for s in &served {
         let mut hashes: Vec<(String, u64)> = Vec::new();
-        for shards in [1usize, 4] {
-            for batch in [1usize, 64] {
-                for workers in [1usize, 2] {
-                    let cfg = EngineConfig {
-                        shards,
-                        workers_per_shard: workers,
-                        batch,
-                        queue_capacity: opts.queue_capacity,
-                        ..Default::default()
-                    };
-                    let r = run_load(s, cfg, dcheck_n, OPEN_WINDOW, &LoadPlan::plain());
-                    hashes.push((format!("s{shards}b{batch}w{workers}"), r.replay_hash));
-                }
+        for batch in [1usize, 64] {
+            for workers in [1usize, 2, 4] {
+                let cfg = EngineConfig {
+                    workers,
+                    batch,
+                    queue_capacity: opts.queue_capacity,
+                    ..Default::default()
+                };
+                let r = run_load(s, cfg, dcheck_n, OPEN_WINDOW, &LoadPlan::plain());
+                hashes.push((format!("b{batch}w{workers}"), r.replay_hash));
             }
         }
         let first = hashes[0].1;
@@ -237,14 +232,13 @@ fn main() {
         }
     }
     if mismatches > 0 {
-        eprintln!("error: {mismatches} famil(ies) diverged across shard/batch/worker configs");
+        eprintln!("error: {mismatches} famil(ies) diverged across batch/worker configs");
         std::process::exit(1);
     }
 
     // The measured runs at the requested topology and load discipline.
     let cfg = EngineConfig {
-        shards: opts.shards,
-        workers_per_shard: opts.workers,
+        workers: opts.workers,
         batch: opts.batch,
         queue_capacity: opts.queue_capacity,
         slo: match opts.slo_us {
@@ -410,14 +404,12 @@ fn pick_priority(i: u64, pct: u32) -> Priority {
 /// the replay hash folds the successfully served subset in submission
 /// order (in an unfaulted, unshed run that is every query).
 fn run_load(s: &Served, cfg: EngineConfig, n: u64, window: usize, plan: &LoadPlan) -> LoadResult {
-    let shards = cfg.shards;
     let index: Arc<dyn SearchIndex> = if plan.chaos {
-        // One worker panic mid-run plus one persistently slow shard —
-        // the ci smoke fault pair.
+        // One worker panic mid-run plus a stall on every batch — the ci
+        // smoke fault pair.
         let chaos_plan = ChaosPlan {
             panic_on: vec![(n / 2).max(1)],
-            slow_shard: Some(shards - 1),
-            slow_delay: Duration::from_micros(500),
+            slow_delay: Some(Duration::from_micros(500)),
         };
         Arc::new(ChaosIndex::new(Arc::clone(&s.index), chaos_plan))
     } else {
@@ -535,7 +527,7 @@ fn run_load(s: &Served, cfg: EngineConfig, n: u64, window: usize, plan: &LoadPla
 
 /// The `--chaos` gate: the one injected panic was counted, every query
 /// was either served or failed `worker-crashed`, and the casualties fit
-/// in one batch — the panic ended its batch and the shard served the
+/// in one batch — the panic ended its batch and the engine served the
 /// rest.
 fn chaos_kept_serving(r: &LoadResult, batch: usize) -> Result<(), String> {
     if r.stats.worker_panics == 0 {
@@ -590,7 +582,7 @@ fn redeem(
             }
         }
         Err(ServeError::DeadlineExceeded) => counts.deadline_exceeded += 1,
-        Err(ServeError::WorkerCrashed { .. }) => counts.worker_crashed += 1,
+        Err(ServeError::WorkerCrashed) => counts.worker_crashed += 1,
         Err(e) => {
             eprintln!("{family} query failed unexpectedly: {e} [{}]", e.kind());
             counts.unexpected += 1;
@@ -638,15 +630,14 @@ fn json_entry(
         "pr" => opts.pr_label.as_str(),
         "bench" => "servebench",
         "config" => obj! {
-            "host_cores" => host_cores, "shards" => opts.shards,
-            "workers_per_shard" => opts.workers, "batch" => opts.batch,
+            "host_cores" => host_cores, "workers" => opts.workers, "batch" => opts.batch,
             "queue_capacity" => opts.queue_capacity, "window" => opts.window,
             "seed" => opts.seed, "queries_per_family" => opts.queries,
             "mode" => if opts.window == 1 { "closed-loop" } else { "open-loop" },
             "priority_mix_pct" => opts.priority_mix, "slo_us" => opts.slo_us,
             "deadline_us" => opts.deadline_us, "chaos" => opts.chaos,
         },
-        "determinism" => obj! { "queries" => dcheck_n, "configs" => 8u64, "identical" => true },
+        "determinism" => obj! { "queries" => dcheck_n, "configs" => 6u64, "identical" => true },
         "families" => Json::object(families.collect()),
     }
 }
@@ -655,10 +646,9 @@ fn parse_args() -> Options {
     let mut opts = Options {
         families: IndexFamily::ALL.to_vec(),
         queries: 250_000,
-        shards: 2,
-        workers: 1,
+        workers: 2,
         batch: 64,
-        queue_capacity: 1024,
+        queue_capacity: 2048,
         window: OPEN_WINDOW,
         seed: 1,
         smoke: false,
@@ -694,7 +684,6 @@ fn parse_args() -> Options {
                 };
             }
             "--queries" => opts.queries = count_arg(&mut args, "--queries"),
-            "--shards" => opts.shards = count_arg(&mut args, "--shards"),
             "--workers" => opts.workers = count_arg(&mut args, "--workers"),
             "--batch" => opts.batch = count_arg(&mut args, "--batch"),
             "--queue-capacity" => opts.queue_capacity = count_arg(&mut args, "--queue-capacity"),
@@ -774,7 +763,7 @@ fn chaos_conflict(opts: &Options) -> Option<&'static str> {
 }
 
 /// The next argument as a nonzero count, or a usage error naming `flag`:
-/// a zero shard, worker, batch or queue size would be silently run as 1,
+/// a zero worker, batch or queue size would be silently run as 1,
 /// and zero queries would report an empty measurement.
 fn count_arg<T: std::str::FromStr + Default + PartialEq>(
     args: &mut impl Iterator<Item = String>,
@@ -792,23 +781,23 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: servebench [--smoke] [--family graph|kd|bvh|btree|all]\n\
-         \x20                 [--queries N] [--shards N] [--workers N] [--batch N]\n\
+         \x20                 [--queries N] [--workers N] [--batch N]\n\
          \x20                 [--queue-capacity N] [--window N] [--seed S]\n\
          \x20                 [--priority-mix PCT] [--deadline-us N] [--slo-us N] [--chaos]\n\
          \x20                 [--archive-dir DIR] [--pr LABEL] [--out PATH]\n\
-         drives seeded query load through the sharded serving engine for each index\n\
-         family: first a determinism cross-check (replay hashes must be identical\n\
-         across shards {{1,4}} x batch {{1,64}} x workers {{1,2}}), then a measured\n\
-         run at the requested topology reporting sustained QPS and p50/p99/p999\n\
-         latency. The default discipline is open-loop (--window tickets in flight,\n\
-         default 4096: latency at saturation is queue time); --window 1 is the closed\n\
-         loop, one query outstanding, so the percentiles are pure service latency.\n\
+         drives seeded query load through the serving engine for each index family:\n\
+         first a determinism cross-check (replay hashes must be identical across\n\
+         batch {{1,64}} x workers {{1,2,4}}), then a measured run at the requested\n\
+         topology reporting sustained QPS and p50/p99/p999 latency. The default\n\
+         discipline is open-loop (--window tickets in flight, default 4096: latency\n\
+         at saturation is queue time); --window 1 is the closed loop, one query\n\
+         outstanding, so the percentiles are pure service latency.\n\
          --priority-mix PCT submits PCT% of queries as Interactive and the rest as\n\
          Batch through non-blocking admission (per-class percentiles and shed counts\n\
          are reported); --slo-us sets the adaptive-shedding p99 target; --deadline-us\n\
          attaches a latency budget to every query; --chaos injects one worker panic\n\
-         and one slow shard and requires that the panic cost at most one batch (it\n\
-         cannot be combined with the three flags before it).\n\
+         and a stall on every batch and requires that the panic cost at most one\n\
+         batch (it cannot be combined with the three flags before it).\n\
          Per-query failures are counted by typed class; the exit code is non-zero\n\
          only for unexpected classes. Appends a JSON entry to the trajectory file\n\
          unless --smoke (small counts, no append) is set. --queries is per family."
@@ -893,10 +882,9 @@ mod tests {
         let open = Options {
             families: IndexFamily::ALL.to_vec(),
             queries: 2000,
-            shards: 2,
-            workers: 1,
+            workers: 2,
             batch: 64,
-            queue_capacity: 1024,
+            queue_capacity: 2048,
             window: OPEN_WINDOW,
             seed: 1,
             smoke: false,
@@ -911,8 +899,8 @@ mod tests {
         let expected = r#"  {
     "pr": "fixture",
     "bench": "servebench",
-    "config": { "host_cores": 2, "shards": 2, "workers_per_shard": 1, "batch": 64, "queue_capacity": 1024, "window": 4096, "seed": 1, "queries_per_family": 2000, "mode": "open-loop", "priority_mix_pct": 30, "slo_us": null, "deadline_us": 500, "chaos": false },
-    "determinism": { "queries": 10000, "configs": 8, "identical": true },
+    "config": { "host_cores": 2, "workers": 2, "batch": 64, "queue_capacity": 2048, "window": 4096, "seed": 1, "queries_per_family": 2000, "mode": "open-loop", "priority_mix_pct": 30, "slo_us": null, "deadline_us": 500, "chaos": false },
+    "determinism": { "queries": 10000, "configs": 6, "identical": true },
     "families": {
       "btree": { "queries": 2000, "completed": 1990, "wall_s": 0.123457, "qps": 16119.4, "p50_us": 10.500, "p99_us": 4400.123, "p999_us": 7600.000, "shed": 7, "deadline_exceeded": 3, "worker_crashed": 0, "slo_sheds": 0, "deadline_drops": 3, "worker_panics": 0, "classes": { "interactive": { "served": 600, "shed": 0, "p50_us": 1.500, "p99_us": 12.250 }, "batch": { "served": 1390, "shed": 7, "p50_us": 2.062, "p99_us": 100.000 } }, "replay_hash": "0x0123456789abcdef" },
       "graph": { "queries": 2000, "completed": 2000, "wall_s": 1.500000, "qps": 1333.3, "p50_us": 220.000, "p99_us": 7600.500, "p999_us": 9000.250, "shed": 0, "deadline_exceeded": 0, "worker_crashed": 0, "slo_sheds": 0, "deadline_drops": 0, "worker_panics": 0, "classes": {  }, "replay_hash": "0x000000000000feed" }
@@ -932,8 +920,8 @@ mod tests {
         let expected = r#"  {
     "pr": "fixture",
     "bench": "servebench",
-    "config": { "host_cores": 4, "shards": 2, "workers_per_shard": 1, "batch": 64, "queue_capacity": 1024, "window": 1, "seed": 1, "queries_per_family": 2000, "mode": "closed-loop", "priority_mix_pct": null, "slo_us": 800, "deadline_us": null, "chaos": true },
-    "determinism": { "queries": 400, "configs": 8, "identical": true },
+    "config": { "host_cores": 4, "workers": 2, "batch": 64, "queue_capacity": 2048, "window": 1, "seed": 1, "queries_per_family": 2000, "mode": "closed-loop", "priority_mix_pct": null, "slo_us": 800, "deadline_us": null, "chaos": true },
+    "determinism": { "queries": 400, "configs": 6, "identical": true },
     "families": {
       "graph": { "queries": 2000, "completed": 2000, "wall_s": 1.500000, "qps": 1333.3, "p50_us": 220.000, "p99_us": 7600.500, "p999_us": 9000.250, "shed": 0, "deadline_exceeded": 0, "worker_crashed": 0, "slo_sheds": 0, "deadline_drops": 0, "worker_panics": 0, "classes": {  }, "replay_hash": "0x000000000000feed" }
     }
@@ -951,8 +939,7 @@ mod tests {
     fn open_and_closed_loop_replay_hashes_are_identical() {
         let s = btree_served(2_000, 3);
         let cfg = EngineConfig {
-            shards: 2,
-            workers_per_shard: 2,
+            workers: 4,
             batch: 8,
             queue_capacity: 256,
             ..Default::default()
@@ -969,14 +956,13 @@ mod tests {
     }
 
     /// A chaos run counts its casualties typed instead of panicking the
-    /// driver, and the panic costs one batch, not the shard.
+    /// driver, and the panic costs one batch, not the engine.
     #[test]
     fn chaos_load_counts_typed_failures_and_keeps_serving() {
         install_quiet_panic_hook();
         let s = btree_served(2_000, 7);
         let cfg = EngineConfig {
-            shards: 2,
-            workers_per_shard: 1,
+            workers: 2,
             batch: 8,
             queue_capacity: 256,
             ..Default::default()

@@ -7,9 +7,9 @@
 //!   containing the n-th served query panics inside the index — the
 //!   engine must fail that batch with `ServeError::WorkerCrashed` and
 //!   keep serving;
-//! - **per-shard slow queries** ([`ChaosPlan::slow_shard`]): batches
-//!   executed by a given shard's workers stall for a fixed delay —
-//!   the latency inflation that deadlines and SLO shedding must bound.
+//! - **slow batches** ([`ChaosPlan::slow_delay`]): every batch stalls
+//!   for a fixed delay — the latency inflation that deadlines and SLO
+//!   shedding must bound.
 //!
 //! Deadline storms and admission floods are *driver* faults — the tests
 //! in `crates/serve/tests/chaos.rs` produce them by submitting with
@@ -40,23 +40,8 @@ pub struct ChaosPlan {
     /// ordinal fires at most once (the counter advances past the doomed
     /// batch, so the worker's next batch is not killed by it).
     pub panic_on: Vec<u64>,
-    /// Inject `slow_delay` into every batch executed by a worker whose
-    /// home shard is this one (worker identity comes from the
-    /// `serve-{shard}-{worker}` thread name).
-    pub slow_shard: Option<usize>,
-    /// The per-batch stall for `slow_shard`.
-    pub slow_delay: Duration,
-}
-
-impl ChaosPlan {
-    /// A plan that stalls every batch served by shard `s` workers.
-    pub fn slow_on_shard(s: usize, delay: Duration) -> Self {
-        ChaosPlan {
-            slow_shard: Some(s),
-            slow_delay: delay,
-            ..Default::default()
-        }
-    }
+    /// A stall injected into every batch before it is served.
+    pub slow_delay: Option<Duration>,
 }
 
 /// A fault-injecting wrapper around any served index.
@@ -97,10 +82,8 @@ impl SearchIndex for ChaosIndex {
     }
 
     fn query_batch(&self, batch: &QueryBatch) -> Vec<QueryOutput> {
-        if let Some(slow) = self.plan.slow_shard {
-            if worker_home_shard() == Some(slow) {
-                std::thread::sleep(self.plan.slow_delay);
-            }
+        if let Some(delay) = self.plan.slow_delay {
+            std::thread::sleep(delay);
         }
         let len = batch.len() as u64;
         let start = self.served.fetch_add(len, Ordering::Relaxed);
@@ -118,18 +101,6 @@ impl SearchIndex for ChaosIndex {
         }
         self.inner.query_batch(batch)
     }
-}
-
-/// The home shard of the calling engine worker, parsed from the
-/// `serve-{shard}-{worker}` thread name. `None` off the worker pool
-/// (submitters, tests).
-fn worker_home_shard() -> Option<usize> {
-    let thread = std::thread::current();
-    let name = thread.name()?;
-    let rest = name.strip_prefix("serve-")?;
-    let (shard, worker) = rest.split_once('-')?;
-    worker.parse::<usize>().ok()?;
-    shard.parse().ok()
 }
 
 /// Installs (once, process-wide) a panic hook that swallows
@@ -205,17 +176,5 @@ mod tests {
             "the ordinal fired once; later batches serve transparently"
         );
         assert_eq!(chaos.served(), 6);
-    }
-
-    #[test]
-    fn worker_shard_parses_only_engine_worker_names() {
-        let parsed = std::thread::Builder::new()
-            .name("serve-3-1".into())
-            .spawn(worker_home_shard)
-            .expect("spawn")
-            .join()
-            .expect("join");
-        assert_eq!(parsed, Some(3));
-        assert_eq!(worker_home_shard(), None, "test thread is not a worker");
     }
 }

@@ -1,23 +1,22 @@
-//! The sharded serving engine: bounded admission queues, per-shard
-//! worker pools, batch coalescing, and overload/failure resilience.
+//! The serving engine: one bounded admission queue, a pool of worker
+//! threads that drain it, batch coalescing, and overload/failure
+//! resilience.
 //!
-//! Topology: `shards` admission queues, each with `workers_per_shard`
-//! dedicated worker threads. A worker drains up to `batch` queries from
-//! its own shard's queue (highest priority class first, FIFO within a
-//! class), coalesces them into one SoA [`QueryBatch`], and answers them
-//! through the index's batch kernels. An idle worker steals from sibling
-//! shards' queue fronts before sleeping, so a hot shard cannot strand
-//! idle capacity.
+//! Topology: one admission queue and `workers` worker threads. A worker
+//! drains up to `batch` queries from the queue (highest priority class
+//! first, FIFO within a class), coalesces them into one SoA
+//! [`QueryBatch`], and answers them through the index's batch kernels.
+//! An idle worker sleeps until a submission or shutdown wakes it.
 //!
 //! Determinism: every per-query answer is a pure function of
 //! `(index, query)` (see [`SearchIndex`]), and tickets carry globally
 //! ordered submission ids, so any fold over results **in submission-id
-//! order** is byte-identical across shard counts, batch sizes, and
-//! worker counts. Scheduling only moves latency, never results.
+//! order** is byte-identical across batch sizes and worker counts.
+//! Scheduling only moves latency, never results.
 //!
 //! Overload: admission is class-aware ([`SubmitOptions`]) — under load
 //! the lowest class sheds first (per-class queue shares), adaptive SLO
-//! shedding rejects low-class work once a shard's sliding-window p99
+//! shedding rejects low-class work once the engine's sliding-window p99
 //! exceeds the family's [`SloPolicy`] target, and the queue capacity is
 //! the hard bound. All three rungs surface as the same typed
 //! [`ServeError::Overloaded`]; [`Engine::stats`] tells them apart.
@@ -38,7 +37,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::admission::{
     class_admit_limit, slo_sheds, ClassQueues, LatencyWindow, SloPolicy, SubmitOptions,
@@ -51,14 +50,12 @@ use crate::index::{Query, QueryOutput, SearchIndex};
 /// Engine topology and admission knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Admission queues (and worker pools) to run. Floored at 1.
-    pub shards: usize,
-    /// Worker threads per shard. Floored at 1.
-    pub workers_per_shard: usize,
+    /// Worker threads draining the admission queue. Floored at 1.
+    pub workers: usize,
     /// Most queries one worker coalesces into a single SoA batch.
     /// Floored at 1.
     pub batch: usize,
-    /// Per-shard admission bound; a full queue is backpressure. Lower
+    /// The admission bound; a full queue is backpressure. Lower
     /// priority classes hit their share of this bound first
     /// (`Priority::admit_share_percent`). Floored at 1.
     pub queue_capacity: usize,
@@ -70,8 +67,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            shards: 1,
-            workers_per_shard: 1,
+            workers: 1,
             batch: 32,
             queue_capacity: 1024,
             slo: SloPolicy::none(),
@@ -86,7 +82,7 @@ impl Default for EngineConfig {
 /// already counts it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Queries admitted into some shard queue.
+    /// Queries admitted into the queue.
     pub admitted: u64,
     /// Queries answered successfully by a worker.
     pub completed: u64,
@@ -117,28 +113,22 @@ struct Counters {
 struct Pending {
     ticket: Arc<TicketState>,
     query: Query,
-    /// Admission instant — completion latency feeds the shard's SLO
-    /// window.
+    /// Admission instant — completion latency feeds the SLO window.
     admitted: Instant,
-}
-
-/// One shard's admission queue and its wakeup channels.
-#[derive(Default)]
-struct Shard {
-    queue: Mutex<ClassQueues<Pending>>,
-    /// Workers sleep here when every queue they can reach is empty.
-    work: Condvar,
-    /// Blocking submitters sleep here when this queue is full.
-    space: Condvar,
-    /// Sliding window of recent completion latencies (drives SLO sheds);
-    /// `None`, and nothing recorded, when the family has no SLO target.
-    latency: Option<LatencyWindow>,
 }
 
 /// Everything the worker threads share with the handle.
 struct Inner {
     index: Arc<dyn SearchIndex>,
-    shards: Vec<Shard>,
+    queue: Mutex<ClassQueues<Pending>>,
+    /// Workers sleep here while the queue is empty.
+    work: Condvar,
+    /// Blocking submitters sleep here while their class's share is full.
+    space: Condvar,
+    /// Sliding window of recent completion latencies (drives SLO sheds);
+    /// `None`, and nothing recorded, when the family has no SLO target.
+    latency: Option<LatencyWindow>,
+    /// Only written with `queue` held; see `Drop for Engine`.
     shutdown: AtomicBool,
     cfg: EngineConfig,
     stats: Counters,
@@ -146,7 +136,7 @@ struct Inner {
     slo_target_us: Option<u64>,
 }
 
-/// A running sharded query service over one [`SearchIndex`].
+/// A running query service over one [`SearchIndex`].
 pub struct Engine {
     inner: Arc<Inner>,
     next_id: AtomicU64,
@@ -154,11 +144,10 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Starts the shard workers and returns the serving handle.
+    /// Starts the workers and returns the serving handle.
     pub fn new(index: Arc<dyn SearchIndex>, cfg: EngineConfig) -> Self {
         let cfg = EngineConfig {
-            shards: cfg.shards.max(1),
-            workers_per_shard: cfg.workers_per_shard.max(1),
+            workers: cfg.workers.max(1),
             batch: cfg.batch.max(1),
             queue_capacity: cfg.queue_capacity.max(1),
             ..cfg
@@ -166,27 +155,22 @@ impl Engine {
         let slo_target_us = cfg.slo.target_p99_us(index.family());
         let inner = Arc::new(Inner {
             index,
-            shards: (0..cfg.shards)
-                .map(|_| Shard {
-                    latency: slo_target_us.map(|_| LatencyWindow::default()),
-                    ..Shard::default()
-                })
-                .collect(),
+            queue: Mutex::default(),
+            work: Condvar::new(),
+            space: Condvar::new(),
+            latency: slo_target_us.map(|_| LatencyWindow::default()),
             shutdown: AtomicBool::new(false),
             cfg: cfg.clone(),
             stats: Counters::default(),
             slo_target_us,
         });
-        let workers = (0..cfg.shards)
-            .flat_map(|s| (0..cfg.workers_per_shard).map(move |w| (s, w)))
-            .map(|(s, w)| {
+        let workers = (0..cfg.workers)
+            .map(|w| {
                 let inner = Arc::clone(&inner);
-                // The name is load-bearing: `chaos::worker_home_shard`
-                // parses the home shard back out of it.
                 std::thread::Builder::new()
-                    .name(format!("serve-{s}-{w}"))
-                    .spawn(move || worker_loop(&inner, s))
-                    .unwrap_or_else(|e| panic!("spawn shard {s} worker {w}: {e}"))
+                    .name(format!("serve-{w}"))
+                    .spawn(move || worker_loop(&inner))
+                    .unwrap_or_else(|e| panic!("spawn worker {w}: {e}"))
             })
             .collect();
         Engine {
@@ -215,9 +199,8 @@ impl Engine {
     }
 
     /// Submits a query at [`Priority::Normal`] with no deadline, without
-    /// blocking. Returns [`ServeError::Overloaded`] when the target
-    /// shard sheds it, [`ServeError::BadQuery`] when the query can never
-    /// be served.
+    /// blocking. Returns [`ServeError::Overloaded`] when the engine sheds
+    /// it, [`ServeError::BadQuery`] when the query can never be served.
     pub fn try_submit(&self, query: Query) -> Result<Ticket, ServeError> {
         self.admit(query, SubmitOptions::default(), false)
     }
@@ -252,8 +235,6 @@ impl Engine {
     fn admit(&self, query: Query, opts: SubmitOptions, block: bool) -> Result<Ticket, ServeError> {
         self.inner.index.validate(&query)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let shard_ix = (id % self.inner.cfg.shards as u64) as usize;
-        let shard = &self.inner.shards[shard_ix];
         let capacity = self.inner.cfg.queue_capacity;
         let limit = class_admit_limit(opts.priority, capacity);
         let state = Arc::new(TicketState::with_deadline(opts.deadline));
@@ -262,20 +243,17 @@ impl Engine {
             query,
             admitted: Instant::now(),
         };
-        let mut queue = lock_recover(&shard.queue);
-        // Adaptive SLO shedding: once the shard's recent p99 is over the
-        // family target, low classes shed before the queue fills. Only
-        // while the queue is non-empty — an idle shard always admits, so
-        // the window keeps refreshing and the shed can clear.
+        let mut queue = lock_recover(&self.inner.queue);
+        // Adaptive SLO shedding: once the recent p99 is over the family
+        // target, low classes shed before the queue fills. Only while the
+        // queue is non-empty — an idle engine always admits, so the
+        // window keeps refreshing and the shed can clear.
         if !queue.is_empty() {
-            let p99 = shard.latency.as_ref().and_then(LatencyWindow::p99_us);
+            let p99 = self.inner.latency.as_ref().and_then(LatencyWindow::p99_us);
             if let (Some(target), Some(p99)) = (self.inner.slo_target_us, p99) {
                 if slo_sheds(opts.priority, p99, target) {
                     self.inner.stats.slo_sheds.fetch_add(1, Ordering::Relaxed);
-                    return Err(ServeError::Overloaded {
-                        shard: shard_ix,
-                        capacity,
-                    });
+                    return Err(ServeError::Overloaded { capacity });
                 }
             }
         }
@@ -285,19 +263,21 @@ impl Engine {
                     .stats
                     .queue_full_sheds
                     .fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Overloaded {
-                    shard: shard_ix,
-                    capacity,
-                });
+                return Err(ServeError::Overloaded { capacity });
             }
-            // `drain` notifies after popping under this same lock, so the
-            // wakeup cannot be lost between the check and the wait.
-            queue = shard.space.wait(queue).unwrap_or_else(|p| p.into_inner());
+            // Workers pop under this lock, so no pop can fall between the
+            // check above and this wait; the worker's notify follows its
+            // pop, so it finds this submitter already waiting.
+            queue = self
+                .inner
+                .space
+                .wait(queue)
+                .unwrap_or_else(|p| p.into_inner());
         }
         queue.push(opts.priority, pending);
         self.inner.stats.admitted.fetch_add(1, Ordering::Relaxed);
         drop(queue);
-        shard.work.notify_one();
+        self.inner.work.notify_one();
         Ok(Ticket::new(id, state))
     }
 }
@@ -307,10 +287,15 @@ impl Drop for Engine {
     /// anything left unserved — no ticket is ever dropped unfulfilled.
     /// (`Drop` takes `&mut self`, so no `submit` can be running.)
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        for shard in &self.inner.shards {
-            shard.work.notify_all();
-        }
+        let inner = &self.inner;
+        // Set under the queue lock: a worker reads `shutdown` and goes to
+        // sleep on `work` under this lock, so the store cannot fall
+        // between its read and its wait, where the `notify_all` below
+        // would find no waiter and the worker would sleep forever.
+        let queue = lock_recover(&inner.queue);
+        inner.shutdown.store(true, Ordering::Relaxed);
+        drop(queue);
+        inner.work.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -318,72 +303,31 @@ impl Drop for Engine {
         // engine bug outside `query_batch`: with all workers gone,
         // anything still queued can never be served — fail it typed
         // rather than leak the ticket.
-        for (s, shard) in self.inner.shards.iter().enumerate() {
-            let mut queue = lock_recover(&shard.queue);
-            for p in queue.drain_all() {
-                p.ticket
-                    .try_fulfill(Err(ServeError::WorkerCrashed { shard: s }));
-            }
+        for p in lock_recover(&inner.queue).drain_all() {
+            p.ticket.try_fulfill(Err(ServeError::WorkerCrashed));
         }
     }
 }
 
-/// Pops up to `limit` pending queries from shard `s`'s queue (highest
-/// class first), waking one blocked submitter when space was freed.
-fn drain(inner: &Inner, s: usize, limit: usize, out: &mut Vec<Pending>) -> usize {
-    let shard = &inner.shards[s];
-    let mut queue = lock_recover(&shard.queue);
-    let take = queue.drain_priority(limit, out);
-    drop(queue);
-    if take > 0 {
-        shard.space.notify_all();
-    }
-    take
-}
-
-/// The body of one shard worker thread: drain own shard, steal from
-/// siblings when idle, sleep when everything is empty, exit once the
-/// engine is shutting down and every queue has drained. Expired-deadline
+/// The body of one worker thread: take up to `batch` queries from the
+/// queue (highest class first), sleep while it is empty, and exit once
+/// the engine is shutting down and the queue has drained. Expired-deadline
 /// queries are dropped typed at dequeue; a panic inside the index fails
 /// the whole in-flight batch typed, and the worker takes its next batch.
-fn worker_loop(inner: &Inner, home: usize) {
-    let shards = inner.cfg.shards;
+fn worker_loop(inner: &Inner) {
     let mut taken: Vec<Pending> = Vec::new();
     let mut batch = QueryBatch::new();
     loop {
-        taken.clear();
-        // Own queue first, then steal round-robin from siblings.
-        let mut source = home;
-        drain(inner, home, inner.cfg.batch, &mut taken);
-        if taken.is_empty() {
-            for off in 1..shards {
-                let sibling = (home + off) % shards;
-                if drain(inner, sibling, inner.cfg.batch, &mut taken) > 0 {
-                    source = sibling;
-                    break;
-                }
+        let mut queue = lock_recover(&inner.queue);
+        while queue.is_empty() {
+            if inner.shutdown.load(Ordering::Relaxed) {
+                return;
             }
+            queue = inner.work.wait(queue).unwrap_or_else(|p| p.into_inner());
         }
-        if taken.is_empty() {
-            if inner.shutdown.load(Ordering::Acquire) {
-                // Shutdown is only final once every queue is empty —
-                // another worker may still be admitting steals.
-                let all_empty =
-                    (0..shards).all(|s| lock_recover(&inner.shards[s].queue).is_empty());
-                if all_empty {
-                    return;
-                }
-                continue;
-            }
-            let shard = &inner.shards[home];
-            let queue = lock_recover(&shard.queue);
-            if queue.is_empty() && !inner.shutdown.load(Ordering::Acquire) {
-                // Timed wait: a steal target may fill while we sleep on
-                // our own shard's condvar.
-                let _ = shard.work.wait_timeout(queue, Duration::from_millis(5));
-            }
-            continue;
-        }
+        queue.drain_priority(inner.cfg.batch, &mut taken);
+        drop(queue);
+        inner.space.notify_all();
         // Deadline gate at dequeue: anything already expired is dropped
         // through its ticket, never served late and never silent.
         let now = Instant::now();
@@ -406,9 +350,8 @@ fn worker_loop(inner: &Inner, home: usize) {
             Ok(outputs) => {
                 debug_assert_eq!(outputs.len(), taken.len(), "index answered wrong count");
                 let done = Instant::now();
-                let latency = inner.shards[source].latency.as_ref();
                 for (p, out) in taken.drain(..).zip(outputs) {
-                    if let Some(window) = latency {
+                    if let Some(window) = &inner.latency {
                         window.record(done.saturating_duration_since(p.admitted));
                     }
                     inner.stats.completed.fetch_add(1, Ordering::Relaxed);
@@ -418,8 +361,7 @@ fn worker_loop(inner: &Inner, home: usize) {
             Err(_) => {
                 inner.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
                 for p in taken.drain(..) {
-                    p.ticket
-                        .try_fulfill(Err(ServeError::WorkerCrashed { shard: home }));
+                    p.ticket.try_fulfill(Err(ServeError::WorkerCrashed));
                 }
             }
         }
@@ -450,17 +392,15 @@ mod tests {
         }
     }
 
-    /// Whether any shard's SLO window holds a p99 after 300 completions.
+    /// Whether the SLO window holds a p99 after 300 completions.
     fn window_filled(cfg: EngineConfig) -> bool {
         let engine = Engine::new(Arc::new(EchoIndex), cfg);
         for k in 0..300 {
             let ticket = engine.submit(Query::Key(k)).expect("admitted");
             assert_eq!(ticket.wait(), Ok(QueryOutput::Value(Some(u64::from(k)))));
         }
-        let shards = &engine.inner.shards;
-        shards
-            .iter()
-            .any(|s| s.latency.as_ref().and_then(LatencyWindow::p99_us).is_some())
+        let latency = engine.inner.latency.as_ref();
+        latency.and_then(LatencyWindow::p99_us).is_some()
     }
 
     #[test]
@@ -471,5 +411,29 @@ mod tests {
             ..EngineConfig::default()
         };
         assert!(window_filled(with_target), "a set target keeps its window");
+    }
+
+    /// Dropping an idle engine wakes every sleeping worker: none may read
+    /// `shutdown` as false and then sleep through the drop's wakeup.
+    /// Workers that are just starting race the drop, so a lost wakeup
+    /// shows as a join that never returns, which the watchdog turns into
+    /// a failure. The race window is a few instructions wide: with the
+    /// `shutdown` store moved out of the lock, a run stranded a worker
+    /// after 3.6k to 19k engines, so this drops 20k (about 3 s).
+    #[test]
+    fn dropping_idle_engines_never_strands_a_worker() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                let cfg = EngineConfig {
+                    workers: 4,
+                    ..EngineConfig::default()
+                };
+                drop(Engine::new(Arc::new(EchoIndex), cfg));
+            }
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("dropping an idle engine never returned");
     }
 }

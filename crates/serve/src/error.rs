@@ -7,16 +7,14 @@ use std::fmt;
 /// Why the engine rejected (or failed) a query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The target shard refused the query: either its admission queue is
-    /// full past the submitting class's share, or adaptive SLO shedding
-    /// kicked in (the shard's sliding-window p99 is over its SLO target,
-    /// so low-priority work sheds before the queue is actually full).
+    /// The engine refused the query: either its admission queue is full
+    /// past the submitting class's share, or adaptive SLO shedding kicked
+    /// in (the engine's sliding-window p99 is over its SLO target, so
+    /// low-priority work sheds before the queue is actually full).
     /// Open-loop callers should treat this as backpressure: shed the
     /// query or retry later.
     Overloaded {
-        /// The shard that refused admission.
-        shard: usize,
-        /// The per-shard admission-queue bound in force.
+        /// The admission-queue bound in force.
         capacity: usize,
     },
     /// The query does not fit the served index (wrong variant for the
@@ -28,11 +26,8 @@ pub enum ServeError {
     DeadlineExceeded,
     /// The index panicked while serving this query's batch. The query
     /// was admitted but not answered; the worker went on to its next
-    /// batch, so the shard keeps serving.
-    WorkerCrashed {
-        /// The home shard of the worker that crashed.
-        shard: usize,
-    },
+    /// batch, so the engine keeps serving.
+    WorkerCrashed,
     /// The index could not be opened (non-point dataset for a vector
     /// family, missing ANN metric, …). Opening never aborts the process.
     BadIndex(String),
@@ -46,7 +41,7 @@ impl ServeError {
             ServeError::Overloaded { .. } => "overloaded",
             ServeError::BadQuery(_) => "bad-query",
             ServeError::DeadlineExceeded => "deadline-exceeded",
-            ServeError::WorkerCrashed { .. } => "worker-crashed",
+            ServeError::WorkerCrashed => "worker-crashed",
             ServeError::BadIndex(_) => "bad-index",
         }
     }
@@ -55,17 +50,12 @@ impl ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::Overloaded { shard, capacity } => {
-                write!(f, "shard {shard} shed the query (queue bound {capacity})")
+            ServeError::Overloaded { capacity } => {
+                write!(f, "the engine shed the query (queue bound {capacity})")
             }
             ServeError::BadQuery(why) => write!(f, "bad query: {why}"),
             ServeError::DeadlineExceeded => write!(f, "deadline exceeded before service"),
-            ServeError::WorkerCrashed { shard } => {
-                write!(
-                    f,
-                    "worker on shard {shard} crashed while serving this batch"
-                )
-            }
+            ServeError::WorkerCrashed => write!(f, "a worker crashed while serving this batch"),
             ServeError::BadIndex(why) => write!(f, "bad index: {why}"),
         }
     }
@@ -80,13 +70,10 @@ mod tests {
     #[test]
     fn kinds_are_stable_and_distinct() {
         let all = [
-            ServeError::Overloaded {
-                shard: 0,
-                capacity: 1,
-            },
+            ServeError::Overloaded { capacity: 1 },
             ServeError::BadQuery("x".into()),
             ServeError::DeadlineExceeded,
-            ServeError::WorkerCrashed { shard: 0 },
+            ServeError::WorkerCrashed,
             ServeError::BadIndex("x".into()),
         ];
         let kinds: Vec<_> = all.iter().map(ServeError::kind).collect();

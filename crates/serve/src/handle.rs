@@ -2,7 +2,7 @@
 //!
 //! A [`Ticket`] is redeemed by blocking on it ([`Ticket::wait`], or
 //! [`Ticket::wait_timed`] to learn when the worker finished). The engine
-//! fulfills the ticket from a shard worker and wakes the parked waiter,
+//! fulfills the ticket from a worker and wakes the parked waiter,
 //! which observes the single result.
 //!
 //! Tickets carry their submission's deadline: `wait`/`wait_timed` stop
@@ -188,7 +188,7 @@ mod tests {
     fn first_fulfillment_wins() {
         let state = Arc::new(TicketState::default());
         assert!(state.try_fulfill(Ok(QueryOutput::Value(Some(1)))));
-        assert!(!state.try_fulfill(Err(ServeError::WorkerCrashed { shard: 0 })));
+        assert!(!state.try_fulfill(Err(ServeError::WorkerCrashed)));
         let t = Ticket::new(3, state);
         assert_eq!(t.wait(), Ok(QueryOutput::Value(Some(1))));
     }

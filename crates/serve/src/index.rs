@@ -5,7 +5,7 @@
 //! entry points the index crates expose (`search_batch`, `knn_batch`,
 //! `radius_knn_batch`, `get_many_counted`). Every per-query answer is a
 //! pure function of `(index, query)` — bit-identical no matter how the
-//! engine shards, batches, or schedules the stream — which is what makes
+//! engine batches or schedules the stream — which is what makes
 //! the service replay-testable.
 //!
 //! Construction goes through [`ArchiveCache`]'s per-artifact methods:

@@ -1,4 +1,4 @@
-//! A sharded, batched query-serving engine over the HSU index families.
+//! A batched query-serving engine over the HSU index families.
 //!
 //! This crate promotes the repo's hierarchical-search kernels
 //! (`hsu-graph`, `hsu-kdtree`, `hsu-bvh`, `hsu-btree`) from trace
@@ -12,19 +12,19 @@
 //!   into SoA [`batch::QueryBatch`]es sized for the `geometry::batch`
 //!   SIMD kernels; every index family answers through its batch entry
 //!   point.
-//! - **Sharding + backpressure**: bounded per-shard admission queues
-//!   (full queue → typed [`error::ServeError::Overloaded`]), per-shard
-//!   worker pools with sibling work-stealing.
+//! - **One queue + backpressure**: one bounded admission queue (full
+//!   queue → typed [`error::ServeError::Overloaded`]) drained by a pool
+//!   of worker threads.
 //! - **Overload resilience**: class-aware admission
 //!   ([`admission::SubmitOptions`] — `Interactive` still admits while
 //!   `Batch` sheds first), adaptive SLO shedding
-//!   ([`admission::SloPolicy`]: a shard over its sliding-window p99
+//!   ([`admission::SloPolicy`]: an engine over its sliding-window p99
 //!   target rejects low-class work before its queue fills), and
 //!   per-query deadlines (expired work dropped typed at dequeue and at
 //!   `wait`).
 //! - **Failure resilience**: a panic inside the index fails only its
 //!   batch, with [`error::ServeError::WorkerCrashed`]; the worker takes
-//!   its next batch, so the shard keeps serving.
+//!   its next batch, so the engine keeps serving.
 //!   [`engine::Engine::stats`] counts every panic, shed, and deadline
 //!   drop. The [`chaos`] harness injects each fault class
 //!   deterministically.
@@ -33,7 +33,7 @@
 //!   submission's deadline.
 //! - **Deterministic replay**: per-query answers are pure, and
 //!   [`replay`] folds result hashes in submission order, so seeded
-//!   streams hash byte-identically across shard/batch/worker configs.
+//!   streams hash byte-identically across batch/worker configs.
 //!
 //! The `servebench` binary drives open-loop million-query load over all
 //! four families and appends sustained QPS + p50/p99/p999 latency to

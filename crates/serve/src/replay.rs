@@ -3,7 +3,7 @@
 //! The service's golden-test story: a seeded query stream's per-query
 //! results are pure, so hashing each [`QueryOutput`] and folding the
 //! hashes **in submission-id order** yields one `u64` that must be
-//! byte-identical across shard counts, batch sizes, and worker counts.
+//! byte-identical across batch sizes and worker counts.
 //! The hash is FNV-1a-64 over a canonical little-endian byte encoding —
 //! the same hash family the `.hsar` archive checksums use.
 

@@ -8,7 +8,7 @@
 //! | fault | injection | typed error |
 //! |---|---|---|
 //! | worker panic | `ChaosPlan::panic_on` | `WorkerCrashed` (batch), worker keeps serving |
-//! | slow shard | `ChaosPlan::slow_shard` | `DeadlineExceeded` for budgeted queries |
+//! | slow batches | `ChaosPlan::slow_delay` | `DeadlineExceeded` for budgeted queries |
 //! | deadline storm | submit with expired deadlines | `DeadlineExceeded` for every query |
 //! | admission flood | submit past the class shares | `Overloaded`, lowest class first |
 //! | SLO breach | slow index + `SloPolicy` target | `Overloaded` before the queue fills |
@@ -111,8 +111,8 @@ impl SearchIndex for GateIndex {
 /// time instead of hanging it.
 const SAFETY: Duration = Duration::from_secs(60);
 
-/// Under injected worker panics the engine keeps serving (the shard
-/// never deadlocks), every admitted query resolves to a result or a
+/// Under injected worker panics the engine keeps serving (it never
+/// deadlocks), every admitted query resolves to a result or a
 /// typed error, and the replay digest of the successfully served subset
 /// matches the unfaulted run.
 #[test]
@@ -128,8 +128,7 @@ fn worker_panics_keep_serving_and_successes_replay_identically() {
     let engine = Engine::new(
         Arc::new(chaos),
         EngineConfig {
-            shards: 2,
-            workers_per_shard: 1,
+            workers: 2,
             batch: 4,
             queue_capacity: 256,
             ..Default::default()
@@ -154,10 +153,7 @@ fn worker_panics_keep_serving_and_successes_replay_identically() {
                 served_hashes.push(hash_output(&out));
                 unfaulted_hashes.push(hash_output(&expected_output(k as u32)));
             }
-            Err(ServeError::WorkerCrashed { shard }) => {
-                assert!(shard < 2, "crash attributed to a nonexistent shard");
-                crashed += 1;
-            }
+            Err(ServeError::WorkerCrashed) => crashed += 1,
             Err(other) => panic!("query {k}: unexpected error class {other:?}"),
         }
     }
@@ -185,8 +181,8 @@ fn worker_panics_keep_serving_and_successes_replay_identically() {
     );
 }
 
-/// A crash loop strands nothing: on a default-config engine (one shard,
-/// one worker) whose index panics on every batch, each sequential round
+/// A crash loop strands nothing: on a default-config engine (one
+/// worker) whose index panics on every batch, each sequential round
 /// trip still fails `WorkerCrashed` — never `DeadlineExceeded` for want
 /// of a worker — and dropping the engine afterwards returns.
 #[test]
@@ -210,7 +206,7 @@ fn crash_loop_fails_every_batch_typed_and_strands_nothing() {
             .expect("admission failed");
         assert_eq!(
             ticket.wait(),
-            Err(ServeError::WorkerCrashed { shard: 0 }),
+            Err(ServeError::WorkerCrashed),
             "round trip {k} was not failed by its own batch's panic"
         );
     }
@@ -224,23 +220,25 @@ fn crash_loop_fails_every_batch_typed_and_strands_nothing() {
         .expect("dropping the engine after a crash loop never returned");
 }
 
-/// A slow shard plus per-query deadlines: budget-holders get typed
+/// Slow batches plus per-query deadlines: budget-holders get typed
 /// `DeadlineExceeded`, never a silent late answer; everything served
 /// matches the unfaulted run.
 #[test]
-fn slow_shard_with_deadlines_drops_typed_and_replays() {
+fn slow_batches_with_deadlines_drop_typed_and_replay() {
     install_quiet_panic_hook();
-    // One shard, one worker: no sibling can steal around the slowness,
-    // so every batch after the first is dequeued long past its deadline.
+    // One worker: every batch after the first is dequeued long past its
+    // deadline.
     let chaos = ChaosIndex::new(
         Arc::new(PureIndex),
-        ChaosPlan::slow_on_shard(0, Duration::from_millis(30)),
+        ChaosPlan {
+            slow_delay: Some(Duration::from_millis(30)),
+            ..Default::default()
+        },
     );
     let engine = Engine::new(
         Arc::new(chaos),
         EngineConfig {
-            shards: 1,
-            workers_per_shard: 1,
+            workers: 1,
             batch: 4,
             queue_capacity: 256,
             ..Default::default()
@@ -265,7 +263,7 @@ fn slow_shard_with_deadlines_drops_typed_and_replays() {
     }
     assert!(
         expired >= N - 2 * 4,
-        "only in-flight batches may beat a 5ms deadline on a 30ms/batch shard, \
+        "only in-flight batches may beat a 5ms deadline at 30ms/batch, \
          got {expired} expiries"
     );
     // The worker-side drop counter catches up once the queue drains.
@@ -287,8 +285,7 @@ fn deadline_storm_drops_everything_typed() {
     let engine = Engine::new(
         Arc::new(PureIndex),
         EngineConfig {
-            shards: 2,
-            workers_per_shard: 2,
+            workers: 4,
             batch: 8,
             queue_capacity: 256,
             ..Default::default()
@@ -334,8 +331,7 @@ fn admission_flood_sheds_lowest_class_first() {
     let engine = Engine::new(
         Arc::new(index),
         EngineConfig {
-            shards: 1,
-            workers_per_shard: 1,
+            workers: 1,
             batch: 1,
             queue_capacity: 8,
             ..Default::default()
@@ -348,8 +344,8 @@ fn admission_flood_sheds_lowest_class_first() {
     for k in 0..30u32 {
         match engine.try_submit_with(Query::Key(k), SubmitOptions::with_priority(Priority::Batch)) {
             Ok(t) => admitted.push(t),
-            Err(ServeError::Overloaded { shard, capacity }) => {
-                assert_eq!((shard, capacity), (0, 8));
+            Err(ServeError::Overloaded { capacity }) => {
+                assert_eq!(capacity, 8);
                 batch_sheds += 1;
             }
             Err(other) => panic!("unexpected admission error {other:?}"),
@@ -400,7 +396,7 @@ fn admission_flood_sheds_lowest_class_first() {
     }
 }
 
-/// SLO breach: once the shard's sliding-window p99 is over the family
+/// SLO breach: once the engine's sliding-window p99 is over the family
 /// target, `Batch` work sheds with `Overloaded` while the queue still
 /// has space, and `Interactive` keeps admitting.
 #[test]
@@ -410,8 +406,7 @@ fn slo_breach_sheds_batch_before_the_queue_fills() {
     let engine = Engine::new(
         Arc::new(index),
         EngineConfig {
-            shards: 1,
-            workers_per_shard: 1,
+            workers: 1,
             batch: 1,
             queue_capacity: 4096,
             slo: SloPolicy::none().with_target(IndexFamily::Btree, 100),
@@ -426,7 +421,7 @@ fn slo_breach_sheds_batch_before_the_queue_fills() {
         t.wait().expect("warmup query failed");
     }
     // Occupy the queue (non-empty is a precondition for shedding: an
-    // idle shard always admits so the window can refresh). Occupants are
+    // idle engine always admits so the window can refresh). Occupants are
     // Interactive — `Normal` would itself shed once p99 > 2x target.
     let occupants: Vec<_> = (0..3u32)
         .map(|k| {
@@ -479,15 +474,13 @@ fn drop_drains_through_a_mid_drain_worker_crash() {
         Arc::new(PureIndex),
         ChaosPlan {
             panic_on: vec![30],
-            slow_shard: Some(0),
-            slow_delay: Duration::from_millis(1),
+            slow_delay: Some(Duration::from_millis(1)),
         },
     );
     let engine = Engine::new(
         Arc::new(chaos),
         EngineConfig {
-            shards: 1,
-            workers_per_shard: 1,
+            workers: 1,
             batch: 4,
             queue_capacity: 256,
             ..Default::default()
@@ -508,7 +501,7 @@ fn drop_drains_through_a_mid_drain_worker_crash() {
                     served_after_crash = true;
                 }
             }
-            Err(ServeError::WorkerCrashed { .. }) => crashed += 1,
+            Err(ServeError::WorkerCrashed) => crashed += 1,
             Err(other) => panic!("drain query {k}: unexpected error {other:?}"),
         }
     }
@@ -522,31 +515,28 @@ fn drop_drains_through_a_mid_drain_worker_crash() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random topology × random panic ordinals × optional slow shard:
+    /// Random topology × random panic ordinals × optional slow batches:
     /// every admitted query resolves (result or typed error) in bounded
     /// time, and the replay digest of the successfully served subset
     /// matches the unfaulted reference computed directly on the index.
     #[test]
     fn random_faults_never_lose_tickets_and_successes_replay(
-        shards in 1usize..=3,
-        workers in 1usize..=2,
+        workers in 1usize..=4,
         batch in 1usize..=8,
         n in 50u64..150,
         panics in proptest::collection::vec(1u64..150, 0..4),
-        slow_pick in 0usize..4,
+        slow in 0u8..2,
     ) {
         install_quiet_panic_hook();
         let plan = ChaosPlan {
             panic_on: panics,
-            slow_shard: (slow_pick < 3).then_some(slow_pick % shards),
-            slow_delay: Duration::from_micros(200),
+            slow_delay: (slow == 1).then_some(Duration::from_micros(200)),
         };
         let chaos = ChaosIndex::new(Arc::new(PureIndex), plan);
         let engine = Engine::new(
             Arc::new(chaos),
             EngineConfig {
-                shards,
-                workers_per_shard: workers,
+                workers,
                 batch,
                 queue_capacity: 4096,
                 ..Default::default()
@@ -565,7 +555,7 @@ proptest! {
                     served.push(hash_output(&out));
                     reference.push(hash_output(&expected_output(k as u32)));
                 }
-                Err(ServeError::WorkerCrashed { .. }) => {}
+                Err(ServeError::WorkerCrashed) => {}
                 Err(other) => prop_assert!(false, "query {}: unexpected class {:?}", k, other),
             }
         }

@@ -1,10 +1,10 @@
 //! Flag edges of the `servebench` binary: a zero query count or a zero
-//! shard, worker, batch or queue size exits with status 2 and a usage
-//! message before any index is opened, and never panics. The engine would
+//! worker, batch or queue size exits with status 2 and a usage message
+//! before any index is opened, and never panics. The engine would
 //! otherwise run a zero topology as 1 while the report printed 0, and zero
 //! queries would report "0 qps". So does `--chaos` with a flag that sheds
 //! or expires queries, which its gate would fail by construction, and the
-//! removed `--closed-loop` flag.
+//! removed `--closed-loop` and `--shards` flags.
 
 use std::process::{Command, Output};
 
@@ -32,13 +32,7 @@ fn assert_usage_error(args: &[&str], needle: &str) {
 
 #[test]
 fn zero_counts_are_usage_errors() {
-    for flag in [
-        "--queries",
-        "--shards",
-        "--workers",
-        "--batch",
-        "--queue-capacity",
-    ] {
+    for flag in ["--queries", "--workers", "--batch", "--queue-capacity"] {
         assert_usage_error(
             &["--smoke", "--family", "btree", flag, "0"],
             &format!("{flag} needs a number >= 1"),
@@ -54,14 +48,14 @@ fn an_all_zero_topology_is_a_usage_error() {
             "--smoke",
             "--family",
             "btree",
-            "--shards",
+            "--workers",
             "0",
             "--batch",
             "0",
             "--queue-capacity",
             "0",
         ],
-        "--shards needs a number >= 1",
+        "--workers needs a number >= 1",
     );
 }
 
@@ -95,4 +89,10 @@ fn the_removed_closed_loop_flag_is_an_unknown_argument() {
         &["--smoke", "--closed-loop"],
         "unknown argument '--closed-loop'",
     );
+}
+
+/// The engine has one admission queue; the flag that split it is gone.
+#[test]
+fn the_removed_shards_flag_is_an_unknown_argument() {
+    assert_usage_error(&["--smoke", "--shards", "2"], "unknown argument '--shards'");
 }

@@ -1,6 +1,6 @@
 //! Replay determinism: a seeded query stream's per-query result hashes
-//! must be byte-identical across shard counts, batch sizes, and worker
-//! counts, for every index family. This is the service-side analogue of
+//! must be byte-identical across batch sizes and worker counts, for every
+//! index family. This is the service-side analogue of
 //! the suite's golden tests — scheduling may move latency, never results.
 
 use std::sync::Arc;
@@ -27,16 +27,15 @@ fn replay_hashes(
         .collect()
 }
 
-/// Asserts per-query hashes agree across the full shard × batch × worker
-/// grid the issue pins: shards {1,4} × batch {1,64} × workers {1,2}.
+/// Asserts per-query hashes agree across the batch × worker grid:
+/// batch {1,64} × workers {1,2,4}.
 fn assert_grid_deterministic(name: &str, index: Arc<dyn SearchIndex>, gen: impl Fn(u64) -> Query) {
     const N: u64 = 200;
     let reference = replay_hashes(
         &index,
         &gen,
         EngineConfig {
-            shards: 1,
-            workers_per_shard: 1,
+            workers: 1,
             batch: 1,
             queue_capacity: 512,
             ..Default::default()
@@ -44,23 +43,19 @@ fn assert_grid_deterministic(name: &str, index: Arc<dyn SearchIndex>, gen: impl 
         N,
     );
     assert_eq!(reference.len(), N as usize);
-    for shards in [1usize, 4] {
-        for batch in [1usize, 64] {
-            for workers in [1usize, 2] {
-                let cfg = EngineConfig {
-                    shards,
-                    workers_per_shard: workers,
-                    batch,
-                    queue_capacity: 512,
-                    ..Default::default()
-                };
-                let got = replay_hashes(&index, &gen, cfg, N);
-                assert_eq!(
-                    got, reference,
-                    "{name}: per-query hashes diverged at shards={shards} batch={batch} \
-                     workers={workers}"
-                );
-            }
+    for batch in [1usize, 64] {
+        for workers in [1usize, 2, 4] {
+            let cfg = EngineConfig {
+                workers,
+                batch,
+                queue_capacity: 512,
+                ..Default::default()
+            };
+            let got = replay_hashes(&index, &gen, cfg, N);
+            assert_eq!(
+                got, reference,
+                "{name}: per-query hashes diverged at batch={batch} workers={workers}"
+            );
         }
     }
     // And the combined digest is stable too (what servebench records).
@@ -69,8 +64,7 @@ fn assert_grid_deterministic(name: &str, index: Arc<dyn SearchIndex>, gen: impl 
             &index,
             &gen,
             EngineConfig {
-                shards: 4,
-                workers_per_shard: 2,
+                workers: 4,
                 batch: 64,
                 queue_capacity: 512,
                 ..Default::default()

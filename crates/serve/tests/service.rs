@@ -128,8 +128,7 @@ fn full_queue_backpressures_with_typed_overloaded() {
             delay: Duration::from_millis(50),
         }),
         EngineConfig {
-            shards: 1,
-            workers_per_shard: 1,
+            workers: 1,
             batch: 1,
             queue_capacity: 2,
             ..Default::default()
@@ -142,8 +141,7 @@ fn full_queue_backpressures_with_typed_overloaded() {
     for key in 0..40u32 {
         match engine.try_submit(Query::Key(key)) {
             Ok(t) => accepted.push((key, t)),
-            Err(ServeError::Overloaded { shard, capacity }) => {
-                assert_eq!(shard, 0);
+            Err(ServeError::Overloaded { capacity }) => {
                 assert_eq!(capacity, 2);
                 overloaded += 1;
             }
@@ -168,8 +166,7 @@ fn drop_drains_every_admitted_query() {
             delay: Duration::from_millis(5),
         }),
         EngineConfig {
-            shards: 2,
-            workers_per_shard: 1,
+            workers: 2,
             batch: 4,
             queue_capacity: 64,
             ..Default::default()
@@ -186,18 +183,15 @@ fn drop_drains_every_admitted_query() {
 }
 
 #[test]
-fn work_stealing_drains_a_hot_shard() {
-    // Two shards, one worker each; ids alternate shards, so loading the
-    // engine with an even-id-heavy stream leaves shard parity lopsided —
-    // the idle shard's worker must steal. Observable effect: everything
-    // completes well before a no-stealing serial bound would allow.
+fn several_workers_drain_one_queue() {
+    // Two workers take one query at a time from the one queue; every
+    // admitted query completes with its own answer.
     let engine = Engine::new(
         Arc::new(SlowIndex {
             delay: Duration::from_millis(1),
         }),
         EngineConfig {
-            shards: 2,
-            workers_per_shard: 1,
+            workers: 2,
             batch: 1,
             queue_capacity: 1024,
             ..Default::default()
@@ -206,7 +200,7 @@ fn work_stealing_drains_a_hot_shard() {
     let tickets: Vec<_> = (0..64u32)
         .map(|k| engine.submit(Query::Key(k)).expect("admission failed"))
         .collect();
-    for t in tickets {
-        assert!(t.wait().is_ok());
+    for (k, t) in tickets.into_iter().enumerate() {
+        assert_eq!(t.wait(), Ok(QueryOutput::Value(Some(k as u64 + 1))));
     }
 }

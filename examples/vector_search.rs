@@ -2,10 +2,10 @@
 //!
 //! Builds HNSW indexes over synthetic stand-ins for three of the paper's
 //! high-dimensional datasets and serves seeded query streams through the
-//! sharded `hsu::serve` engine — the same batched submission path that
+//! `hsu::serve` engine — the same batched submission path that
 //! `servebench` load-tests. Measures recall against brute force, reports
-//! sustained throughput plus the replay digest (byte-stable across shard
-//! and worker topologies), and shows how many HSU instructions each
+//! sustained throughput plus the replay digest (byte-stable across batch
+//! sizes and worker counts), and shows how many HSU instructions each
 //! distance costs at different datapath widths (the Fig. 10 trade-off,
 //! from the software side).
 //!
@@ -34,8 +34,7 @@ fn main() {
         let engine = Engine::new(
             Arc::new(index),
             EngineConfig {
-                shards: 2,
-                workers_per_shard: 1,
+                workers: 2,
                 batch: 16,
                 queue_capacity: 256,
                 ..Default::default()

@@ -20,7 +20,7 @@
 //! * [`kernels`] — the workloads as trace-recording kernels with HSU and
 //!   baseline lowerings,
 //! * [`rtl`] — the functional-unit area and dynamic-power model,
-//! * [`serve`] — a sharded, batched query-serving engine over the four
+//! * [`serve`] — a batched query-serving engine over the four
 //!   index families, with archive-backed index loading and deterministic
 //!   replay (`servebench` drives open-loop load against it).
 //!

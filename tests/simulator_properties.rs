@@ -177,7 +177,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     // Determinism under parallelism: for ANY worker count and ANY subset of
-    // the run matrix, the work-stealing runner returns exactly the reports
+    // the run matrix, the shared-queue runner returns exactly the reports
     // the sequential path returns, in exactly the same order.
     #[test]
     fn parallel_runner_matches_sequential_for_any_matrix_subset(
