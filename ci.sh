@@ -54,22 +54,24 @@ cargo run --release -p hsu-bench --bin simbench -- --quick --jobs 0 --pr ci \
     --out "$BENCH_DIR/BENCH_sim.json"
 
 echo "== fault-injection smoke (typed errors + partial report, no aborts) =="
-# Generates one healthy and three corrupted trace files, replays them through
-# the fault-tolerant pool, and asserts that repro exits nonzero while still
-# producing a well-formed partial report (the healthy job must succeed, the
-# corrupted ones must fail with typed errors rather than a process abort).
+# Generates one healthy and four corrupted trace files (truncated, bit-flipped,
+# a bogus class byte, a byte range past the end of the address space),
+# replays them through the fault-tolerant pool, and asserts that repro exits
+# nonzero while still producing a well-formed partial report (the healthy job
+# must succeed, the corrupted ones must fail with typed errors rather than a
+# process abort).
 FAULT_DIR="$(mktemp -d)"
 trap 'rm -rf "$BENCH_DIR" "$FAULT_DIR"' EXIT
 cargo run --release -q -p hsu-bench --bin repro -- --out "$FAULT_DIR" gen-fault-traces
 if cargo run --release -q -p hsu-bench --bin repro -- --keep-going \
     --trace "$FAULT_DIR/healthy.hsut" --trace "$FAULT_DIR/truncated.hsut" \
     --trace "$FAULT_DIR/bitflip.hsut" --trace "$FAULT_DIR/bogus.hsut" \
-    traces > "$FAULT_DIR/report.txt" 2>&1; then
+    --trace "$FAULT_DIR/overflow.hsut" traces > "$FAULT_DIR/report.txt" 2>&1; then
   echo "FAIL: repro exited 0 despite corrupted traces"
   cat "$FAULT_DIR/report.txt"
   exit 1
 fi
-grep -q "job outcomes (4 jobs, 1 ok, 3 failed)" "$FAULT_DIR/report.txt"
+grep -q "job outcomes (5 jobs, 1 ok, 4 failed)" "$FAULT_DIR/report.txt"
 grep -q "healthy.hsut .*ok" "$FAULT_DIR/report.txt"
 grep -q "trace decode failed" "$FAULT_DIR/report.txt"
 echo "fault-injection smoke OK"

@@ -27,7 +27,7 @@
 //! enforced cooperatively inside the run loop. Jobs are not retried: a
 //! simulation is a pure function of its trace, so it would fail again.
 //! The `traces` item replays `.hsut` trace files through the same
-//! fault-tolerant pool, and `gen-fault-traces` emits one healthy and three
+//! fault-tolerant pool, and `gen-fault-traces` emits one healthy and four
 //! deliberately corrupted trace files for exercising that path (CI does
 //! exactly this).
 //!
@@ -278,7 +278,7 @@ fn run_trace_files(
     (text, ok)
 }
 
-/// Writes one healthy and three corrupted trace files into `dir`, for
+/// Writes one healthy and four corrupted trace files into `dir`, for
 /// exercising the fault-tolerant replay path (`traces`) end to end.
 fn gen_fault_traces(dir: &std::path::Path) -> Result<String, SimError> {
     let mut kernel = KernelTrace::builder("fault-smoke");
@@ -302,6 +302,7 @@ fn gen_fault_traces(dir: &std::path::Path) -> Result<String, SimError> {
         ("truncated.hsut", TraceFault::Truncate),
         ("bitflip.hsut", TraceFault::BitFlip),
         ("bogus.hsut", TraceFault::BogusOpcode),
+        ("overflow.hsut", TraceFault::AddressOverflow),
     ];
     let mut out = String::from("wrote fault-injection traces:\n");
     out.push_str(&format!("  {}\n", dir.join("healthy.hsut").display()));

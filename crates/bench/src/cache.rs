@@ -287,6 +287,12 @@ impl ArchiveCache {
             TraceBundle::Btree(p) => ("btree", format!("{p:?}")),
         };
         let stem = format!("traces-{tag}-{id:?}");
+        // The key names what was recorded, not how it is encoded: an
+        // archive written by an older trace stream keeps its key, and the
+        // stream's own version byte retires it ("unsupported trace version
+        // N"), so it misses and rebuilds in place. The benchmark's traced
+        // set-ups write this key by hand, so it stays fixed across stream
+        // versions.
         let key = format!("hsar-traces-v1|{tag}|{id:?}|{params}");
         let names = bundle.names();
         or_build(self.load_traces(&stem, &key, names), lower, |traces| {

@@ -25,7 +25,9 @@
 //! [`ServeError::DeadlineExceeded`] through its ticket, never silently.
 //! A panic inside [`SearchIndex::query_batch`] ends its batch, not its
 //! worker: the batch fails with [`ServeError::WorkerCrashed`] and the
-//! worker takes its next batch. The indexes are immutable and
+//! worker takes its next batch. A batch answered with the wrong number of
+//! outputs counts the same way: its queries are answered in order as far as
+//! the outputs go, and the rest fail with `WorkerCrashed`. The indexes are immutable and
 //! `query_batch` takes `&self`, so a panicked batch leaves nothing a
 //! later batch reads in a broken state.
 //!
@@ -93,8 +95,8 @@ pub struct EngineStats {
     /// Admitted queries dropped at dequeue because their deadline had
     /// already passed (each failed its ticket with `DeadlineExceeded`).
     pub deadline_drops: u64,
-    /// Batches whose `query_batch` panicked (each failed its queries
-    /// with `WorkerCrashed`).
+    /// Batches whose `query_batch` panicked or answered the wrong count
+    /// (each failed every query it left unanswered with `WorkerCrashed`).
     pub worker_panics: u64,
 }
 
@@ -313,7 +315,8 @@ impl Drop for Engine {
 /// queue (highest class first), sleep while it is empty, and exit once
 /// the engine is shutting down and the queue has drained. Expired-deadline
 /// queries are dropped typed at dequeue; a panic inside the index fails
-/// the whole in-flight batch typed, and the worker takes its next batch.
+/// the whole in-flight batch typed, a short answer fails the queries it
+/// left unanswered, and the worker takes its next batch.
 fn worker_loop(inner: &Inner) {
     let mut taken: Vec<Pending> = Vec::new();
     let mut batch = QueryBatch::new();
@@ -348,9 +351,16 @@ fn worker_loop(inner: &Inner) {
         }
         match catch_unwind(AssertUnwindSafe(|| inner.index.query_batch(&batch))) {
             Ok(outputs) => {
-                debug_assert_eq!(outputs.len(), taken.len(), "index answered wrong count");
+                if outputs.len() != taken.len() {
+                    inner.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+                }
                 let done = Instant::now();
-                for (p, out) in taken.drain(..).zip(outputs) {
+                let mut outputs = outputs.into_iter();
+                for p in taken.drain(..) {
+                    let Some(out) = outputs.next() else {
+                        p.ticket.try_fulfill(Err(ServeError::WorkerCrashed));
+                        continue;
+                    };
                     if let Some(window) = &inner.latency {
                         window.record(done.saturating_duration_since(p.admitted));
                     }
@@ -390,6 +400,43 @@ mod tests {
             keys.map(|&k| QueryOutput::Value(Some(u64::from(k))))
                 .collect()
         }
+    }
+
+    /// An index that answers every batch with nothing.
+    struct MuteIndex;
+
+    impl SearchIndex for MuteIndex {
+        fn family(&self) -> IndexFamily {
+            IndexFamily::Btree
+        }
+
+        fn dim(&self) -> usize {
+            0
+        }
+
+        fn query_batch(&self, _: &QueryBatch) -> Vec<QueryOutput> {
+            Vec::new()
+        }
+    }
+
+    /// A batch answered short fails each unanswered ticket typed and counts
+    /// as a crashed batch, in release builds too.
+    #[test]
+    fn a_short_answer_fails_its_unanswered_tickets() {
+        let engine = Engine::new(Arc::new(MuteIndex), EngineConfig::default());
+        let tickets: Vec<Ticket> = (0..8)
+            .map(|k| engine.submit(Query::Key(k)).expect("admitted"))
+            .collect();
+        for ticket in tickets {
+            assert_eq!(ticket.wait(), Err(ServeError::WorkerCrashed));
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.completed, 0);
+        assert!(
+            (1..=8).contains(&stats.worker_panics),
+            "{} short batches for 8 queries",
+            stats.worker_panics
+        );
     }
 
     /// Whether the SLO window holds a p99 after 300 completions.

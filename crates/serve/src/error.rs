@@ -24,9 +24,10 @@ pub enum ServeError {
     /// before the caller's `wait` saw a result). The query was dropped,
     /// never silently served late.
     DeadlineExceeded,
-    /// The index panicked while serving this query's batch. The query
-    /// was admitted but not answered; the worker went on to its next
-    /// batch, so the engine keeps serving.
+    /// The index panicked while serving this query's batch, or answered
+    /// the batch with too few outputs to reach this query. The query was
+    /// admitted but not answered; the worker went on to its next batch, so
+    /// the engine keeps serving.
     WorkerCrashed,
     /// The index could not be opened (non-point dataset for a vector
     /// family, missing ANN metric, …). Opening never aborts the process.

@@ -10,7 +10,7 @@
 //! abort.
 
 use crate::config::GpuConfig;
-use crate::trace::{KernelTrace, ThreadOp, ThreadTrace, WARP_WIDTH};
+use crate::trace::{KernelTrace, OpClass, ThreadOp, ThreadTrace, WARP_WIDTH};
 use hsu_core::HsuConfig;
 
 // Chunk-level archive corruptions (truncation, checksum bit-flips, bogus
@@ -30,14 +30,22 @@ pub enum TraceFault {
     BitFlip,
     /// Overwrite the first instruction's class byte with an undefined class.
     BogusOpcode,
+    /// Move the last byte range of the first Load/Store instruction to
+    /// within 1 KiB of the top of the address space and widen it to
+    /// `u32::MAX` bytes, so it runs past the end.
+    AddressOverflow,
 }
 
 /// All trace-fault classes, for exhaustive sweeps.
-pub const TRACE_FAULTS: [TraceFault; 3] = [
+pub const TRACE_FAULTS: [TraceFault; 4] = [
     TraceFault::Truncate,
     TraceFault::BitFlip,
     TraceFault::BogusOpcode,
+    TraceFault::AddressOverflow,
 ];
+
+/// Bytes of one tagged op in a trace stream: tag u8 · address u64 · word u32.
+const OP_BYTES: usize = 13;
 
 /// SplitMix64: tiny, deterministic, and plenty for picking fault sites.
 fn splitmix64(mut x: u64) -> u64 {
@@ -53,8 +61,8 @@ fn splitmix64(mut x: u64) -> u64 {
 /// `bytes` must be a well-formed stream from
 /// [`crate::trace_io::write_trace`]; the result is guaranteed to be rejected
 /// by [`crate::trace_io::read_trace`]. `BogusOpcode` needs at least one
-/// instruction in the stream and falls back to truncation when there is
-/// none.
+/// instruction in the stream and `AddressOverflow` a Load/Store
+/// instruction; each falls back to truncation when there is none.
 pub fn corrupt_trace_bytes(bytes: &[u8], fault: TraceFault, seed: u64) -> Vec<u8> {
     let r = splitmix64(seed);
     let mut out = bytes.to_vec();
@@ -73,19 +81,47 @@ pub fn corrupt_trace_bytes(bytes: &[u8], fault: TraceFault, seed: u64) -> Vec<u8
             let bit = ((r >> 8) % 8) as u32;
             out[offset] ^= 1 << bit;
         }
-        TraceFault::BogusOpcode => match first_class_offset(bytes) {
-            Some(at) => out[at] = 200, // far beyond the last defined class
+        TraceFault::BogusOpcode => match instruction_offsets(bytes).first() {
+            Some(&at) => out[at] = 200, // far beyond the last defined class
             None => out.truncate(out.len().saturating_sub(1)),
         },
+        TraceFault::AddressOverflow => {
+            let first_memory = instruction_offsets(bytes).into_iter().find(|&at| {
+                OpClass::ALL
+                    .get(usize::from(bytes[at]))
+                    .is_some_and(|c| c.is_memory())
+            });
+            match first_memory {
+                Some(at) => {
+                    // class u8 · mask u32 · ranges u8, then the ranges.
+                    let ranges = usize::from(bytes[at + 5]);
+                    let addr_at = at + 6 + OP_BYTES * (ranges - 1) + 1;
+                    let addr = u64::MAX - r % 1024;
+                    out[addr_at..addr_at + 8].copy_from_slice(&addr.to_le_bytes());
+                    out[addr_at + 8..addr_at + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+                }
+                None => out.truncate(out.len().saturating_sub(1)),
+            }
+        }
     }
     out
 }
 
-/// Offset of the first instruction's class byte in a well-formed stream:
-/// magic(4) + version(1) + name_len(4) + name + the thread, instruction and
-/// op totals (3 × 4), then one instruction count per warp, skipping warps
-/// that have none. `None` when the trace holds no instruction.
-fn first_class_offset(bytes: &[u8]) -> Option<usize> {
+/// Offsets of the instructions' class bytes in a well-formed stream, in
+/// stream order. Past magic(4) + version(1) + name_len(4) + name and the
+/// thread, instruction and op totals (3 × 4), each warp is its instruction
+/// count u32 and its instructions: class u8 · mask u32, then the 12-byte run
+/// header (`Alu`/`Shared`), a range count u8 and that many ops
+/// (`Load`/`Store`), or one op per active lane (HSU).
+fn instruction_offsets(bytes: &[u8]) -> Vec<usize> {
+    let mut out = Vec::new();
+    walk_instructions(bytes, &mut out);
+    out
+}
+
+/// Pushes each instruction's offset onto `out`; stops early (`None`) where
+/// the stream ends.
+fn walk_instructions(bytes: &[u8], out: &mut Vec<usize>) -> Option<()> {
     let u32_at = |at: usize| {
         let b = bytes.get(at..at + 4)?;
         Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
@@ -94,12 +130,23 @@ fn first_class_offset(bytes: &[u8]) -> Option<usize> {
     let warps = u32_at(9 + name_len)?.div_ceil(WARP_WIDTH);
     let mut at = 21 + name_len;
     for _ in 0..warps {
-        if u32_at(at)? > 0 {
-            return Some(at + 4);
-        }
+        let count = u32_at(at)?;
         at += 4;
+        for _ in 0..count {
+            out.push(at);
+            let class = OpClass::ALL.get(usize::from(*bytes.get(at)?))?;
+            let lanes = u32_at(at + 1)?.count_ones() as usize;
+            at += 5;
+            at += if class.is_run() {
+                12
+            } else if class.is_memory() {
+                1 + OP_BYTES * usize::from(*bytes.get(at)?)
+            } else {
+                OP_BYTES * lanes
+            };
+        }
     }
-    None
+    Some(())
 }
 
 /// Configurations that must be rejected by [`GpuConfig::validate`], paired
@@ -314,6 +361,38 @@ mod tests {
         write_trace(&KernelTrace::builder("none").finish(), &mut empty).unwrap();
         let bad = corrupt_trace_bytes(&empty, TraceFault::BogusOpcode, 0);
         assert!(crate::trace_io::read_trace(bad.as_slice()).is_err());
+    }
+
+    #[test]
+    fn address_overflow_hits_the_last_range_of_the_first_memory_instruction() {
+        let mut k = KernelTrace::builder("ranges");
+        for t in 0..40u64 {
+            let mut th = ThreadTrace::new();
+            th.push(ThreadOp::HsuRayIntersect {
+                node_addr: 0,
+                bytes: 64,
+                triangle: false,
+            });
+            th.push(ThreadOp::Alu { count: 2 });
+            // Alternate groups of eight lanes 4 KiB apart: four ranges per
+            // full warp's Load, behind an HSU and a run instruction.
+            th.push(ThreadOp::Load {
+                addr: t * 4 + t / 8 % 2 * 4096,
+                bytes: 4,
+            });
+            k.push_thread(th);
+        }
+        let mut buf = Vec::new();
+        write_trace(&k.finish(), &mut buf).unwrap();
+        for seed in 0..16 {
+            let bad = corrupt_trace_bytes(&buf, TraceFault::AddressOverflow, seed);
+            let err = crate::trace_io::read_trace(bad.as_slice()).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("fetches past the end of the address space"),
+                "seed {seed}: {err}"
+            );
+        }
     }
 
     #[test]

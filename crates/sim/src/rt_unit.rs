@@ -23,7 +23,7 @@ use hsu_core::warp_buffer::{EntryId, WarpBuffer, WARP_WIDTH};
 use hsu_core::HsuConfig;
 
 use crate::error::SimError;
-use crate::trace::{lanes_of, ThreadOp};
+use crate::trace::{lanes_of, last_byte, ThreadOp};
 
 /// Statistics of one RT/HSU unit.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -67,50 +67,56 @@ struct LaneState {
 /// (`KeyNode::new` rejects an empty node), so a decoded trace that carries
 /// one is malformed.
 fn lane_plan(cfg: &HsuConfig, op: &ThreadOp) -> Result<(OperatingMode, u32, u64, u64), SimError> {
-    match *op {
-        ThreadOp::HsuRayIntersect {
-            node_addr,
-            bytes,
-            triangle,
-        } => {
+    let (mode, beats) = match *op {
+        ThreadOp::HsuRayIntersect { triangle, .. } => {
             let mode = if triangle {
                 OperatingMode::RayTriangle
             } else {
                 OperatingMode::RayBox
             };
-            Ok((mode, 1, node_addr, bytes as u64))
+            (mode, 1)
         }
-        ThreadOp::HsuDistance {
-            metric,
-            dim,
-            candidate_addr,
-        } => {
-            let beats = cfg.beats_for(metric, dim as usize) as u32;
+        ThreadOp::HsuDistance { metric, dim, .. } => {
             let mode = match metric {
                 hsu_geometry::point::Metric::Euclidean => OperatingMode::Euclid,
                 hsu_geometry::point::Metric::Angular => OperatingMode::Angular,
             };
-            Ok((mode, beats, candidate_addr, dim as u64 * 4))
+            (mode, cfg.beats_for(metric, dim as usize) as u32)
         }
-        ThreadOp::HsuKeyCompare { separators: 0, .. } => Err(SimError::IllegalDispatch {
-            detail: "KEY_COMPARE over zero separators: the ISA has no empty key node".to_string(),
-        }),
-        ThreadOp::HsuKeyCompare {
-            node_addr,
-            separators,
-        } => {
-            let beats = cfg.key_compare_instructions(separators as usize) as u32;
-            Ok((
-                OperatingMode::KeyCompare,
-                beats,
-                node_addr,
-                separators as u64 * 4,
-            ))
+        ThreadOp::HsuKeyCompare { separators: 0, .. } => {
+            return Err(SimError::IllegalDispatch {
+                detail: "KEY_COMPARE over zero separators: the ISA has no empty key node"
+                    .to_string(),
+            })
         }
-        ref other => Err(SimError::IllegalDispatch {
-            detail: format!("non-HSU op dispatched to the RT unit: {other:?}"),
-        }),
-    }
+        ThreadOp::HsuKeyCompare { separators, .. } => (
+            OperatingMode::KeyCompare,
+            cfg.key_compare_instructions(separators as usize) as u32,
+        ),
+        ref other => {
+            return Err(SimError::IllegalDispatch {
+                detail: format!("non-HSU op dispatched to the RT unit: {other:?}"),
+            })
+        }
+    };
+    // Only HSU ops reach here, and they all fetch their operands.
+    let (addr, bytes) = op.fetch().unwrap_or_default();
+    Ok((mode, beats, addr, bytes))
+}
+
+/// The first and last cache line of a lane's fetch `[addr, addr + max(bytes,
+/// 1))`. A fetch running past the end of the address space comes from a
+/// malformed trace and surfaces as [`SimError::IllegalDispatch`].
+fn fetch_lines(
+    op: &ThreadOp,
+    addr: u64,
+    bytes: u64,
+    line_bytes: u64,
+) -> Result<(u64, u64), SimError> {
+    let last = last_byte(addr, bytes).ok_or_else(|| SimError::IllegalDispatch {
+        detail: format!("{op:?} fetches past the end of the address space"),
+    })?;
+    Ok((addr / line_bytes, last / line_bytes))
 }
 
 /// The RT/HSU unit of one SM.
@@ -200,8 +206,9 @@ impl RtUnit {
     /// # Errors
     ///
     /// [`SimError::IllegalDispatch`] if the buffer is full (call
-    /// [`RtUnit::grant`] first), an active lane carries no op, or the
-    /// instruction holds non-HSU ops. Failed dispatches leave the unit's
+    /// [`RtUnit::grant`] first), an active lane carries no op, the
+    /// instruction holds non-HSU ops, or a lane's fetch runs past the end
+    /// of the address space. Failed dispatches leave the unit's
     /// state untouched.
     pub fn dispatch(
         &mut self,
@@ -214,7 +221,8 @@ impl RtUnit {
         // Check every active lane before committing any state, so a
         // malformed instruction cannot leave a half-dispatched entry.
         for op in ops.iter().take(active_mask.count_ones() as usize) {
-            lane_plan(&self.cfg, op)?;
+            let (_, _, addr, bytes) = lane_plan(&self.cfg, op)?;
+            fetch_lines(op, addr, bytes, line_bytes)?;
         }
         if let Some(lane) = lanes_of(active_mask).nth(ops.len()) {
             return Err(SimError::IllegalDispatch {
@@ -238,8 +246,7 @@ impl RtUnit {
             let (mode, beats, addr, bytes) = lane_plan(&self.cfg, op)?;
             self.stats.isa_instructions += u64::from(beats);
             self.unissued_beats[entry] += u64::from(beats);
-            let first = addr / line_bytes;
-            let last = (addr + bytes.max(1) - 1) / line_bytes;
+            let (first, last) = fetch_lines(op, addr, bytes, line_bytes)?;
             self.lane_state[entry][lane] = LaneState {
                 pending_lines: (last - first + 1) as u32,
                 beats_to_issue: beats,

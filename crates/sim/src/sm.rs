@@ -10,7 +10,7 @@ use crate::config::GpuConfig;
 use crate::error::{SimError, SmDeadlockState};
 use crate::memory::{MemorySystem, Requester};
 use crate::rt_unit::{RtUnit, RtUnitStats};
-use crate::trace::{OpClass, ThreadOp, WarpTrace};
+use crate::trace::{last_byte, OpClass, ThreadOp, WarpTrace};
 
 /// Waiter-token encoding: bit 63 selects RT-unit responses.
 const RT_FLAG: u64 = 1 << 63;
@@ -610,12 +610,13 @@ impl<'k> Sm<'k> {
     }
 }
 
-/// Unique cache lines touched by a load/store warp instruction, written
-/// into a caller-owned scratch buffer (cleared first) so the per-issue hot
-/// path allocates nothing.
+/// Unique cache lines touched by a load/store warp instruction — the union
+/// of the lines its byte ranges cover — written into a caller-owned scratch
+/// buffer (cleared first) so the per-issue hot path allocates nothing.
 ///
-/// Rejects instructions whose lanes mix in non-memory ops (a malformed or
-/// corrupted trace) instead of panicking mid-issue.
+/// Rejects instructions that mix in non-memory ops or hold a range running
+/// past the end of the address space (a malformed or corrupted trace)
+/// instead of panicking mid-issue.
 fn coalesce_into(ops: &[ThreadOp], line_bytes: u64, lines: &mut Vec<u64>) -> Result<(), SimError> {
     lines.clear();
     for op in ops {
@@ -629,9 +630,10 @@ fn coalesce_into(ops: &[ThreadOp], line_bytes: u64, lines: &mut Vec<u64>) -> Res
                 })
             }
         };
-        let first = addr / line_bytes;
-        let last = (addr + bytes.max(1) - 1) / line_bytes;
-        lines.extend(first..=last);
+        let last = last_byte(addr, bytes).ok_or_else(|| SimError::IllegalDispatch {
+            detail: format!("{op:?} runs past the end of the address space"),
+        })?;
+        lines.extend(addr / line_bytes..=last / line_bytes);
     }
     lines.sort_unstable();
     lines.dedup();
@@ -1309,6 +1311,93 @@ mod tests {
                 };
                 assert_eq!(sm.next_event(now), walked, "at {now}");
             });
+        }
+    }
+
+    /// The lines `ops` cover as sorted, disjoint, non-adjacent inclusive
+    /// line intervals: the coalescer's line set without listing each line,
+    /// so accesses near `u32::MAX` bytes stay cheap at a 1-byte line.
+    fn line_intervals(ops: &[ThreadOp], line_bytes: u64) -> Vec<(u64, u64)> {
+        let mut spans: Vec<(u64, u64)> = ops
+            .iter()
+            .map(|op| {
+                let (addr, bytes) = op.fetch().expect("memory ops fetch");
+                let last = last_byte(addr, bytes).expect("inside the address space");
+                (addr / line_bytes, last / line_bytes)
+            })
+            .collect();
+        spans.sort_unstable();
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for (first, last) in spans {
+            match out.last_mut() {
+                Some((_, end)) if first <= *end + 1 => *end = (*end).max(last),
+                _ => out.push((first, last)),
+            }
+        }
+        out
+    }
+
+    /// One lane's access, as an offset and a size: words that touch or
+    /// repeat, scattered small reads, zero-byte reads, and reads within
+    /// 64 B of `u32::MAX` bytes.
+    fn arb_lane_access() -> impl Strategy<Value = (u64, u32)> {
+        prop_oneof![
+            (0u64..48).prop_map(|word| (word * 4, 4)),
+            (0u64..8192, 0u32..=300),
+            (0u64..8192).prop_map(|off| (off, 0)),
+            (0u64..1 << 33, (u32::MAX - 64)..=u32::MAX),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A Load/Store instruction's merged ranges cover exactly the lines
+        /// its per-lane accesses do, at every line size, and keep the form
+        /// the decoder checks: between one range and one per lane, strictly
+        /// ascending, none empty.
+        #[test]
+        fn merged_ranges_coalesce_to_the_per_lane_lines(
+            base in prop_oneof![Just(0u64), 0u64..1 << 48, Just(u64::MAX - (1 << 34))],
+            lanes in prop::collection::vec(arb_lane_access(), 1..=32),
+            store in any::<bool>(),
+        ) {
+            let per_lane: Vec<ThreadOp> = lanes
+                .iter()
+                .map(|&(offset, bytes)| {
+                    let addr = base + offset;
+                    if store {
+                        ThreadOp::Store { addr, bytes }
+                    } else {
+                        ThreadOp::Load { addr, bytes }
+                    }
+                })
+                .collect();
+            let mut k = KernelTrace::builder("merge");
+            for &op in &per_lane {
+                let mut t = ThreadTrace::new();
+                t.push(op);
+                k.push_thread(t);
+            }
+            let k = k.finish();
+            let (instr, ranges) = k.warp(0).get(0);
+            prop_assert_eq!(instr.weighted, per_lane.len() as u64);
+            prop_assert!(!ranges.is_empty() && ranges.len() <= per_lane.len());
+            let spans: Vec<(u64, u64)> = ranges.iter().map(|op| op.fetch().unwrap()).collect();
+            prop_assert!(spans.windows(2).all(|w| w[0].0 < w[1].0), "{:?}", spans);
+            prop_assert!(spans.iter().all(|&(_, bytes)| bytes >= 1));
+            prop_assert!(ranges.iter().all(|op| op.class() == instr.class));
+            for line_bytes in [1u64, 32, 96, 128, 4096] {
+                let want = line_intervals(&per_lane, line_bytes);
+                prop_assert_eq!(&line_intervals(ranges, line_bytes), &want, "line {}", line_bytes);
+                let lines: u64 = want.iter().map(|(first, last)| last - first + 1).sum();
+                if lines <= 1 << 16 {
+                    let (mut lane_lines, mut range_lines) = (Vec::new(), Vec::new());
+                    coalesce_into(&per_lane, line_bytes, &mut lane_lines).unwrap();
+                    coalesce_into(ranges, line_bytes, &mut range_lines).unwrap();
+                    prop_assert_eq!(lane_lines, range_lines, "line {}", line_bytes);
+                }
+            }
         }
     }
 }

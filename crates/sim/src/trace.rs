@@ -12,8 +12,10 @@
 //! The packed [`KernelTrace`] is the only form a kernel is kept in: built
 //! once when it is recorded or decoded ([`crate::trace_io`]), then borrowed
 //! by every simulation. Its per-lane `Alu`/`Shared` counts are folded into
-//! each instruction's header (`max_run`, `weighted`); only the ops the
-//! simulator reads per lane (Load, Store, HSU) are stored.
+//! each instruction's header (`max_run`, `weighted`). An HSU instruction
+//! keeps one op per active lane, because the RT unit tracks each lane; a
+//! Load or Store keeps only the sorted, merged byte ranges its lanes touch,
+//! because the coalescer reads nothing but the set of lines they cover.
 
 use hsu_geometry::point::Metric;
 
@@ -101,6 +103,38 @@ impl ThreadOp {
                 | ThreadOp::HsuKeyCompare { .. }
         )
     }
+
+    /// The byte range the op fetches, as `(addr, bytes)`: the access of a
+    /// Load/Store, the node or candidate vector an HSU op reads. `None` for
+    /// the `Alu`/`Shared` runs, which touch no global memory.
+    pub fn fetch(&self) -> Option<(u64, u64)> {
+        match *self {
+            ThreadOp::Alu { .. } | ThreadOp::Shared { .. } => None,
+            ThreadOp::Load { addr, bytes }
+            | ThreadOp::Store { addr, bytes }
+            | ThreadOp::HsuRayIntersect {
+                node_addr: addr,
+                bytes,
+                ..
+            } => Some((addr, u64::from(bytes))),
+            ThreadOp::HsuDistance {
+                dim,
+                candidate_addr,
+                ..
+            } => Some((candidate_addr, u64::from(dim) * 4)),
+            ThreadOp::HsuKeyCompare {
+                node_addr,
+                separators,
+            } => Some((node_addr, u64::from(separators) * 4)),
+        }
+    }
+}
+
+/// The last byte of the range `[addr, addr + max(bytes, 1))` — a zero-byte
+/// access still touches its first byte — or `None` when the range runs past
+/// the end of the address space.
+pub fn last_byte(addr: u64, bytes: u64) -> Option<u64> {
+    addr.checked_add(bytes.max(1) - 1)
 }
 
 /// Operation classes for divergence grouping and statistics.
@@ -156,6 +190,13 @@ impl OpClass {
         matches!(self, OpClass::Alu | OpClass::Shared)
     }
 
+    /// Returns `true` for the memory classes (`Load`, `Store`), whose warp
+    /// instructions keep their lanes' merged byte ranges rather than one op
+    /// per lane.
+    pub fn is_memory(self) -> bool {
+        matches!(self, OpClass::Load | OpClass::Store)
+    }
+
     /// Label for stat dumps.
     pub fn label(self) -> &'static str {
         match self {
@@ -204,12 +245,16 @@ impl ThreadTrace {
 }
 
 /// One pre-decoded warp instruction: the lanes taking part, their shared
-/// operation class, and the issue-time summaries the SM needs. The active
-/// lanes' operations of a Load, Store or HSU instruction live densely in the
-/// owning [`KernelTrace`]'s op pool ([`WarpTrace::ops`]): the *n*-th op
-/// belongs to the *n*-th set bit of `active_mask`. `Alu`/`Shared`
-/// instructions keep only this header — `max_run` and `weighted` are all the
-/// simulator reads of them.
+/// operation class, and the issue-time summaries the SM needs. Its ops live
+/// densely in the owning [`KernelTrace`]'s op pool ([`WarpTrace::ops`]):
+///
+/// - HSU instructions keep one op per active lane: the *n*-th op belongs to
+///   the *n*-th set bit of `active_mask`.
+/// - Load/Store instructions keep the sorted, merged byte ranges of their
+///   lanes' accesses, as `Load`/`Store { addr, bytes }` ops with strictly
+///   ascending `addr` and `bytes ≥ 1` — between one range and one per lane.
+/// - `Alu`/`Shared` instructions keep only this header: `max_run` and
+///   `weighted` are all the simulator reads of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarpInstruction {
     /// Expanded instruction weight: Alu/Shared runs count their per-lane
@@ -220,22 +265,25 @@ pub struct WarpInstruction {
     /// Longest Alu/Shared run across the active lanes (lockstep SIMT
     /// executes the longest lane's count); 1 for every other class.
     pub max_run: u32,
-    /// Op-pool index of the first active lane's op (the pool length at the
+    /// Op-pool index of the instruction's first op (the pool length at the
     /// instruction for `Alu`/`Shared`, which store none).
     offset: u32,
     /// The operation class every active lane shares.
     pub class: OpClass,
+    /// Number of pooled ops (at most 32, so it fits the header's padding).
+    op_len: u8,
 }
 
 impl WarpInstruction {
-    /// Assembles a decoded header whose ops (if any) start at pool index
-    /// `offset`.
+    /// Assembles a decoded header whose `op_len` ops (if any) start at pool
+    /// index `offset`.
     pub(crate) fn new(
         class: OpClass,
         active_mask: u32,
         max_run: u32,
         weighted: u64,
         offset: usize,
+        op_len: u8,
     ) -> Self {
         WarpInstruction {
             weighted,
@@ -243,17 +291,15 @@ impl WarpInstruction {
             max_run,
             offset: pool_index(offset),
             class,
+            op_len,
         }
     }
 
-    /// Number of ops this instruction keeps in the pool: one per active lane,
-    /// none for `Alu`/`Shared` runs.
+    /// Number of ops this instruction keeps in the pool: one per active lane
+    /// for HSU classes, one per merged byte range for `Load`/`Store`, none
+    /// for `Alu`/`Shared` runs.
     pub fn op_count(&self) -> usize {
-        if self.class.is_run() {
-            0
-        } else {
-            self.active_mask.count_ones() as usize
-        }
+        usize::from(self.op_len)
     }
 }
 
@@ -303,8 +349,9 @@ impl<'k> WarpTrace<'k> {
         self.instructions
     }
 
-    /// Instruction `pc`'s header and its active lanes' operations, in lane
-    /// order (empty for `Alu`/`Shared`).
+    /// Instruction `pc`'s header and its pooled ops: one per active lane in
+    /// lane order for HSU classes, the merged byte ranges in ascending
+    /// address order for `Load`/`Store`, none for `Alu`/`Shared`.
     ///
     /// # Panics
     ///
@@ -315,7 +362,7 @@ impl<'k> WarpTrace<'k> {
         (instr, &self.ops[start..start + instr.op_count()])
     }
 
-    /// Instruction `pc`'s active lanes' operations, in lane order.
+    /// Instruction `pc`'s pooled ops (see [`WarpTrace::get`]).
     ///
     /// # Panics
     ///
@@ -327,8 +374,8 @@ impl<'k> WarpTrace<'k> {
 
 /// A kernel launch in its one, warp-packed form: a kernel-wide pool of
 /// [`WarpInstruction`] headers, one pool of the ops the simulator reads
-/// (Load, Store and the HSU classes), the first header of each warp, and
-/// the thread count. Built once by [`KernelBuilder`] or the trace decoder;
+/// (the merged Load/Store byte ranges and the per-lane HSU ops), the first
+/// header of each warp, and the thread count. Built once by [`KernelBuilder`] or the trace decoder;
 /// [`crate::Gpu::run`] borrows its warps.
 ///
 /// Warp *w* covers threads `32w .. 32w + 32`. There are always
@@ -480,6 +527,7 @@ impl KernelBuilder {
 fn pack_warp(chunk: &[ThreadTrace], trace: &mut KernelTrace) {
     trace.warp_starts.push(pool_index(trace.instructions.len()));
     let mut cursors = [0usize; WARP_WIDTH];
+    let mut ranges = Vec::with_capacity(WARP_WIDTH);
     loop {
         // Lanes that still have operations.
         let mut pending = (0..chunk.len())
@@ -491,7 +539,7 @@ fn pack_warp(chunk: &[ThreadTrace], trace: &mut KernelTrace) {
         while pending != 0 {
             let lead = pending.trailing_zeros() as usize;
             let class = chunk[lead].ops()[cursors[lead]].class();
-            let offset = pool_index(trace.ops.len());
+            let offset = trace.ops.len();
             let (mut mask, mut max_run, mut weighted) = (0u32, 0u32, 0u64);
             for l in lanes_of(pending) {
                 let op = chunk[l].ops()[cursors[l]];
@@ -500,6 +548,10 @@ fn pack_warp(chunk: &[ThreadTrace], trace: &mut KernelTrace) {
                 }
                 let run = match op {
                     ThreadOp::Alu { count } | ThreadOp::Shared { count } => count,
+                    ThreadOp::Load { addr, bytes } | ThreadOp::Store { addr, bytes } => {
+                        ranges.push((addr, bytes));
+                        1
+                    }
                     _ => {
                         trace.ops.push(op);
                         1
@@ -510,15 +562,57 @@ fn pack_warp(chunk: &[ThreadTrace], trace: &mut KernelTrace) {
                 weighted += u64::from(run);
                 cursors[l] += 1;
             }
+            if class.is_memory() {
+                push_merged_ranges(class, &mut ranges, &mut trace.ops);
+                ranges.clear();
+            }
             pending &= !mask;
-            trace.instructions.push(WarpInstruction {
-                weighted,
-                active_mask: mask,
-                max_run,
-                offset,
-                class,
-            });
+            // At most one op per lane, so the count fits the header's byte.
+            let op_len = (trace.ops.len() - offset) as u8;
+            trace.instructions.push(WarpInstruction::new(
+                class, mask, max_run, weighted, offset, op_len,
+            ));
         }
+    }
+}
+
+/// Appends one Load/Store instruction's lane accesses to `ops` as byte
+/// ranges `[addr, addr + max(bytes, 1))`, sorted by address, with ranges
+/// that touch or overlap merged into one op as long as the merged length
+/// fits a `u32`. The union of the ranges stays the same, and so does every
+/// line set the coalescer derives from them, for any line size.
+///
+/// The ends are computed in `u128`, so a lane whose range runs past the
+/// address space stays visible in its merged range, and the simulator
+/// rejects it at issue.
+fn push_merged_ranges(class: OpClass, ranges: &mut [(u64, u32)], ops: &mut Vec<ThreadOp>) {
+    ranges.sort_unstable();
+    let mut emit = |start: u64, end: u128| {
+        let (addr, bytes) = (start, (end - u128::from(start)) as u32);
+        ops.push(match class {
+            OpClass::Load => ThreadOp::Load { addr, bytes },
+            _ => ThreadOp::Store { addr, bytes },
+        });
+    };
+    let mut open: Option<(u64, u128)> = None;
+    for &(addr, bytes) in ranges.iter() {
+        let end = u128::from(addr) + u128::from(bytes.max(1));
+        open = match open {
+            Some((start, open_end))
+                if u128::from(addr) <= open_end
+                    && end.max(open_end) - u128::from(start) <= u128::from(u32::MAX) =>
+            {
+                Some((start, end.max(open_end)))
+            }
+            Some((start, open_end)) => {
+                emit(start, open_end);
+                Some((addr, end))
+            }
+            None => Some((addr, end)),
+        };
+    }
+    if let Some((start, end)) = open {
+        emit(start, end);
     }
 }
 
@@ -579,14 +673,15 @@ mod tests {
             assert_eq!(w.instructions()[0].class, OpClass::Alu);
             assert!(w.ops(0).is_empty(), "Alu runs keep only their header");
             assert_eq!(w.instructions()[1].class, OpClass::Load);
-            assert_eq!(w.ops(1).len(), 32);
+            assert_eq!(w.instructions()[1].weighted, 32, "weights count lanes");
         }
+        // 32 consecutive words merge into one 128-byte range.
         assert_eq!(
-            k.warp(1).ops(1)[0],
-            ThreadOp::Load {
+            k.warp(1).ops(1),
+            [ThreadOp::Load {
                 addr: 128,
-                bytes: 4
-            }
+                bytes: 128
+            }]
         );
     }
 
@@ -611,7 +706,8 @@ mod tests {
         let (instr, ops) = w.get(1);
         let lanes: Vec<usize> = lanes_of(instr.active_mask).collect();
         assert_eq!(lanes, vec![1, 3]);
-        assert_eq!(ops, [ThreadOp::Load { addr: 0, bytes: 4 }; 2]);
+        // Both lanes read the same word: one range.
+        assert_eq!(ops, [ThreadOp::Load { addr: 0, bytes: 4 }]);
     }
 
     #[test]
@@ -715,9 +811,15 @@ mod tests {
         });
         let k = kernel_of("exact", threads.collect());
         assert_eq!(std::mem::size_of::<WarpInstruction>(), 24);
-        // Three warps × (Alu header + Store header), 70 Store ops.
-        let want = k.name().len() + 3 * 4 + 6 * 24 + 70 * std::mem::size_of::<ThreadOp>();
+        // Three warps × (Alu header + Store header); each warp's overlapping
+        // Stores merge into one range.
+        let want = k.name().len() + 3 * 4 + 6 * 24 + 3 * std::mem::size_of::<ThreadOp>();
         assert_eq!(k.heap_bytes(), want);
+        let ranges: Vec<ThreadOp> = k.warps().flat_map(|w| w.ops(1).to_vec()).collect();
+        assert_eq!(
+            ranges,
+            [(0, 35), (32, 35), (64, 9)].map(|(addr, bytes)| ThreadOp::Store { addr, bytes })
+        );
     }
 
     #[test]
@@ -817,6 +919,33 @@ mod tests {
             .collect()
     }
 
+    /// The merged ranges of one memory instruction's per-lane ops, derived
+    /// byte by byte: the set of bytes the lanes touch, cut into maximal
+    /// runs. The oracle for [`push_merged_ranges`] at small addresses and
+    /// sizes, where no merged range reaches the `u32` cap.
+    fn merged_by_bytes(lane_ops: &[ThreadOp]) -> Vec<ThreadOp> {
+        let touched: std::collections::BTreeSet<u64> = lane_ops
+            .iter()
+            .flat_map(|op| {
+                let (addr, bytes) = op.fetch().expect("memory ops fetch");
+                addr..addr + bytes.max(1)
+            })
+            .collect();
+        let mut runs: Vec<(u64, u32)> = Vec::new();
+        for byte in touched {
+            match runs.last_mut() {
+                Some((start, len)) if *start + u64::from(*len) == byte => *len += 1,
+                _ => runs.push((byte, 1)),
+            }
+        }
+        runs.into_iter()
+            .map(|(addr, bytes)| match lane_ops[0] {
+                ThreadOp::Load { .. } => ThreadOp::Load { addr, bytes },
+                _ => ThreadOp::Store { addr, bytes },
+            })
+            .collect()
+    }
+
     fn arb_op() -> impl Strategy<Value = ThreadOp> {
         prop_oneof![
             (1u32..6).prop_map(|count| ThreadOp::Alu { count }),
@@ -879,11 +1008,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Every field the simulator reads — masks, classes, run summaries
-        /// and the per-lane ops of Load/Store/HSU instructions — matches the
-        /// 32-slot oracle. Per-lane `Alu`/`Shared` counts are not compared:
-        /// the packed form no longer stores them (their `max_run` and
-        /// `weighted` are).
+        /// Every field the simulator reads — masks, classes, run summaries,
+        /// the per-lane ops of HSU instructions and the merged ranges of
+        /// Load/Store instructions — matches the 32-slot oracle. Per-lane
+        /// `Alu`/`Shared` counts are not compared: the packed form no longer
+        /// stores them (their `max_run` and `weighted` are).
         #[test]
         fn predecoded_warps_decode_to_the_reference_packing(threads in arb_threads()) {
             let k = kernel_of("packing", threads.clone());
@@ -896,7 +1025,10 @@ mod tests {
                     prop_assert_eq!(instr.active_mask, *mask);
                     prop_assert_eq!(ops.len(), instr.op_count());
                     let active = lanes.iter().flatten();
-                    if !instr.class.is_run() {
+                    if instr.class.is_memory() {
+                        let lane_ops: Vec<ThreadOp> = active.clone().copied().collect();
+                        prop_assert_eq!(ops.to_vec(), merged_by_bytes(&lane_ops));
+                    } else if !instr.class.is_run() {
                         let mut decoded = vec![None; WARP_WIDTH];
                         for (lane, op) in lanes_of(instr.active_mask).zip(ops) {
                             decoded[lane] = Some(*op);
@@ -918,7 +1050,8 @@ mod tests {
         }
 
         /// The packed form equals the thread-form packer it replaced, warp
-        /// by warp, and its v2 stream is a fixed point of write → read →
+        /// by warp (with each Load/Store instruction's lane ops merged into
+        /// ranges), and its v3 stream is a fixed point of write → read →
         /// write.
         #[test]
         fn packed_form_matches_the_thread_form_packer(threads in arb_threads()) {
@@ -937,7 +1070,9 @@ mod tests {
                         (mask, class, max_run, weighted)
                     );
                     let lanes = mask.count_ones() as usize;
-                    if !class.is_run() {
+                    if class.is_memory() {
+                        prop_assert_eq!(ops.to_vec(), merged_by_bytes(&pool[at..at + lanes]));
+                    } else if !class.is_run() {
                         prop_assert_eq!(ops, &pool[at..at + lanes]);
                     }
                     at += lanes;

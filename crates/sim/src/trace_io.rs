@@ -10,20 +10,24 @@
 //! The stream stores the warp-packed form itself, so decoding never
 //! re-packs: it fills the trace's header and op pools directly, each
 //! allocated once at its exact declared size. The format is little-endian,
-//! versioned, and validated on read. Version 2 layout:
+//! versioned, and validated on read. Version 3 layout:
 //!
 //! ```text
-//! magic "HSUT" · version u8 = 2 · name_len u32 · name
+//! magic "HSUT" · version u8 = 3 · name_len u32 · name
 //! threads u32 · instructions u32 · ops u32        (pool totals)
 //! per warp (⌈threads / 32⌉ of them):
 //!   count u32
 //!   per instruction: class u8 · active_mask u32 ·
 //!     Alu/Shared:  max_run u32 · weighted u64
-//!     otherwise:   one tagged op per active lane, in lane order
+//!     Load/Store:  ranges u8 · that many tagged ops, one per merged byte
+//!                  range, in ascending address order
+//!     HSU classes: one tagged op per active lane, in lane order
+//! tagged op: tag u8 · address u64 · word u32       (13 bytes)
 //! ```
 //!
-//! Version 1 streams (one op log per thread) are rejected with
-//! "unsupported trace version 1"; a trace cache holding them misses and
+//! Older streams are rejected by their version byte — version 1 held one
+//! op log per thread, version 2 one Load/Store op per active lane — with
+//! "unsupported trace version N", so a trace cache holding them misses and
 //! rebuilds.
 
 use std::io::{self, Read, Write};
@@ -32,12 +36,12 @@ use std::path::Path;
 use hsu_geometry::point::Metric;
 
 use crate::error::SimError;
-use crate::trace::{KernelTrace, OpClass, ThreadOp, WarpInstruction, WARP_WIDTH};
+use crate::trace::{last_byte, KernelTrace, OpClass, ThreadOp, WarpInstruction, WARP_WIDTH};
 
 /// Magic bytes identifying a trace stream.
 pub const MAGIC: &[u8; 4] = b"HSUT";
 /// Current format version.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 
 /// Longest kernel name accepted by [`read_trace`]. Real kernel names are a
 /// few dozen bytes; anything larger is corruption, and the cap keeps a
@@ -47,7 +51,8 @@ pub const MAX_NAME_LEN: usize = 4096;
 pub const MAX_THREADS: usize = 1 << 26;
 /// Most warp instructions accepted in one trace (64 Mi headers, 1.5 GiB).
 pub const MAX_INSTRUCTIONS: usize = 1 << 26;
-/// Most pooled (Load/Store/HSU) ops accepted in one trace (64 Mi, 1 GiB).
+/// Most pooled ops (Load/Store ranges, HSU lane ops) accepted in one trace
+/// (64 Mi, 1 GiB).
 pub const MAX_OPS: usize = 1 << 26;
 
 // Op tags of the pooled classes. Tags 0 and 3 tagged the per-lane `Alu` and
@@ -85,6 +90,10 @@ pub fn write_trace<W: Write>(trace: &KernelTrace, mut w: W) -> io::Result<()> {
             if instr.class.is_run() {
                 w.write_all(&instr.max_run.to_le_bytes())?;
                 w.write_all(&instr.weighted.to_le_bytes())?;
+            }
+            if instr.class.is_memory() {
+                // At most one range per lane, so the count fits a byte.
+                w.write_all(&[lane_ops.len() as u8])?;
             }
             for op in lane_ops {
                 write_op(op, &mut w)?;
@@ -153,8 +162,10 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 /// decoder checks what the simulator relies on: every active mask is
 /// non-zero and inside its warp's lanes, every op's tag matches its
 /// instruction's class, every `Alu`/`Shared` header satisfies
-/// `max_run ≤ weighted ≤ lanes × max_run`, and the pools fill exactly to
-/// their declared totals.
+/// `max_run ≤ weighted ≤ lanes × max_run`, every Load/Store instruction
+/// holds between one range and one per lane with strictly ascending
+/// addresses and `bytes ≥ 1`, no op's fetch runs past the end of the
+/// address space, and the pools fill exactly to their declared totals.
 ///
 /// # Errors
 ///
@@ -205,7 +216,7 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<KernelTrace> {
             }
             let lanes = mask.count_ones();
             let offset = ops.len();
-            let instr = if class.is_run() {
+            if class.is_run() {
                 let max_run = read_u32(&mut r)?;
                 let weighted = read_u64(&mut r)?;
                 if weighted < u64::from(max_run) || weighted > u64::from(lanes) * u64::from(max_run)
@@ -215,26 +226,64 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<KernelTrace> {
                          over {lanes} lanes"
                     )));
                 }
-                WarpInstruction::new(class, mask, max_run, weighted, offset)
-            } else {
-                if lanes as usize > total_ops - ops.len() {
+                instructions.push(WarpInstruction::new(
+                    class, mask, max_run, weighted, offset, 0,
+                ));
+                continue;
+            }
+            let op_len = if class.is_memory() {
+                let ranges = read_u8(&mut r)?;
+                if ranges == 0 || u32::from(ranges) > lanes {
                     return Err(invalid(format!(
-                        "warp {w} overruns the declared {total_ops} ops"
+                        "{class:?} instruction with {ranges} ranges over {lanes} lanes"
                     )));
                 }
-                for _ in 0..lanes {
-                    let op = read_op(&mut r)?;
-                    if op.class() != class {
+                ranges
+            } else {
+                lanes as u8
+            };
+            if usize::from(op_len) > total_ops - ops.len() {
+                return Err(invalid(format!(
+                    "warp {w} overruns the declared {total_ops} ops"
+                )));
+            }
+            let mut prev_addr = None;
+            for _ in 0..op_len {
+                let op = read_op(&mut r)?;
+                if op.class() != class {
+                    return Err(invalid(format!(
+                        "{:?} op inside a {class:?} instruction",
+                        op.class()
+                    )));
+                }
+                // `read_op` yields only pooled classes, and they all fetch.
+                let (addr, bytes) = op.fetch().unwrap_or_default();
+                if last_byte(addr, bytes).is_none() {
+                    return Err(invalid(format!(
+                        "{op:?} fetches past the end of the address space"
+                    )));
+                }
+                if class.is_memory() {
+                    if bytes == 0 {
+                        return Err(invalid(format!("empty {class:?} range at {addr:#x}")));
+                    }
+                    if prev_addr.is_some_and(|prev| addr <= prev) {
                         return Err(invalid(format!(
-                            "{:?} op inside a {class:?} instruction",
-                            op.class()
+                            "{class:?} ranges do not ascend at {addr:#x}"
                         )));
                     }
-                    ops.push(op);
+                    prev_addr = Some(addr);
                 }
-                WarpInstruction::new(class, mask, 1, u64::from(lanes), offset)
-            };
-            instructions.push(instr);
+                ops.push(op);
+            }
+            instructions.push(WarpInstruction::new(
+                class,
+                mask,
+                1,
+                u64::from(lanes),
+                offset,
+                op_len,
+            ));
         }
     }
     if instructions.len() != total_instructions || ops.len() != total_ops {
@@ -455,8 +504,9 @@ mod tests {
 
         let load = one_op(ThreadOp::Load { addr: 0, bytes: 4 });
         let mut buf = encode(&load);
-        // The op tag follows the class byte and the 4-byte mask.
-        buf[first_class_at(&load) + 5] = 200;
+        // The op tag follows the class byte, the 4-byte mask and the range
+        // count.
+        buf[first_class_at(&load) + 6] = 200;
         let err = read_trace(buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("unknown op tag 200"));
     }
@@ -465,7 +515,7 @@ mod tests {
     fn rejects_ops_of_another_class() {
         let load = one_op(ThreadOp::Load { addr: 0, bytes: 4 });
         let mut buf = encode(&load);
-        buf[first_class_at(&load) + 5] = TAG_STORE;
+        buf[first_class_at(&load) + 6] = TAG_STORE;
         let err = read_trace(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err
@@ -514,6 +564,101 @@ mod tests {
             let err = read_trace(buf.as_slice()).unwrap_err();
             assert!(err.to_string().contains("run weight"), "{err}");
         }
+    }
+
+    /// Two lanes loading disjoint words: one Load instruction of two
+    /// ranges, at 0x100 and 0x200.
+    fn two_range_load() -> KernelTrace {
+        let mut k = KernelTrace::builder("g");
+        for addr in [0x200u64, 0x100] {
+            let mut th = ThreadTrace::new();
+            th.push(ThreadOp::Load { addr, bytes: 8 });
+            k.push_thread(th);
+        }
+        k.finish()
+    }
+
+    #[test]
+    fn memory_instructions_store_their_merged_ranges() {
+        let k = two_range_load();
+        assert_eq!(
+            k.warp(0).ops(0),
+            [0x100, 0x200].map(|addr| ThreadOp::Load { addr, bytes: 8 })
+        );
+        let buf = encode(&k);
+        // class(1) · mask(4) · ranges u8 = 2 · two 13-byte ops.
+        let at = first_class_at(&k);
+        assert_eq!(buf[at + 5], 2);
+        assert_eq!(buf.len(), at + 6 + 2 * 13);
+        assert_eq!(read_trace(buf.as_slice()).unwrap(), k);
+    }
+
+    #[test]
+    fn rejects_range_counts_outside_the_lanes() {
+        let k = two_range_load();
+        let at = first_class_at(&k) + 5;
+        // Zero ranges, and three ranges over two lanes (with the declared
+        // op total raised so only the count check can fire).
+        for ranges in [0u8, 3] {
+            let mut buf = encode(&k);
+            buf[at] = ranges;
+            let totals_at = 9 + k.name().len() + 8;
+            buf[totals_at..totals_at + 4].copy_from_slice(&3u32.to_le_bytes());
+            buf.extend([TAG_LOAD; 13]);
+            let err = read_trace(buf.as_slice()).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("with {ranges} ranges over 2 lanes")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_ranges_that_do_not_ascend_or_hold_no_bytes() {
+        let k = two_range_load();
+        // The second range's address, then its byte count.
+        let addr_at = first_class_at(&k) + 6 + 13 + 1;
+        for addr in [0x100u64, 0xff] {
+            let mut buf = encode(&k);
+            buf[addr_at..addr_at + 8].copy_from_slice(&addr.to_le_bytes());
+            let err = read_trace(buf.as_slice()).unwrap_err();
+            assert!(err.to_string().contains("ranges do not ascend"), "{err}");
+        }
+        let mut buf = encode(&k);
+        buf[addr_at + 8..addr_at + 12].copy_from_slice(&0u32.to_le_bytes());
+        let err = read_trace(buf.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("empty Load range"), "{err}");
+    }
+
+    #[test]
+    fn rejects_fetches_past_the_address_space() {
+        let ops = [
+            ThreadOp::Load {
+                addr: u64::MAX - 2,
+                bytes: 16,
+            },
+            ThreadOp::HsuRayIntersect {
+                node_addr: u64::MAX - 2,
+                bytes: 16,
+                triangle: false,
+            },
+        ];
+        for op in ops {
+            let err = read_trace(encode(&one_op(op)).as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string()
+                    .contains("fetches past the end of the address space"),
+                "{err}"
+            );
+        }
+        // A range ending on the last byte is fine.
+        let last = one_op(ThreadOp::Store {
+            addr: u64::MAX - 15,
+            bytes: 16,
+        });
+        assert_eq!(read_trace(encode(&last).as_slice()).unwrap(), last);
     }
 
     #[test]

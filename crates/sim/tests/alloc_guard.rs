@@ -113,9 +113,9 @@ fn doubling_the_simulated_work_adds_no_allocation() {
 
 /// An ALU/shared-heavy kernel keeps only its headers and its memory ops:
 /// after recording, the live heap is the header pool (24 B per warp
-/// instruction), the op pool (16 B per Load/Store/HSU lane op), one warp
-/// start per warp and the name, plus a little slack — not the 16 B per
-/// recorded thread op the per-thread logs held.
+/// instruction), the op pool (16 B per merged Load/Store range or HSU lane
+/// op), one warp start per warp and the name, plus a little slack — not the
+/// 16 B per recorded thread op the per-thread logs held.
 #[test]
 fn a_recorded_kernel_holds_only_its_pools() {
     const THREADS: u64 = 40 * 32 + 7;
@@ -148,6 +148,7 @@ fn a_recorded_kernel_holds_only_its_pools() {
         .warps()
         .flat_map(|w| w.instructions().iter().map(|i| i.op_count()))
         .sum();
+    // The lanes sharing a Load read words 32 B apart, so no ranges merge.
     assert_eq!(pooled, THREADS as usize * 3, "three Loads per thread");
     let pools = headers * 24 + pooled * 16 + warps * 4 + k.name().len();
     assert_eq!(k.heap_bytes(), pools, "pools are sized exactly");

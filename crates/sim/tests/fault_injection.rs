@@ -82,6 +82,13 @@ proptest! {
     }
 
     #[test]
+    fn address_overflow_traces_fail_with_typed_errors(seed in any::<u64>()) {
+        let buf = encoded_sample();
+        let bad = corrupt_trace_bytes(&buf, TraceFault::AddressOverflow, seed);
+        decode_must_fail_cleanly(&bad, "address-overflow");
+    }
+
+    #[test]
     fn arbitrary_byte_soup_never_panics_the_decoder(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         // Stronger than the targeted faults: feed the decoder random bytes.
         // It may reject them (it almost always will); it must never panic.
@@ -402,4 +409,48 @@ fn file_archive_faults_keep_io_and_decode_errors_distinct() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A built trace (never decoded, so never checked by the decoder) whose
+/// Load or `RAY_INTERSECT` reads 16 bytes from 3 bytes below the top of the
+/// address space: both line computations, the LSU coalescer's and the RT
+/// unit's, must stop the run with a typed [`SimError::IllegalDispatch`] in
+/// every simulation mode, not overflow into a panic or a false deadlock.
+#[test]
+fn fetches_past_the_address_space_are_rejected_with_illegal_dispatch() {
+    let ops = [
+        ThreadOp::Load {
+            addr: u64::MAX - 2,
+            bytes: 16,
+        },
+        ThreadOp::HsuRayIntersect {
+            node_addr: u64::MAX - 2,
+            bytes: 16,
+            triangle: false,
+        },
+    ];
+    for op in ops {
+        let mut kernel = KernelTrace::builder("overflow");
+        let mut thread = ThreadTrace::new();
+        thread.push(op);
+        kernel.push_thread(thread);
+        let kernel = kernel.finish();
+        for mode in SimMode::ALL {
+            let cfg = GpuConfig {
+                sim_mode: mode,
+                ..GpuConfig::tiny()
+            };
+            let outcome = catch_unwind(AssertUnwindSafe(|| Gpu::new(cfg).run(&kernel)));
+            match outcome {
+                Ok(Err(SimError::IllegalDispatch { detail })) => {
+                    assert!(
+                        detail.contains("past the end of the address space"),
+                        "{detail}"
+                    );
+                }
+                Ok(other) => panic!("{op:?} {mode:?}: expected IllegalDispatch, got {other:?}"),
+                Err(_) => panic!("{op:?} {mode:?}: the overflowing fetch panicked"),
+            }
+        }
+    }
 }

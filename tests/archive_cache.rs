@@ -221,6 +221,37 @@ fn v1_trace_streams_are_rejected_by_version() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A version-2 stream, written by hand as its encoder laid it out: one
+/// thread, one Load instruction with its one lane's op (v2 stored a
+/// Load/Store op per active lane and no range count).
+fn v2_sample() -> Vec<u8> {
+    let mut w = b"HSUT\x02".to_vec();
+    w.extend(5u32.to_le_bytes());
+    w.extend(b"stale");
+    for total in [1u32, 1, 1] {
+        w.extend(total.to_le_bytes()); // threads, instructions, ops
+    }
+    w.extend(1u32.to_le_bytes()); // warp 0's instruction count
+    w.push(1); // class Load
+    w.extend(1u32.to_le_bytes()); // active mask
+    w.push(1); // op tag Load
+    w.extend(0x80u64.to_le_bytes());
+    w.extend(4u32.to_le_bytes());
+    w
+}
+
+/// A v2 stream — per-lane Load/Store ops — is rejected by its version, so
+/// a cache written before memory ops were merged into ranges misses too.
+#[test]
+fn v2_trace_streams_are_rejected_by_version() {
+    let err = read_trace(v2_sample().as_slice()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(
+        err.to_string().contains("unsupported trace version 2"),
+        "{err}"
+    );
+}
+
 /// A cache dir written by the v1 encoder keeps its archive keys, so every
 /// trace archive is found — and must then miss on the stream version,
 /// rebuild, and leave a cache the next run hits in full, with reports

@@ -8,7 +8,9 @@
 //! how the searches are recorded cannot move a trace unnoticed.
 
 use hsu_archive::fnv1a64;
-use hsu_bench::{ArchiveCache, Suite, SuiteConfig};
+use std::sync::OnceLock;
+
+use hsu_bench::{AppTraces, ArchiveCache, Suite, SuiteConfig};
 use hsu_kernels::btree::{BtreeParams, BtreeWorkload};
 use hsu_kernels::bvhnn::{BvhFlavor, BvhnnParams, BvhnnWorkload};
 use hsu_kernels::flann::{FlannParams, FlannWorkload};
@@ -99,18 +101,27 @@ fn trace_digest(trace: &KernelTrace) -> u64 {
     fnv1a64(&buf)
 }
 
+/// Every trace of the suite at 1/64 scale (seed 7), recorded once for all
+/// the tests here.
+fn suite_traces() -> &'static [AppTraces] {
+    static TRACES: OnceLock<Vec<AppTraces>> = OnceLock::new();
+    TRACES.get_or_init(|| {
+        let config = SuiteConfig {
+            sms: 2,
+            scale_divisor: 64,
+            seed: 7,
+            ..SuiteConfig::default()
+        };
+        Suite::prepare_traces(&config, &ArchiveCache::disabled())
+    })
+}
+
 /// One digest per workload × dataset × lowering: every trace of the suite
 /// at 1/64 scale, the RTIndeX and render case studies, and the two BVH-NN
 /// hierarchy flavors the suite does not run (4-wide and SAH).
 fn recorded_trace_digests() -> Vec<(String, u64)> {
-    let config = SuiteConfig {
-        sms: 2,
-        scale_divisor: 64,
-        seed: 7,
-        ..SuiteConfig::default()
-    };
     let mut out = Vec::new();
-    for t in Suite::prepare_traces(&config, &ArchiveCache::disabled()) {
+    for t in suite_traces() {
         for v in Variant::ALL {
             out.push((
                 format!("{:?}/{:?}/{v:?}", t.app, t.dataset),
@@ -154,81 +165,81 @@ fn recorded_trace_digests() -> Vec<(String, u64)> {
 
 /// Digests recorded from the searches at seed 7 (1/64 suite scale).
 const TRACE_DIGESTS: &[(&str, u64)] = &[
-    ("Ggnn/Deep1b/Hsu", 0x73533d11605c6267),
-    ("Ggnn/Deep1b/Baseline", 0xc629936fba0223b6),
-    ("Ggnn/Deep1b/BaselineStripped", 0xaa9688ab47e7b727),
-    ("Ggnn/FashionMnist/Hsu", 0x53c04f93801c1353),
-    ("Ggnn/FashionMnist/Baseline", 0x84cf8015190d7a31),
-    ("Ggnn/FashionMnist/BaselineStripped", 0x4c2a289fab91e0d6),
-    ("Ggnn/Mnist/Hsu", 0xe72c1c9a738b86d0),
-    ("Ggnn/Mnist/Baseline", 0x00b5f8f7b606cd99),
-    ("Ggnn/Mnist/BaselineStripped", 0x53f436ad24e271fc),
-    ("Ggnn/Gist/Hsu", 0xac6e2d24f0cf4188),
-    ("Ggnn/Gist/Baseline", 0xd98050adb7dc1a37),
-    ("Ggnn/Gist/BaselineStripped", 0xe8344ab146555e8d),
-    ("Ggnn/Glove/Hsu", 0x0f2a94bee39baa3a),
-    ("Ggnn/Glove/Baseline", 0xdae8946ac9817a10),
-    ("Ggnn/Glove/BaselineStripped", 0xd9d5a83e024295d5),
-    ("Ggnn/LastFm/Hsu", 0xe298f942cd2a671d),
-    ("Ggnn/LastFm/Baseline", 0x5541f70f1b9bc6de),
-    ("Ggnn/LastFm/BaselineStripped", 0x844bd57c19491725),
-    ("Ggnn/Nytimes/Hsu", 0x3c17bbba0d16845c),
-    ("Ggnn/Nytimes/Baseline", 0x1eb1cac7c20c6591),
-    ("Ggnn/Nytimes/BaselineStripped", 0xa93d2318eac5114d),
-    ("Ggnn/Sift1m/Hsu", 0x4397c1cedb1449b5),
-    ("Ggnn/Sift1m/Baseline", 0x71bf622d54bae49f),
-    ("Ggnn/Sift1m/BaselineStripped", 0x9789a4588267ca8e),
-    ("Ggnn/Sift10k/Hsu", 0x88a4eef4aedf63e7),
-    ("Ggnn/Sift10k/Baseline", 0xf9389f0da86cc1ed),
-    ("Ggnn/Sift10k/BaselineStripped", 0x551ba7bd3378d45d),
-    ("Flann/Random10k/Hsu", 0xb9404aa0d556a567),
-    ("Flann/Random10k/Baseline", 0x1c4314e595c458dd),
-    ("Flann/Random10k/BaselineStripped", 0x52f8a32b6a679a71),
-    ("Bvhnn/Random10k/Hsu", 0x6ea77db22c4f42ef),
-    ("Bvhnn/Random10k/Baseline", 0x04f4e2c5f2a92f8c),
-    ("Bvhnn/Random10k/BaselineStripped", 0x2205faa20975dd39),
-    ("Flann/Bunny/Hsu", 0xbde3e35e6b2002fb),
-    ("Flann/Bunny/Baseline", 0x5a97d198e48de19f),
-    ("Flann/Bunny/BaselineStripped", 0xfff6210c1455b3cc),
-    ("Bvhnn/Bunny/Hsu", 0x97dcf563edaef238),
-    ("Bvhnn/Bunny/Baseline", 0x86397a687ae645f8),
-    ("Bvhnn/Bunny/BaselineStripped", 0x5b1078de7a298c39),
-    ("Flann/Dragon/Hsu", 0x669b0d66fbce3989),
-    ("Flann/Dragon/Baseline", 0x548fe2c75ecc4b55),
-    ("Flann/Dragon/BaselineStripped", 0x3c22d5800e6e1bd7),
-    ("Bvhnn/Dragon/Hsu", 0xfa5b628b75d63b61),
-    ("Bvhnn/Dragon/Baseline", 0xaa6bb8cbd6686ab1),
-    ("Bvhnn/Dragon/BaselineStripped", 0x7cd10737d521e949),
-    ("Flann/Buddha/Hsu", 0x1f671ffc1c9c4c1c),
-    ("Flann/Buddha/Baseline", 0xd40a5b1367caecda),
-    ("Flann/Buddha/BaselineStripped", 0x1b34894a7056f4f3),
-    ("Bvhnn/Buddha/Hsu", 0x3f396217e435f601),
-    ("Bvhnn/Buddha/Baseline", 0x36d4a145aa0724c9),
-    ("Bvhnn/Buddha/BaselineStripped", 0x03ca7674ad8016a0),
-    ("Flann/Cosmos/Hsu", 0xc39c8ac3a50dee45),
-    ("Flann/Cosmos/Baseline", 0x318f22ef2d41a33a),
-    ("Flann/Cosmos/BaselineStripped", 0xdd76c700056fbe55),
-    ("Bvhnn/Cosmos/Hsu", 0x1f4ae041e5eb7f25),
-    ("Bvhnn/Cosmos/Baseline", 0x14d44391e497dd50),
-    ("Bvhnn/Cosmos/BaselineStripped", 0xbde429d5030c6243),
-    ("Btree/BTree1m/Hsu", 0x9e5bd5ec79ef5927),
-    ("Btree/BTree1m/Baseline", 0x59bd54895756f9b3),
-    ("Btree/BTree1m/BaselineStripped", 0x0f09fdb564b8127c),
-    ("Btree/BTree10k/Hsu", 0x4c9739f203328104),
-    ("Btree/BTree10k/Baseline", 0xc0f2ce3bc58a6ca2),
-    ("Btree/BTree10k/BaselineStripped", 0x918849476613f4b7),
-    ("RtIndex/Hsu", 0x7e50ce07bf08cab2),
-    ("RtIndex/Baseline", 0x3337a49fe723d8e6),
-    ("RtIndex/BaselineStripped", 0x863571c44253d12d),
-    ("Render/Hsu", 0xda1dafd07cd6de80),
-    ("Render/Baseline", 0x73bccbd41f7de740),
-    ("Render/BaselineStripped", 0x52c94ee9f1cc1a04),
-    ("Bvhnn/Lbvh4/Hsu", 0xe997d8f75476c8ca),
-    ("Bvhnn/Lbvh4/Baseline", 0xb3ab0a661ab8325e),
-    ("Bvhnn/Lbvh4/BaselineStripped", 0xc35dd0364e12549a),
-    ("Bvhnn/Sah2/Hsu", 0xc5d23d16b85208e5),
-    ("Bvhnn/Sah2/Baseline", 0xe7d7ba912d08f7fe),
-    ("Bvhnn/Sah2/BaselineStripped", 0xa67cf52e11e0a954),
+    ("Ggnn/Deep1b/Hsu", 0xa2f1fed10e8da8fe),
+    ("Ggnn/Deep1b/Baseline", 0x433e653f5237e2ac),
+    ("Ggnn/Deep1b/BaselineStripped", 0x4959e8657cea50d5),
+    ("Ggnn/FashionMnist/Hsu", 0x47689de2d10c0c30),
+    ("Ggnn/FashionMnist/Baseline", 0x01f8d0955b8d7347),
+    ("Ggnn/FashionMnist/BaselineStripped", 0xb7e723e5de9bfd4b),
+    ("Ggnn/Mnist/Hsu", 0xa106e53ee22636a4),
+    ("Ggnn/Mnist/Baseline", 0x1a6549b3585ea827),
+    ("Ggnn/Mnist/BaselineStripped", 0xb814abf1db8f6483),
+    ("Ggnn/Gist/Hsu", 0xf90a47fae46d9049),
+    ("Ggnn/Gist/Baseline", 0xf6f1d72535b01c71),
+    ("Ggnn/Gist/BaselineStripped", 0x4f8d9ede59781e94),
+    ("Ggnn/Glove/Hsu", 0x6c2fd633f0bf9739),
+    ("Ggnn/Glove/Baseline", 0xe24fdd724a5db431),
+    ("Ggnn/Glove/BaselineStripped", 0x99fdd57cc8e6d21d),
+    ("Ggnn/LastFm/Hsu", 0x5783c1701e76e163),
+    ("Ggnn/LastFm/Baseline", 0x0bc35de886b9bccc),
+    ("Ggnn/LastFm/BaselineStripped", 0xeb0b8e6203c043e5),
+    ("Ggnn/Nytimes/Hsu", 0x8a9dbecd42cab261),
+    ("Ggnn/Nytimes/Baseline", 0xa5afdc3dc6568659),
+    ("Ggnn/Nytimes/BaselineStripped", 0x3ad90a2ee3a13441),
+    ("Ggnn/Sift1m/Hsu", 0x6aa4678949e5b189),
+    ("Ggnn/Sift1m/Baseline", 0xe1ff3117e2e48a16),
+    ("Ggnn/Sift1m/BaselineStripped", 0x99a72601fc655852),
+    ("Ggnn/Sift10k/Hsu", 0xd2ba15812b884025),
+    ("Ggnn/Sift10k/Baseline", 0xe24b53fd081f9a30),
+    ("Ggnn/Sift10k/BaselineStripped", 0x5a09e925baef312a),
+    ("Flann/Random10k/Hsu", 0x2d7237c47493b469),
+    ("Flann/Random10k/Baseline", 0xc14156a38075ff75),
+    ("Flann/Random10k/BaselineStripped", 0xda432b35390ec0ae),
+    ("Bvhnn/Random10k/Hsu", 0xcb4f4ec08661fb0a),
+    ("Bvhnn/Random10k/Baseline", 0xeebfd3ff8196e389),
+    ("Bvhnn/Random10k/BaselineStripped", 0xe54112f53981eddc),
+    ("Flann/Bunny/Hsu", 0x5914b831dc0d10e3),
+    ("Flann/Bunny/Baseline", 0x79d9350726faca89),
+    ("Flann/Bunny/BaselineStripped", 0xd0666cd8cb01fe56),
+    ("Bvhnn/Bunny/Hsu", 0x1f0f523857a5192b),
+    ("Bvhnn/Bunny/Baseline", 0x18ef95b1eb3c0f81),
+    ("Bvhnn/Bunny/BaselineStripped", 0xaa3bcf84fcdf2c5f),
+    ("Flann/Dragon/Hsu", 0x21743ac602bb8315),
+    ("Flann/Dragon/Baseline", 0x33f8e9d5c1a70fe1),
+    ("Flann/Dragon/BaselineStripped", 0x26e9ee0375206be7),
+    ("Bvhnn/Dragon/Hsu", 0x122c45b1b215636c),
+    ("Bvhnn/Dragon/Baseline", 0x55afe7c617e0ff1b),
+    ("Bvhnn/Dragon/BaselineStripped", 0x522baf8f79e0c89f),
+    ("Flann/Buddha/Hsu", 0x996c90bcacec8e72),
+    ("Flann/Buddha/Baseline", 0x0737a11ae692eb89),
+    ("Flann/Buddha/BaselineStripped", 0x115223bb9f26a560),
+    ("Bvhnn/Buddha/Hsu", 0xa7f25095f3e96001),
+    ("Bvhnn/Buddha/Baseline", 0x85845d7d095c4ce4),
+    ("Bvhnn/Buddha/BaselineStripped", 0xee19d854463b44b6),
+    ("Flann/Cosmos/Hsu", 0x87a5cf511ab9942c),
+    ("Flann/Cosmos/Baseline", 0x4774f1e031fef0e5),
+    ("Flann/Cosmos/BaselineStripped", 0x0340242fcb9e052e),
+    ("Bvhnn/Cosmos/Hsu", 0x440822e5449197ab),
+    ("Bvhnn/Cosmos/Baseline", 0x4fe90aa2d3a7506d),
+    ("Bvhnn/Cosmos/BaselineStripped", 0x088840a71cfd3c11),
+    ("Btree/BTree1m/Hsu", 0x733dfc039bc92249),
+    ("Btree/BTree1m/Baseline", 0xdd6e76e0a8e6742f),
+    ("Btree/BTree1m/BaselineStripped", 0x41deccefc33af4fd),
+    ("Btree/BTree10k/Hsu", 0xb8c2680c9ac4fbc5),
+    ("Btree/BTree10k/Baseline", 0x4137769eb6cb8597),
+    ("Btree/BTree10k/BaselineStripped", 0x6b0ccfee9a716a20),
+    ("RtIndex/Hsu", 0x390c8eb3d9ef75e5),
+    ("RtIndex/Baseline", 0x3a6902a812f5be0a),
+    ("RtIndex/BaselineStripped", 0x5ec73bd62eb54f8b),
+    ("Render/Hsu", 0xa58e98033a27605e),
+    ("Render/Baseline", 0x9a7ffb956ab5009c),
+    ("Render/BaselineStripped", 0x1207c72483af6475),
+    ("Bvhnn/Lbvh4/Hsu", 0x34c0baea17fe488f),
+    ("Bvhnn/Lbvh4/Baseline", 0xfbcf16087499b427),
+    ("Bvhnn/Lbvh4/BaselineStripped", 0x94bfff307e129995),
+    ("Bvhnn/Sah2/Hsu", 0x9633d949c49feba0),
+    ("Bvhnn/Sah2/Baseline", 0x03cb037545abf2f9),
+    ("Bvhnn/Sah2/BaselineStripped", 0x71abe7846b523c3b),
 ];
 
 #[test]
@@ -247,4 +258,18 @@ fn recorded_trace_bytes_are_pinned() {
         moved.is_empty() && got.len() == TRACE_DIGESTS.len(),
         "recorded traces moved: {moved:?}; current digests:\n{listing}"
     );
+}
+
+/// Heap bytes of every suite trace at 1/64 scale, summed over the three
+/// lowerings. A Load/Store instruction keeps its merged byte ranges; the
+/// per-lane form held 173 483 499 bytes here.
+const SUITE_TRACE_HEAP_BYTES: usize = 91_140_971;
+
+#[test]
+fn suite_trace_heap_is_pinned() {
+    let total: usize = suite_traces()
+        .iter()
+        .flat_map(|t| Variant::ALL.map(|v| t.trace(v).heap_bytes()))
+        .sum();
+    assert_eq!(total, SUITE_TRACE_HEAP_BYTES);
 }
