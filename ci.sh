@@ -79,20 +79,22 @@ echo "fault-injection smoke OK"
 echo "== archive round-trip + warm-cache smoke (cold vs warm byte-identical) =="
 # Populates an .hsar cache dir on the first quick run, then re-runs warm:
 # stdout must be byte-identical, the warm build phase must be all cache hits,
-# and --no-cache must ignore the populated dir yet still match. This is the
-# shell-level counterpart of tests/archive_cache.rs.
+# and --no-cache must ignore the populated dir yet still match. Figs. 10 and
+# 11 re-simulate the HSU traces the suite retains, so they diff that path
+# across cache states too. This is the shell-level counterpart of
+# tests/archive_cache.rs.
 CACHE_DIR="$FAULT_DIR/hsar-cache"
 cargo run --release -q -p hsu-bench --bin repro -- --quick --jobs 0 \
-    --archive-dir "$CACHE_DIR" fig9 > "$FAULT_DIR/cold.txt" 2> "$FAULT_DIR/cold-err.txt"
+    --archive-dir "$CACHE_DIR" fig9 fig10 fig11 > "$FAULT_DIR/cold.txt" 2> "$FAULT_DIR/cold-err.txt"
 cargo run --release -q -p hsu-bench --bin repro -- --quick --jobs 0 \
-    --archive-dir "$CACHE_DIR" fig9 > "$FAULT_DIR/warm.txt" 2> "$FAULT_DIR/warm-err.txt"
+    --archive-dir "$CACHE_DIR" fig9 fig10 fig11 > "$FAULT_DIR/warm.txt" 2> "$FAULT_DIR/warm-err.txt"
 diff "$FAULT_DIR/cold.txt" "$FAULT_DIR/warm.txt" \
   || { echo "FAIL: warm-cache run differs from cold run"; exit 1; }
 grep -q ", 0 misses" "$FAULT_DIR/warm-err.txt" \
   || { echo "FAIL: warm run rebuilt instead of hitting the cache"; \
        cat "$FAULT_DIR/warm-err.txt"; exit 1; }
 cargo run --release -q -p hsu-bench --bin repro -- --quick --jobs 0 \
-    --archive-dir "$CACHE_DIR" --no-cache fig9 > "$FAULT_DIR/nocache.txt"
+    --archive-dir "$CACHE_DIR" --no-cache fig9 fig10 fig11 > "$FAULT_DIR/nocache.txt"
 diff "$FAULT_DIR/cold.txt" "$FAULT_DIR/nocache.txt" \
   || { echo "FAIL: --no-cache run differs from cached runs"; exit 1; }
 echo "warm-cache smoke OK"

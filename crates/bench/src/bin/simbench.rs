@@ -13,8 +13,10 @@
 //! 2. **appends** an entry to the trajectory JSON (`BENCH_sim.json` by
 //!    default): `{pr, config, runs, build_phase, modes, tick_reduction,
 //!    speedup, memory, equivalent}` with wall time, simulated cycles, and
-//!    SM ticks executed per mode, and the memory block: `traces_mb`, the heap one suite's packed traces hold
-//!    ([`hsu_sim::trace::KernelTrace::heap_bytes`] summed), and
+//!    SM ticks executed per mode, and the memory block: `traces_mb`, the
+//!    heap of all three lowerings of every app × dataset as loaded from the
+//!    warm cache ([`hsu_bench::AppLowerings::heap_bytes`] summed inside
+//!    each build job, before it drops them), and
 //!    `peak_rss_mb`, the process's peak resident set (`VmHWM`; `null` off
 //!    Linux). The file is an append-only array so successive PRs record
 //!    their own measurements next to history instead of erasing it; a file
@@ -124,8 +126,8 @@ fn main() {
     // cache (populating it), then again against the populated one.
     let probe_dir = std::env::temp_dir().join(format!("hsu-simbench-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&probe_dir);
-    let cold_s = time_build_phase(&config, &probe_dir);
-    let warm_s = time_build_phase(&config, &probe_dir);
+    let (cold_s, _) = time_build_phase(&config, &probe_dir);
+    let (warm_s, warm_heap) = time_build_phase(&config, &probe_dir);
     eprintln!(
         "build phase: {cold_s:.2}s cold -> {warm_s:.2}s warm ({:.1}x) via {}",
         cold_s / warm_s.max(1e-9),
@@ -167,13 +169,7 @@ fn main() {
 
     let (tick_reduction, event_speedup) = gains(&stepped, &event);
 
-    let traces_mb = event_suite
-        .traces
-        .iter()
-        .flat_map(|t| [&t.hsu, &t.base, &t.stripped])
-        .map(|k| k.heap_bytes())
-        .sum::<usize>() as f64
-        / (1024.0 * 1024.0);
+    let traces_mb = warm_heap as f64 / (1024.0 * 1024.0);
     let peak_rss = peak_rss_mb();
     let entry = entry(
         &pr_label,
@@ -208,23 +204,24 @@ fn main() {
     }
 }
 
-/// Times one pass of the suite's build phase (phase A only — no
-/// simulation) through the archive cache at `dir`. First call against an
-/// empty directory is the cold measurement and populates the cache; the
-/// second is the warm one.
-fn time_build_phase(config: &SuiteConfig, dir: &std::path::Path) -> f64 {
+/// Times one pass of the suite's build jobs (no simulation) through the
+/// archive cache at `dir`, and sums the heap of every lowering each job
+/// holds before it drops them. First call against an empty directory is
+/// the cold measurement and populates the cache; the second is the warm
+/// one, loading the traces a suite build simulates.
+fn time_build_phase(config: &SuiteConfig, dir: &std::path::Path) -> (f64, usize) {
     let cache = hsu_bench::ArchiveCache::new(Some(dir.to_path_buf()));
     let start = Instant::now();
-    let traces = Suite::prepare_traces(config, &cache);
+    let heaps = Suite::map_lowerings(config, &cache, |l| l.heap_bytes());
     let elapsed = start.elapsed().as_secs_f64();
     eprintln!(
         "  build-phase pass: {:.2}s, {} trace bundles, cache {} hits / {} misses",
         elapsed,
-        traces.len(),
+        heaps.len(),
         cache.hits(),
         cache.misses()
     );
-    elapsed
+    (elapsed, heaps.iter().sum())
 }
 
 /// Event mode's gains over the stepped oracle: times fewer ticks, and

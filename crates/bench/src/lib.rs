@@ -27,12 +27,14 @@
 //!
 //! # Failure semantics
 //!
-//! Simulation jobs run on a fault-tolerant job pool
-//! ([`runner::run_jobs_ft`]): panics are isolated per job and each job can
-//! carry a wall-clock watchdog. A failed job is not retried, since every
-//! job is a pure function of its input. [`suite::Suite::build_with_policy`] exposes the
-//! per-job outcomes so callers (the `repro` binary's `--keep-going` and
-//! `--job-timeout` flags) can report partial results instead of aborting.
+//! Every simulation runs under a [`runner::FaultGuard`], the per-job body
+//! of the fault-tolerant job pool ([`runner::run_jobs_ft`]): panics are
+//! isolated per simulation and each can carry a wall-clock watchdog. A
+//! failed simulation is not retried, since every one is a pure function of
+//! its input. [`suite::Suite::build_with_policy`] exposes the
+//! per-simulation outcomes so callers (the `repro` binary's `--keep-going`
+//! and `--job-timeout` flags) can report partial results instead of
+//! aborting.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
@@ -47,4 +49,4 @@ pub use cache::ArchiveCache;
 pub use runner::{
     outcomes_table, run_jobs, run_jobs_ft, FaultPolicy, JobError, JobOutcome, JobStatus, RunRecord,
 };
-pub use suite::{AppTraces, Suite, SuiteBuild, SuiteConfig};
+pub use suite::{AppLowerings, AppTraces, Suite, SuiteBuild, SuiteConfig};

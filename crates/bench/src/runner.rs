@@ -72,8 +72,10 @@ where
     }
 
     // Jobs are taken from the back, so they start in descending key order.
-    // The suite's phase-A peak memory depends on which build jobs run at
-    // the same time, and its recorded `peak_rss_mb` history uses this order.
+    // The suite's peak memory is set by the build jobs that run at the same
+    // time (each holds its lowerings until it has simulated them) on top of
+    // the HSU traces already kept, and its recorded `peak_rss_mb` history
+    // uses this order.
     let queue = Mutex::new(jobs.into_iter().enumerate());
     let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers.min(n))
@@ -196,10 +198,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Fault-tolerant variant of [`run_jobs`]: each keyed job runs once under
-/// `catch_unwind` with an optional wall-clock deadline, and under the
-/// fail-fast default the first failure cancels all not-yet-started jobs
-/// through a shared [`CancelToken`]. Every submitted job gets a
+/// Fault-tolerant variant of [`run_jobs`]: each keyed job runs once under a
+/// shared [`FaultGuard`] — `catch_unwind`, an optional wall-clock deadline,
+/// and, under the fail-fast default, a [`CancelToken`] the first failure
+/// trips so that no later job starts. Every submitted job gets a
 /// [`JobOutcome`] in submission order — a poisoned job never takes down the
 /// batch, it just shows up as `failed` (or `timeout`) in the partial report.
 /// Failed jobs are not retried: a job is a pure function of its input, so a
@@ -219,11 +221,41 @@ where
     T: Send,
     F: Fn(usize, &J, &RunLimits) -> Result<T, SimError> + Sync,
 {
-    let cancel = CancelToken::new();
-    let cancel = &cancel;
-    let f = &f;
-    run_jobs(workers, jobs, move |i, (key, job)| {
-        if cancel.is_cancelled() {
+    let guard = FaultGuard::new(policy);
+    run_jobs(workers, jobs, |i, (key, job)| {
+        guard.run(key, |limits| f(i, &job, limits))
+    })
+}
+
+/// The per-job fault handling of [`run_jobs_ft`], for pool jobs that run
+/// several guarded simulations each (the suite's build jobs simulate every
+/// lowering they load). One guard spans one batch: its [`CancelToken`] is
+/// shared by every [`FaultGuard::run`] call, whichever worker makes it.
+#[derive(Debug)]
+pub struct FaultGuard<'a> {
+    policy: &'a FaultPolicy,
+    cancel: CancelToken,
+}
+
+impl<'a> FaultGuard<'a> {
+    /// A guard for one batch under `policy`, nothing cancelled yet.
+    pub fn new(policy: &'a FaultPolicy) -> Self {
+        FaultGuard {
+            policy,
+            cancel: CancelToken::new(),
+        }
+    }
+
+    /// Runs one keyed job under `catch_unwind`, its deadline starting now.
+    /// A job that starts after the batch was cancelled is not run and comes
+    /// back `Skipped`; a failure cancels the batch unless the policy keeps
+    /// going.
+    pub fn run<T>(
+        &self,
+        key: String,
+        f: impl FnOnce(&RunLimits) -> Result<T, SimError>,
+    ) -> JobOutcome<T> {
+        if self.cancel.is_cancelled() {
             return JobOutcome {
                 key,
                 status: JobStatus::Skipped,
@@ -234,11 +266,11 @@ where
                 })),
             };
         }
-        let mut limits = RunLimits::none().with_cancel(cancel.clone());
-        if let Some(budget) = policy.job_timeout {
+        let mut limits = RunLimits::none().with_cancel(self.cancel.clone());
+        if let Some(budget) = self.policy.job_timeout {
             limits = limits.with_deadline(Instant::now() + budget);
         }
-        let error = match catch_unwind(AssertUnwindSafe(|| f(i, &job, &limits))) {
+        let error = match catch_unwind(AssertUnwindSafe(|| f(&limits))) {
             Ok(Ok(value)) => {
                 return JobOutcome {
                     key,
@@ -256,15 +288,15 @@ where
             }) => JobStatus::Timeout,
             _ => JobStatus::Failed,
         };
-        if !policy.keep_going {
-            cancel.cancel();
+        if !self.policy.keep_going {
+            self.cancel.cancel();
         }
         JobOutcome {
             key,
             status,
             result: Err(error),
         }
-    })
+    }
 }
 
 /// Formats a fault-tolerant batch's per-job statuses, with error details for

@@ -1,7 +1,7 @@
 //! Workload construction and the cached simulation runs.
 
 use crate::cache::{ArchiveCache, TraceBundle};
-use crate::runner::{FaultPolicy, JobOutcome, RunRecord};
+use crate::runner::{FaultGuard, FaultPolicy, JobOutcome, RunRecord};
 use hsu_datasets::{Dataset, DatasetId};
 use hsu_geometry::point::PointSet;
 use hsu_kernels::btree::{BtreeParams, BtreeWorkload};
@@ -178,12 +178,29 @@ fn ggnn_size(id: DatasetId) -> (usize, usize) {
     }
 }
 
-/// The three lowered traces of one application × dataset — everything phase
-/// B (simulation) and the sensitivity sweeps (Figs. 10/11) need, and exactly
-/// what the archive cache stores. A warm run reconstructs these from
-/// `.hsar` files without touching the generators or index builders.
+/// What the suite keeps of one application × dataset once its build job
+/// has simulated it: the HSU-lowered trace, which the sensitivity sweeps
+/// (Figs. 10/11) re-simulate. The baseline and stripped traces are dropped
+/// by the build job that simulated them.
 #[derive(Debug)]
 pub struct AppTraces {
+    /// Application.
+    pub app: App,
+    /// Dataset id.
+    pub dataset: DatasetId,
+    /// Figure label (with F-/B- prefix where the paper uses one).
+    pub label: String,
+    /// HSU-lowered trace.
+    pub hsu: KernelTrace,
+}
+
+/// The three lowered traces of one application × dataset: what a build job
+/// loads (or builds) and exactly what the archive cache stores. A warm run
+/// reconstructs these from `.hsar` files without touching the generators
+/// or index builders. [`Suite::map_lowerings`] hands them to its caller one
+/// at a time, inside the worker that built them.
+#[derive(Debug)]
+pub struct AppLowerings {
     /// Application.
     pub app: App,
     /// Dataset id.
@@ -198,13 +215,28 @@ pub struct AppTraces {
     pub stripped: KernelTrace,
 }
 
-impl AppTraces {
+impl AppLowerings {
     /// The trace for one lowering variant.
     pub fn trace(&self, v: Variant) -> &KernelTrace {
         match v {
             Variant::Hsu => &self.hsu,
             Variant::Baseline => &self.base,
             Variant::BaselineStripped => &self.stripped,
+        }
+    }
+
+    /// Heap bytes of the three traces together.
+    pub fn heap_bytes(&self) -> usize {
+        self.hsu.heap_bytes() + self.base.heap_bytes() + self.stripped.heap_bytes()
+    }
+
+    /// Keeps the HSU trace and drops the other two.
+    pub fn into_retained(self) -> AppTraces {
+        AppTraces {
+            app: self.app,
+            dataset: self.dataset,
+            label: self.label,
+            hsu: self.hsu,
         }
     }
 }
@@ -216,9 +248,10 @@ pub struct Suite {
     pub config: SuiteConfig,
     /// The simulated GPU.
     pub gpu: Gpu,
-    /// Retained lowered traces per app × dataset, in plan order (GGNN,
-    /// then FLANN/BVH-NN interleaved per 3-D set, then B+). The
-    /// sensitivity sweeps (Figs. 10/11) re-simulate these.
+    /// The retained HSU trace of every app × dataset, in plan order (GGNN,
+    /// then FLANN/BVH-NN interleaved per 3-D set, then B+), including apps
+    /// whose simulations failed. The sensitivity sweeps (Figs. 10/11)
+    /// re-simulate these.
     pub traces: Vec<AppTraces>,
     /// Cached standard-machine runs for every app × dataset.
     pub runs: Vec<AppRun>,
@@ -228,9 +261,9 @@ pub struct Suite {
     pub records: Vec<RunRecord>,
 }
 
-/// Workload-construction jobs for phase A of [`Suite::build`]. One job per
-/// dataset; the 3-D sets build FLANN and BVH-NN together so the generated
-/// point cloud is shared, exactly as the sequential code did.
+/// The suite's build jobs, one unit of work each on the job pool. One job
+/// per dataset; the 3-D sets build FLANN and BVH-NN together so the
+/// generated point cloud is shared.
 enum BuildJob {
     Ggnn(DatasetId),
     ThreeD(DatasetId),
@@ -262,7 +295,7 @@ impl Suite {
     ///
     /// This is the expensive entry point (tens of seconds at standard
     /// scale); use [`SuiteConfig::quick`] for smoke tests and
-    /// [`SuiteConfig::jobs`] to fan the run matrix across worker threads.
+    /// [`SuiteConfig::jobs`] to fan the build jobs across worker threads.
     /// Results are bit-identical for every `jobs` value: construction and
     /// simulation are pure functions of the config, and the runner merges
     /// results in stable key order.
@@ -287,11 +320,15 @@ impl Suite {
         }
     }
 
-    /// Fault-tolerant variant of [`Suite::build`]: the simulation matrix
-    /// runs under [`crate::runner::run_jobs_ft`], so a panicking, failing,
-    /// or timed-out simulation is isolated and — when
-    /// `policy.keep_going` is set — reported while the remaining jobs still
-    /// run to completion.
+    /// Fault-tolerant variant of [`Suite::build`]. Each build job loads (or
+    /// builds) its lowerings, simulates the three variants of each app it
+    /// holds, and keeps only the HSU trace, so the baseline and stripped
+    /// traces are freed before its worker takes the next job. Every
+    /// simulation runs under one [`FaultGuard`] for the whole suite: a
+    /// panicking, failing, or timed-out simulation is isolated, its
+    /// deadline starts when it does, and under fail-fast the first failure
+    /// skips every simulation that has not started. With
+    /// `policy.keep_going` the rest still run to completion.
     ///
     /// # Errors
     ///
@@ -305,12 +342,26 @@ impl Suite {
         config.gpu_config().validate()?;
         let gpu = Gpu::new(config.gpu_config());
 
-        // Phase A: construct (or load from the archive cache) every
-        // lowered trace in parallel. Each job derives everything from
-        // `config` — no shared RNG or other mutable state — so results are
-        // identical for any worker count, and identical warm or cold.
+        // Every (app × dataset × variant) simulation has a stable key and
+        // comes back in plan order, so `runs` is identical for any worker
+        // count, and identical warm or cold.
+        const VARIANTS: [(Variant, &str); 3] = [
+            (Variant::Hsu, "hsu"),
+            (Variant::Baseline, "base"),
+            (Variant::BaselineStripped, "stripped"),
+        ];
         let cache = ArchiveCache::new(config.archive_dir.clone());
-        let traces = Self::prepare_traces(&config, &cache);
+        let guard = FaultGuard::new(policy);
+        let simulated = Self::map_lowerings(&config, &cache, |lowerings| {
+            let sims = VARIANTS.map(|(variant, vname)| {
+                let key = format!("{}/{vname}", lowerings.label);
+                guard.run(key.clone(), |limits| {
+                    let trace = lowerings.trace(variant);
+                    crate::runner::timed_run(key, || gpu.run_guarded(trace, limits))
+                })
+            });
+            (lowerings.into_retained(), sims)
+        });
         if cache.enabled() {
             eprintln!(
                 "archive cache: {} hits, {} misses ({})",
@@ -324,68 +375,21 @@ impl Suite {
             );
         }
 
-        // Phase B: the simulation matrix — every (app × dataset × variant)
-        // triple is one job with a stable key; reports come back in
-        // submission order, so `runs` is identical for any worker count.
-        const VARIANTS: [(Variant, &str); 3] = [
-            (Variant::Hsu, "hsu"),
-            (Variant::Baseline, "base"),
-            (Variant::BaselineStripped, "stripped"),
-        ];
-        let mut sim_jobs = Vec::new();
-        for at in &traces {
-            for (variant, vname) in VARIANTS {
-                let key = format!("{}/{vname}", at.label);
-                sim_jobs.push((key.clone(), (key, at, variant)));
-            }
-        }
-        let outs = crate::runner::run_jobs_ft(
-            config.jobs,
-            policy,
-            sim_jobs,
-            |_, (key, at, variant), limits| {
-                let trace = at.trace(*variant);
-                crate::runner::timed_run(key.clone(), || gpu.run_guarded(trace, limits))
-            },
-        );
-
+        let mut traces = Vec::with_capacity(simulated.len());
         let mut runs = Vec::new();
         let mut records = Vec::new();
         let mut outcomes = Vec::new();
-        let mut outs = outs.into_iter();
-        for at in &traces {
-            // One triple (hsu/base/stripped) per planned app × dataset; the
-            // pool returns an outcome for every submitted job.
-            let mut triple = Vec::with_capacity(3);
-            for _ in 0..VARIANTS.len() {
-                let Some(out) = outs.next() else {
-                    unreachable!("pool returned an outcome per job");
-                };
-                triple.push(out);
-            }
-            let all_ok = triple.iter().all(JobOutcome::is_ok);
+        for (at, sims) in simulated {
             let mut reports = Vec::with_capacity(VARIANTS.len());
-            for o in triple {
-                let result = match o.result {
-                    Ok(v) => {
-                        reports.push(v);
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
-                };
+            for o in sims {
                 outcomes.push(JobOutcome {
                     key: o.key,
                     status: o.status,
-                    result,
+                    result: o.result.map(|report| reports.push(report)),
                 });
             }
-            if all_ok {
-                let mut reports = reports.into_iter();
-                let (Some((hsu, r0)), Some((base, r1)), Some((stripped, r2))) =
-                    (reports.next(), reports.next(), reports.next())
-                else {
-                    unreachable!("all-ok triple yields three reports");
-                };
+            // An app joins `runs` only when all three variants simulated.
+            if let Ok([(hsu, r0), (base, r1), (stripped, r2)]) = <[_; 3]>::try_from(reports) {
                 runs.push(AppRun {
                     app: at.app,
                     label: at.label.clone(),
@@ -396,6 +400,7 @@ impl Suite {
                 });
                 records.extend([r0, r1, r2]);
             }
+            traces.push(at);
         }
 
         Ok(SuiteBuild {
@@ -410,11 +415,23 @@ impl Suite {
         })
     }
 
-    /// Phase A on its own: produce every lowered trace the simulation
-    /// matrix consumes, in plan order, consulting `cache` before building.
-    /// This is the part of a suite run the archive cache can skip entirely;
-    /// `simbench` times it cold vs warm.
+    /// The retained HSU trace of every app × dataset, in plan order,
+    /// consulting `cache` before building: the part of a suite run the
+    /// archive cache can skip entirely. Holds what [`Suite::traces`] holds.
     pub fn prepare_traces(config: &SuiteConfig, cache: &ArchiveCache) -> Vec<AppTraces> {
+        Self::map_lowerings(config, cache, AppLowerings::into_retained)
+    }
+
+    /// Runs the suite's build jobs on `config.jobs` workers and calls `f`
+    /// on each app's [`AppLowerings`] inside the worker that loaded (or
+    /// built) them, before that worker takes its next job. Returns `f`'s
+    /// results in plan order. Whatever `f` does not keep is freed there,
+    /// so a job holds its lowerings only while it works on them.
+    pub fn map_lowerings<T, F>(config: &SuiteConfig, cache: &ArchiveCache, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(AppLowerings) -> T + Sync,
+    {
         let mut build_jobs = Vec::new();
         for id in DatasetId::HIGH_DIM {
             build_jobs.push(BuildJob::Ggnn(id));
@@ -427,6 +444,9 @@ impl Suite {
         }
         crate::runner::run_jobs(config.jobs, build_jobs, |_, job| {
             build_one(config, cache, job)
+                .into_iter()
+                .map(&f)
+                .collect::<Vec<_>>()
         })
         .into_iter()
         .flatten()
@@ -477,12 +497,12 @@ fn point_set(id: DatasetId, dataset: &Dataset) -> &PointSet {
     }
 }
 
-fn app_traces(app: App, id: DatasetId, traces: Vec<KernelTrace>) -> AppTraces {
+fn app_lowerings(app: App, id: DatasetId, traces: Vec<KernelTrace>) -> AppLowerings {
     let mut it = traces.into_iter();
     let (Some(hsu), Some(base), Some(stripped)) = (it.next(), it.next(), it.next()) else {
         unreachable!("trace archives carry exactly three variants per app");
     };
-    AppTraces {
+    AppLowerings {
         app,
         dataset: id,
         label: format!("{}{}", app.prefix(), hsu_datasets::spec(id).abbr),
@@ -492,16 +512,16 @@ fn app_traces(app: App, id: DatasetId, traces: Vec<KernelTrace>) -> AppTraces {
     }
 }
 
-/// Executes one phase-A construction job. Pure function of the config: the
+/// Loads or builds one build job's lowerings. Pure function of the config: the
 /// parallel build is deterministic because nothing here reads shared state
 /// (the archive cache only short-circuits work whose result the key fully
-/// determines). Returns the job's [`AppTraces`] in plan order — one entry
-/// for GGNN and B+ jobs, `[FLANN, BVH-NN]` for the shared 3-D jobs.
+/// determines). Returns the job's [`AppLowerings`] in plan order — one
+/// entry for GGNN and B+ jobs, `[FLANN, BVH-NN]` for the shared 3-D jobs.
 ///
 /// Cache layering, outermost first: a trace-archive hit skips everything;
 /// on a miss the dataset and index archives are consulted before their
 /// generators run, and every rebuilt artifact is stored back.
-fn build_one(config: &SuiteConfig, cache: &ArchiveCache, job: BuildJob) -> Vec<AppTraces> {
+fn build_one(config: &SuiteConfig, cache: &ArchiveCache, job: BuildJob) -> Vec<AppLowerings> {
     let seed = config.seed;
     match job {
         BuildJob::Ggnn(id) => {
@@ -529,7 +549,7 @@ fn build_one(config: &SuiteConfig, cache: &ArchiveCache, job: BuildJob) -> Vec<A
                 let wl = GgnnWorkload::build_with_graph(&params, data, &graph);
                 lower_all(|v| wl.trace(v))
             });
-            vec![app_traces(App::Ggnn, id, traces)]
+            vec![app_lowerings(App::Ggnn, id, traces)]
         }
         BuildJob::ThreeD(id) => {
             let spec = hsu_datasets::spec(id);
@@ -562,8 +582,8 @@ fn build_one(config: &SuiteConfig, cache: &ArchiveCache, job: BuildJob) -> Vec<A
             });
             let bvhnn = traces.split_off(3);
             vec![
-                app_traces(App::Flann, id, traces),
-                app_traces(App::Bvhnn, id, bvhnn),
+                app_lowerings(App::Flann, id, traces),
+                app_lowerings(App::Bvhnn, id, bvhnn),
             ]
         }
         BuildJob::Btree(id) => {
@@ -580,7 +600,7 @@ fn build_one(config: &SuiteConfig, cache: &ArchiveCache, job: BuildJob) -> Vec<A
                 let wl = BtreeWorkload::build_with_tree(&pairs, &lookups, tree);
                 lower_all(|v| wl.trace(v))
             });
-            vec![app_traces(App::Btree, id, traces)]
+            vec![app_lowerings(App::Btree, id, traces)]
         }
     }
 }

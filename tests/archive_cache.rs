@@ -5,7 +5,7 @@
 //! from the archive must *skip* work, never change it.
 
 use hsu_archive::{kind, ArchiveWriter, SliceArchive, KEY_PATH};
-use hsu_bench::{figures, ArchiveCache, Suite, SuiteConfig};
+use hsu_bench::{figures, AppLowerings, ArchiveCache, Suite, SuiteConfig};
 use hsu_datasets::DatasetId;
 use hsu_geometry::point::Metric;
 use hsu_serve::{BtreeIndex, BvhIndex, GraphIndex, KdIndex};
@@ -21,6 +21,11 @@ fn small_config() -> SuiteConfig {
         scale_divisor: 64,
         ..SuiteConfig::default()
     }
+}
+
+/// All three lowerings of every app × dataset, in plan order.
+fn lowerings(config: &SuiteConfig, cache: &ArchiveCache) -> Vec<AppLowerings> {
+    Suite::map_lowerings(config, cache, |l| l)
 }
 
 fn fresh_dir(tag: &str) -> std::path::PathBuf {
@@ -115,11 +120,11 @@ fn prepared_traces_match_between_cold_and_warm() {
     let config = small_config();
 
     let cold_cache = ArchiveCache::new(Some(dir.clone()));
-    let cold = Suite::prepare_traces(&config, &cold_cache);
+    let cold = lowerings(&config, &cold_cache);
     assert_eq!(cold_cache.hits(), 0, "first build must be all misses");
 
     let warm_cache = ArchiveCache::new(Some(dir.clone()));
-    let warm = Suite::prepare_traces(&config, &warm_cache);
+    let warm = lowerings(&config, &warm_cache);
     assert_eq!(warm_cache.misses(), 0, "second build must be all hits");
 
     assert_eq!(cold.len(), warm.len());
@@ -264,7 +269,7 @@ fn v2_trace_streams_are_rejected_by_version() {
 fn stale_v1_trace_archives_miss_and_rebuild() {
     let dir = fresh_dir("stale-v1");
     let config = small_config();
-    let cold = Suite::prepare_traces(&config, &ArchiveCache::new(Some(dir.clone())));
+    let cold = lowerings(&config, &ArchiveCache::new(Some(dir.clone())));
 
     // Rewrite every trace archive as the v1 encoder would have: same key,
     // same chunk names, v1 payloads.
@@ -297,7 +302,7 @@ fn stale_v1_trace_archives_miss_and_rebuild() {
     assert!(stale > 0, "the cold build must write trace archives");
 
     let rebuilt_cache = ArchiveCache::new(Some(dir.clone()));
-    let rebuilt = Suite::prepare_traces(&config, &rebuilt_cache);
+    let rebuilt = lowerings(&config, &rebuilt_cache);
     assert_eq!(
         rebuilt_cache.misses(),
         stale,
@@ -305,7 +310,7 @@ fn stale_v1_trace_archives_miss_and_rebuild() {
     );
 
     let warm_cache = ArchiveCache::new(Some(dir.clone()));
-    let warm = Suite::prepare_traces(&config, &warm_cache);
+    let warm = lowerings(&config, &warm_cache);
     assert_eq!(warm_cache.misses(), 0, "the rebuilt cache must hit in full");
     assert!(warm_cache.hits() > 0);
     for traces in [&rebuilt, &warm] {

@@ -10,7 +10,7 @@
 use hsu_archive::fnv1a64;
 use std::sync::OnceLock;
 
-use hsu_bench::{AppTraces, ArchiveCache, Suite, SuiteConfig};
+use hsu_bench::{AppLowerings, ArchiveCache, Suite, SuiteConfig};
 use hsu_kernels::btree::{BtreeParams, BtreeWorkload};
 use hsu_kernels::bvhnn::{BvhFlavor, BvhnnParams, BvhnnWorkload};
 use hsu_kernels::flann::{FlannParams, FlannWorkload};
@@ -103,8 +103,8 @@ fn trace_digest(trace: &KernelTrace) -> u64 {
 
 /// Every trace of the suite at 1/64 scale (seed 7), recorded once for all
 /// the tests here.
-fn suite_traces() -> &'static [AppTraces] {
-    static TRACES: OnceLock<Vec<AppTraces>> = OnceLock::new();
+fn suite_traces() -> &'static [AppLowerings] {
+    static TRACES: OnceLock<Vec<AppLowerings>> = OnceLock::new();
     TRACES.get_or_init(|| {
         let config = SuiteConfig {
             sms: 2,
@@ -112,7 +112,7 @@ fn suite_traces() -> &'static [AppTraces] {
             seed: 7,
             ..SuiteConfig::default()
         };
-        Suite::prepare_traces(&config, &ArchiveCache::disabled())
+        Suite::map_lowerings(&config, &ArchiveCache::disabled(), |l| l)
     })
 }
 
@@ -267,9 +267,6 @@ const SUITE_TRACE_HEAP_BYTES: usize = 91_140_971;
 
 #[test]
 fn suite_trace_heap_is_pinned() {
-    let total: usize = suite_traces()
-        .iter()
-        .flat_map(|t| Variant::ALL.map(|v| t.trace(v).heap_bytes()))
-        .sum();
+    let total: usize = suite_traces().iter().map(AppLowerings::heap_bytes).sum();
     assert_eq!(total, SUITE_TRACE_HEAP_BYTES);
 }
